@@ -1,0 +1,12 @@
+"""Make clik (from ``src/``) and the benchmark modules importable."""
+
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
