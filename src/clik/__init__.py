@@ -26,7 +26,7 @@ from .composite import (Component, CompositeSpec, FullEfficiencyReport,
                         singleton_margins)
 from .errors import (ClikError, ConfigError, DimensionMismatch, DomainError,
                      FailureBudgetExceeded, NoRootInDomain,
-                     NotPositiveDefinite, SingularMatrix)
+                     NotPositiveDefinite, SingularMatrix, UnsupportedSpec)
 from .estimators import (EstimateResult, closed_form, fit, mcle_newton,
                          method_of_moments_start, registered_closed_form)
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
@@ -62,5 +62,5 @@ __all__ = [
     "sym_invert", "is_psd", "loewner_geq", "cholesky_lower", "symmetrize",
     "ClikError", "DomainError", "SingularMatrix", "NotPositiveDefinite",
     "DimensionMismatch", "NoRootInDomain", "FailureBudgetExceeded",
-    "ConfigError",
+    "ConfigError", "UnsupportedSpec",
 ]

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import composite as comp
 from . import montecarlo as mc
 from . import verify as verify_mod
 from .errors import ClikError, ConfigError
-from .fileio import atomic_csv, fmt
+from .fileio import atomic_csv, atomic_write, fmt
 from .models import EMVN, Multinomial4, TriNormal
 from .svgfig import Panel, write_figure
 
@@ -37,17 +36,9 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started):
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     path = os.path.join(out_dir, f"{command}_manifest.json")
-    tmp = tempfile.NamedTemporaryFile("w", dir=out_dir, suffix=".tmp",
-                                      delete=False)
-    try:
-        json.dump(manifest, tmp, indent=2)
-        tmp.write("\n")
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
     return path
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix
 from .fileio import atomic_csv, fmt
-from .matrixops import asymmetry, solve_sym, symmetrize
+from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import GaussianModel, Model, Multinomial4, ParamVector, _as_rows
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
@@ -640,10 +639,8 @@ def _partitioned_from_mats(H, J, G, i_idx, n_idx):
     in_ = np.ix_(i_idx, n_idx)
     ni = np.ix_(n_idx, i_idx)
     schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
-    if abs(np.linalg.det(schur)) < 1e-300:
-        raise SingularMatrix("interest block of the Godambe matrix is singular")
-    avar_profile = symmetrize(np.linalg.inv(schur))
-    h_ii_inv = np.linalg.inv(H[ii])
+    avar_profile = sym_invert(schur)
+    h_ii_inv = sym_invert(H[ii])
     avar_known = symmetrize(h_ii_inv @ J[ii] @ h_ii_inv)
     return avar_profile, avar_known
 
@@ -658,6 +655,8 @@ def partitioned_variance(triple: InfoTriple, interest):
     sub-blocks of H and J (nuisance fixed at the truth).  For an
     information-unbiased triple the latter reduces to ``G_ii^-1``, which can
     never exceed the profile variance; under information bias it can.
+    Raises SingularMatrix (scale-aware, as ``sym_invert``) when a block that
+    must be inverted is singular.
     """
     if isinstance(interest, ParamVector):
         names = interest.interest_names

@@ -30,5 +30,10 @@ class FailureBudgetExceeded(ClikError):
     """Too many replicates of a simulation study failed to converge."""
 
 
+class UnsupportedSpec(ClikError, ValueError):
+    """A spec has no registered fast path and more (or fewer) free
+    parameters than the Newton solver handles."""
+
+
 class ConfigError(ClikError):
     """A simulation config file could not be parsed."""

@@ -1,22 +1,25 @@
 """Maximum composite likelihood estimation.
 
-Small-dimension Newton iteration on the total composite score, plus the
-handful of estimators with registered fast paths: the four-cell
-multinomial MLE, the two mean estimators of the two-block normal model,
-and the equicorrelated-normal pairwise correlation estimators (variance
-known or profiled out), which reduce to scalar root finding on a pair of
-sufficient statistics.
+Small-dimension Newton iteration on the total composite score, plus a
+table of registered fast paths: the four-cell multinomial MLE, the two
+mean estimators of the two-block normal model, and the
+equicorrelated-normal pairwise correlation estimators (variance known or
+profiled out), which reduce to scalar root finding on a pair of
+sufficient statistics.  A fast path is a per-dataset statistic and a
+solve over the stacked statistics of many datasets, so a simulation study
+fits all replicates of a run in one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .composite import CompositeSpec, composite_loglik, composite_score
-from .errors import DomainError, NoRootInDomain
+from .composite import CompositeSpec, composite_score
+from .errors import DomainError, NoRootInDomain, UnsupportedSpec
 from .models import EMVN, Model, Multinomial4, ParamVector, TriNormal
 
 NEWTON_MAX_ITER = 100
@@ -47,6 +50,12 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_newton_free(free) -> None:
+    if not 1 <= len(free) <= 2:
+        raise UnsupportedSpec(f"Newton solver expects 1 or 2 free "
+                              f"parameters, got {len(free)}")
+
+
 def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
                 fixed=None, max_iter: int = NEWTON_MAX_ITER) -> EstimateResult:
     """Newton iteration on the summed composite score.
@@ -65,9 +74,7 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
             **{name: "known" for name in fixed})
     model.validate(theta)
     free = theta.free_names
-    if not 1 <= len(free) <= 2:
-        raise ValueError(f"Newton solver expects 1 or 2 free parameters, "
-                         f"got {len(free)}")
+    _check_newton_free(free)
 
     def total_score(th):
         return composite_score(spec, model, Y, th).sum(axis=0)
@@ -125,11 +132,12 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
 # Maximizing over sigma2 gives sigma2_hat(rho) = T(rho) / (2 Nc).
 
 
-def _pair_stats(Y):
+def _pair_stats(Y) -> np.ndarray:
+    """``(n, p, Q, W)`` of one dataset."""
     n, p = Y.shape
     q = float(np.sum(Y * Y))
     w = float(np.sum(Y.sum(axis=1) ** 2))
-    return n, p, q, w
+    return np.array([n, p, q, w])
 
 
 def _t_and_deriv(rho, p, q, w):
@@ -141,62 +149,71 @@ def _t_and_deriv(rho, p, q, w):
     return t, tp
 
 
-def _scan_roots(score, loglik, lo, hi):
-    """Bracket roots of ``score`` on a scan grid, polish with brentq, and
-    keep the root with the highest objective value."""
-    grid = np.linspace(lo, hi, ROOT_SCAN_POINTS)
-    vals = np.array([score(x) for x in grid])
-    roots = []
-    for x0, x1, f0, f1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if not (np.isfinite(f0) and np.isfinite(f1)):
-            continue
-        if f0 == 0.0:
-            roots.append(float(x0))
-        elif f0 * f1 < 0.0:
-            roots.append(float(brentq(score, x0, x1, xtol=1e-13)))
-    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        raise NoRootInDomain(f"no score root in ({lo}, {hi})")
-    objective = [loglik(r) for r in roots]
-    return roots[int(np.argmax(objective))]
+def _pair_score(rho, p, q, w, nc, sigma2):
+    """Score in rho with ``sigma2`` known, or the profile score when
+    ``sigma2`` is None.  Elementwise, so scalars and arrays give the same
+    bits."""
+    t, tp = _t_and_deriv(rho, p, q, w)
+    if sigma2 is None:
+        return -nc * tp / t + nc * rho / (1.0 - rho * rho)
+    return nc * rho / (1.0 - rho * rho) - tp / (2.0 * sigma2)
 
 
-def _emvn_rho_pairwise(Y, sigma2=None):
-    """Stationary point of the pairwise log likelihood in rho.
-
-    With ``sigma2`` given, solves the known-variance score; otherwise
-    profiles sigma2 out and returns its profile maximizer alongside rho.
-    """
-    n, p, q, w = _pair_stats(Y)
-    nc = n * p * (p - 1) / 2.0
-    lo = -1.0 / (p - 1) + ROOT_SCAN_MARGIN
-    hi = 1.0 - ROOT_SCAN_MARGIN
-
-    if sigma2 is not None:
-        def score(r):
-            t, tp = _t_and_deriv(r, p, q, w)
-            return nc * r / (1.0 - r * r) - tp / (2.0 * sigma2)
-
-        def loglik(r):
-            t, _ = _t_and_deriv(r, p, q, w)
-            return (-nc * np.log(sigma2) - 0.5 * nc * np.log(1.0 - r * r)
-                    - t / (2.0 * sigma2))
-
-        rho = _scan_roots(score, loglik, lo, hi)
-        return rho, float(sigma2), abs(score(rho))
-
-    def score(r):
-        t, tp = _t_and_deriv(r, p, q, w)
-        return -nc * tp / t + nc * r / (1.0 - r * r)
-
-    def loglik(r):
-        t, _ = _t_and_deriv(r, p, q, w)
-        return -nc * np.log(t) - 0.5 * nc * np.log(1.0 - r * r)
-
-    rho = _scan_roots(score, loglik, lo, hi)
+def _pair_loglik(rho, p, q, w, nc, sigma2):
+    """The objective :func:`_pair_score` differentiates, up to a constant."""
     t, _ = _t_and_deriv(rho, p, q, w)
-    return rho, t / (2.0 * nc), abs(score(rho))
+    if sigma2 is None:
+        return -nc * np.log(t) - 0.5 * nc * np.log(1.0 - rho * rho)
+    return (-nc * np.log(sigma2) - 0.5 * nc * np.log(1.0 - rho * rho)
+            - t / (2.0 * sigma2))
+
+
+def _solve_pairwise(stats, sigma2=None):
+    """Pairwise rho (and the profiled sigma2 when ``sigma2`` is None) for
+    each row ``(n, p, Q, W)`` of ``stats``.
+
+    The score is scanned on ``ROOT_SCAN_POINTS`` equispaced points of the
+    open domain for all rows at once; each sign change is polished with
+    brentq, and a row with several roots keeps the one with the highest
+    pairwise log likelihood.  Rows without a root get NaN.
+    """
+    n, p, q, w = (stats[:, [k]] for k in range(4))
+    nc = n * p * (p - 1) / 2.0
+    grid = np.linspace((-1.0 / (p - 1) + ROOT_SCAN_MARGIN)[:, 0],
+                       1.0 - ROOT_SCAN_MARGIN, ROOT_SCAN_POINTS, axis=1)
+    vals = _pair_score(grid, p, q, w, nc, sigma2)
+    finite = np.isfinite(vals)
+    paired = finite[:, :-1] & finite[:, 1:]
+    at_zero = paired & (vals[:, :-1] == 0.0)
+    crossing = paired & (vals[:, :-1] * vals[:, 1:] < 0.0)
+    end_zero = finite[:, -1] & (vals[:, -1] == 0.0)
+
+    p, q, w, nc = (col[:, 0] for col in (p, q, w, nc))
+    args = list(zip(p.tolist(), q.tolist(), w.tolist(), nc.tolist()))
+    roots = [[] for _ in args]
+    for i, j in zip(*np.nonzero(at_zero | crossing)):
+        if at_zero[i, j]:
+            roots[i].append(float(grid[i, j]))
+        else:
+            roots[i].append(float(brentq(_pair_score, grid[i, j],
+                                         grid[i, j + 1],
+                                         args=(*args[i], sigma2), xtol=1e-13)))
+    for i in np.flatnonzero(end_zero):
+        roots[i].append(float(grid[i, -1]))
+
+    rho = np.full(len(args), np.nan)
+    for i, found in enumerate(roots):
+        if len(found) == 1:
+            rho[i] = found[0]
+        elif found:
+            objective = [_pair_loglik(r, *args[i], sigma2) for r in found]
+            rho[i] = found[int(np.argmax(objective))]
+
+    resid = np.abs(_pair_score(rho, p, q, w, nc, sigma2))
+    if sigma2 is not None:
+        return rho[:, None], ~np.isnan(rho), resid
+    t, _ = _t_and_deriv(rho, p, q, w)
+    return np.column_stack([rho, t / (2.0 * nc)]), ~np.isnan(rho), resid
 
 
 # ---------------------------------------------------------------------------
@@ -204,46 +221,100 @@ def _emvn_rho_pairwise(Y, sigma2=None):
 # ---------------------------------------------------------------------------
 
 
+def _column_means(Y) -> np.ndarray:
+    # column by column, as ``Y[:, j].mean()``: ``Y.mean(axis=0)`` sums in
+    # another order and can differ in the last bit
+    return np.array([col.mean() for col in Y.T])
+
+
+def _explicit(estimates):
+    """``(estimates, converged, score_norm)`` of an explicit formula in
+    one parameter."""
+    rows = len(estimates)
+    return estimates.reshape(rows, 1), np.ones(rows, dtype=bool), np.zeros(rows)
+
+
+def _solve_mu12(means, known):
+    return _explicit(0.5 * (means[:, 0] + means[:, 1]))
+
+
+def _solve_mu123(means, known):
+    s2 = float(known["sigma2"])
+    return _explicit((s2 * (means[:, 0] + means[:, 1]) + means[:, 2])
+                     / (1.0 + 2.0 * s2))
+
+
+def _solve_multinomial(means, known):
+    return _explicit(means.sum(axis=1) / (2.0 + 1.0 / float(known["k"])))
+
+
+def _solve_pairwise_free(stats, known):
+    return _solve_pairwise(stats)
+
+
+def _solve_pairwise_known(stats, known):
+    return _solve_pairwise(stats, sigma2=float(known["sigma2"]))
+
+
+@dataclass(frozen=True)
+class FastPath:
+    """A registered estimator: a per-dataset statistic and a batched solve.
+
+    ``statistic(Y)`` reduces one dataset to a 1-D array.  ``solve(stats,
+    known)`` maps the statistics of R datasets, stacked as the rows of
+    ``stats``, to ``(estimates, converged, score_norm)``: the ``(R, d)``
+    free-parameter values in ``free`` order (NaN rows where there is no
+    estimate), an ``(R,)`` flag and the absolute score at each estimate.
+    ``known`` supplies the fixed values the solve reads; the parameters
+    among them, ``known_params``, are reported as known in a fit.
+    """
+
+    free: tuple                         # ((name, role), ...)
+    known_params: tuple
+    statistic: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray, dict], tuple]
+
+
+#: The registered estimators by id.  Runs whose entries share a statistic
+#: (the two pairwise estimators) can share its computation.
+ESTIMATORS = {
+    "trinormal_mu12": FastPath((("mu", "interest"),), (),
+                               _column_means, _solve_mu12),
+    "trinormal_mu123": FastPath((("mu", "interest"),), ("sigma2",),
+                                _column_means, _solve_mu123),
+    "multinomial4_mle": FastPath((("theta", "interest"),), (),
+                                 _column_means, _solve_multinomial),
+    "emvn_pairwise_rho": FastPath((("rho", "interest"),
+                                   ("sigma2", "nuisance")), (),
+                                  _pair_stats, _solve_pairwise_free),
+    "emvn_pairwise_rho_known_sigma": FastPath((("rho", "interest"),),
+                                              ("sigma2",), _pair_stats,
+                                              _solve_pairwise_known),
+}
+
+
 def closed_form(name: str, data, known=None) -> EstimateResult:
-    """Evaluate a registered estimator by id.
+    """Evaluate a registered estimator on one dataset.
 
     Known ids: ``trinormal_mu12``, ``trinormal_mu123`` (needs ``sigma2``),
     ``multinomial4_mle`` (needs ``k``), ``emvn_pairwise_rho`` and
-    ``emvn_pairwise_rho_known_sigma`` (needs ``sigma2``).
+    ``emvn_pairwise_rho_known_sigma`` (needs ``sigma2``).  Raises KeyError
+    for an unknown id or a missing known value, and NoRootInDomain when
+    the score has no root inside the domain.
     """
+    entry = ESTIMATORS[name]
     known = known or {}
-    Y = np.asarray(data, dtype=float)
-
-    if name == "trinormal_mu12":
-        mu = 0.5 * (Y[:, 0].mean() + Y[:, 1].mean())
-        params = ParamVector(("mu",), (mu,), ("interest",))
-        return EstimateResult(params, 0, True, 0.0, "closed-form")
-
-    if name == "trinormal_mu123":
-        s2 = float(known["sigma2"])
-        mu = (s2 * (Y[:, 0].mean() + Y[:, 1].mean()) + Y[:, 2].mean()) / (1.0 + 2.0 * s2)
-        params = ParamVector(("mu", "sigma2"), (mu, s2), ("interest", "known"))
-        return EstimateResult(params, 0, True, 0.0, "closed-form")
-
-    if name == "multinomial4_mle":
-        k = float(known["k"])
-        theta = float(Y.mean(axis=0).sum() / (2.0 + 1.0 / k))
-        params = ParamVector(("theta",), (theta,), ("interest",))
-        return EstimateResult(params, 0, True, 0.0, "closed-form")
-
-    if name == "emvn_pairwise_rho":
-        rho, s2, resid = _emvn_rho_pairwise(Y)
-        params = ParamVector(("rho", "sigma2"), (rho, s2),
-                             ("interest", "nuisance"))
-        return EstimateResult(params, 0, True, resid, "closed-form")
-
-    if name == "emvn_pairwise_rho_known_sigma":
-        rho, s2, resid = _emvn_rho_pairwise(Y, sigma2=float(known["sigma2"]))
-        params = ParamVector(("rho", "sigma2"), (rho, s2),
-                             ("interest", "known"))
-        return EstimateResult(params, 0, True, resid, "closed-form")
-
-    raise KeyError(f"unknown closed-form estimator {name!r}")
+    stats = entry.statistic(np.asarray(data, dtype=float))[None, :]
+    estimates, converged, score_norm = entry.solve(stats, known)
+    if not converged[0]:
+        raise NoRootInDomain(f"{name}: no score root inside the domain")
+    names = tuple(n for n, _ in entry.free) + entry.known_params
+    values = (*estimates[0].tolist(),
+              *(float(known[n]) for n in entry.known_params))
+    roles = (tuple(r for _, r in entry.free)
+             + ("known",) * len(entry.known_params))
+    return EstimateResult(ParamVector(names, values, roles), 0, True,
+                          float(score_norm[0]), "closed-form")
 
 
 def _is_singleton_margins(spec: CompositeSpec, indices) -> bool:
@@ -275,7 +346,8 @@ def _is_full(spec: CompositeSpec, p: int) -> bool:
 
 def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
                            fixed=None):
-    """Return a ``data -> EstimateResult`` fast path, or None.
+    """Return ``(name, known)``: the id in :data:`ESTIMATORS` of the fast
+    path for this fit and the values its solve reads, or None.
 
     Matching is structural (spec components plus which parameters are
     fixed), so hand-built specs qualify as well as the constructors.
@@ -285,22 +357,30 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
 
     if isinstance(model, EMVN) and _is_all_pairs(spec, model.dim):
         if not fixed and free_after == ["rho", "sigma2"]:
-            return lambda Y: closed_form("emvn_pairwise_rho", Y)
+            return "emvn_pairwise_rho", {}
         if set(fixed) == {"sigma2"} and free_after == ["rho"]:
-            return lambda Y: closed_form("emvn_pairwise_rho_known_sigma", Y,
-                                         {"sigma2": fixed["sigma2"]})
+            return "emvn_pairwise_rho_known_sigma", {"sigma2": fixed["sigma2"]}
 
     if isinstance(model, Multinomial4) and _is_full(spec, 3) and not fixed:
-        return lambda Y: closed_form("multinomial4_mle", Y, {"k": model.k})
+        return "multinomial4_mle", {"k": model.k}
 
     if isinstance(model, TriNormal) and free_after == ["mu"]:
         if _is_singleton_margins(spec, (0, 1)):
-            return lambda Y: closed_form("trinormal_mu12", Y)
+            return "trinormal_mu12", {}
         if _is_singleton_margins(spec, (0, 1, 2)):
-            sigma2 = fixed.get("sigma2", theta_like["sigma2"])
-            return lambda Y: closed_form("trinormal_mu123", Y,
-                                         {"sigma2": sigma2})
+            return "trinormal_mu123", {
+                "sigma2": fixed.get("sigma2", theta_like["sigma2"])}
     return None
+
+
+def check_fittable(model: Model, spec: CompositeSpec, theta_like,
+                   fixed=None) -> None:
+    """Raise UnsupportedSpec unless :func:`fit` can fit this spec: it has
+    a registered fast path, or as many free parameters as Newton takes."""
+    if registered_closed_form(model, spec, theta_like, fixed) is None:
+        fixed = fixed or {}
+        _check_newton_free([n for n in theta_like.free_names
+                            if n not in fixed])
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +421,9 @@ def method_of_moments_start(model: Model, Y, theta_like: ParamVector,
 def fit(spec: CompositeSpec, model: Model, data, theta_like: ParamVector,
         fixed=None) -> EstimateResult:
     """Fit a spec: registered fast path when one matches, Newton otherwise."""
-    fast = registered_closed_form(model, spec, theta_like, fixed)
-    if fast is not None:
-        return fast(np.asarray(data, dtype=float))
+    match = registered_closed_form(model, spec, theta_like, fixed)
+    if match is not None:
+        name, known = match
+        return closed_form(name, data, known)
     start = method_of_moments_start(model, data, theta_like, fixed)
     return mcle_newton(spec, model, data, start, fixed=fixed)

@@ -1,7 +1,8 @@
-"""Atomic CSV output with round-trippable float formatting."""
+"""Atomic file output with round-trippable float formatting."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import tempfile
@@ -12,19 +13,26 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_csv(path, header, rows) -> None:
-    """Write a CSV via a temp file and rename, so readers never see a
-    partial file."""
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Yield a text file that replaces ``path`` only when the block exits
+    cleanly (a temp file in the same directory, then a rename), so readers
+    never see a partial file."""
     tmp = tempfile.NamedTemporaryFile(
         "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        suffix=".tmp", delete=False, newline="")
+        suffix=".tmp", delete=False, newline=newline)
     try:
-        writer = csv.writer(tmp)
-        writer.writerow(header)
-        writer.writerows(rows)
-        tmp.close()
+        with tmp:
+            yield tmp
         os.replace(tmp.name, path)
     except BaseException:
-        tmp.close()
         os.unlink(tmp.name)
         raise
+
+
+def atomic_csv(path, header, rows) -> None:
+    """Write a CSV file atomically (see :func:`atomic_write`)."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -183,15 +183,6 @@ class Model:
         joint = self.margin_loglik(given + (int(target),), Y, theta)
         return joint - self.margin_loglik(given, Y, theta)
 
-    def conditional_score(self, target, given, Y, theta):
-        given = _canon(given) if given else ()
-        if target in given:
-            raise ValueError(f"target {target} appears in given set {given}")
-        if not given:
-            return self.margin_score((target,), Y, theta)
-        joint = self.margin_score(given + (int(target),), Y, theta)
-        return joint - self.margin_score(given, Y, theta)
-
     # -- full likelihood -------------------------------------------------
 
     def loglik(self, Y, theta):

@@ -2,7 +2,8 @@
 
 Draws R independent datasets of size n (one deterministic RNG substream
 per replicate, so results are identical no matter how replicates are
-partitioned across workers), fits every requested spec on each dataset,
+partitioned across workers), fits every requested spec on each dataset
+(a registered fast path in one batched solve per run, Newton otherwise),
 and reports empirical means, n-scaled covariances and batch-means
 standard errors.  Non-converged fits are excluded from the moments but
 counted, with a hard 1% failure budget.
@@ -18,8 +19,9 @@ import numpy as np
 
 from .composite import CompositeSpec
 from .errors import (ClikError, DomainError, FailureBudgetExceeded,
-                     NoRootInDomain)
-from .estimators import fit
+                     NoRootInDomain, NotPositiveDefinite, SingularMatrix)
+from .estimators import (ESTIMATORS, check_fittable, fit,
+                         registered_closed_form)
 from .fileio import atomic_csv, fmt
 from .models import Model, ParamVector, substream
 
@@ -73,6 +75,9 @@ class SimConfig:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate run labels: {labels}")
         self.model.validate(self.theta_true)
+        for run in self.runs:
+            check_fittable(self.model, run.spec, self.theta_true,
+                           run.fixed_dict)
 
     def free_names(self, run: SpecRun) -> tuple:
         fixed = run.fixed_dict
@@ -171,33 +176,62 @@ class SimResult:
         atomic_csv(path, CSV_SUMMARY_HEADER, self.summary_rows())
 
 
-def _fit_replicate(config: SimConfig, r: int):
-    """Fit every run on replicate ``r``; deterministic in (seed, r)."""
-    Y = config.model.sample(config.theta_true, config.n,
-                            substream(config.seed, r))
-    out = []
+#: A replicate whose fit raises one of these counts as failed.
+REPLICATE_FAILURES = (DomainError, NoRootInDomain, SingularMatrix,
+                      NotPositiveDefinite, np.linalg.LinAlgError)
+
+
+def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
+    """``label -> (estimates, converged)`` of every run on replicates
+    ``lo..hi-1``; deterministic in (seed, replicate).
+
+    Each replicate is sampled once.  Runs with a registered fast path keep
+    only its statistic (computed once for all runs that share it) and are
+    solved in one batched call after the loop; the others are fitted by
+    Newton on every replicate.
+    """
+    fast, newton = {}, []
     for run in config.runs:
-        names = config.free_names(run)
-        try:
-            res = fit(run.spec, config.model, Y, config.theta_true,
-                      fixed=run.fixed_dict)
-            if res.converged:
-                out.append((np.array([res.params[n] for n in names]), True))
-            else:
-                out.append((np.full(len(names), np.nan), False))
-        except (DomainError, NoRootInDomain, np.linalg.LinAlgError):
-            out.append((np.full(len(names), np.nan), False))
-    return out
+        match = registered_closed_form(config.model, run.spec,
+                                       config.theta_true, run.fixed_dict)
+        if match is None:
+            newton.append(run)
+        else:
+            name, known = match
+            fast[run.label] = (ESTIMATORS[name], known)
+    stats = {entry.statistic: [] for entry, _ in fast.values()}
+    fits = {run.label: ([], []) for run in newton}
 
-
-def _run_chunk(config: SimConfig, lo: int, hi: int):
-    rows = {run.label: [] for run in config.runs}
-    flags = {run.label: [] for run in config.runs}
     for r in range(lo, hi):
-        for run, (est, ok) in zip(config.runs, _fit_replicate(config, r)):
-            rows[run.label].append(est)
-            flags[run.label].append(ok)
-    return rows, flags
+        Y = config.model.sample(config.theta_true, config.n,
+                                substream(config.seed, r))
+        for statistic, rows in stats.items():
+            rows.append(statistic(Y))
+        for run in newton:
+            names = config.free_names(run)
+            try:
+                res = fit(run.spec, config.model, Y, config.theta_true,
+                          fixed=run.fixed_dict)
+                ok = res.converged
+            except REPLICATE_FAILURES:
+                ok = False
+            est, flags = fits[run.label]
+            est.append([res.params[n] for n in names] if ok
+                       else [np.nan] * len(names))
+            flags.append(ok)
+
+    out = {}
+    for run in config.runs:
+        if run.label in fast:
+            entry, known = fast[run.label]
+            estimates, converged, _ = entry.solve(
+                np.array(stats[entry.statistic]), known)
+        else:
+            est, flags = fits[run.label]
+            estimates = np.array(est, dtype=float)
+            converged = np.array(flags, dtype=bool)
+        out[run.label] = (estimates, converged)
+    return out
 
 
 def worker_count(threads=None) -> int:
@@ -231,9 +265,8 @@ def run(config: SimConfig, threads=None) -> SimResult:
 
     result = SimResult(config)
     for run_ in config.runs:
-        est = np.concatenate([np.asarray(rows[run_.label]) for rows, _ in chunks])
-        conv = np.concatenate([np.asarray(flags[run_.label], dtype=bool)
-                               for _, flags in chunks])
+        est = np.concatenate([chunk[run_.label][0] for chunk in chunks])
+        conv = np.concatenate([chunk[run_.label][1] for chunk in chunks])
         result.estimates[run_.label] = est
         result.converged[run_.label] = conv
         fails = int((~conv).sum())

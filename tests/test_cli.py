@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import clik
 import clik.asymptotics as asy
 import clik.verify as verify_mod
 from clik.asymptotics import EfficiencyCurve
@@ -145,6 +149,25 @@ def test_simulate_config_errors(tmp_path):
                         "specs = wat\n")
     with pytest.raises(ConfigError, match="wat"):
         parse_sim_config(bad_spec)
+
+
+def test_simulate_unsupported_spec_exits_2(tmp_path):
+    # TriNormal pairwise has three free parameters: no fast path matches
+    # and the Newton solver takes at most two
+    cfg = tmp_path / "tri.cfg"
+    cfg.write_text("model = trinormal\nn = 100\nreplicates = 100\n"
+                   "specs = pairwise\n")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clik.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "clik.cli", "simulate", str(cfg), "--out",
+         str(out)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Newton solver expects 1 or 2 free parameters" in proc.stderr
+    assert not (out / "simulate_estimates.csv").exists()
 
 
 def test_simulate_config_fixed_suffix(tmp_path):

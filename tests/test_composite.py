@@ -358,6 +358,36 @@ def test_partitioned_variance_reversal_for_biased_spec():
     assert known[0, 0] > prof[0, 0]
 
 
+def test_partitioned_variance_rank_deficient_godambe_raises():
+    H, J = np.array([[2.0, 1.0], [1.0, 1.0]]), np.eye(2)
+    # the nuisance column explains the interest column completely
+    G = np.array([[1.0, 1.0], [1.0, 1.0]])
+    triple = comp.InfoTriple(("a", "b"), H, J, G, "analytic")
+    with pytest.raises(SingularMatrix):
+        comp.partitioned_variance(triple, ["a"])
+    # a singular nuisance block
+    G3 = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    triple = comp.InfoTriple(("a", "b", "c"), np.eye(3), np.eye(3), G3,
+                             "analytic")
+    with pytest.raises(SingularMatrix):
+        comp.partitioned_variance(triple, ["a"])
+
+
+def test_partitioned_variance_is_scale_aware():
+    # a well-conditioned triple at a tiny scale is not singular: the
+    # variances scale inversely
+    model, theta = emvn_case(0.4, 1.5)
+    exact = comp.info_exact(comp.pairwise(3), model, theta)
+    scale = 1e-305
+    tiny = comp.InfoTriple(exact.param_names, exact.sensitivity * scale,
+                           exact.variability * scale, exact.godambe * scale,
+                           "analytic")
+    prof, known = comp.partitioned_variance(exact, ["rho"])
+    prof_t, known_t = comp.partitioned_variance(tiny, ["rho"])
+    np.testing.assert_allclose(prof_t, prof / scale, rtol=1e-12)
+    np.testing.assert_allclose(known_t, known / scale, rtol=1e-12)
+
+
 def test_partitioned_variance_validates_blocks():
     model, theta = emvn_case()
     exact = comp.info_exact(comp.pairwise(3), model, theta)

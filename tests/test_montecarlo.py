@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import clik.asymptotics as asy
 import clik.composite as comp
+import clik.estimators as est
 import clik.montecarlo as mc
-from clik.errors import ClikError, DomainError, FailureBudgetExceeded
+from clik.errors import (ClikError, DomainError, FailureBudgetExceeded,
+                         SingularMatrix, UnsupportedSpec)
 from clik.models import EMVN, Multinomial4, TriNormal
 
 
@@ -15,6 +19,14 @@ def small_config(replicates=200, seed=3):
     return mc.SimConfig(model, theta,
                         (mc.SpecRun(spec), mc.SpecRun(spec, {"sigma2": 1.0})),
                         n=200, replicates=replicates, seed=seed)
+
+
+def newton_config(replicates=100, seed=5):
+    """A study whose only run has no fast path."""
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    return mc.SimConfig(model, theta, (mc.SpecRun(comp.full_conditional(3)),),
+                        n=100, replicates=replicates, seed=seed)
 
 
 def test_config_validation():
@@ -30,6 +42,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mc.SimConfig(model, theta, (mc.SpecRun(spec), mc.SpecRun(spec)),
                      n=100, replicates=200, seed=0)
+
+
+def test_config_rejects_specs_nothing_can_fit():
+    # three free parameters: no fast path, and too many for Newton
+    model = TriNormal()
+    theta = model.params(mu=0.0, rho=0.1, sigma2=1.0)
+    with pytest.raises(UnsupportedSpec, match="Newton"):
+        mc.SimConfig(model, theta, (mc.SpecRun(comp.pairwise(3)),),
+                     n=100, replicates=100, seed=0)
+    # every parameter fixed leaves Newton nothing to fit either
+    with pytest.raises(UnsupportedSpec):
+        mc.SimConfig(model, theta, (mc.SpecRun(comp.pairwise(3), {
+            "mu": 0.0, "rho": 0.1, "sigma2": 1.0}),),
+                     n=100, replicates=100, seed=0)
 
 
 def test_spec_run_labels():
@@ -52,13 +78,17 @@ def test_run_shapes_and_labels():
 
 def test_run_deterministic_across_worker_counts():
     config = small_config()
+    # one Newton run beside the two batched fast-path runs
+    config = dataclasses.replace(config, runs=config.runs + (
+        mc.SpecRun(comp.full_conditional(3), {"sigma2": 1.0}),))
     serial = mc.run(config, threads=1)
-    parallel = mc.run(config, threads=3)
-    for label in serial.labels():
-        np.testing.assert_array_equal(serial.estimates[label],
-                                      parallel.estimates[label])
-        np.testing.assert_array_equal(serial.converged[label],
-                                      parallel.converged[label])
+    for threads in (2, 3):
+        parallel = mc.run(config, threads=threads)
+        for label in serial.labels():
+            np.testing.assert_array_equal(serial.estimates[label],
+                                          parallel.estimates[label])
+            np.testing.assert_array_equal(serial.converged[label],
+                                          parallel.converged[label])
 
 
 def test_reported_moments_are_permutation_invariant():
@@ -87,20 +117,52 @@ def test_worker_count_resolution(monkeypatch):
 
 
 def test_failure_budget_enforced(monkeypatch):
-    import clik.estimators as est
+    # fast-path runs are fitted by their table entry's batched solve
+    entry = est.ESTIMATORS["emvn_pairwise_rho"]
+
+    def flaky(stats, known):
+        estimates, converged, score_norm = entry.solve(stats, known)
+        converged = converged.copy()
+        converged[::20] = False               # 5% failure rate
+        estimates[~converged] = np.nan
+        return estimates, converged, score_norm
+
+    monkeypatch.setitem(est.ESTIMATORS, "emvn_pairwise_rho",
+                        dataclasses.replace(entry, solve=flaky))
+    config = small_config()
+    with pytest.raises(FailureBudgetExceeded):
+        mc.run(config, threads=1)
+
+
+def flaky_fit(monkeypatch, fail_on):
+    """Make ``mc.fit`` raise ``fail_on(call_number)`` when that is not None."""
     real_fit = est.fit
     calls = {"n": 0}
 
     def flaky(spec, model, data, theta_like, fixed=None):
         calls["n"] += 1
-        if calls["n"] % 20 == 0:              # 5% failure rate
-            raise DomainError("synthetic failure")
+        exc = fail_on(calls["n"])
+        if exc is not None:
+            raise exc
         return real_fit(spec, model, data, theta_like, fixed=fixed)
 
     monkeypatch.setattr(mc, "fit", flaky)
-    config = small_config()
+
+
+def test_failure_budget_enforced_newton(monkeypatch):
+    flaky_fit(monkeypatch, lambda k: DomainError("synthetic failure")
+              if k % 20 == 0 else None)   # 5% failure rate
     with pytest.raises(FailureBudgetExceeded):
-        mc.run(config, threads=1)
+        mc.run(newton_config(), threads=1)
+
+
+def test_numerical_failures_count_against_budget(monkeypatch):
+    flaky_fit(monkeypatch, lambda k: SingularMatrix("synthetic failure")
+              if k == 37 else None)
+    result = mc.run(newton_config(), threads=1)
+    assert result.failures("full_conditional") == 1
+    assert not result.converged["full_conditional"][36]
+    assert np.isnan(result.estimates["full_conditional"][36]).all()
 
 
 def test_simulated_variance_hits_closed_forms():
