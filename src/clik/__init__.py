@@ -31,18 +31,16 @@ from .estimators import (EstimateResult, closed_form, fit, mcle_newton,
                          method_of_moments_start, registered_closed_form)
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
                         symmetrize)
-from .models import (EMVN, FisherEstimate, GaussianModel, Model, Multinomial4,
-                     ParamVector, TriNormal, read_dataset, substream,
-                     write_dataset)
+from .models import (EMVN, GaussianModel, Model, Multinomial4, ParamVector,
+                     TriNormal, read_dataset, substream, write_dataset)
 from .montecarlo import (ParadoxReport, SimConfig, SimResult, SpecRun,
-                         numeric_hessian, paradox_covariance_diagnostics, run)
+                         paradox_covariance_diagnostics, run)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EMVN", "TriNormal", "Multinomial4", "GaussianModel", "Model",
-    "ParamVector", "FisherEstimate", "substream", "write_dataset",
-    "read_dataset",
+    "ParamVector", "substream", "write_dataset", "read_dataset",
     "Component", "CompositeSpec", "independence", "pairwise",
     "full_conditional", "chain", "full_likelihood", "singleton_margins",
     "composite_loglik", "composite_score", "composite_score_fd",
@@ -57,7 +55,7 @@ __all__ = [
     "full_conditional_ratio_curve", "pairwise_rho_sigma_acov",
     "two_block_mean_variances", "two_block_threshold", "MultinomialInfo",
     "multinomial_info_scalars", "multinomial_variance_curves",
-    "SimConfig", "SimResult", "SpecRun", "run", "numeric_hessian",
+    "SimConfig", "SimResult", "SpecRun", "run",
     "ParadoxReport", "paradox_covariance_diagnostics",
     "sym_invert", "is_psd", "loewner_geq", "cholesky_lower", "symmetrize",
     "ClikError", "DomainError", "SingularMatrix", "NotPositiveDefinite",

@@ -135,61 +135,55 @@ def full_likelihood(p: int) -> CompositeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _margin_sets(comp: Component):
-    """The margin index sets whose difference gives this component."""
-    if comp.kind == "margin":
-        return tuple(sorted(comp.indices)), None
-    joint = tuple(sorted(comp.given + comp.indices))
-    return joint, tuple(sorted(comp.given))
+def _component_values(spec: CompositeSpec, margin):
+    """Yield ``(weight, value)`` for each component of ``spec``.
+
+    A margin's value is ``margin(indices)``; a conditional's is
+    ``margin(joint) - margin(given)``.  ``margin`` is called once per
+    distinct (sorted) index set.
+    """
+    cache = {}
+
+    def at(idx):
+        idx = tuple(sorted(idx))
+        if idx not in cache:
+            cache[idx] = margin(idx)
+        return cache[idx]
+
+    for comp in spec.components:
+        value = at(comp.given + comp.indices)
+        if comp.kind == "conditional":
+            value = value - at(comp.given)
+        yield comp.weight, value
+
+
+def _weighted_total(spec: CompositeSpec, margin):
+    """Sum of ``weight * value`` over :func:`_component_values`."""
+    return sum(weight * value
+               for weight, value in _component_values(spec, margin))
 
 
 def composite_loglik(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Weighted sum of component log densities, per observation."""
     rows, single = _as_rows(Y, model.dim)
-    cache = {}
-
-    def margin(idx):
-        if idx not in cache:
-            cache[idx] = model.margin_loglik(idx, rows, theta)
-        return cache[idx]
-
-    total = np.zeros(rows.shape[0])
-    for comp in spec.components:
-        joint, given = _margin_sets(comp)
-        val = margin(joint) if given is None else margin(joint) - margin(given)
-        total = total + comp.weight * val
+    total = _weighted_total(
+        spec, lambda idx: model.margin_loglik(idx, rows, theta))
     return float(total[0]) if single else total
 
 
 def composite_score(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Gradient of :func:`composite_loglik` in the free parameters, per row."""
     rows, single = _as_rows(Y, model.dim)
-    cache = {}
-
-    def margin(idx):
-        if idx not in cache:
-            cache[idx] = model.margin_score(idx, rows, theta)
-        return cache[idx]
-
-    total = np.zeros((rows.shape[0], len(theta.free_names)))
-    for comp in spec.components:
-        joint, given = _margin_sets(comp)
-        val = margin(joint) if given is None else margin(joint) - margin(given)
-        total = total + comp.weight * val
+    total = _weighted_total(
+        spec, lambda idx: model.margin_score(idx, rows, theta))
     return total[0] if single else total
 
 
 def component_scores(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Unweighted per-component score arrays (list of ``(n, q)``)."""
     rows, _ = _as_rows(Y, model.dim)
-    out = []
-    for comp in spec.components:
-        joint, given = _margin_sets(comp)
-        val = model.margin_score(joint, rows, theta)
-        if given is not None:
-            val = val - model.margin_score(given, rows, theta)
-        out.append(val)
-    return out
+    return [value for _, value in _component_values(
+        spec, lambda idx: model.margin_score(idx, rows, theta))]
 
 
 def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
@@ -392,28 +386,17 @@ def _gaussian_spec_rep(spec, model, theta):
     """Total composite score as affine-quadratic forms of ``r = y - mean``.
 
     Returns ``(c, B, A)`` with shapes ``(q,)``, ``(q, p)``, ``(q, p, p)``.
+    Each margin's forms are packed into one ``(q, 1 + p + p*p)`` array so
+    that components combine by plain array arithmetic.
     """
     q, p = len(theta.free_names), model.dim
-    cache = {}
 
-    def margin_rep(idx):
-        if idx not in cache:
-            cache[idx] = model.margin_score_rep(idx, theta)
-        return cache[idx]
+    def packed(idx):
+        c, B, A = model.margin_score_rep(idx, theta)
+        return np.concatenate([c[:, None], B, A.reshape(q, p * p)], axis=1)
 
-    c = np.zeros(q)
-    B = np.zeros((q, p))
-    A = np.zeros((q, p, p))
-    for comp in spec.components:
-        joint, given = _margin_sets(comp)
-        cj, bj, aj = margin_rep(joint)
-        if given is not None:
-            cg, bg, ag = margin_rep(given)
-            cj, bj, aj = cj - cg, bj - bg, aj - ag
-        c += comp.weight * cj
-        B += comp.weight * bj
-        A += comp.weight * aj
-    return c, B, A
+    total = _weighted_total(spec, packed)
+    return total[:, 0], total[:, 1:p + 1], total[:, p + 1:].reshape(q, p, p)
 
 
 def _gaussian_info_exact(spec, model, theta):

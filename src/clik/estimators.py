@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .composite import CompositeSpec, composite_score
-from .errors import DomainError, NoRootInDomain, UnsupportedSpec
+from .errors import (DomainError, NoRootInDomain, SingularMatrix,
+                     UnsupportedSpec)
+from .matrixops import singular_tolerance
 from .models import EMVN, Model, Multinomial4, ParamVector, TriNormal
 
 NEWTON_MAX_ITER = 100
@@ -64,7 +67,9 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
     known); the remaining 1 or 2 free parameters are iterated with a
     finite-difference score Jacobian and step halving that keeps every
     iterate inside the model domain.  Convergence means the sup norm of
-    the total score fell below ``1e-8 * n``.
+    the total score fell below ``1e-8 * n``.  Raises SingularMatrix
+    (scale-aware, as ``sym_invert``) when the score Jacobian is singular,
+    for example when the spec carries no information on a free parameter.
     """
     Y = model.check_data(data)
     n = Y.shape[0]
@@ -93,10 +98,10 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
             up = total_score(theta.with_values(**{name: theta[name] + h}))
             dn = total_score(theta.with_values(**{name: theta[name] - h}))
             jac[:, a] = (up - dn) / (2.0 * h)
-        try:
-            delta = np.linalg.solve(jac, -score)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -score, rcond=None)
+        if abs(np.linalg.det(jac)) <= singular_tolerance(jac):
+            raise SingularMatrix(f"score Jacobian singular at "
+                                 f"{theta.as_dict()}")
+        delta = np.linalg.solve(jac, -score)
         step = 1.0
         for _ in range(60):
             try:
@@ -317,31 +322,13 @@ def closed_form(name: str, data, known=None) -> EstimateResult:
                           float(score_norm[0]), "closed-form")
 
 
-def _is_singleton_margins(spec: CompositeSpec, indices) -> bool:
-    want = {(i,) for i in indices}
-    got = set()
-    for comp in spec.components:
-        if comp.kind != "margin" or len(comp.indices) != 1 or comp.weight != 1.0:
-            return False
-        got.add(comp.indices)
-    return got == want
-
-
-def _is_all_pairs(spec: CompositeSpec, p: int) -> bool:
-    want = {(r, s) for r in range(p) for s in range(r + 1, p)}
-    got = set()
-    for comp in spec.components:
-        if comp.kind != "margin" or len(comp.indices) != 2 or comp.weight != 1.0:
-            return False
-        got.add(tuple(sorted(comp.indices)))
-    return got == want
-
-
-def _is_full(spec: CompositeSpec, p: int) -> bool:
-    return (len(spec.components) == 1
-            and spec.components[0].kind == "margin"
-            and tuple(sorted(spec.components[0].indices)) == tuple(range(p))
-            and spec.components[0].weight == 1.0)
+def _unit_margins(spec: CompositeSpec):
+    """Sorted index tuples of a spec made only of unit-weight margins,
+    repeats kept, or None for any other spec."""
+    if any(comp.kind != "margin" or comp.weight != 1.0
+           for comp in spec.components):
+        return None
+    return sorted(tuple(sorted(comp.indices)) for comp in spec.components)
 
 
 def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
@@ -354,20 +341,22 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
     """
     fixed = dict(fixed or {})
     free_after = [n for n in theta_like.free_names if n not in fixed]
+    margins = _unit_margins(spec)
 
-    if isinstance(model, EMVN) and _is_all_pairs(spec, model.dim):
+    if (isinstance(model, EMVN)
+            and margins == list(combinations(range(model.dim), 2))):
         if not fixed and free_after == ["rho", "sigma2"]:
             return "emvn_pairwise_rho", {}
         if set(fixed) == {"sigma2"} and free_after == ["rho"]:
             return "emvn_pairwise_rho_known_sigma", {"sigma2": fixed["sigma2"]}
 
-    if isinstance(model, Multinomial4) and _is_full(spec, 3) and not fixed:
+    if isinstance(model, Multinomial4) and margins == [(0, 1, 2)] and not fixed:
         return "multinomial4_mle", {"k": model.k}
 
     if isinstance(model, TriNormal) and free_after == ["mu"]:
-        if _is_singleton_margins(spec, (0, 1)):
+        if margins == [(0,), (1,)]:
             return "trinormal_mu12", {}
-        if _is_singleton_margins(spec, (0, 1, 2)):
+        if margins == [(0,), (1,), (2,)]:
             return "trinormal_mu123", {
                 "sigma2": fixed.get("sigma2", theta_like["sigma2"])}
     return None

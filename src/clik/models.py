@@ -2,7 +2,8 @@
 
 Each model exposes, for arbitrary index subsets of its observation vector:
 log densities of margins and conditionals, analytic scores in the free
-parameters, an exact sampler, and (per-observation) Fisher information.
+parameters and an exact sampler.  (Fisher information is the variability
+matrix of the full likelihood; see :func:`clik.composite.info_exact`.)
 Conditionals are evaluated through the identity
 ``log f(y_t | y_G) = log f(y_{t,G}) - log f(y_G)``, so one margin code
 path serves independence, pairwise, full-conditional and chain composite
@@ -191,28 +192,14 @@ class Model:
     def full_score(self, Y, theta):
         return self.margin_score(range(self.dim), Y, theta)
 
-    # -- sampling / information -------------------------------------------
+    # -- sampling -------------------------------------------------------------
 
     def sample(self, theta: ParamVector, n: int, seed) -> np.ndarray:
-        raise NotImplementedError
-
-    def fisher_information(self, theta, draws=200_000, seed=0):
         raise NotImplementedError
 
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)
         return arr
-
-
-@dataclass(frozen=True)
-class FisherEstimate:
-    """Per-observation Fisher information with provenance."""
-
-    param_names: tuple
-    matrix: np.ndarray
-    provenance: str                # "analytic" | "monte-carlo"
-    draws: int | None = None
-    std_err: np.ndarray | None = None
 
 
 class GaussianModel(Model):
@@ -327,7 +314,7 @@ class GaussianModel(Model):
         intercept = float(mu[target] - w @ mu[list(given)])
         return intercept, w, var
 
-    # -- sampling / information ---------------------------------------------
+    # -- sampling -------------------------------------------------------------
 
     def sample(self, theta, n, seed) -> np.ndarray:
         self.validate(theta)
@@ -336,19 +323,6 @@ class GaussianModel(Model):
         rng = substream(seed)
         L = cholesky_lower(self._cov(theta))
         return self._mean(theta) + rng.standard_normal((int(n), self.dim)) @ L.T
-
-    def fisher_information(self, theta, draws=200_000, seed=0, batches=20):
-        """Monte Carlo Fisher information: average score outer products."""
-        self.validate(theta)
-        Y = self.sample(theta, draws, seed)
-        U = self.full_score(Y, theta)
-        outer = np.einsum("ni,nj->nij", U, U)
-        mat = outer.mean(axis=0)
-        edges = np.linspace(0, draws, batches + 1).astype(int)
-        bats = np.stack([outer[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])])
-        se = bats.std(axis=0, ddof=1) / np.sqrt(batches)
-        return FisherEstimate(theta.free_names, 0.5 * (mat + mat.T),
-                              "monte-carlo", draws, se)
 
 
 class EMVN(GaussianModel):
@@ -551,15 +525,6 @@ class Multinomial4(Model):
         if np.any(arr.sum(axis=1) > 1):
             raise ValueError("at most one indicator may be set per row")
         return arr
-
-    def fisher_information(self, theta, draws=None, seed=None):
-        """Exact per-observation information ``c / (theta (1 - c theta))``
-        with ``c = 2 + 1/k``; the reciprocal of the exact MLE variance scale."""
-        self.validate(theta)
-        t = theta["theta"]
-        c = 2.0 + 1.0 / self.k
-        mat = np.array([[c / (t * (1.0 - c * t))]])
-        return FisherEstimate(theta.free_names, mat, "analytic")
 
 
 # -- dataset serialization ---------------------------------------------------

@@ -165,9 +165,9 @@ def test_full_spec_second_bartlett_identity():
                                    40_000, 67)
     z = comp.info_bias_zscore(triple)
     assert z < 3.0
-    fisher = model.fisher_information(theta, draws=40_000, seed=71)
-    gap = np.abs(triple.sensitivity - fisher.matrix)
-    assert np.all(gap < 3 * (triple.sensitivity_se + fisher.std_err))
+    fisher = comp.info_exact(comp.full_likelihood(3), model, theta).variability
+    gap = np.abs(triple.sensitivity - fisher)
+    assert np.all(gap < 3 * triple.sensitivity_se)
 
 
 def test_monte_carlo_matches_exact_information():

