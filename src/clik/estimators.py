@@ -59,6 +59,25 @@ def _check_newton_free(free) -> None:
                               f"parameters, got {len(free)}")
 
 
+def _singular_jacobian(jac: np.ndarray) -> bool:
+    """Whether a score Jacobian is singular, whatever the parameter units.
+
+    Entry ``(i, j)`` is in the units of score ``i`` per unit of parameter
+    ``j``, so the matrix is first equilibrated: each row, then each column,
+    is divided by its largest absolute entry.  A zero row or column is
+    singular; otherwise the scaled matrix meets ``singular_tolerance``.
+    """
+    rows = np.max(np.abs(jac), axis=1)
+    if np.any(rows == 0.0):
+        return True
+    scaled = jac / rows[:, None]
+    cols = np.max(np.abs(scaled), axis=0)
+    if np.any(cols == 0.0):
+        return True
+    scaled = scaled / cols
+    return bool(abs(np.linalg.det(scaled)) <= singular_tolerance(scaled))
+
+
 def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
                 fixed=None, max_iter: int = NEWTON_MAX_ITER) -> EstimateResult:
     """Newton iteration on the summed composite score.
@@ -67,8 +86,8 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
     known); the remaining 1 or 2 free parameters are iterated with a
     finite-difference score Jacobian and step halving that keeps every
     iterate inside the model domain.  Convergence means the sup norm of
-    the total score fell below ``1e-8 * n``.  Raises SingularMatrix
-    (scale-aware, as ``sym_invert``) when the score Jacobian is singular,
+    the total score fell below ``1e-8 * n``.  Raises SingularMatrix when
+    a step meets a singular score Jacobian (see ``_singular_jacobian``),
     for example when the spec carries no information on a free parameter.
     """
     Y = model.check_data(data)
@@ -98,7 +117,7 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
             up = total_score(theta.with_values(**{name: theta[name] + h}))
             dn = total_score(theta.with_values(**{name: theta[name] - h}))
             jac[:, a] = (up - dn) / (2.0 * h)
-        if abs(np.linalg.det(jac)) <= singular_tolerance(jac):
+        if _singular_jacobian(jac):
             raise SingularMatrix(f"score Jacobian singular at "
                                  f"{theta.as_dict()}")
         delta = np.linalg.solve(jac, -score)

@@ -3,8 +3,9 @@ import pytest
 
 import clik.composite as comp
 from clik.errors import NoRootInDomain, SingularMatrix
-from clik.estimators import (closed_form, fit, mcle_newton,
-                             method_of_moments_start, registered_closed_form)
+from clik.estimators import (_singular_jacobian, closed_form, fit,
+                             mcle_newton, method_of_moments_start,
+                             registered_closed_form)
 from clik.models import EMVN, Multinomial4, TriNormal
 
 
@@ -153,6 +154,37 @@ def test_newton_raises_on_singular_jacobian():
     with pytest.raises(SingularMatrix):
         mcle_newton(comp.independence(3), model, Y,
                     model.params(rho=0.3, sigma2=1.0))
+
+
+def test_newton_is_invariant_to_data_units():
+    # rescaling the data by s leaves rho and scales sigma2 by s**2; the
+    # singular-Jacobian check must not depend on the units of sigma2
+    model = EMVN(3)
+    Y = model.sample(model.params(rho=0.3), 500, 5)
+    spec = comp.full_conditional(3)
+
+    def newton(s):
+        start = model.params(rho=0.1, sigma2=1.5 * s ** 2)
+        res = mcle_newton(spec, model, s * Y, start)
+        assert res.converged
+        return res.params["rho"], res.params["sigma2"] / s ** 2
+
+    rho, sigma2 = newton(1.0)
+    for s in (1e-2, 1e3, 1e4):
+        rho_s, sigma2_s = newton(s)
+        assert rho_s == pytest.approx(rho, rel=1e-9)
+        assert sigma2_s == pytest.approx(sigma2, rel=1e-9)
+
+
+def test_singular_jacobian_check_is_unit_free():
+    jac = np.array([[2.82, -0.80], [-0.80, 1.5]])
+    rank_one = np.array([[2.0, 1.0], [4.0, 2.0]])
+    for unit in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        d = np.diag([1.0, unit])
+        assert not _singular_jacobian(d @ jac @ d)
+        assert _singular_jacobian(d @ rank_one @ d)
+    assert _singular_jacobian(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert _singular_jacobian(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_no_root_in_domain_for_degenerate_data():
