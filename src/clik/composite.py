@@ -228,10 +228,6 @@ class InfoTriple:
     def dim(self) -> int:
         return self.sensitivity.shape[0]
 
-    def godambe_recomputed(self) -> np.ndarray:
-        return symmetrize(self.sensitivity @ solve_sym(self.variability,
-                                                       self.sensitivity))
-
     def to_csv(self, path) -> None:
         """Write ``matrix,row,col,value,std_err`` rows for H, J and G."""
         named = [("H", self.sensitivity, self.sensitivity_se),

@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from .composite import CompositeSpec, composite_score
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
-from .matrixops import singular_tolerance
+from .matrixops import is_singular
 from .models import EMVN, Model, Multinomial4, ParamVector, TriNormal
 
 NEWTON_MAX_ITER = 100
@@ -43,10 +43,6 @@ class EstimateResult:
     score_norm: float
     solver: str                         # "closed-form" | "newton"
 
-    def csv_row(self, estimator: str) -> list:
-        vals = [repr(self.params[n]) for n in self.params.free_names]
-        return [estimator, *vals, str(self.converged), str(self.iterations)]
-
 
 # ---------------------------------------------------------------------------
 # Newton solver
@@ -59,25 +55,6 @@ def _check_newton_free(free) -> None:
                               f"parameters, got {len(free)}")
 
 
-def _singular_jacobian(jac: np.ndarray) -> bool:
-    """Whether a score Jacobian is singular, whatever the parameter units.
-
-    Entry ``(i, j)`` is in the units of score ``i`` per unit of parameter
-    ``j``, so the matrix is first equilibrated: each row, then each column,
-    is divided by its largest absolute entry.  A zero row or column is
-    singular; otherwise the scaled matrix meets ``singular_tolerance``.
-    """
-    rows = np.max(np.abs(jac), axis=1)
-    if np.any(rows == 0.0):
-        return True
-    scaled = jac / rows[:, None]
-    cols = np.max(np.abs(scaled), axis=0)
-    if np.any(cols == 0.0):
-        return True
-    scaled = scaled / cols
-    return bool(abs(np.linalg.det(scaled)) <= singular_tolerance(scaled))
-
-
 def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
                 fixed=None, max_iter: int = NEWTON_MAX_ITER) -> EstimateResult:
     """Newton iteration on the summed composite score.
@@ -87,8 +64,9 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
     finite-difference score Jacobian and step halving that keeps every
     iterate inside the model domain.  Convergence means the sup norm of
     the total score fell below ``1e-8 * n``.  Raises SingularMatrix when
-    a step meets a singular score Jacobian (see ``_singular_jacobian``),
-    for example when the spec carries no information on a free parameter.
+    a step meets a score Jacobian that ``matrixops.is_singular`` calls
+    singular, for example when the spec carries no information on a free
+    parameter.
     """
     Y = model.check_data(data)
     n = Y.shape[0]
@@ -117,7 +95,7 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
             up = total_score(theta.with_values(**{name: theta[name] + h}))
             dn = total_score(theta.with_values(**{name: theta[name] - h}))
             jac[:, a] = (up - dn) / (2.0 * h)
-        if _singular_jacobian(jac):
+        if is_singular(jac):
             raise SingularMatrix(f"score Jacobian singular at "
                                  f"{theta.as_dict()}")
         delta = np.linalg.solve(jac, -score)

@@ -5,6 +5,9 @@ variability, Godambe and Fisher information matrices, and the model
 covariances they are built from.  All functions are pure and operate on
 plain ``numpy`` arrays; symmetric inputs are re-symmetrized on output so
 equality of mirrored entries is exact.
+
+:func:`is_singular` is the one singularity decision: every inversion and
+every Newton step meets it, and it ignores the units of the parameters.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
-#: Relative floor used by :func:`sym_invert`: a matrix counts as singular
-#: when ``|det| <= SINGULAR_TOL_FACTOR * (max |entry|) ** dim``.
+#: Determinant floor of :func:`is_singular` for the equilibrated matrix.
 SINGULAR_TOL_FACTOR = 1e-12
 
 
@@ -33,11 +35,37 @@ def asymmetry(m) -> float:
     return float(np.max(np.abs(a - a.T))) / scale
 
 
-def singular_tolerance(m: np.ndarray) -> float:
-    """Scale-aware determinant floor: ``1e-12 * (max |entry|) ** dim``."""
+def is_singular(m) -> bool:
+    """Whether a square matrix is singular, whatever the units of its axes.
+
+    Each row, then each column, is divided by its largest absolute entry; a
+    zero row or column is singular, else ``|det(scaled)| <=
+    SINGULAR_TOL_FACTOR``.  Scaling never lowers ``|det|`` relative to
+    ``SINGULAR_TOL_FACTOR * max|entry| ** dim``, so above that bound the
+    verdict is taken without scaling.
+    """
     a = np.asarray(m, dtype=float)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return SINGULAR_TOL_FACTOR * scale ** a.shape[0]
+    mag = np.abs(a)
+    scale = float(mag.max()) if a.size else 0.0
+    if abs(np.linalg.det(a)) > SINGULAR_TOL_FACTOR * scale ** a.shape[0]:
+        return False
+    rows = mag.max(axis=1)
+    if np.any(rows == 0.0):
+        return True
+    scaled = a / rows[:, None]
+    cols = np.max(np.abs(scaled), axis=0)
+    if np.any(cols == 0.0):
+        return True
+    return bool(abs(np.linalg.det(scaled / cols)) <= SINGULAR_TOL_FACTOR)
+
+
+def _nonsingular_sym(m) -> np.ndarray:
+    """``symmetrize(m)``, or SingularMatrix if :func:`is_singular` says so."""
+    a = symmetrize(m)
+    if is_singular(a):
+        raise SingularMatrix(f"singular matrix (determinant "
+                             f"{np.linalg.det(a):g})")
+    return a
 
 
 def sym_invert(m) -> np.ndarray:
@@ -56,14 +84,9 @@ def sym_invert(m) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        If ``|det(m)|`` is at or below the scale-aware tolerance.
+        If :func:`is_singular` says so.
     """
-    a = symmetrize(m)
-    det = float(np.linalg.det(a))
-    if abs(det) <= singular_tolerance(a):
-        raise SingularMatrix(f"determinant {det:g} below tolerance "
-                             f"{singular_tolerance(a):g}")
-    return symmetrize(np.linalg.inv(a))
+    return symmetrize(np.linalg.inv(_nonsingular_sym(m)))
 
 
 def is_psd(m, tol: float) -> bool:
@@ -123,10 +146,7 @@ def cholesky_lower(m) -> np.ndarray:
 def solve_sym(m, rhs) -> np.ndarray:
     """Solve ``m @ x = rhs`` for symmetric nonsingular ``m``.
 
-    Equivalent to ``sym_invert(m) @ rhs`` but via a direct solve.
+    Equivalent to ``sym_invert(m) @ rhs`` but via a direct solve; raises
+    SingularMatrix when :func:`is_singular` says so.
     """
-    a = symmetrize(m)
-    det = float(np.linalg.det(a))
-    if abs(det) <= singular_tolerance(a):
-        raise SingularMatrix(f"determinant {det:g} below tolerance")
-    return np.linalg.solve(a, np.asarray(rhs, dtype=float))
+    return np.linalg.solve(_nonsingular_sym(m), np.asarray(rhs, dtype=float))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fileio import atomic_csv, fmt
-from .matrixops import cholesky_lower, sym_invert
+from .matrixops import cholesky_lower, solve_sym, sym_invert
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -243,29 +243,37 @@ class GaussianModel(Model):
         out = -0.5 * (len(idx) * LOG_2PI + logdet + quad)
         return float(out[0]) if single else out
 
+    def _margin_forms(self, idx, ix, theta):
+        """:meth:`margin_score_rep` on the margin's own coordinates only:
+        ``(c, b, A)`` of shapes ``(q,)``, ``(q, m)``, ``(q, m, m)`` for the
+        residual ``r = y[idx] - mean[idx]``.  ``ix`` is ``np.ix_(idx, idx)``.
+        """
+        cinv = sym_invert(self._cov(theta)[ix])
+        cov_jac = self._cov_jac(theta)
+        mean_jac = self._mean_jac(theta)
+        free, cols = theta.free_names, list(idx)
+        c = np.empty(len(free))
+        b = np.empty((len(free), len(cols)))
+        A = np.empty((len(free), len(cols), len(cols)))
+        for a, name in enumerate(free):
+            cd = cinv @ cov_jac[name][ix]
+            c[a] = -0.5 * float(np.trace(cd))
+            A[a] = cd @ cinv
+            b[a] = cinv @ mean_jac[name][cols]
+        return c, b, A
+
     def margin_score(self, indices, Y, theta):
         self.validate(theta)
         idx = self._check_indices(indices)
         rows, single = _as_rows(Y, self.dim)
-        ix = np.ix_(idx, idx)
-        cov = self._cov(theta)[ix]
-        mu = self._mean(theta)[list(idx)]
-        cinv = sym_invert(cov)
-        resid = rows[:, idx] - mu
-        zmat = resid @ cinv
-        cov_jac = self._cov_jac(theta)
-        mean_jac = self._mean_jac(theta)
-        free = theta.free_names
-        out = np.empty((rows.shape[0], len(free)))
-        for a, name in enumerate(free):
-            dcov = cov_jac[name][ix]
-            dmu = mean_jac[name][list(idx)]
-            col = np.full(rows.shape[0], -0.5 * float(np.trace(cinv @ dcov)))
-            if np.any(dcov):
-                col = col + 0.5 * np.einsum("ni,ij,nj->n", zmat, dcov, zmat)
-            if np.any(dmu):
-                col = col + zmat @ dmu
-            out[:, a] = col
+        c, b, A = self._margin_forms(idx, np.ix_(idx, idx), theta)
+        resid = rows[:, idx] - self._mean(theta)[list(idx)]
+        out = np.full((rows.shape[0], len(c)), c)
+        for a in range(len(c)):
+            if np.any(A[a]):
+                out[:, a] += 0.5 * ((resid @ A[a]) * resid).sum(1)
+            if np.any(b[a]):
+                out[:, a] += resid @ b[a]
         return out[0] if single else out
 
     def margin_score_rep(self, indices, theta):
@@ -274,26 +282,19 @@ class GaussianModel(Model):
         Returns ``(c, B, A)`` with shapes ``(q,)``, ``(q, dim)`` and
         ``(q, dim, dim)`` such that score coordinate ``a`` equals
         ``c[a] + B[a] @ r + 0.5 * r @ A[a] @ r`` for ``r = y - mean(theta)``.
-        Exact moments of the composite score follow from these forms.
+        :meth:`margin_score` evaluates the same forms; exact moments of the
+        composite score follow from them.
         """
         self.validate(theta)
         idx = self._check_indices(indices)
         ix = np.ix_(idx, idx)
-        cov = self._cov(theta)[ix]
-        cinv = sym_invert(cov)
-        cov_jac = self._cov_jac(theta)
-        mean_jac = self._mean_jac(theta)
-        free = theta.free_names
-        q, p = len(free), self.dim
-        c = np.zeros(q)
+        c, b, A_idx = self._margin_forms(idx, ix, theta)
+        q, p = len(c), self.dim
         B = np.zeros((q, p))
+        B[:, list(idx)] = b
         A = np.zeros((q, p, p))
-        for a, name in enumerate(free):
-            dcov = cov_jac[name][ix]
-            dmu = mean_jac[name][list(idx)]
-            c[a] = -0.5 * float(np.trace(cinv @ dcov))
-            A[a][ix] = cinv @ dcov @ cinv
-            B[a][list(idx)] = cinv @ dmu
+        for a in range(q):
+            A[a][ix] = A_idx[a]
         return c, B, A
 
     def conditional_moments(self, target, given, theta):
@@ -309,7 +310,7 @@ class GaussianModel(Model):
         cov = self._cov(theta)
         mu = self._mean(theta)
         cross = cov[np.ix_([target], given)].ravel()
-        w = np.linalg.solve(cov[np.ix_(given, given)], cross)
+        w = solve_sym(cov[np.ix_(given, given)], cross)
         var = float(cov[target, target] - w @ cross)
         intercept = float(mu[target] - w @ mu[list(given)])
         return intercept, w, var

@@ -209,7 +209,8 @@ def test_info_triple_invariants_and_csv(tmp_path):
     model, theta = emvn_case()
     triple = comp.info_monte_carlo(comp.pairwise(3), model, theta, 20_000, 89)
     # G is recomputable from H and J
-    np.testing.assert_allclose(triple.godambe, triple.godambe_recomputed(),
+    H, J = triple.sensitivity, triple.variability
+    np.testing.assert_allclose(triple.godambe, H @ np.linalg.solve(J, H),
                                rtol=1e-10)
     assert is_psd(triple.variability, 1e-12)
     assert np.array_equal(triple.sensitivity, triple.sensitivity.T)
@@ -386,6 +387,21 @@ def test_partitioned_variance_is_scale_aware():
     prof_t, known_t = comp.partitioned_variance(tiny, ["rho"])
     np.testing.assert_allclose(prof_t, prof / scale, rtol=1e-12)
     np.testing.assert_allclose(known_t, known / scale, rtol=1e-12)
+
+
+def test_info_exact_is_invariant_to_variance_units():
+    # sigma2 = s rescales every sigma2 row and column of H, J and G by 1/s;
+    # the inversion behind G must not depend on those units
+    model = EMVN(3)
+    spec = comp.full_conditional(3)
+    base = comp.info_exact(spec, model, model.params(rho=0.3, sigma2=1.0))
+    for s in (1e4, 1e6):
+        scaled = comp.info_exact(spec, model, model.params(rho=0.3, sigma2=s))
+        units = np.diag([1.0, s])
+        for got, want in [(scaled.sensitivity, base.sensitivity),
+                          (scaled.variability, base.variability),
+                          (scaled.godambe, base.godambe)]:
+            np.testing.assert_allclose(units @ got @ units, want, rtol=1e-8)
 
 
 def test_partitioned_variance_validates_blocks():

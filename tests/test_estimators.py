@@ -3,9 +3,8 @@ import pytest
 
 import clik.composite as comp
 from clik.errors import NoRootInDomain, SingularMatrix
-from clik.estimators import (_singular_jacobian, closed_form, fit,
-                             mcle_newton, method_of_moments_start,
-                             registered_closed_form)
+from clik.estimators import (closed_form, fit, mcle_newton,
+                             method_of_moments_start, registered_closed_form)
 from clik.models import EMVN, Multinomial4, TriNormal
 
 
@@ -176,17 +175,6 @@ def test_newton_is_invariant_to_data_units():
         assert sigma2_s == pytest.approx(sigma2, rel=1e-9)
 
 
-def test_singular_jacobian_check_is_unit_free():
-    jac = np.array([[2.82, -0.80], [-0.80, 1.5]])
-    rank_one = np.array([[2.0, 1.0], [4.0, 2.0]])
-    for unit in (1e-8, 1e-4, 1.0, 1e4, 1e8):
-        d = np.diag([1.0, unit])
-        assert not _singular_jacobian(d @ jac @ d)
-        assert _singular_jacobian(d @ rank_one @ d)
-    assert _singular_jacobian(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert _singular_jacobian(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
 def test_no_root_in_domain_for_degenerate_data():
     # perfectly correlated columns push the correlation root to the boundary
     base = np.random.default_rng(29).standard_normal(40)
@@ -260,10 +248,3 @@ def test_fit_uses_fast_path_and_newton_consistently():
     slow = fit(comp.full_conditional(3), model, Y, theta)
     assert slow.solver == "newton"
     assert fast.params["rho"] == pytest.approx(slow.params["rho"], abs=1e-6)
-
-
-def test_csv_row_shape():
-    res = closed_form("trinormal_mu12", np.zeros((4, 3)))
-    row = res.csv_row("mu12")
-    assert row[0] == "mu12"
-    assert row[-2:] == ["True", "0"]

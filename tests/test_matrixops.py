@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from clik.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
-from clik.matrixops import (asymmetry, cholesky_lower, is_psd, loewner_geq,
-                            solve_sym, sym_invert, symmetrize)
+from clik.matrixops import (asymmetry, cholesky_lower, is_psd, is_singular,
+                            loewner_geq, solve_sym, sym_invert, symmetrize)
 
 
 def test_invert_identity():
@@ -110,3 +110,38 @@ def test_solve_sym_matches_inverse():
                                rtol=1e-12)
     with pytest.raises(SingularMatrix):
         solve_sym(np.ones((2, 2)), rhs)
+
+
+def test_is_singular_is_unit_free():
+    # entries carry the units of their row and column parameters, so the
+    # verdict must survive any row and column scaling
+    rng = np.random.default_rng(4)
+    units = 10.0 ** np.arange(-8, 9, 4)            # 1e-8 .. 1e8
+    for dim in (1, 2, 3, 4):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        well = q @ np.diag(rng.uniform(0.5, 2.0, dim)) @ q.T
+        # integer rows with the last one the sum of the others (zero if dim 1)
+        deficient = rng.integers(-3, 4, (dim, dim)).astype(float)
+        deficient[-1] = deficient[:-1].sum(axis=0)
+        for _ in range(40):
+            rows = np.diag(rng.choice(units, dim))
+            cols = np.diag(rng.choice(units, dim))
+            assert not is_singular(rows @ well @ cols)
+            assert is_singular(rows @ deficient @ cols)
+    # a 2x2 score Jacobian in (rho, sigma2) and a rank-one one
+    jac = np.array([[2.82, -0.80], [-0.80, 1.5]])
+    rank_one = np.array([[2.0, 1.0], [4.0, 2.0]])
+    for unit in units:
+        d = np.diag([1.0, unit])
+        assert not is_singular(d @ jac @ d)
+        assert is_singular(d @ rank_one @ d)
+    assert is_singular(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert is_singular(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_inversions_are_unit_free():
+    # a well-posed matrix on mixed scales is inverted, not rejected
+    m = np.array([[2.82, -0.80e-6], [-0.80e-6, 1.5e-12]])
+    inv = sym_invert(m)
+    np.testing.assert_allclose(m @ inv, np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(solve_sym(m, m), np.eye(2), atol=1e-10)
