@@ -32,7 +32,7 @@ from .estimators import (EstimateResult, closed_form, fit, mcle_newton,
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
                         symmetrize)
 from .models import (EMVN, GaussianModel, Model, Multinomial4, ParamVector,
-                     TriNormal, read_dataset, substream, write_dataset)
+                     TriNormal, substream)
 from .montecarlo import (ParadoxReport, SimConfig, SimResult, SpecRun,
                          paradox_covariance_diagnostics, run)
 
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EMVN", "TriNormal", "Multinomial4", "GaussianModel", "Model",
-    "ParamVector", "substream", "write_dataset", "read_dataset",
+    "ParamVector", "substream",
     "Component", "CompositeSpec", "independence", "pairwise",
     "full_conditional", "chain", "full_likelihood", "singleton_margins",
     "composite_loglik", "composite_score", "composite_score_fd",

@@ -19,7 +19,8 @@ import numpy as np
 
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
-from .models import GaussianModel, Model, Multinomial4, ParamVector, _as_rows
+from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
+                     ParamVector, _as_rows)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -378,49 +379,75 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_spec_rep(spec, model, theta):
-    """Total composite score as affine-quadratic forms of ``r = y - mean``.
+def _packed_rep(model, idx, theta):
+    """:meth:`~clik.models.Model.margin_score_rep` of one margin packed into
+    one ``(..., q, 1 + p + p*p)`` array ``[c, B, A.ravel()]``, so that
+    components combine by plain array arithmetic; the leading axes are those
+    of a ParamBatch ``theta``."""
+    c, B, A = model.margin_score_rep(idx, theta)
+    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
+                          axis=-1)
 
-    Returns ``(c, B, A)`` with shapes ``(q,)``, ``(q, p)``, ``(q, p, p)``.
-    Each margin's forms are packed into one ``(q, 1 + p + p*p)`` array so
-    that components combine by plain array arithmetic.
+
+def _spec_forms(spec, model, theta):
+    """Total composite score as packed affine-quadratic forms of
+    ``r = y - mean`` (see :func:`_packed_rep`)."""
+    return _weighted_total(spec, lambda idx: _packed_rep(model, idx, theta))
+
+
+def summed_score(spec: CompositeSpec, model: Model, stats, theta):
+    """``composite_score(spec, model, Y, theta).sum(axis=0)`` from the
+    statistic ``model.statistic(Y)`` alone.
+
+    With ``d = ybar - mean(theta)``, the scatter about the model mean is
+    ``n d d' + W``, so each margin's summed score is one contraction of its
+    packed forms with ``[n, n d, (n d d' + W) / 2]``.  ``stats`` may be a
+    stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
+    then ``(R, q)``.
     """
+    p = model.dim
+    stats = np.asarray(stats, dtype=float)
+    n, ybar, scatter = stats[..., :1], stats[..., 1:p + 1], stats[..., p + 1:]
+    d = ybar - model._mean(theta)
+    outer = (d[..., :, None] * d[..., None, :]).reshape(d.shape[:-1] + (p * p,))
+    z = np.concatenate([n, n * d, 0.5 * (n * outer + scatter)], axis=-1)
+    return _weighted_total(spec, lambda idx: (
+        _packed_rep(model, idx, theta) * z[..., None, :]).sum(axis=-1))
+
+
+def _gaussian_info_exact(spec, model, theta, stencil):
+    """J at ``theta`` and the exact mean score (data drawn at ``theta``) at
+    each stencil point; the forms of all the points are built as one
+    batch."""
     q, p = len(theta.free_names), model.dim
-
-    def packed(idx):
-        c, B, A = model.margin_score_rep(idx, theta)
-        return np.concatenate([c[:, None], B, A.reshape(q, p * p)], axis=1)
-
-    total = _weighted_total(spec, packed)
-    return total[:, 0], total[:, 1:p + 1], total[:, p + 1:].reshape(q, p, p)
-
-
-def _gaussian_info_exact(spec, model, theta):
-    free = theta.free_names
-    q = len(free)
+    points = ParamBatch.stack([theta, *stencil])
+    forms = _spec_forms(spec, model, points)
+    c_all = forms[..., 0]
+    B_all = forms[..., 1:p + 1]
+    A_all = forms[..., p + 1:].reshape(forms.shape[:-1] + (p, p))
     cov0 = model._cov(theta)
     mean0 = model._mean(theta)
 
-    _, B0, A0 = _gaussian_spec_rep(spec, model, theta)
+    B0, A0 = B_all[0], A_all[0]
     J = np.empty((q, q))
     for a in range(q):
         for b in range(a, q):
             J[a, b] = J[b, a] = (B0[a] @ cov0 @ B0[b]
                                  + 0.5 * np.trace(A0[a] @ cov0 @ A0[b] @ cov0))
 
-    def mean_score(th):
-        c, B, A = _gaussian_spec_rep(spec, model, th)
-        delta = mean0 - model._mean(th)
+    means = []
+    for c, B, A, mean in zip(c_all[1:], B_all[1:], A_all[1:],
+                             model._mean(points)[1:]):
+        delta = mean0 - mean
         vals = np.empty(q)
         for a in range(q):
             vals[a] = (c[a] + B[a] @ delta
                        + 0.5 * (np.trace(A[a] @ cov0) + delta @ A[a] @ delta))
-        return vals
+        means.append(vals)
+    return J, means
 
-    return J, mean_score
 
-
-def _multinomial_info_exact(spec, model, theta):
+def _multinomial_info_exact(spec, model, theta, stencil):
     q = len(theta.free_names)
     outs = model.outcomes()
     w = model.cell_probs(theta)
@@ -428,11 +455,7 @@ def _multinomial_info_exact(spec, model, theta):
     m0 = w @ U0
     J = symmetrize(np.einsum("o,oi,oj->ij", w, U0, U0) - np.outer(m0, m0))
     J = J.reshape(q, q)
-
-    def mean_score(th):
-        return w @ composite_score(spec, model, outs, th)
-
-    return J, mean_score
+    return J, [w @ composite_score(spec, model, outs, th) for th in stencil]
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -445,20 +468,21 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     central differences with a tiny step.
     """
     if isinstance(model, GaussianModel):
-        J, mean_score = _gaussian_info_exact(spec, model, theta)
+        exact = _gaussian_info_exact
     elif isinstance(model, Multinomial4):
-        J, mean_score = _multinomial_info_exact(spec, model, theta)
+        exact = _multinomial_info_exact
     else:
         raise TypeError(f"no exact information route for {model!r}")
 
     free = theta.free_names
     q = len(free)
+    steps = [FD_STEP_EXACT * max(1.0, abs(theta[name])) for name in free]
+    stencil = [theta.with_values(**{name: theta[name] + sign * h})
+               for name, h in zip(free, steps) for sign in (1.0, -1.0)]
+    J, means = exact(spec, model, theta, stencil)
     H = np.empty((q, q))
-    for b, name in enumerate(free):
-        h = FD_STEP_EXACT * max(1.0, abs(theta[name]))
-        up = mean_score(theta.with_values(**{name: theta[name] + h}))
-        dn = mean_score(theta.with_values(**{name: theta[name] - h}))
-        H[:, b] = -(up - dn) / (2.0 * h)
+    for b, h in enumerate(steps):
+        H[:, b] = -(means[2 * b] - means[2 * b + 1]) / (2.0 * h)
     if asymmetry(H) > H_ASYMMETRY_TOL:
         raise ValueError(f"exact sensitivity asymmetric beyond tolerance: "
                          f"{asymmetry(H):g}")

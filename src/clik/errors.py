@@ -11,7 +11,15 @@ class DomainError(ClikError):
 
 
 class SingularMatrix(ClikError):
-    """A matrix that must be inverted is singular to working tolerance."""
+    """A matrix that must be inverted is singular to working tolerance.
+
+    For a stack of matrices, ``rows`` holds the positions of the singular
+    ones along the leading axis.
+    """
+
+    def __init__(self, message="", rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class NotPositiveDefinite(ClikError):

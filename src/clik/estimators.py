@@ -1,13 +1,15 @@
 """Maximum composite likelihood estimation.
 
-Small-dimension Newton iteration on the total composite score, plus a
-table of registered fast paths: the four-cell multinomial MLE, the two
-mean estimators of the two-block normal model, and the
-equicorrelated-normal pairwise correlation estimators (variance known or
-profiled out), which reduce to scalar root finding on a pair of
-sufficient statistics.  A fast path is a per-dataset statistic and a
-solve over the stacked statistics of many datasets, so a simulation study
-fits all replicates of a run in one call.
+Every fit is a per-dataset statistic and one solve over the stacked
+statistics of many datasets, so a simulation study fits all replicates of
+a run in one call, and :func:`fit` is the one-dataset case.  Registered
+fast paths cover the four-cell multinomial MLE, the two mean estimators of
+the two-block normal model, and the equicorrelated-normal pairwise
+correlation estimators (variance known or profiled out), which reduce to
+scalar root finding on a pair of sufficient statistics.  Every other spec
+is solved by Newton iteration on the summed composite score, which
+follows exactly from ``Model.statistic`` (``n``, the sample mean and the
+scatter about it); all datasets iterate in lockstep.
 """
 
 from __future__ import annotations
@@ -19,14 +21,20 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import brentq
 
-from .composite import CompositeSpec, composite_score
+from .composite import CompositeSpec, summed_score
+from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
 from .matrixops import is_singular
-from .models import EMVN, Model, Multinomial4, ParamVector, TriNormal
+from .models import (EMVN, Model, Multinomial4, ParamBatch, ParamVector,
+                     TriNormal)
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
+#: Central-difference step scale of the Newton score Jacobian.
+NEWTON_FD_STEP = 1e-5
+#: Step halvings tried before a Newton fit stops where it is.
+NEWTON_MAX_HALVINGS = 60
 #: Number of equispaced scan points used to bracket score roots.
 ROOT_SCAN_POINTS = 16
 #: How far inside the open domain the scan grid starts.
@@ -55,70 +63,193 @@ def _check_newton_free(free) -> None:
                               f"parameters, got {len(free)}")
 
 
+@dataclass(frozen=True)
+class NewtonFits:
+    """Outcome of :func:`newton_solve`, one entry per dataset.
+
+    ``errors[i]`` is the exception that ended fit ``i`` (DomainError or
+    SingularMatrix), or None; such a fit is not converged.
+    """
+
+    params: ParamBatch
+    iterations: np.ndarray
+    converged: np.ndarray
+    score_norm: np.ndarray
+    errors: list
+
+
+def _scores(spec, model, stats, points):
+    """``(scores, outside, singular)``: the summed score of each row of
+    ``stats`` at the matching point of ``points``, NaN on the rows whose
+    point is not interior (flagged in ``outside``) or whose margin
+    covariances ``sym_invert`` finds singular (flagged in ``singular``)."""
+    outside = ~model.interior(points)
+    singular = np.zeros(len(points), dtype=bool)
+    out = np.full((len(points), len(points.free_names)), np.nan)
+    while not np.all(outside | singular):
+        keep = np.flatnonzero(~(outside | singular))
+        try:
+            out[keep] = summed_score(spec, model, stats[keep],
+                                     points.take(keep))
+            break
+        except SingularMatrix as exc:
+            singular[keep[exc.rows]] = True
+    return out, outside, singular
+
+
+def _jacobian(spec, model, stats, points, cols):
+    """Central-difference score Jacobians ``(N, q, q)`` at every point, with
+    step ``NEWTON_FD_STEP * max(1, |x|)``, and the points whose stencil
+    leaves the domain or meets a singular covariance (NaN Jacobians)."""
+    h = NEWTON_FD_STEP * np.maximum(1.0, np.abs(points.values[:, cols]))
+    jac = np.empty((len(points), len(cols), len(cols)))
+    outside = np.zeros(len(points), dtype=bool)
+    singular = outside.copy()
+    for a, col in enumerate(cols):
+        sides = []
+        for sign in (1.0, -1.0):
+            shifted = points.values.copy()
+            shifted[:, col] += sign * h[:, a]
+            score, out, sing = _scores(spec, model, stats,
+                                       ParamBatch(points.names, shifted,
+                                                  points.roles))
+            sides.append(score)
+            outside |= out
+            singular |= sing
+        jac[:, :, a] = (sides[0] - sides[1]) / (2.0 * h[:, a, None])
+    return jac, outside, singular & ~outside
+
+
+def newton_solve(spec: CompositeSpec, model: Model, stats,
+                 start: ParamBatch, max_iter: int = NEWTON_MAX_ITER
+                 ) -> NewtonFits:
+    """Newton iteration on the summed composite score of many datasets.
+
+    Row ``i`` of ``stats`` is ``model.statistic`` of dataset ``i`` and is
+    fitted from ``start.point(i)``; the free parameters of ``start`` (1 or
+    2) are iterated, the known ones held.  All rows iterate in lockstep,
+    each exactly as it would alone: a central-difference score Jacobian
+    with step ``1e-5 * max(1, |x|)``, a SingularMatrix failure when
+    ``matrixops.is_singular`` calls it singular, step halving until the
+    iterate is interior with a finite score, and the best iterate kept.  A
+    fit converges when the sup norm of its summed score is below
+    ``1e-8 * n``.  The score Jacobian at every returned estimate must be
+    nonsingular as well, so a spec carrying no information on a free
+    parameter fails even when the start already zeroes the score.  A fit
+    whose start or Jacobian stencil leaves the domain fails with
+    DomainError.
+    """
+    stats = np.asarray(stats, dtype=float)
+    free = start.free_names
+    _check_newton_free(free)
+    cols = [start.names.index(name) for name in free]
+    values = np.array(start.values, dtype=float)
+    tol = NEWTON_TOL_PER_OBS * stats[:, 0]
+    errors = [None] * len(start)
+    iterations = np.zeros(len(start), dtype=int)
+
+    def batch(vals):
+        return ParamBatch(start.names, vals, start.roles)
+
+    def fail(rows, error, what):
+        for i in rows:
+            point = dict(zip(start.names, values[i].tolist()))
+            errors[i] = error(f"{what} at {point}")
+
+    def alive():
+        return np.flatnonzero([e is None for e in errors])
+
+    def jacobians(rows, what):
+        """Score Jacobians at the current points of ``rows``; the rows
+        whose Jacobian fails or is singular are failed and dropped."""
+        jac, outside, bad = _jacobian(spec, model, stats[rows],
+                                      batch(values[rows]), cols)
+        fail(rows[outside], DomainError,
+             f"Jacobian stencil leaves the domain of {model!r}")
+        fail(rows[bad], SingularMatrix, "singular covariance")
+        ok = np.flatnonzero(~(outside | bad))
+        singular = is_singular(jac[ok])
+        fail(rows[ok[singular]], SingularMatrix, f"singular {what}")
+        ok = ok[~singular]
+        return rows[ok], jac[ok]
+
+    score, outside, singular = _scores(spec, model, stats, start)
+    fail(np.flatnonzero(outside), DomainError,
+         f"start outside the domain of {model!r}")
+    fail(np.flatnonzero(singular), SingularMatrix, "singular covariance")
+    norm = np.max(np.abs(score), axis=1)
+    best_norm, best = norm.copy(), values.copy()
+
+    active = alive()
+    active = active[~(norm[active] < tol[active])]
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        rows, jac = jacobians(active, "score Jacobian")
+        delta = np.linalg.solve(jac, -score[rows][..., None])[..., 0]
+
+        step = np.ones(rows.size)
+        pending = np.arange(rows.size)
+        moved = []
+        for _ in range(NEWTON_MAX_HALVINGS):
+            cand = values[rows[pending]]
+            cand[:, cols] = cand[:, cols] + step[pending, None] * delta[pending]
+            trial, outside, singular = _scores(spec, model, stats[rows[pending]],
+                                               batch(cand))
+            fail(rows[pending[singular]], SingularMatrix, "singular covariance")
+            good = ~(outside | singular) & np.all(np.isfinite(trial), axis=1)
+            accepted = rows[pending[good]]
+            values[accepted] = cand[good]
+            score[accepted] = trial[good]
+            moved.append(accepted)
+            pending = pending[~(good | singular)]
+            if pending.size == 0:
+                break
+            step[pending] *= 0.5
+        moved = np.concatenate(moved)
+        iterations[moved] = it
+        iterations[rows[pending]] = it          # no acceptable step: stop
+
+        norm[moved] = np.max(np.abs(score[moved]), axis=1)
+        better = moved[norm[moved] < best_norm[moved]]
+        best_norm[better] = norm[better]
+        best[better] = values[better]
+        active = moved[~(norm[moved] < tol[moved])]
+
+    values = best
+    jacobians(alive(), "score Jacobian at the estimate")
+    failed = np.array([e is not None for e in errors])
+    return NewtonFits(batch(best), iterations, (best_norm < tol) & ~failed,
+                      best_norm, errors)
+
+
+def _one_fit(fits: NewtonFits) -> EstimateResult:
+    """The EstimateResult of a one-dataset :func:`newton_solve`, or its
+    failure raised."""
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    return EstimateResult(fits.params.point(0), int(fits.iterations[0]),
+                          bool(fits.converged[0]), float(fits.score_norm[0]),
+                          "newton")
+
+
 def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
                 fixed=None, max_iter: int = NEWTON_MAX_ITER) -> EstimateResult:
-    """Newton iteration on the summed composite score.
+    """Newton iteration on the summed composite score of one dataset, from
+    ``theta0``: the one-dataset case of :func:`newton_solve`.
 
     ``fixed`` maps parameter names to values held at those values (tagged
-    known); the remaining 1 or 2 free parameters are iterated with a
-    finite-difference score Jacobian and step halving that keeps every
-    iterate inside the model domain.  Convergence means the sup norm of
-    the total score fell below ``1e-8 * n``.  Raises SingularMatrix when
-    a step meets a score Jacobian that ``matrixops.is_singular`` calls
-    singular, for example when the spec carries no information on a free
-    parameter.
+    known).  Raises the fit's failure: DomainError, or SingularMatrix when
+    a score Jacobian is singular, for example when the spec carries no
+    information on a free parameter.
     """
     Y = model.check_data(data)
-    n = Y.shape[0]
     theta = theta0
     if fixed:
         theta = theta.with_values(**fixed).with_roles(
             **{name: "known" for name in fixed})
-    model.validate(theta)
-    free = theta.free_names
-    _check_newton_free(free)
-
-    def total_score(th):
-        return composite_score(spec, model, Y, th).sum(axis=0)
-
-    tol = NEWTON_TOL_PER_OBS * n
-    score = total_score(theta)
-    best = (float(np.max(np.abs(score))), theta)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(score)) < tol:
-            return EstimateResult(theta, iterations - 1, True,
-                                  float(np.max(np.abs(score))), "newton")
-        jac = np.empty((len(free), len(free)))
-        for a, name in enumerate(free):
-            h = 1e-5 * max(1.0, abs(theta[name]))
-            up = total_score(theta.with_values(**{name: theta[name] + h}))
-            dn = total_score(theta.with_values(**{name: theta[name] - h}))
-            jac[:, a] = (up - dn) / (2.0 * h)
-        if is_singular(jac):
-            raise SingularMatrix(f"score Jacobian singular at "
-                                 f"{theta.as_dict()}")
-        delta = np.linalg.solve(jac, -score)
-        step = 1.0
-        for _ in range(60):
-            try:
-                candidate = theta.replace_free(theta.free_values + step * delta)
-                model.validate(candidate)
-                trial = total_score(candidate)
-                if np.all(np.isfinite(trial)):
-                    break
-            except DomainError:
-                pass
-            step *= 0.5
-        else:
-            break
-        theta, score = candidate, trial
-        norm = float(np.max(np.abs(score)))
-        if norm < best[0]:
-            best = (norm, theta)
-
-    norm, theta = best
-    return EstimateResult(theta, iterations, bool(norm < tol), norm, "newton")
+    return _one_fit(newton_solve(spec, model, model.statistic(Y)[None],
+                                 ParamBatch.stack([theta]), max_iter))
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +501,91 @@ def check_fittable(model: Model, spec: CompositeSpec, theta_like,
 
 
 # ---------------------------------------------------------------------------
-# default starting points (method of moments)
+# default starting points (method of moments) and the fit routes
 # ---------------------------------------------------------------------------
+
+
+def moment_starts(model: Model, stats, theta_like: ParamVector,
+                  fixed=None) -> ParamBatch:
+    """Data-driven interior starting points for Newton, one per row of
+    ``stats`` (``model.statistic`` of each dataset): the method of moments,
+    clipped inside the domain, with ``fixed`` values held and tagged known."""
+    fixed = dict(fixed or {})
+    stats = np.asarray(stats, dtype=float)
+    p = model.dim
+    n, ybar = stats[:, 0], stats[:, 1:p + 1]
+    scatter = stats[:, p + 1:].reshape(-1, p, p)
+    if isinstance(model, EMVN):
+        q = np.trace(scatter, axis1=1, axis2=2) + n * (ybar * ybar).sum(axis=1)
+        w = scatter.sum(axis=(1, 2)) + n * ybar.sum(axis=1) ** 2
+        lo, hi = -1.0 / (p - 1), 1.0
+        pad = 0.02 * (hi - lo)
+        updates = {"rho": np.clip((w / q - 1.0) / (p - 1), lo + pad, hi - pad),
+                   "sigma2": np.maximum(q / (n * p), 1e-6)}
+    elif isinstance(model, TriNormal):
+        corr = scatter[:, 0, 1] / np.sqrt(scatter[:, 0, 0] * scatter[:, 1, 1])
+        updates = {"mu": ybar.mean(axis=1),
+                   "rho": np.clip(corr, -0.96, 0.96),
+                   "sigma2": np.maximum(scatter[:, 2, 2] / (n - 1), 1e-6)}
+    else:
+        pad = 0.02 * model.theta_max
+        updates = {"theta": np.clip(ybar.sum(axis=1) / (2.0 + 1.0 / model.k),
+                                    pad, model.theta_max - pad)}
+    theta = theta_like.with_values(**fixed)
+    if fixed:
+        theta = theta.with_roles(**{name: "known" for name in fixed})
+    values = np.tile(theta.values, (len(stats), 1))
+    for name, column in updates.items():
+        if name not in fixed:
+            values[:, theta.names.index(name)] = column
+    return ParamBatch(theta.names, values, theta.roles)
 
 
 def method_of_moments_start(model: Model, Y, theta_like: ParamVector,
                             fixed=None) -> ParamVector:
-    """A data-driven interior starting point for the Newton solver."""
-    fixed = dict(fixed or {})
-    Y = np.asarray(Y, dtype=float)
-    updates = {}
-    if isinstance(model, EMVN):
-        n, p, q, w = _pair_stats(Y)
-        s2 = max(q / (n * p), 1e-6)
-        lo, hi = -1.0 / (p - 1), 1.0
-        pad = 0.02 * (hi - lo)
-        rho = np.clip((w / q - 1.0) / (p - 1), lo + pad, hi - pad)
-        updates = {"rho": float(rho), "sigma2": float(s2)}
-    elif isinstance(model, TriNormal):
-        corr = np.corrcoef(Y[:, 0], Y[:, 1])[0, 1]
-        updates = {"mu": float(Y.mean()),
-                   "rho": float(np.clip(corr, -0.96, 0.96)),
-                   "sigma2": float(max(Y[:, 2].var(ddof=1), 1e-6))}
-    elif isinstance(model, Multinomial4):
-        t = Y.mean(axis=0).sum() / (2.0 + 1.0 / model.k)
-        pad = 0.02 * model.theta_max
-        updates = {"theta": float(np.clip(t, pad, model.theta_max - pad))}
-    for name in fixed:
-        updates.pop(name, None)
-    theta = theta_like.with_values(**updates, **fixed)
-    if fixed:
-        theta = theta.with_roles(**{name: "known" for name in fixed})
-    return theta
+    """The starting point :func:`fit` gives Newton on one dataset."""
+    stats = model.statistic(np.asarray(Y, dtype=float))[None]
+    return moment_starts(model, stats, theta_like, fixed).point(0)
+
+
+def _newton_estimates(spec, model, stats, theta_like, fixed):
+    """``(estimates, converged, score_norm)`` of batched Newton from the
+    moment starts; failed rows hold NaN."""
+    fits = newton_solve(spec, model, stats,
+                        moment_starts(model, stats, theta_like, fixed))
+    ok = fits.converged & np.array([e is None for e in fits.errors])
+    cols = [fits.params.names.index(n) for n in fits.params.free_names]
+    estimates = fits.params.values[:, cols]
+    estimates[~ok] = np.nan
+    return estimates, ok, fits.score_norm
+
+
+def batch_route(model: Model, spec: CompositeSpec, theta_like, fixed=None):
+    """``(statistic, solve)`` fitting a spec on many datasets.
+
+    ``statistic(Y)`` reduces one dataset to a 1-D array and ``solve(stats)``
+    maps the stacked statistics to ``(estimates, converged, score_norm)``
+    as :class:`FastPath` does: the registered fast path when one matches,
+    batched Newton from the moment starts otherwise.  Row ``i`` of every
+    result equals what :func:`fit` gives on dataset ``i`` alone.
+    """
+    match = registered_closed_form(model, spec, theta_like, fixed)
+    if match is not None:
+        name, known = match
+        entry = ESTIMATORS[name]
+        return entry.statistic, lambda stats: entry.solve(stats, known)
+    return model.statistic, lambda stats: _newton_estimates(
+        spec, model, stats, theta_like, fixed)
 
 
 def fit(spec: CompositeSpec, model: Model, data, theta_like: ParamVector,
         fixed=None) -> EstimateResult:
-    """Fit a spec: registered fast path when one matches, Newton otherwise."""
+    """Fit a spec: registered fast path when one matches, Newton from the
+    method of moments otherwise (raising the fit's failure)."""
     match = registered_closed_form(model, spec, theta_like, fixed)
     if match is not None:
         name, known = match
         return closed_form(name, data, known)
-    start = method_of_moments_start(model, data, theta_like, fixed)
-    return mcle_newton(spec, model, data, start, fixed=fixed)
+    stats = model.statistic(model.check_data(data))[None]
+    return _one_fit(newton_solve(spec, model, stats,
+                                 moment_starts(model, stats, theta_like, fixed)))

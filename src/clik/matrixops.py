@@ -1,10 +1,13 @@
 """Dense symmetric-matrix helpers for the information computations.
 
-Every matrix handled here is tiny (dimension 1 to 4): sensitivity,
+Every matrix handled here is tiny (dimension 1 to 5): sensitivity,
 variability, Godambe and Fisher information matrices, and the model
 covariances they are built from.  All functions are pure and operate on
 plain ``numpy`` arrays; symmetric inputs are re-symmetrized on output so
-equality of mirrored entries is exact.
+equality of mirrored entries is exact.  :func:`symmetrize`,
+:func:`is_singular` and :func:`sym_invert` also take a stack ``(..., k,
+k)`` and treat it matrix by matrix, with the same arithmetic as for one
+matrix, so a batched solve gets the same bits as one solve per matrix.
 
 :func:`is_singular` is the one singularity decision: every inversion and
 every Newton step meets it, and it ignores the units of the parameters.
@@ -23,9 +26,9 @@ SINGULAR_TOL_FACTOR = 1e-12
 def symmetrize(m) -> np.ndarray:
     """Return ``(m + m.T) / 2`` as a float array, making symmetry exact."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def asymmetry(m) -> float:
@@ -35,46 +38,53 @@ def asymmetry(m) -> float:
     return float(np.max(np.abs(a - a.T))) / scale
 
 
-def is_singular(m) -> bool:
+def is_singular(m):
     """Whether a square matrix is singular, whatever the units of its axes.
 
     Each row, then each column, is divided by its largest absolute entry; a
     zero row or column is singular, else ``|det(scaled)| <=
     SINGULAR_TOL_FACTOR``.  Scaling never lowers ``|det|`` relative to
     ``SINGULAR_TOL_FACTOR * max|entry| ** dim``, so above that bound the
-    verdict is taken without scaling.
+    verdict is taken without scaling.  A stack gives a boolean array of
+    verdicts, one matrix gives a bool.
     """
     a = np.asarray(m, dtype=float)
     mag = np.abs(a)
-    scale = float(mag.max()) if a.size else 0.0
-    if abs(np.linalg.det(a)) > SINGULAR_TOL_FACTOR * scale ** a.shape[0]:
-        return False
-    rows = mag.max(axis=1)
-    if np.any(rows == 0.0):
-        return True
-    scaled = a / rows[:, None]
-    cols = np.max(np.abs(scaled), axis=0)
-    if np.any(cols == 0.0):
-        return True
-    return bool(abs(np.linalg.det(scaled / cols)) <= SINGULAR_TOL_FACTOR)
+    scale = mag.max(axis=(-2, -1), initial=0.0)
+    undecided = (np.abs(np.linalg.det(a))
+                 <= SINGULAR_TOL_FACTOR * scale ** a.shape[-1])
+    if np.any(undecided):
+        rows = mag.max(axis=-1, keepdims=True)
+        scaled = a / np.where(rows == 0.0, 1.0, rows)
+        cols = np.abs(scaled).max(axis=-2, keepdims=True)
+        tiny = (np.abs(np.linalg.det(scaled / np.where(cols == 0.0, 1.0, cols)))
+                <= SINGULAR_TOL_FACTOR)
+        undecided &= (np.any(rows == 0.0, axis=(-2, -1))
+                      | np.any(cols == 0.0, axis=(-2, -1)) | tiny)
+    return bool(undecided) if undecided.ndim == 0 else undecided
 
 
 def _nonsingular_sym(m) -> np.ndarray:
-    """``symmetrize(m)``, or SingularMatrix if :func:`is_singular` says so."""
+    """``symmetrize(m)``, or SingularMatrix if :func:`is_singular` says so
+    (for a stack: of any matrix, listed in the exception's ``rows``)."""
     a = symmetrize(m)
-    if is_singular(a):
-        raise SingularMatrix(f"singular matrix (determinant "
-                             f"{np.linalg.det(a):g})")
+    singular = np.atleast_1d(is_singular(a))
+    if np.any(singular):
+        dets = np.atleast_1d(np.linalg.det(a))[singular]
+        raise SingularMatrix(
+            "singular matrix (determinant "
+            + ", ".join(f"{d:g}" for d in dets) + ")",
+            rows=np.flatnonzero(singular))
     return a
 
 
 def sym_invert(m) -> np.ndarray:
-    """Invert a small symmetric matrix.
+    """Invert a small symmetric matrix, or each matrix of a stack.
 
     Parameters
     ----------
     m : array_like
-        Symmetric matrix of dimension 1..4.
+        Symmetric matrix of dimension 1..5, or a stack ``(..., k, k)``.
 
     Returns
     -------

@@ -1,28 +1,31 @@
 """The three generative model families and their exact likelihood pieces.
 
 Each model exposes, for arbitrary index subsets of its observation vector:
-log densities of margins and conditionals, analytic scores in the free
-parameters and an exact sampler.  (Fisher information is the variability
-matrix of the full likelihood; see :func:`clik.composite.info_exact`.)
-Conditionals are evaluated through the identity
+margin log densities, analytic margin scores in the free parameters, the
+same scores as affine-quadratic forms in the observation, and an exact
+sampler.  (Fisher information is the variability matrix of the full
+likelihood; see :func:`clik.composite.info_exact`.)  Conditionals are
+formed by :mod:`clik.composite` through the identity
 ``log f(y_t | y_G) = log f(y_{t,G}) - log f(y_G)``, so one margin code
 path serves independence, pairwise, full-conditional and chain composite
 likelihoods alike.
 
 Evaluation is vectorized over observations: ``Y`` may be a single vector
 or an ``(n, dim)`` array, and log densities / scores come back with a
-matching leading shape.
+matching leading shape.  The parameter-only pieces (means, covariances,
+their derivatives, cell probabilities and score forms) also take a
+:class:`ParamBatch` and then carry its leading axis: one call serves
+every point of a batched solve.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fileio import atomic_csv, fmt
+from .fileio import atomic_csv  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .matrixops import cholesky_lower, solve_sym, sym_invert
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -32,6 +35,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 BOUNDARY_MARGIN = 1e-8
 
 _ROLES = ("interest", "nuisance", "known")
+
+
+def _free(names, roles) -> tuple:
+    return tuple(n for n, r in zip(names, roles) if r != "known")
+
+
+def _within(x, lo, hi):
+    """Whether ``x`` lies at least BOUNDARY_MARGIN inside ``(lo, hi)``:
+    a bool for a number, elementwise for an array."""
+    return (lo + BOUNDARY_MARGIN <= x) & (x <= hi - BOUNDARY_MARGIN)
+
+
+def _lift(x, ndim: int):
+    """A parameter shaped to scale ``ndim``-dimensional blocks: a number
+    stays as it is, a batch gains ``ndim`` trailing axes."""
+    return x[(..., *(None,) * ndim)] if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -46,6 +65,9 @@ class ParamVector:
     names: tuple
     values: tuple
     roles: tuple
+
+    #: Leading (batch) shape of every parameter-only model quantity.
+    shape = ()
 
     def __post_init__(self):
         if not (len(self.names) == len(self.values) == len(self.roles)):
@@ -70,7 +92,7 @@ class ParamVector:
 
     @property
     def free_names(self) -> tuple:
-        return tuple(n for n, r in zip(self.names, self.roles) if r != "known")
+        return _free(self.names, self.roles)
 
     @property
     def free_values(self) -> np.ndarray:
@@ -105,6 +127,48 @@ class ParamVector:
         if vec.size != len(free):
             raise DimensionMismatch(f"{vec.size} values for {len(free)} free parameters")
         return self.with_values(**dict(zip(free, vec)))
+
+
+@dataclass(frozen=True)
+class ParamBatch:
+    """Parameter points that share names and roles.
+
+    Row ``i`` of ``values`` is one point, in ``names`` order, and
+    ``batch[name]`` is that coordinate of every point.  Model methods that
+    read parameters by name broadcast over this leading axis, so a batch is
+    evaluated in one call; a :class:`ParamVector` is the unbatched case.
+    """
+
+    names: tuple
+    values: np.ndarray                  # (R, len(names))
+    roles: tuple
+
+    @classmethod
+    def stack(cls, points) -> "ParamBatch":
+        """The batch of a sequence of ParamVectors with equal names and roles."""
+        first = points[0]
+        return cls(first.names, np.array([pt.values for pt in points]),
+                   first.roles)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape[:1]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[:, self.names.index(name)]
+
+    @property
+    def free_names(self) -> tuple:
+        return _free(self.names, self.roles)
+
+    def take(self, rows) -> "ParamBatch":
+        return replace(self, values=self.values[rows])
+
+    def point(self, i: int) -> ParamVector:
+        return ParamVector(self.names, self.values[i], self.roles)
 
 
 def substream(seed, index=None) -> np.random.Generator:
@@ -153,9 +217,27 @@ class Model:
     def params(self, **kwargs) -> ParamVector:
         raise NotImplementedError
 
-    def validate(self, theta: ParamVector) -> None:
-        """Raise :class:`DomainError` unless ``theta`` is interior."""
+    def bounds(self) -> dict:
+        """Open interval ``(lo, hi)`` of each bounded parameter."""
         raise NotImplementedError
+
+    def interior(self, theta):
+        """Whether ``theta`` lies at least BOUNDARY_MARGIN inside every
+        bound: a bool, or one per point of a ParamBatch."""
+        inside = True
+        for name, (lo, hi) in self.bounds().items():
+            inside = inside & _within(theta[name], lo, hi)
+        return inside
+
+    def validate(self, theta) -> None:
+        """Raise :class:`DomainError` unless every point of ``theta`` is
+        interior."""
+        for name, (lo, hi) in self.bounds().items():
+            inside = _within(theta[name], lo, hi)
+            if not (inside is True or np.all(inside)):
+                bad = np.asarray(theta[name])[~np.asarray(inside)]
+                raise DomainError(f"{name}={bad.flat[0]} outside "
+                                  f"({lo}, {hi}) (margin {BOUNDARY_MARGIN})")
 
     def _check_indices(self, indices):
         idx = _canon(indices)
@@ -173,16 +255,19 @@ class Model:
     def margin_score(self, indices, Y, theta):
         raise NotImplementedError
 
-    # -- conditionals via the margin difference -------------------------
+    def margin_score_rep(self, indices, theta):
+        """Affine-quadratic form of each score coordinate in the full space.
 
-    def conditional_loglik(self, target, given, Y, theta):
-        given = _canon(given) if given else ()
-        if target in given:
-            raise ValueError(f"target {target} appears in given set {given}")
-        if not given:
-            return self.margin_loglik((target,), Y, theta)
-        joint = self.margin_loglik(given + (int(target),), Y, theta)
-        return joint - self.margin_loglik(given, Y, theta)
+        Returns ``(c, B, A)`` with shapes ``(..., q)``, ``(..., q, dim)`` and
+        ``(..., q, dim, dim)`` such that score coordinate ``a`` equals
+        ``c[a] + B[a] @ r + 0.5 * r @ A[a] @ r`` for ``r = y - mean(theta)``;
+        the leading axes are those of a ParamBatch ``theta``.
+        """
+        raise NotImplementedError
+
+    def _mean(self, theta) -> np.ndarray:
+        """Mean of the observation, shape ``(..., dim)``."""
+        raise NotImplementedError
 
     # -- full likelihood -------------------------------------------------
 
@@ -201,6 +286,16 @@ class Model:
         arr, _ = _as_rows(Y, self.dim)
         return arr
 
+    def statistic(self, Y) -> np.ndarray:
+        """The sufficient statistic ``(n, sum y, sum y y')`` of a dataset,
+        held as ``[n, ybar, W.ravel()]`` with ``W`` the scatter about the
+        sample mean ``ybar``: every composite score is affine-quadratic in
+        ``y``, so its sum over the rows follows from these alone
+        (:func:`clik.composite.summed_score`)."""
+        ybar = Y.mean(axis=0)
+        dev = Y - ybar
+        return np.concatenate([[Y.shape[0]], ybar, (dev.T @ dev).ravel()])
+
 
 class GaussianModel(Model):
     """Gaussian family: margins from the partitioned mean/covariance.
@@ -212,18 +307,16 @@ class GaussianModel(Model):
     ``dl/da = -1/2 tr(S^-1 dS) + 1/2 (S^-1 r)' dS (S^-1 r) + dmu' S^-1 r``.
     """
 
-    def _mean(self, theta: ParamVector) -> np.ndarray:
+    def _mean_jac(self, theta) -> dict:
+        """Map free-parameter name -> d(mean)/d(param), shape (..., dim)."""
         raise NotImplementedError
 
-    def _mean_jac(self, theta: ParamVector) -> dict:
-        """Map free-parameter name -> d(mean)/d(param), shape (dim,)."""
+    def _cov(self, theta) -> np.ndarray:
+        """Covariance of the observation, shape (..., dim, dim)."""
         raise NotImplementedError
 
-    def _cov(self, theta: ParamVector) -> np.ndarray:
-        raise NotImplementedError
-
-    def _cov_jac(self, theta: ParamVector) -> dict:
-        """Map free-parameter name -> d(cov)/d(param), shape (dim, dim)."""
+    def _cov_jac(self, theta) -> dict:
+        """Map free-parameter name -> d(cov)/d(param), shape (..., dim, dim)."""
         raise NotImplementedError
 
     # -- margins -----------------------------------------------------------
@@ -245,28 +338,30 @@ class GaussianModel(Model):
 
     def _margin_forms(self, idx, ix, theta):
         """:meth:`margin_score_rep` on the margin's own coordinates only:
-        ``(c, b, A)`` of shapes ``(q,)``, ``(q, m)``, ``(q, m, m)`` for the
-        residual ``r = y[idx] - mean[idx]``.  ``ix`` is ``np.ix_(idx, idx)``.
+        ``(c, b, A)`` of shapes ``(..., q)``, ``(..., q, m)``,
+        ``(..., q, m, m)`` for the residual ``r = y[idx] - mean[idx]``.
+        ``ix`` is ``(Ellipsis, *np.ix_(idx, idx))``.
         """
         cinv = sym_invert(self._cov(theta)[ix])
         cov_jac = self._cov_jac(theta)
         mean_jac = self._mean_jac(theta)
         free, cols = theta.free_names, list(idx)
-        c = np.empty(len(free))
-        b = np.empty((len(free), len(cols)))
-        A = np.empty((len(free), len(cols), len(cols)))
+        lead = cinv.shape[:-2]
+        c = np.empty(lead + (len(free),))
+        b = np.empty(lead + (len(free), len(cols)))
+        A = np.empty(lead + (len(free), len(cols), len(cols)))
         for a, name in enumerate(free):
             cd = cinv @ cov_jac[name][ix]
-            c[a] = -0.5 * float(np.trace(cd))
-            A[a] = cd @ cinv
-            b[a] = cinv @ mean_jac[name][cols]
+            c[..., a] = -0.5 * np.trace(cd, axis1=-2, axis2=-1)
+            A[..., a, :, :] = cd @ cinv
+            b[..., a, :] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
         return c, b, A
 
     def margin_score(self, indices, Y, theta):
         self.validate(theta)
         idx = self._check_indices(indices)
         rows, single = _as_rows(Y, self.dim)
-        c, b, A = self._margin_forms(idx, np.ix_(idx, idx), theta)
+        c, b, A = self._margin_forms(idx, (Ellipsis, *np.ix_(idx, idx)), theta)
         resid = rows[:, idx] - self._mean(theta)[list(idx)]
         out = np.full((rows.shape[0], len(c)), c)
         for a in range(len(c)):
@@ -277,24 +372,18 @@ class GaussianModel(Model):
         return out[0] if single else out
 
     def margin_score_rep(self, indices, theta):
-        """Affine-quadratic form of each score coordinate in the full space.
-
-        Returns ``(c, B, A)`` with shapes ``(q,)``, ``(q, dim)`` and
-        ``(q, dim, dim)`` such that score coordinate ``a`` equals
-        ``c[a] + B[a] @ r + 0.5 * r @ A[a] @ r`` for ``r = y - mean(theta)``.
-        :meth:`margin_score` evaluates the same forms; exact moments of the
-        composite score follow from them.
-        """
+        """See :meth:`Model.margin_score_rep`.  :meth:`margin_score`
+        evaluates the same forms; exact moments of the composite score
+        follow from them."""
         self.validate(theta)
         idx = self._check_indices(indices)
         ix = np.ix_(idx, idx)
-        c, b, A_idx = self._margin_forms(idx, ix, theta)
-        q, p = len(c), self.dim
-        B = np.zeros((q, p))
-        B[:, list(idx)] = b
-        A = np.zeros((q, p, p))
-        for a in range(q):
-            A[a][ix] = A_idx[a]
+        c, b, A_idx = self._margin_forms(idx, (Ellipsis, *ix), theta)
+        p = self.dim
+        B = np.zeros(b.shape[:-1] + (p,))
+        B[..., list(idx)] = b
+        A = np.zeros(A_idx.shape[:-2] + (p, p))
+        A[(Ellipsis, *ix)] = A_idx
         return c, B, A
 
     def conditional_moments(self, target, given, theta):
@@ -353,27 +442,22 @@ class EMVN(GaussianModel):
         self.validate(theta)
         return theta
 
-    def validate(self, theta):
-        rho, sigma2 = theta["rho"], theta["sigma2"]
-        lo = -1.0 / (self.p - 1)
-        if not (lo + BOUNDARY_MARGIN <= rho <= 1.0 - BOUNDARY_MARGIN):
-            raise DomainError(f"rho={rho} outside ({lo}, 1) (margin {BOUNDARY_MARGIN})")
-        if sigma2 < BOUNDARY_MARGIN:
-            raise DomainError(f"sigma2={sigma2} must be positive")
+    def bounds(self):
+        return {"rho": (-1.0 / (self.p - 1), 1.0), "sigma2": (0.0, np.inf)}
 
     def _mean(self, theta):
-        return np.zeros(self.p)
+        return np.zeros(theta.shape + (self.p,))
 
     def _mean_jac(self, theta):
-        zero = np.zeros(self.p)
+        zero = self._mean(theta)
         return {name: zero for name in theta.free_names}
 
     def _cov(self, theta):
-        rho, sigma2 = theta["rho"], theta["sigma2"]
+        rho, sigma2 = _lift(theta["rho"], 2), _lift(theta["sigma2"], 2)
         return sigma2 * ((1.0 - rho) * np.eye(self.p) + rho * np.ones((self.p, self.p)))
 
     def _cov_jac(self, theta):
-        rho, sigma2 = theta["rho"], theta["sigma2"]
+        rho, sigma2 = _lift(theta["rho"], 2), _lift(theta["sigma2"], 2)
         jac = {}
         if "rho" in theta.free_names:
             jac["rho"] = sigma2 * (np.ones((self.p, self.p)) - np.eye(self.p))
@@ -406,26 +490,25 @@ class TriNormal(GaussianModel):
         self.validate(theta)
         return theta
 
-    def validate(self, theta):
-        rho, sigma2 = theta["rho"], theta["sigma2"]
-        if not (-1.0 + BOUNDARY_MARGIN <= rho <= 1.0 - BOUNDARY_MARGIN):
-            raise DomainError(f"rho={rho} outside (-1, 1)")
-        if sigma2 < BOUNDARY_MARGIN:
-            raise DomainError(f"sigma2={sigma2} must be positive")
+    def bounds(self):
+        return {"rho": (-1.0, 1.0), "sigma2": (0.0, np.inf)}
 
     def _mean(self, theta):
-        return theta["mu"] * np.ones(3)
+        return _lift(theta["mu"], 1) * np.ones(3)
 
     def _mean_jac(self, theta):
-        zero = np.zeros(3)
-        jac = {name: zero for name in theta.free_names}
+        shape = theta.shape + (3,)
+        jac = {name: np.zeros(shape) for name in theta.free_names}
         if "mu" in jac:
-            jac["mu"] = np.ones(3)
+            jac["mu"] = np.ones(shape)
         return jac
 
     def _cov(self, theta):
-        rho, sigma2 = theta["rho"], theta["sigma2"]
-        return np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, sigma2]])
+        cov = np.zeros(theta.shape + (3, 3))
+        cov[..., 0, 0] = cov[..., 1, 1] = 1.0
+        cov[..., 0, 1] = cov[..., 1, 0] = theta["rho"]
+        cov[..., 2, 2] = theta["sigma2"]
+        return cov
 
     def _cov_jac(self, theta):
         jac = {}
@@ -471,14 +554,13 @@ class Multinomial4(Model):
         self.validate(pv)
         return pv
 
-    def validate(self, theta):
-        t = theta["theta"]
-        if not (BOUNDARY_MARGIN <= t <= self.theta_max - BOUNDARY_MARGIN):
-            raise DomainError(f"theta={t} outside (0, {self.theta_max})")
+    def bounds(self):
+        return {"theta": (0.0, self.theta_max)}
 
     def cell_probs(self, theta) -> np.ndarray:
+        """The four cell probabilities, shape ``(..., 4)``."""
         t = theta["theta"]
-        return np.array([t, t, t / self.k, 1.0 - (2.0 + 1.0 / self.k) * t])
+        return np.array([t, t, t / self.k, 1.0 - (2.0 + 1.0 / self.k) * t]).T
 
     def cell_grads(self) -> np.ndarray:
         return np.array([1.0, 1.0, 1.0 / self.k, -(2.0 + 1.0 / self.k)])
@@ -510,6 +592,22 @@ class Multinomial4(Model):
         out = col.reshape(-1, 1)
         return out[0] if single else out
 
+    def _mean(self, theta):
+        return self.cell_probs(theta)[..., :3]
+
+    def margin_score_rep(self, indices, theta):
+        """See :meth:`Model.margin_score_rep`; the score is linear in the
+        indicators, so ``A`` is zero."""
+        self.validate(theta)
+        idx = list(self._check_indices(indices))
+        probs = self.cell_probs(theta)
+        grads = self.cell_grads()[idx]
+        rest = -grads.sum() / (1.0 - probs[..., idx].sum(axis=-1))
+        B = np.zeros(probs.shape[:-1] + (1, 3))
+        B[..., 0, idx] = grads / probs[..., idx] - rest[..., None]
+        c = rest[..., None] + (B * probs[..., None, :3]).sum(axis=-1)
+        return c, B, np.zeros(B.shape + (3,))
+
     def sample(self, theta, n, seed) -> np.ndarray:
         self.validate(theta)
         if n < 1:
@@ -526,27 +624,3 @@ class Multinomial4(Model):
         if np.any(arr.sum(axis=1) > 1):
             raise ValueError("at most one indicator may be set per row")
         return arr
-
-
-# -- dataset serialization ---------------------------------------------------
-
-
-def write_dataset(path, Y) -> None:
-    """Write observations as CSV ``rep,y1,...,yp`` at full precision."""
-    arr = np.asarray(Y, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch("expected an (n, p) array")
-    header = ["rep"] + [f"y{j + 1}" for j in range(arr.shape[1])]
-    atomic_csv(path, header,
-               ([i] + [fmt(v) for v in row] for i, row in enumerate(arr)))
-
-
-def read_dataset(path) -> np.ndarray:
-    """Read a dataset written by :func:`write_dataset`; values round-trip exactly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "rep":
-            raise ValueError(f"{path}: not a dataset CSV (header {header})")
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    return np.asarray(rows, dtype=float)

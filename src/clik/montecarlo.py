@@ -2,10 +2,11 @@
 
 Draws R independent datasets of size n (one deterministic RNG substream
 per replicate, so results are identical no matter how replicates are
-partitioned across workers), fits every requested spec on each dataset
-(a registered fast path in one batched solve per run, Newton otherwise),
-and reports empirical means, n-scaled covariances and batch-means
-standard errors.  Non-converged fits are excluded from the moments but
+partitioned across workers), reduces each dataset to the statistic of
+every requested spec's fit route, fits each run in one batched solve over
+the stacked statistics (a registered fast path, or lockstep Newton), and
+reports empirical means, n-scaled covariances and batch-means standard
+errors.  Non-converged or failed fits are excluded from the moments but
 counted, with a hard 1% failure budget.
 """
 
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composite import CompositeSpec
-from .errors import (ClikError, DomainError, FailureBudgetExceeded,
-                     NoRootInDomain, NotPositiveDefinite, SingularMatrix)
-from .estimators import (ESTIMATORS, check_fittable, fit,
-                         registered_closed_form)
+from .errors import ClikError, FailureBudgetExceeded
+from .estimators import batch_route, check_fittable
+from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .fileio import atomic_csv, fmt
 from .models import Model, ParamVector, substream
 
@@ -176,61 +176,27 @@ class SimResult:
         atomic_csv(path, CSV_SUMMARY_HEADER, self.summary_rows())
 
 
-#: A replicate whose fit raises one of these counts as failed.
-REPLICATE_FAILURES = (DomainError, NoRootInDomain, SingularMatrix,
-                      NotPositiveDefinite, np.linalg.LinAlgError)
-
-
 def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     """``label -> (estimates, converged)`` of every run on replicates
     ``lo..hi-1``; deterministic in (seed, replicate).
 
-    Each replicate is sampled once.  Runs with a registered fast path keep
-    only its statistic (computed once for all runs that share it) and are
-    solved in one batched call after the loop; the others are fitted by
-    Newton on every replicate.
+    Each replicate is sampled once and reduced to the statistic of each
+    run's fit route (computed once for all runs that share it); each run is
+    then solved in one batched call.
     """
-    fast, newton = {}, []
-    for run in config.runs:
-        match = registered_closed_form(config.model, run.spec,
-                                       config.theta_true, run.fixed_dict)
-        if match is None:
-            newton.append(run)
-        else:
-            name, known = match
-            fast[run.label] = (ESTIMATORS[name], known)
-    stats = {entry.statistic: [] for entry, _ in fast.values()}
-    fits = {run.label: ([], []) for run in newton}
-
+    routes = {run.label: batch_route(config.model, run.spec,
+                                     config.theta_true, run.fixed_dict)
+              for run in config.runs}
+    stats = {statistic: [] for statistic, _ in routes.values()}
     for r in range(lo, hi):
         Y = config.model.sample(config.theta_true, config.n,
                                 substream(config.seed, r))
         for statistic, rows in stats.items():
             rows.append(statistic(Y))
-        for run in newton:
-            names = config.free_names(run)
-            try:
-                res = fit(run.spec, config.model, Y, config.theta_true,
-                          fixed=run.fixed_dict)
-                ok = res.converged
-            except REPLICATE_FAILURES:
-                ok = False
-            est, flags = fits[run.label]
-            est.append([res.params[n] for n in names] if ok
-                       else [np.nan] * len(names))
-            flags.append(ok)
-
     out = {}
-    for run in config.runs:
-        if run.label in fast:
-            entry, known = fast[run.label]
-            estimates, converged, _ = entry.solve(
-                np.array(stats[entry.statistic]), known)
-        else:
-            est, flags = fits[run.label]
-            estimates = np.array(est, dtype=float)
-            converged = np.array(flags, dtype=bool)
-        out[run.label] = (estimates, converged)
+    for label, (statistic, solve) in routes.items():
+        estimates, converged, _ = solve(np.array(stats[statistic]))
+        out[label] = (estimates, converged)
     return out
 
 

@@ -155,6 +155,19 @@ def test_newton_raises_on_singular_jacobian():
                     model.params(rho=0.3, sigma2=1.0))
 
 
+def test_fit_rejects_spec_without_information():
+    # the moment start already zeroes the sigma2 score and the rho score is
+    # identically zero, so no step is taken: the Jacobian at the estimate
+    # must still be checked
+    model = EMVN(3)
+    theta = model.params(rho=0.3)
+    Y = model.sample(theta, 500, 5)
+    with pytest.raises(SingularMatrix):
+        fit(comp.independence(3), model, Y, theta)
+    res = fit(comp.independence(3), model, Y, theta, fixed={"rho": 0.3})
+    assert res.converged and res.iterations == 0
+
+
 def test_newton_is_invariant_to_data_units():
     # rescaling the data by s leaves rho and scales sigma2 by s**2; the
     # singular-Jacobian check must not depend on the units of sigma2

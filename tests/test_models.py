@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from clik.composite import full_likelihood, info_exact
+from clik.composite import (Component, CompositeSpec, chain, composite_loglik,
+                            full_likelihood, info_exact)
 from clik.errors import DimensionMismatch, DomainError
-from clik.models import (EMVN, Multinomial4, ParamVector, TriNormal,
-                         read_dataset, substream, write_dataset)
+from clik.models import EMVN, Multinomial4, ParamVector, TriNormal, substream
 from oracles import numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
@@ -84,13 +84,20 @@ def test_multinomial_margin_cell_probability():
     assert val == pytest.approx(np.log(0.04), abs=1e-13)
 
 
+def conditional(target, given):
+    """The spec of one conditional component."""
+    return CompositeSpec("conditional",
+                         [Component("conditional", (target,), given)])
+
+
 def test_conditional_equals_marginal_under_independence():
     model = EMVN(3)
     theta = model.params(rho=0.0, sigma2=1.7)
     y = np.array([0.3, -1.2, 0.8])
     for target in range(3):
         given = tuple(j for j in range(3) if j != target)
-        assert model.conditional_loglik(target, given, y, theta) == \
+        assert composite_loglik(conditional(target, given), model, y,
+                                theta) == \
             pytest.approx(model.margin_loglik((target,), y, theta), abs=1e-12)
 
 
@@ -112,18 +119,14 @@ def test_chain_rule_identity_all_models():
     rng = np.random.default_rng(4)
     for model, theta in all_models():
         Y = model.sample(theta, 40, rng.integers(2**32))
-        total = model.margin_loglik((0,), Y, theta)
-        for i in range(1, model.dim):
-            total = total + model.conditional_loglik(i, tuple(range(i)), Y, theta)
+        total = composite_loglik(chain(model.dim), model, Y, theta)
         np.testing.assert_allclose(total, model.loglik(Y, theta),
                                    rtol=0, atol=1e-10)
 
 
 def test_conditional_rejects_target_in_given():
-    model = EMVN(3)
-    theta = model.params(rho=0.2)
     with pytest.raises(ValueError):
-        model.conditional_loglik(1, (1, 2), np.zeros(3), theta)
+        conditional(1, (1, 2))
 
 
 def test_margin_index_validation():
@@ -290,16 +293,3 @@ def test_emvn_fisher_matches_numeric_hessian_oracle():
 
     hess = -numeric_hessian(expected_loglik, theta.free_values, h=1e-4)
     np.testing.assert_allclose(fisher(model, theta), hess, rtol=1e-6)
-
-
-# -- dataset serialization -----------------------------------------------------
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    model = EMVN(4)
-    Y = model.sample(model.params(rho=0.3), 25, 37)
-    path = tmp_path / "data.csv"
-    write_dataset(path, Y)
-    header = path.read_text().splitlines()[0]
-    assert header == "rep,y1,y2,y3,y4"
-    np.testing.assert_array_equal(read_dataset(path), Y)

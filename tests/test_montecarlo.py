@@ -135,35 +135,46 @@ def test_failure_budget_enforced(monkeypatch):
         mc.run(config, threads=1)
 
 
-def flaky_fit(monkeypatch, fail_on):
-    """Make ``mc.fit`` raise ``fail_on(call_number)`` when that is not None."""
-    real_fit = est.fit
-    calls = {"n": 0}
+def flaky_newton(monkeypatch, fail_on):
+    """Make the batched Newton solve end the fit of row ``k`` (1-based)
+    with ``fail_on(k)`` when that is not None."""
+    real_solve = est.newton_solve
 
-    def flaky(spec, model, data, theta_like, fixed=None):
-        calls["n"] += 1
-        exc = fail_on(calls["n"])
-        if exc is not None:
-            raise exc
-        return real_fit(spec, model, data, theta_like, fixed=fixed)
+    def flaky(*args, **kwargs):
+        fits = real_solve(*args, **kwargs)
+        errors = [fail_on(k) or err
+                  for k, err in enumerate(fits.errors, start=1)]
+        return dataclasses.replace(fits, errors=errors)
 
-    monkeypatch.setattr(mc, "fit", flaky)
+    monkeypatch.setattr(est, "newton_solve", flaky)
 
 
 def test_failure_budget_enforced_newton(monkeypatch):
-    flaky_fit(monkeypatch, lambda k: DomainError("synthetic failure")
-              if k % 20 == 0 else None)   # 5% failure rate
+    flaky_newton(monkeypatch, lambda k: DomainError("synthetic failure")
+                 if k % 20 == 0 else None)   # 5% failure rate
     with pytest.raises(FailureBudgetExceeded):
         mc.run(newton_config(), threads=1)
 
 
 def test_numerical_failures_count_against_budget(monkeypatch):
-    flaky_fit(monkeypatch, lambda k: SingularMatrix("synthetic failure")
-              if k == 37 else None)
+    flaky_newton(monkeypatch, lambda k: SingularMatrix("synthetic failure")
+                 if k == 37 else None)
     result = mc.run(newton_config(), threads=1)
     assert result.failures("full_conditional") == 1
     assert not result.converged["full_conditional"][36]
     assert np.isnan(result.estimates["full_conditional"][36]).all()
+
+
+def test_uninformative_spec_replicates_fail():
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    config = mc.SimConfig(model, theta, (mc.SpecRun(comp.independence(3)),),
+                          n=100, replicates=100, seed=5)
+    estimates, converged = mc._run_chunk(config, 0, 10)["independence"]
+    assert not converged.any()
+    assert np.isnan(estimates).all()
+    with pytest.raises(FailureBudgetExceeded):
+        mc.run(config, threads=1)
 
 
 def test_simulated_variance_hits_closed_forms():
