@@ -193,21 +193,26 @@ _SPEC_BUILDERS = {
 def parse_sim_config(path) -> mc.SimConfig:
     """Parse a flat ``key = value`` config file into a SimConfig."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                                  f"got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                              f"got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val
 
     def need(key):
         if key not in values:
@@ -259,7 +264,7 @@ def parse_sim_config(path) -> mc.SimConfig:
         return mc.SimConfig(model, theta, tuple(runs), n=int(num("n")),
                             replicates=int(num("replicates")),
                             seed=int(num("seed", "0")))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:    # int() of inf overflows
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -9,6 +9,14 @@ moments; four-cell enumeration for the multinomial), quantifies
 information bias, checks full efficiency through the linear score
 recovery condition, projects scores onto information-unbiased form, and
 computes profile / known-nuisance asymptotic variances from a triple.
+
+Every component score is an affine-quadratic form in ``r = y - mean``
+(``Model.margin_score_rep``), so the composite score is one combined form
+per free parameter: :func:`composite_score` contracts it with each row,
+and :func:`summed_score` with a dataset's statistic.  Monte Carlo H is a
+central difference of sample-mean scores over common draws; the means at
+the stencil points come from per-batch statistics, so the draws are
+scored row by row only once, at ``theta``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
-                     ParamVector, _as_rows)
+                     ParamVector, _as_rows, affine_quadratic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -164,6 +172,28 @@ def _weighted_total(spec: CompositeSpec, margin):
                for weight, value in _component_values(spec, margin))
 
 
+def _packed_rep(model, idx, theta):
+    """:meth:`~clik.models.Model.margin_score_rep` of one margin packed into
+    one ``(..., q, 1 + p + p*p)`` array ``[c, B, A.ravel()]``, so that
+    components combine by plain array arithmetic; the leading axes are those
+    of a ParamBatch ``theta``."""
+    c, B, A = model.margin_score_rep(idx, theta)
+    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
+                          axis=-1)
+
+
+def _spec_forms(spec, model, theta):
+    """Total composite score as packed affine-quadratic forms of
+    ``r = y - mean`` (see :func:`_packed_rep`)."""
+    return _weighted_total(spec, lambda idx: _packed_rep(model, idx, theta))
+
+
+def _unpacked(forms, p: int):
+    """``(c, B, A)`` of packed forms (see :func:`_packed_rep`)."""
+    return (forms[..., 0], forms[..., 1:p + 1],
+            forms[..., p + 1:].reshape(forms.shape[:-1] + (p, p)))
+
+
 def composite_loglik(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Weighted sum of component log densities, per observation."""
     rows, single = _as_rows(Y, model.dim)
@@ -173,11 +203,36 @@ def composite_loglik(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
 
 
 def composite_score(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
-    """Gradient of :func:`composite_loglik` in the free parameters, per row."""
+    """Gradient of :func:`composite_loglik` in the free parameters, per row.
+
+    The spec's combined forms (:func:`_spec_forms`) are built once at
+    ``theta`` and contracted with every row; :func:`component_scores`
+    keeps the per-margin route.
+    """
     rows, single = _as_rows(Y, model.dim)
-    total = _weighted_total(
-        spec, lambda idx: model.margin_score(idx, rows, theta))
+    total = affine_quadratic(*_unpacked(_spec_forms(spec, model, theta), model.dim),
+                             rows - model._mean(theta))
     return total[0] if single else total
+
+
+def summed_score(spec: CompositeSpec, model: Model, stats, theta):
+    """``composite_score(spec, model, Y, theta).sum(axis=0)`` from the
+    statistic ``model.statistic(Y)`` alone.
+
+    With ``d = ybar - mean(theta)``, the scatter about the model mean is
+    ``n d d' + W``, so each margin's summed score is one contraction of its
+    packed forms with ``[n, n d, (n d d' + W) / 2]``.  ``stats`` may be a
+    stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
+    then ``(R, q)``.
+    """
+    p = model.dim
+    stats = np.asarray(stats, dtype=float)
+    n, ybar, scatter = stats[..., :1], stats[..., 1:p + 1], stats[..., p + 1:]
+    d = ybar - model._mean(theta)
+    outer = (d[..., :, None] * d[..., None, :]).reshape(d.shape[:-1] + (p * p,))
+    z = np.concatenate([n, n * d, 0.5 * (n * outer + scatter)], axis=-1)
+    return _weighted_total(spec, lambda idx: (
+        _packed_rep(model, idx, theta) * z[..., None, :]).sum(axis=-1))
 
 
 def component_scores(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
@@ -257,46 +312,51 @@ def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
     return symmetrize(H @ solve_sym(J, H))
 
 
-def _info_from_score_fn(score_fn, theta: ParamVector, n: int, batches: int,
-                        provenance: str, statistical_asymmetry: bool = False):
-    """Build an InfoTriple from a vectorized score function over a fixed
-    sample of ``n`` draws.  Returns ``(triple, scores_at_theta)``.
+def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
+                      batches: int, M=None):
+    """Monte Carlo InfoTriple of the composite score (right-multiplied by
+    ``M`` when given) over the draws ``Y``.  Returns ``(triple,
+    scores_at_theta)``.
 
-    J is the sample covariance of the scores; H is minus the averaged
-    central-difference Jacobian of the score in the free parameters
-    (common draws across shifts).  Standard errors come from ``batches``
-    contiguous batch means.
+    J is the sample covariance of the scores at ``theta``.  H is minus the
+    central difference of the sample-mean score in each free parameter
+    (common draws across shifts); the mean at every stencil point comes
+    from each batch's ``model.statistic`` through one :func:`summed_score`
+    call, so only the scores at ``theta`` are evaluated row by row.
+    Standard errors come from ``batches`` contiguous batch means.
 
     A genuine composite score is a gradient field, so its per-draw
     Jacobian is symmetric and the estimated H must be symmetric to
-    round-off; ``statistical_asymmetry`` relaxes the check to the batch
-    noise level for transformed scores (projections) whose H is symmetric
-    only in expectation.
+    round-off; for a projected score (``M`` given) H is symmetric only in
+    expectation, and the check is relaxed to the batch noise level.
     """
     free = theta.free_names
-    q = len(free)
-    U0 = np.asarray(score_fn(theta))
-    if U0.ndim != 2 or U0.shape != (n, q):
-        raise ValueError(f"score function returned shape {U0.shape}, "
-                         f"expected ({n}, {q})")
+    q, n = len(free), Y.shape[0]
+    U0 = composite_score(spec, model, Y, theta)
+    if M is not None:
+        U0 = U0 @ M
     edges = _batch_edges(n, batches)
     slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
     J_full = _cov(U0)
     J_batch = np.stack([_cov(U0[sl]) for sl in slices])
 
-    Hcols_full = np.empty((q, q))
-    Hcols_batch = np.empty((batches, q, q))
-    for b, name in enumerate(free):
-        h = FD_STEP_INFO * max(1.0, abs(theta[name]))
-        up = np.asarray(score_fn(theta.with_values(**{name: theta[name] + h})))
-        dn = np.asarray(score_fn(theta.with_values(**{name: theta[name] - h})))
-        Hcols_full[:, b] = -(up.mean(axis=0) - dn.mean(axis=0)) / (2.0 * h)
-        for bi, sl in enumerate(slices):
-            Hcols_batch[bi, :, b] = -(up[sl].mean(axis=0) - dn[sl].mean(axis=0)) / (2.0 * h)
+    steps = np.array([FD_STEP_INFO * max(1.0, abs(theta[name])) for name in free])
+    stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + sign * h})
+                                for name, h in zip(free, steps)
+                                for sign in (1.0, -1.0)])
+    stats = np.stack([model.statistic(Y[sl]) for sl in slices])
+    sums = summed_score(spec, model, np.tile(stats, (2 * q, 1)),
+                        stencil.take(np.repeat(np.arange(2 * q), batches)))
+    if M is not None:
+        sums = sums @ M
+    sums = sums.reshape(q, 2, batches, q)         # (column, side, batch, row)
+    diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
+    Hcols_full = -(diff.sum(axis=1) / n).T
+    Hcols_batch = -np.transpose(diff / np.diff(edges)[:, None], (1, 2, 0))
 
     allow = H_ASYMMETRY_TOL
-    if statistical_asymmetry:
+    if M is not None:
         gap_b = Hcols_batch - np.transpose(Hcols_batch, (0, 2, 1))
         se = gap_b.std(axis=0, ddof=1) / np.sqrt(batches)
         scale = max(1.0, float(np.max(np.abs(Hcols_full))))
@@ -316,7 +376,7 @@ def _info_from_score_fn(score_fn, theta: ParamVector, n: int, batches: int,
         sensitivity=H_full,
         variability=J_full,
         godambe=G_full,
-        provenance=provenance,
+        provenance="monte-carlo",
         draws=n,
         sensitivity_se=H_batch.std(axis=0, ddof=1) / root_b,
         variability_se=J_batch.std(axis=0, ddof=1) / root_b,
@@ -331,16 +391,16 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
                      draws: int, seed, batches: int = 20) -> InfoTriple:
     """Monte Carlo information triple of a composite spec.
 
-    ``draws`` independent observations are sampled at ``theta``; H comes
-    from the averaged finite-difference score Jacobian, J from the score
-    covariance, and per-entry standard errors from ``batches`` batch means.
+    ``draws`` independent observations are sampled at ``theta``; H is minus
+    the central difference of the sample-mean score over these common
+    draws (the stencil means evaluated from per-batch statistics), J the
+    score covariance, and per-entry standard errors come from ``batches``
+    batch means.
     """
     if draws < 1000:
         raise ValueError("draws must be >= 1000")
     Y = model.sample(theta, draws, seed)
-    triple, _ = _info_from_score_fn(
-        lambda th: composite_score(spec, model, Y, th),
-        theta, draws, batches, "monte-carlo")
+    triple, _ = _info_from_sample(spec, model, Y, theta, batches)
     return triple
 
 
@@ -368,9 +428,7 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
         raise ValueError("draws must be >= 1000")
     M = projection_matrix(base)
     Y = model.sample(theta, draws, seed)
-    triple, _ = _info_from_score_fn(
-        lambda th: composite_score(spec, model, Y, th) @ M,
-        theta, draws, batches, "monte-carlo", statistical_asymmetry=True)
+    triple, _ = _info_from_sample(spec, model, Y, theta, batches, M)
     return triple
 
 
@@ -379,52 +437,13 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 # ---------------------------------------------------------------------------
 
 
-def _packed_rep(model, idx, theta):
-    """:meth:`~clik.models.Model.margin_score_rep` of one margin packed into
-    one ``(..., q, 1 + p + p*p)`` array ``[c, B, A.ravel()]``, so that
-    components combine by plain array arithmetic; the leading axes are those
-    of a ParamBatch ``theta``."""
-    c, B, A = model.margin_score_rep(idx, theta)
-    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
-                          axis=-1)
-
-
-def _spec_forms(spec, model, theta):
-    """Total composite score as packed affine-quadratic forms of
-    ``r = y - mean`` (see :func:`_packed_rep`)."""
-    return _weighted_total(spec, lambda idx: _packed_rep(model, idx, theta))
-
-
-def summed_score(spec: CompositeSpec, model: Model, stats, theta):
-    """``composite_score(spec, model, Y, theta).sum(axis=0)`` from the
-    statistic ``model.statistic(Y)`` alone.
-
-    With ``d = ybar - mean(theta)``, the scatter about the model mean is
-    ``n d d' + W``, so each margin's summed score is one contraction of its
-    packed forms with ``[n, n d, (n d d' + W) / 2]``.  ``stats`` may be a
-    stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
-    then ``(R, q)``.
-    """
-    p = model.dim
-    stats = np.asarray(stats, dtype=float)
-    n, ybar, scatter = stats[..., :1], stats[..., 1:p + 1], stats[..., p + 1:]
-    d = ybar - model._mean(theta)
-    outer = (d[..., :, None] * d[..., None, :]).reshape(d.shape[:-1] + (p * p,))
-    z = np.concatenate([n, n * d, 0.5 * (n * outer + scatter)], axis=-1)
-    return _weighted_total(spec, lambda idx: (
-        _packed_rep(model, idx, theta) * z[..., None, :]).sum(axis=-1))
-
-
 def _gaussian_info_exact(spec, model, theta, stencil):
     """J at ``theta`` and the exact mean score (data drawn at ``theta``) at
     each stencil point; the forms of all the points are built as one
     batch."""
     q, p = len(theta.free_names), model.dim
     points = ParamBatch.stack([theta, *stencil])
-    forms = _spec_forms(spec, model, points)
-    c_all = forms[..., 0]
-    B_all = forms[..., 1:p + 1]
-    A_all = forms[..., p + 1:].reshape(forms.shape[:-1] + (p, p))
+    c_all, B_all, A_all = _unpacked(_spec_forms(spec, model, points), p)
     cov0 = model._cov(theta)
     mean0 = model._mean(theta)
 
@@ -448,14 +467,16 @@ def _gaussian_info_exact(spec, model, theta, stencil):
 
 
 def _multinomial_info_exact(spec, model, theta, stencil):
-    q = len(theta.free_names)
-    outs = model.outcomes()
+    """J at ``theta`` and the exact mean score at each stencil point as sums
+    over the four outcomes; the forms of all the points are built as one
+    batch."""
+    points = ParamBatch.stack([theta, *stencil])
+    U = affine_quadratic(*_unpacked(_spec_forms(spec, model, points), model.dim),
+                         model.outcomes() - model._mean(points)[:, None, :])
     w = model.cell_probs(theta)
-    U0 = composite_score(spec, model, outs, theta)
-    m0 = w @ U0
-    J = symmetrize(np.einsum("o,oi,oj->ij", w, U0, U0) - np.outer(m0, m0))
-    J = J.reshape(q, q)
-    return J, [w @ composite_score(spec, model, outs, th) for th in stencil]
+    m0 = w @ U[0]
+    J = symmetrize(np.einsum("o,oi,oj->ij", w, U[0], U[0]) - np.outer(m0, m0))
+    return J, [w @ u for u in U[1:]]
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -560,9 +581,7 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     if draws < 1000:
         raise ValueError("draws must be >= 1000")
     Y = model.sample(theta, draws, seed)
-    triple, Uc = _info_from_score_fn(
-        lambda th: composite_score(spec, model, Y, th),
-        theta, draws, batches, "monte-carlo")
+    triple, Uc = _info_from_sample(spec, model, Y, theta, batches)
     U = model.full_score(Y, theta)
 
     M = projection_matrix(triple)                      # J^-1 H

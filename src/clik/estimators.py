@@ -509,7 +509,8 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
                   fixed=None) -> ParamBatch:
     """Data-driven interior starting points for Newton, one per row of
     ``stats`` (``model.statistic`` of each dataset): the method of moments,
-    clipped inside the domain, with ``fixed`` values held and tagged known."""
+    clipped inside the domain.  Parameters that ``theta_like`` tags known
+    keep their values, and so do the ``fixed`` ones, which are tagged known."""
     fixed = dict(fixed or {})
     stats = np.asarray(stats, dtype=float)
     p = model.dim
@@ -536,7 +537,7 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
         theta = theta.with_roles(**{name: "known" for name in fixed})
     values = np.tile(theta.values, (len(stats), 1))
     for name, column in updates.items():
-        if name not in fixed:
+        if name in theta.free_names:
             values[:, theta.names.index(name)] = column
     return ParamBatch(theta.names, values, theta.roles)
 

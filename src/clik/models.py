@@ -199,6 +199,17 @@ def _as_rows(y, dim: int):
     return arr, False
 
 
+def affine_quadratic(c, B, A, resid):
+    """Rows ``c + B r + r' A r / 2`` of affine-quadratic score forms with
+    shapes ``(..., q)``, ``(..., q, m)`` and ``(..., q, m, m)`` at the
+    residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``."""
+    out = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+    for a in range(c.shape[-1]):
+        if np.any(A[..., a, :, :]):
+            out[..., a] += 0.5 * ((resid @ A[..., a, :, :]) * resid).sum(axis=-1)
+    return out
+
+
 def _canon(indices) -> tuple:
     idx = tuple(sorted(int(i) for i in indices))
     if len(set(idx)) != len(idx):
@@ -362,13 +373,7 @@ class GaussianModel(Model):
         idx = self._check_indices(indices)
         rows, single = _as_rows(Y, self.dim)
         c, b, A = self._margin_forms(idx, (Ellipsis, *np.ix_(idx, idx)), theta)
-        resid = rows[:, idx] - self._mean(theta)[list(idx)]
-        out = np.full((rows.shape[0], len(c)), c)
-        for a in range(len(c)):
-            if np.any(A[a]):
-                out[:, a] += 0.5 * ((resid @ A[a]) * resid).sum(1)
-            if np.any(b[a]):
-                out[:, a] += resid @ b[a]
+        out = affine_quadratic(c, b, A, rows[:, idx] - self._mean(theta)[list(idx)])
         return out[0] if single else out
 
     def margin_score_rep(self, indices, theta):

@@ -71,6 +71,8 @@ class SimConfig:
             raise ValueError(f"n must be >= {MIN_N}")
         if self.replicates < MIN_REPLICATES:
             raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         labels = [r.label for r in self.runs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate run labels: {labels}")

@@ -6,13 +6,15 @@ matrices against exact scalars, qualitative ordering claims against the
 curves.  Monte Carlo comparisons are expressed as z-scores against
 batch-means standard errors, so thresholds carry no tuned constants.
 
-``run_all`` executes the whole suite and returns one result per check;
+``run_all`` executes the whole suite and returns one result per check,
+stamped with the wall time and seed of the check function behind it;
 ``write_report`` serializes them to CSV.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -35,12 +37,17 @@ class CheckResult:
     threshold: float
     passed: bool
     detail: str = ""
+    #: Wall time and seed of the check function that produced the result.
+    wall_s: float = float("nan")
+    seed: int | None = None
 
 
 def write_report(results, path) -> None:
     rows = [[r.check_id, fmt(r.value), fmt(r.threshold), str(r.passed),
-             r.detail] for r in results]
-    atomic_csv(path, ["check", "value", "threshold", "pass", "detail"], rows)
+             r.detail, fmt(r.wall_s), "" if r.seed is None else str(r.seed)]
+            for r in results]
+    atomic_csv(path, ["check", "value", "threshold", "pass", "detail",
+                      "wall_s", "seed"], rows)
 
 
 def _level_params(level: str):
@@ -459,11 +466,17 @@ ALL_CHECKS = [
 
 def run_all(level: str = "full", seed: int = 20260810, threads=None,
             progress=None):
-    """Run every check; returns the list of CheckResults."""
+    """Run every check; returns the list of CheckResults, each stamped with
+    the wall time and seed of the check function that produced it."""
     _level_params(level)
     results = []
     for i, fn in enumerate(ALL_CHECKS):
-        for res in fn(level=level, seed=seed + 100 * i, threads=threads):
+        check_seed = seed + 100 * i
+        started = time.perf_counter()
+        found = list(fn(level=level, seed=check_seed, threads=threads))
+        wall_s = time.perf_counter() - started
+        for res in found:
+            res = replace(res, wall_s=wall_s, seed=check_seed)
             results.append(res)
             if progress is not None:
                 progress(res)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import clik.composite as comp
 import clik.estimators as est
 import clik.montecarlo as mc
-from clik.errors import DomainError, NoRootInDomain, SingularMatrix
+from clik.errors import (DomainError, FailureBudgetExceeded, NoRootInDomain,
+                         SingularMatrix)
 from clik.models import EMVN, Multinomial4, TriNormal, substream
 from test_sensitivity_identity import cases
 
@@ -182,17 +183,66 @@ def test_newton_engine_bit_identical(config, lo, size):
     assert_engine_matches_fits(config, *span(lo, size), fast=False)
 
 
+def run_outcome(config, threads):
+    """The bytes of every run's estimates and flags, or the message of
+    the failure budget the study exceeded."""
+    try:
+        result = mc.run(config, threads=threads)
+    except FailureBudgetExceeded as exc:
+        return str(exc)
+    return [(result.estimates[label].tobytes(),
+             result.converged[label].tobytes()) for label in result.labels()]
+
+
+def assert_bit_identical_across_worker_counts(config):
+    serial = run_outcome(config, 1)
+    for threads in (2, 3):
+        assert run_outcome(config, threads) == serial
+
+
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(config=newton_configs(replicates=100))
 def test_newton_runs_bit_identical_across_worker_counts(config):
-    serial = mc.run(config, threads=1)
-    for threads in (2, 3):
-        parallel = mc.run(config, threads=threads)
-        for label in serial.labels():
-            assert (serial.estimates[label].tobytes()
-                    == parallel.estimates[label].tobytes())
-            assert (serial.converged[label].tobytes()
-                    == parallel.converged[label].tobytes())
+    assert_bit_identical_across_worker_counts(config)
+
+
+@st.composite
+def fast_path_configs(draw):
+    """A study whose runs all take a registered fast path: EMVN(3..6)
+    pairwise with sigma2 free and known, the TriNormal means of two and
+    three margins, or the Multinomial4 MLE."""
+    family = draw(st.sampled_from(["emvn", "trinormal", "multinomial"]))
+    if family == "emvn":
+        model = EMVN(draw(st.integers(3, 6)))
+        lo = -1.0 / (model.dim - 1)
+        theta = model.params(rho=lo + draw(st.floats(0.05, 0.95)) * (1.0 - lo),
+                             sigma2=draw(st.floats(0.3, 3.0)))
+        spec = comp.pairwise(model.dim)
+        runs = [mc.SpecRun(spec), mc.SpecRun(spec, {"sigma2": theta["sigma2"]})]
+    elif family == "trinormal":
+        model = TriNormal()
+        theta = model.params(mu=draw(st.floats(-2.0, 2.0)),
+                             rho=draw(st.floats(-0.9, 0.9)),
+                             sigma2=draw(st.floats(0.2, 5.0)))
+        fixed = {"rho": theta["rho"], "sigma2": theta["sigma2"]}
+        runs = [mc.SpecRun(comp.singleton_margins([0, 1]), fixed, "mu12"),
+                mc.SpecRun(comp.singleton_margins([0, 1, 2]), fixed, "mu123")]
+    else:
+        model = Multinomial4(draw(st.floats(0.5, 20.0)))
+        theta = model.params(draw(st.floats(0.05, 0.95)) * model.theta_max)
+        runs = [mc.SpecRun(comp.full_likelihood(3))]
+    return mc.SimConfig(model, theta, runs, n=draw(st.integers(20, 80)),
+                        replicates=100, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(config=fast_path_configs())
+def test_fast_path_runs_bit_identical_across_worker_counts(config):
+    for run in config.runs:
+        assert est.registered_closed_form(config.model, run.spec,
+                                          config.theta_true,
+                                          run.fixed_dict) is not None
+    assert_bit_identical_across_worker_counts(config)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

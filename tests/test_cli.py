@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clik
 import clik.asymptotics as asy
@@ -150,6 +154,17 @@ def test_simulate_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="wat"):
         parse_sim_config(bad_spec)
 
+    valid = "model = emvn\nrho = 0.5\nn = 100\nreplicates = 200\nspecs = pairwise\n"
+    for name, text, match in (
+            ("seed.cfg", valid + "seed = -1\n", "seed must be >= 0"),
+            ("inf.cfg", valid.replace("n = 100", "n = inf"), "infinity"),
+            ("bytes.cfg", valid.replace("rho", "rho\xff"), "not UTF-8")):
+        cfg = tmp_path / name
+        cfg.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match=match):
+            parse_sim_config(cfg)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+
 
 def test_simulate_unsupported_spec_exits_2(tmp_path):
     # TriNormal pairwise has three free parameters: no fast path matches
@@ -189,8 +204,37 @@ def test_verify_quick_reports_known_failure(tmp_path, capsys, monkeypatch):
     assert failed
     assert all(check.startswith("sandwich-dominance/") for check in failed)
     assert len(rows) > 45
+    assert all(float(row["wall_s"]) > 0 for row in rows)
+    assert {int(row["seed"]) for row in rows} == {
+        20260810 + 100 * i for i in range(len(verify_mod.ALL_CHECKS))}
     out = capsys.readouterr().out
     assert "[pass]" in out and "[FAIL]" in out
+
+
+def test_verify_report_records_wall_time_and_seed(tmp_path, monkeypatch):
+    # each check function is called by keyword, timed once, and every
+    # result it returns carries that time and its seed
+    def slow(*, level, seed, threads):
+        time.sleep(0.05)
+        return [verify_mod.CheckResult("slow/a", 1.0, 2.0, True),
+                verify_mod.CheckResult("slow/b", 3.0, 2.0, False, "over")]
+
+    def fast(*, level, seed, threads):
+        return [verify_mod.CheckResult("fast", 0.5, 1.0, True)]
+
+    monkeypatch.setattr(verify_mod, "ALL_CHECKS", [slow, fast])
+    results = verify_mod.run_all(level="quick", seed=7)
+    path = tmp_path / "verify_report.csv"
+    verify_mod.write_report(results, path)
+    with open(path, newline="") as fh:
+        assert next(csv.reader(fh)) == ["check", "value", "threshold", "pass",
+                                        "detail", "wall_s", "seed"]
+    rows = rows_of(path)
+    assert [row["check"] for row in rows] == ["slow/a", "slow/b", "fast"]
+    assert rows[1]["detail"] == "over" and rows[1]["pass"] == "False"
+    assert [row["seed"] for row in rows] == ["7", "7", "107"]
+    assert rows[0]["wall_s"] == rows[1]["wall_s"]
+    assert float(rows[0]["wall_s"]) >= 0.05 > float(rows[2]["wall_s"])
 
 
 def test_ratio_crossing_negative_control(monkeypatch):
@@ -229,3 +273,76 @@ def test_sandwich_tampering_negative_control():
     finally:
         verify_mod.DEBUG_SENSITIVITY_OFFSET = old
     assert any(not r.passed for r in tampered)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed simulate configs
+# ---------------------------------------------------------------------------
+
+
+#: Values that parse as valid for each key; numeric ranges stay small so
+#: that a config that runs is a small study.
+VALID_VALUES = {
+    "model": st.sampled_from(["emvn", "trinormal", "multinomial4", "EMVN"]),
+    "p": st.integers(2, 5).map(str),
+    "k": st.floats(0.5, 10.0).map(repr),
+    "rho": st.floats(-0.3, 0.9).map(repr),
+    "sigma2": st.floats(0.3, 3.0).map(repr),
+    "mu": st.floats(-1.0, 1.0).map(repr),
+    "theta": st.floats(0.02, 0.3).map(repr),
+    "n": st.integers(10, 40).map(str),
+    "replicates": st.integers(100, 120).map(str),
+    "seed": st.integers(0, 1000).map(str),
+    "specs": st.lists(
+        st.tuples(st.sampled_from(["independence", "pairwise", "chain",
+                                   "full_conditional", "full"]),
+                  st.sampled_from(["", "", "", "!sigma2", "!rho", "!mu",
+                                   "!theta", "!rho!sigma2"]))
+        .map("".join), min_size=1, max_size=3).map(", ".join),
+}
+SAFE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\n\r"), max_size=8)
+ODD_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-1", "0", "3.5",
+                     "1e-300", "abc", "!", "pairwise!", ",", "=", "emvn"]),
+    st.integers(-5, 12).map(str), st.floats(-2.0, 2.0).map(repr), SAFE_TEXT)
+
+
+@st.composite
+def config_files(draw):
+    """The bytes of a config file: every known key in random order, up to
+    three of them with an odd value or left out, then unknown keys,
+    repeats, comments, lines without '=' and bytes that are not UTF-8."""
+    keys = draw(st.permutations(sorted(VALID_VALUES)))
+    # explicit weights keep about half of the files valid, so that the
+    # study itself runs too
+    broken = keys[:draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3]))]
+    lines = []
+    for key in keys:
+        if key not in broken:
+            lines.append(f"{key} = {draw(VALID_VALUES[key])}")
+        elif draw(st.booleans()):
+            lines.append(f"{key} = {draw(ODD_VALUES)}")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        key = draw(st.one_of(st.sampled_from(keys), SAFE_TEXT))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([f"{key} = {draw(ODD_VALUES)}",
+                                           f"# {key}", key])))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.sampled_from([False] * 7 + [True])):
+        junk = draw(st.binary(min_size=1, max_size=4))
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + junk + data[at:]
+    return data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=config_files())
+def test_fuzzed_simulate_config_exits_cleanly(data):
+    # any config either runs (0) or is refused with a message (2); an
+    # uncaught exception here is a traceback for the user
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "study.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write(data)
+        assert main(["simulate", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2)

@@ -252,6 +252,22 @@ def test_repeated_components_get_no_fast_path():
                                       newton.params.free_values)
 
 
+def test_fit_holds_parameters_tagged_known():
+    # parameters that theta_like tags known are held at their values,
+    # whether or not ``fixed`` names them
+    tri = TriNormal()
+    theta = tri.params(mu=0.3, rho=0.5, sigma2=2.0,
+                       roles={"rho": "known", "sigma2": "known"})
+    spec = comp.CompositeSpec(
+        "margins[0,0,1]", [comp.Component("margin", (i,)) for i in (0, 0, 1)])
+    Y = tri.sample(theta, 500, 5)
+    res = fit(spec, tri, Y, theta)
+    assert res.converged
+    assert (res.params["rho"], res.params["sigma2"]) == (0.5, 2.0)
+    held = fit(spec, tri, Y, theta, fixed={"rho": 0.5, "sigma2": 2.0})
+    assert res.params == held.params
+
+
 def test_fit_uses_fast_path_and_newton_consistently():
     model = EMVN(3)
     theta = model.params(rho=0.3, sigma2=1.4)

@@ -41,3 +41,17 @@ def test_exact_godambe_is_below_fisher(case):
     fisher = comp.info_exact(comp.full_likelihood(model.dim), model,
                              theta).variability
     assert loewner_geq(fisher, godambe, 1e-6 * np.max(np.abs(fisher)))
+
+
+@SETTINGS
+@given(case=cases(), n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_combined_forms_match_per_margin_scores(case, n, seed):
+    # composite_score contracts the spec's combined forms once per row;
+    # component_scores evaluates every margin on its own
+    model, theta, spec = case
+    Y = model.sample(theta, n, seed)
+    score = comp.composite_score(spec, model, Y, theta)
+    total = sum(c.weight * s for c, s in
+                zip(spec.components, comp.component_scores(spec, model, Y, theta)))
+    assert score.shape == total.shape
+    assert np.max(np.abs(score - total)) <= 1e-12 * np.max(np.abs(total))
