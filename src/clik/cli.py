@@ -21,6 +21,7 @@ from . import composite as comp
 from . import montecarlo as mc
 from . import verify as verify_mod
 from .errors import ClikError, ConfigError
+from .estimators import check_identified
 from .fileio import atomic_csv, atomic_write, fmt
 from .models import EMVN, Multinomial4, TriNormal
 from .svgfig import Panel, write_figure
@@ -261,9 +262,12 @@ def parse_sim_config(path) -> mc.SimConfig:
         if not runs:
             raise ConfigError(f"{path}: specs list is empty")
 
-        return mc.SimConfig(model, theta, tuple(runs), n=int(num("n")),
-                            replicates=int(num("replicates")),
-                            seed=int(num("seed", "0")))
+        config = mc.SimConfig(model, theta, tuple(runs), n=int(num("n")),
+                              replicates=int(num("replicates")),
+                              seed=int(num("seed", "0")))
+        for run in runs:
+            check_identified(model, run.spec, theta, run.fixed_dict)
+        return config
     except (ValueError, OverflowError) as exc:    # int() of inf overflows
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -6,10 +6,13 @@ a run in one call, and :func:`fit` is the one-dataset case.  Registered
 fast paths cover the four-cell multinomial MLE, the two mean estimators of
 the two-block normal model, and the equicorrelated-normal pairwise
 correlation estimators (variance known or profiled out), which reduce to
-scalar root finding on a pair of sufficient statistics.  Every other spec
-is solved by Newton iteration on the summed composite score, which
-follows exactly from ``Model.statistic`` (``n``, the sample mean and the
-scatter about it); all datasets iterate in lockstep.
+root finding in rho on a pair of sufficient statistics: a score scan,
+then one :func:`bracket_roots` pass (Brent's method, as
+``scipy.optimize.brentq`` runs it, on every bracket of every dataset at
+once).  Every other spec is solved by Newton iteration on the summed
+composite score, which follows exactly from ``Model.statistic`` (``n``,
+the sample mean and the scatter about it); all datasets iterate in
+lockstep.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .composite import CompositeSpec, summed_score
+from .composite import CompositeSpec, info_exact, summed_score
 from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
@@ -39,6 +41,10 @@ NEWTON_MAX_HALVINGS = 60
 ROOT_SCAN_POINTS = 16
 #: How far inside the open domain the scan grid starts.
 ROOT_SCAN_MARGIN = 1e-6
+#: Iteration cap and relative tolerance of :func:`bracket_roots`, as in
+#: ``scipy.optimize.brentq``.
+BRENT_MAX_ITER = 100
+BRENT_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,82 @@ def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
 
 
 # ---------------------------------------------------------------------------
+# bracketed roots
+# ---------------------------------------------------------------------------
+
+
+def bracket_roots(f, lo, hi, xtol, maxiter: int = BRENT_MAX_ITER):
+    """Roots of ``f`` in the brackets ``[lo[k], hi[k]]``, all at once.
+
+    ``f(x, rows)`` returns the values at ``x[m]`` of the functions of
+    brackets ``rows[m]``; it is called only for the brackets still
+    iterating.  Every bracket runs Brent's method exactly as
+    ``scipy.optimize.brentq`` does, with ``rtol = 4 eps``: the same
+    interpolation, extrapolation and bisection steps in the same
+    floating-point order, so its root has the same bits.  Returns
+    ``(roots, converged)``; a bracket whose ends do not differ in sign,
+    whose function gives NaN, or that is not converged after ``maxiter``
+    iterations has root NaN and ``converged`` False.
+    """
+    xpre, xcur = (np.array(x, dtype=float).ravel() for x in (lo, hi))
+    rows = np.arange(xpre.size)
+    with np.errstate(all="ignore"):
+        fpre, fcur = (np.asarray(f(x, rows), dtype=float) for x in (xpre, xcur))
+        # brentq's order: a NaN end fails, a zero end (lo first) is the
+        # root, ends of one sign fail
+        finite = ~(np.isnan(fpre) | np.isnan(fcur))
+        roots = np.where(finite & (fpre == 0.0), xpre,
+                         np.where(finite & (fcur == 0.0), xcur, np.nan))
+        live = (finite & (fpre != 0.0) & (fcur != 0.0)
+                & (np.signbit(fpre) != np.signbit(fcur)))
+        rows, xpre, xcur, fpre, fcur = (a[live] for a in
+                                        (rows, xpre, xcur, fpre, fcur))
+        xblk = fblk = spre = scur = np.zeros(rows.size)
+        for _ in range(maxiter):
+            failed = np.isnan(fcur)
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre)
+                                                    != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = (np.where(flip, xcur - xpre, s) for s in (spre, scur))
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                                np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                                np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+
+            delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = ~failed & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            roots[rows[done]] = xcur[done]
+            keep = ~(failed | done)
+            if not keep.all():
+                (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+                 sbis) = (a[keep] for a in (rows, xpre, xcur, xblk, fpre, fcur,
+                                           fblk, spre, scur, delta, sbis))
+            if rows.size == 0:
+                break
+
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
+                           / (dblk * dpre * (fblk - fpre)))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry)
+                        < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = np.asarray(f(xcur, rows), dtype=float)
+    return roots, ~np.isnan(roots)
+
+
+# ---------------------------------------------------------------------------
 # equicorrelated-normal pairwise machinery
 # ---------------------------------------------------------------------------
 #
@@ -306,9 +388,13 @@ def _solve_pairwise(stats, sigma2=None):
     each row ``(n, p, Q, W)`` of ``stats``.
 
     The score is scanned on ``ROOT_SCAN_POINTS`` equispaced points of the
-    open domain for all rows at once; each sign change is polished with
-    brentq, and a row with several roots keeps the one with the highest
-    pairwise log likelihood.  Rows without a root get NaN.
+    open domain for all rows at once.  A scan point where the score is
+    exactly zero is a root; every sign change between neighbouring points
+    is polished by one :func:`bracket_roots` pass over the brackets of all
+    rows.  The roots of a row sit in an ``(R, ROOT_SCAN_POINTS)`` candidate
+    array in scan order, and a row with several keeps the one with the
+    highest pairwise log likelihood (the first on a tie).  Rows without a
+    root, or whose bracket did not converge, get NaN.
     """
     n, p, q, w = (stats[:, [k]] for k in range(4))
     nc = n * p * (p - 1) / 2.0
@@ -317,31 +403,27 @@ def _solve_pairwise(stats, sigma2=None):
     vals = _pair_score(grid, p, q, w, nc, sigma2)
     finite = np.isfinite(vals)
     paired = finite[:, :-1] & finite[:, 1:]
-    at_zero = paired & (vals[:, :-1] == 0.0)
+    at_zero = np.append(paired, finite[:, -1:], axis=1) & (vals == 0.0)
     crossing = paired & (vals[:, :-1] * vals[:, 1:] < 0.0)
-    end_zero = finite[:, -1] & (vals[:, -1] == 0.0)
+
+    cand = np.where(at_zero, grid, np.nan)
+    i, j = np.nonzero(crossing)
+    args = [col[i, 0] for col in (p, q, w, nc)]
+    cand[i, j], _ = bracket_roots(
+        lambda x, rows: _pair_score(x, *(a[rows] for a in args), sigma2),
+        grid[i, j], grid[i, j + 1], xtol=1e-13)
+
+    found = ~np.isnan(cand)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        objective = np.where(found, _pair_loglik(cand, p, q, w, nc, sigma2),
+                             -np.inf)
+    pick = np.argmax(objective, axis=1)
+    rows = np.arange(len(stats))
+    # a max of -inf may land on an empty slot: take the first root then
+    pick = np.where(found[rows, pick], pick, np.argmax(found, axis=1))
+    rho = cand[rows, pick]
 
     p, q, w, nc = (col[:, 0] for col in (p, q, w, nc))
-    args = list(zip(p.tolist(), q.tolist(), w.tolist(), nc.tolist()))
-    roots = [[] for _ in args]
-    for i, j in zip(*np.nonzero(at_zero | crossing)):
-        if at_zero[i, j]:
-            roots[i].append(float(grid[i, j]))
-        else:
-            roots[i].append(float(brentq(_pair_score, grid[i, j],
-                                         grid[i, j + 1],
-                                         args=(*args[i], sigma2), xtol=1e-13)))
-    for i in np.flatnonzero(end_zero):
-        roots[i].append(float(grid[i, -1]))
-
-    rho = np.full(len(args), np.nan)
-    for i, found in enumerate(roots):
-        if len(found) == 1:
-            rho[i] = found[0]
-        elif found:
-            objective = [_pair_loglik(r, *args[i], sigma2) for r in found]
-            rho[i] = found[int(np.argmax(objective))]
-
     resid = np.abs(_pair_score(rho, p, q, w, nc, sigma2))
     if sigma2 is not None:
         return rho[:, None], ~np.isnan(rho), resid
@@ -498,6 +580,34 @@ def check_fittable(model: Model, spec: CompositeSpec, theta_like,
         fixed = fixed or {}
         _check_newton_free([n for n in theta_like.free_names
                             if n not in fixed])
+
+
+def check_identified(model: Model, spec: CompositeSpec, theta_like,
+                     fixed=None) -> None:
+    """Raise UnsupportedSpec when a Newton-route spec carries no
+    information on its free parameters at ``theta_like`` (``fixed`` held
+    known): its exact sensitivity matrix, or the variability matrix it is
+    paired with, is singular.  Every Newton fit of such a spec ends in a
+    singular Jacobian, so a study can reject it before drawing any data.
+    Fast-path specs, and points where ``info_exact`` cannot be evaluated,
+    pass unchecked."""
+    if registered_closed_form(model, spec, theta_like, fixed) is not None:
+        return
+    fixed = fixed or {}
+    theta = theta_like.with_values(**fixed).with_roles(
+        **{name: "known" for name in fixed})
+    try:
+        singular = is_singular(info_exact(spec, model, theta).sensitivity)
+    except SingularMatrix:
+        singular = True
+    except DomainError:
+        # info_exact's difference stencil left the domain (sigma2 below
+        # about 1e-5): nothing is known, so the fits decide as before
+        return
+    if singular:
+        raise UnsupportedSpec(f"spec {spec.name!r} does not identify "
+                              f"{', '.join(theta.free_names)} in {model!r}: "
+                              f"its exact information is singular")
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,20 @@ class Model:
 
     # -- sampling -------------------------------------------------------------
 
-    def sample(self, theta: ParamVector, n: int, seed) -> np.ndarray:
+    def sampler(self, theta: ParamVector):
+        """``draw(n, rng)``: ``n`` exact draws at ``theta`` from the
+        Generator ``rng``.  ``theta`` is validated and everything that does
+        not depend on ``n`` or ``rng`` (a covariance factor, cell
+        probabilities) is computed once, here."""
         raise NotImplementedError
+
+    def sample(self, theta: ParamVector, n: int, seed) -> np.ndarray:
+        """``n`` exact draws at ``theta`` from ``substream(seed)``: one
+        call of :meth:`sampler`."""
+        draw = self.sampler(theta)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return draw(n, substream(seed))
 
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)
@@ -411,13 +423,16 @@ class GaussianModel(Model):
 
     # -- sampling -------------------------------------------------------------
 
-    def sample(self, theta, n, seed) -> np.ndarray:
+    def sampler(self, theta):
         self.validate(theta)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = substream(seed)
-        L = cholesky_lower(self._cov(theta))
-        return self._mean(theta) + rng.standard_normal((int(n), self.dim)) @ L.T
+        factor = cholesky_lower(self._cov(theta)).T
+        mean = self._mean(theta)
+
+        def draw(n, rng):
+            return mean + rng.standard_normal((int(n), self.dim)) @ factor
+        return draw
+
+    sample = Model.sample   # perfbench/tracing.py wraps it per class
 
 
 class EMVN(GaussianModel):
@@ -613,14 +628,17 @@ class Multinomial4(Model):
         c = rest[..., None] + (B * probs[..., None, :3]).sum(axis=-1)
         return c, B, np.zeros(B.shape + (3,))
 
-    def sample(self, theta, n, seed) -> np.ndarray:
+    def sampler(self, theta):
         self.validate(theta)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = substream(seed)
         cum = np.cumsum(self.cell_probs(theta))
-        cells = np.searchsorted(cum, rng.random(int(n)), side="right")
-        return self.outcomes()[np.minimum(cells, 3)]
+        outcomes = self.outcomes()
+
+        def draw(n, rng):
+            cells = np.searchsorted(cum, rng.random(int(n)), side="right")
+            return outcomes[np.minimum(cells, 3)]
+        return draw
+
+    sample = Model.sample   # perfbench/tracing.py wraps it per class
 
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)

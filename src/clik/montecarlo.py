@@ -182,17 +182,17 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     """``label -> (estimates, converged)`` of every run on replicates
     ``lo..hi-1``; deterministic in (seed, replicate).
 
-    Each replicate is sampled once and reduced to the statistic of each
-    run's fit route (computed once for all runs that share it); each run is
-    then solved in one batched call.
+    The sampler is set up once per chunk.  Each replicate is drawn once and
+    reduced to the statistic of each run's fit route (computed once for all
+    runs that share it); each run is then solved in one batched call.
     """
     routes = {run.label: batch_route(config.model, run.spec,
                                      config.theta_true, run.fixed_dict)
               for run in config.runs}
     stats = {statistic: [] for statistic, _ in routes.values()}
+    draw = config.model.sampler(config.theta_true)
     for r in range(lo, hi):
-        Y = config.model.sample(config.theta_true, config.n,
-                                substream(config.seed, r))
+        Y = draw(config.n, substream(config.seed, r))
         for statistic, rows in stats.items():
             rows.append(statistic(Y))
     out = {}

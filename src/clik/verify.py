@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import asymptotics as asy
 from . import composite as comp
 from . import montecarlo as mc
+from .estimators import bracket_roots
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, TriNormal, substream
 
@@ -92,10 +92,12 @@ def check_pairwise_variance_formulas(level="full", seed=101, threads=None):
 
 def _bracketed_root(f, lo, hi):
     """Root of ``f`` inside ``(lo, hi)``, or None when ``f`` does not change
-    sign across the bracket."""
+    sign across the bracket (NaN when Brent's method does not converge)."""
     if not f(lo) * f(hi) < 0.0:
         return None
-    return float(brentq(f, lo, hi, xtol=1e-12))
+    roots, _ = bracket_roots(lambda x, rows: np.array([f(float(x[0]))]),
+                             [lo], [hi], xtol=1e-12)
+    return float(roots[0])
 
 
 def _exact_pairwise_ratio(rho):

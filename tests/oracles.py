@@ -59,3 +59,60 @@ def stencil_info(score_fn, theta, n, batches):
     J = dev.T @ dev / (n - 1)
     return (0.5 * (H + H.T), 0.5 * (H_batch + H_batch.transpose(0, 2, 1)),
             0.5 * (J + J.T))
+
+
+def brentq_pairwise(stats, sigma2=None, score=None, loglik=None):
+    """The EMVN pairwise fast path as one scalar ``scipy.optimize.brentq``
+    call per scan bracket: ``(estimates, converged, score_norm)`` of each
+    row ``(n, p, Q, W)`` of ``stats``, or the exception brentq raises.
+
+    ``score`` and ``loglik`` default to the estimator's own functions of
+    ``(rho, p, Q, W, Nc, sigma2)``; a root polished by brentq, a scan
+    point where the score is exactly zero, and the last scan point when it
+    is a zero are the candidates, in scan order, and a row with several
+    keeps the first with the highest ``loglik``.
+    """
+    from scipy.optimize import brentq
+
+    from clik import estimators as est
+    score = score or est._pair_score
+    loglik = loglik or est._pair_loglik
+    stats = np.asarray(stats, dtype=float)
+    n, p, q, w = (stats[:, [k]] for k in range(4))
+    nc = n * p * (p - 1) / 2.0
+    grid = np.linspace((-1.0 / (p - 1) + est.ROOT_SCAN_MARGIN)[:, 0],
+                       1.0 - est.ROOT_SCAN_MARGIN, est.ROOT_SCAN_POINTS,
+                       axis=1)
+    vals = score(grid, p, q, w, nc, sigma2)
+    finite = np.isfinite(vals)
+    paired = finite[:, :-1] & finite[:, 1:]
+    at_zero = paired & (vals[:, :-1] == 0.0)
+    crossing = paired & (vals[:, :-1] * vals[:, 1:] < 0.0)
+    end_zero = finite[:, -1] & (vals[:, -1] == 0.0)
+
+    p, q, w, nc = (col[:, 0] for col in (p, q, w, nc))
+    args = list(zip(p.tolist(), q.tolist(), w.tolist(), nc.tolist()))
+    roots = [[] for _ in args]
+    for i, j in zip(*np.nonzero(at_zero | crossing)):
+        if at_zero[i, j]:
+            roots[i].append(float(grid[i, j]))
+        else:
+            roots[i].append(float(brentq(score, grid[i, j], grid[i, j + 1],
+                                         args=(*args[i], sigma2),
+                                         xtol=1e-13)))
+    for i in np.flatnonzero(end_zero):
+        roots[i].append(float(grid[i, -1]))
+
+    rho = np.full(len(args), np.nan)
+    for i, found in enumerate(roots):
+        if len(found) == 1:
+            rho[i] = found[0]
+        elif found:
+            objective = [loglik(r, *args[i], sigma2) for r in found]
+            rho[i] = found[int(np.argmax(objective))]
+
+    resid = np.abs(score(rho, p, q, w, nc, sigma2))
+    if sigma2 is not None:
+        return rho[:, None], ~np.isnan(rho), resid
+    t, _ = est._t_and_deriv(rho, p, q, w)
+    return np.column_stack([rho, t / (2.0 * nc)]), ~np.isnan(rho), resid

@@ -7,6 +7,11 @@ replicate's dataset alone.  The Newton statistic must give the summed
 composite score exactly as the rows do.
 """
 
+import csv
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +263,83 @@ def test_statistic_gives_the_summed_score(case, n, seed):
     assert (np.max(np.abs(total - scores.sum(axis=0)))
             <= 1e-12 * np.max(np.abs(scores)))
 
+
+
+# ---------------------------------------------------------------------------
+# simulate CSVs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def boundary_configs(draw):
+    """EMVN(3..6) pairwise near the lower end of the rho domain with small
+    n: with sigma2 known many replicates have no score root (NaN rows)."""
+    model = EMVN(draw(st.integers(3, 6)))
+    lo = -1.0 / (model.dim - 1)
+    theta = model.params(rho=lo + draw(st.floats(0.02, 0.2)) * (1.0 - lo))
+    spec = comp.pairwise(model.dim)
+    return mc.SimConfig(model, theta, [mc.SpecRun(spec),
+                                       mc.SpecRun(spec, {"sigma2": 1.0})],
+                        n=draw(st.integers(10, 20)), replicates=100,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def same_bits(a, b):
+    """Equal bit for bit, NaN compared by position (a NaN read back from
+    text has no sign)."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def read_estimates(path, result):
+    """label -> (estimates, converged) as read back from the CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    out = {}
+    for label in result.labels():
+        names = result.param_names(label)
+        est_ = np.full((result.config.replicates, len(names)), -1.0)
+        conv = np.zeros(result.config.replicates, dtype=bool)
+        for r in rows:
+            if r["spec"] == label:
+                i = int(r["replicate"])
+                est_[i, names.index(r["param"])] = float(r["estimate"])
+                conv[i] = {"True": True, "False": False}[r["converged"]]
+        out[label] = est_, conv
+    return out
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(config=st.one_of(fast_path_configs(), newton_configs(),
+                        boundary_configs()))
+def test_simulate_csvs_round_trip_bit_exactly(config):
+    # the replicates of one chunk, failures kept whatever the budget says
+    result = mc.SimResult(config)
+    for label, (estimates, converged) in mc._run_chunk(
+            config, 0, config.replicates).items():
+        result.estimates[label] = estimates
+        result.converged[label] = converged
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        est_path = os.path.join(tmp, "est.csv")
+        sum_path = os.path.join(tmp, "sum.csv")
+        result.write_estimates_csv(est_path)
+        result.write_summary_csv(sum_path)
+        back = read_estimates(est_path, result)
+        with open(sum_path, newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        for label in result.labels():
+            got, conv = back[label]
+            assert same_bits(got, result.estimates[label])
+            assert conv.tobytes() == result.converged[label].tobytes()
+
+            rows = [r for r in summary if r["spec"] == label]
+            assert [r["param"] for r in rows] == list(result.param_names(label))
+            got = np.array([[float(r[k]) for k in ("mean", "n_var", "std_err")]
+                            for r in rows])
+            want = np.column_stack([result.mean(label),
+                                    np.diag(result.ncov(label)),
+                                    np.diag(result.ncov_se(label))])
+            assert same_bits(got, want)
+            assert {int(r["failures"]) for r in rows} == {result.failures(label)}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import clik
 import clik.asymptotics as asy
+import clik.models
 import clik.verify as verify_mod
 from clik.asymptotics import EfficiencyCurve
 from clik.cli import main, parse_sim_config
@@ -183,6 +184,58 @@ def test_simulate_unsupported_spec_exits_2(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "Newton solver expects 1 or 2 free parameters" in proc.stderr
     assert not (out / "simulate_estimates.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    # scipy costs most of the start-up time and is a test-only dependency
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clik.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import clik, clik.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("model_lines, specs", [
+    ("model = emvn\np = 3\nrho = 0.3\n", "pairwise, independence"),
+    ("model = emvn\np = 4\nrho = 0.3\n", "independence!sigma2"),
+    ("model = trinormal\nrho = 0.4\n", "chain!rho, independence!mu"),
+])
+def test_simulate_rejects_uninformative_spec_before_sampling(
+        tmp_path, monkeypatch, capsys, model_lines, specs):
+    # the independence score carries nothing on rho: every Newton fit
+    # would end in a singular Jacobian, so no replicate is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled an unfittable study")
+
+    for cls in (clik.models.GaussianModel, clik.models.Multinomial4):
+        monkeypatch.setattr(cls, "sample", no_draws)
+        monkeypatch.setattr(cls, "sampler", no_draws)
+    cfg = tmp_path / "ind.cfg"
+    cfg.write_text(model_lines + f"specs = {specs}\n"
+                   "n = 100\nreplicates = 100\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'independence'" in err
+    assert "exact information is singular" in err
+    assert not (out / "simulate_estimates.csv").exists()
+
+
+@pytest.mark.parametrize("model_lines, specs", [
+    ("model = emvn\np = 3\nrho = 0.5\n",
+     "full_conditional, full_conditional!sigma2"),
+    ("model = multinomial4\nk = 5\ntheta = 0.2\n", "pairwise, independence"),
+    ("model = emvn\np = 3\nrho = 0.5\n", "pairwise, pairwise!sigma2"),
+])
+def test_informative_specs_pass_the_check(tmp_path, model_lines, specs):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(model_lines + f"specs = {specs}\nn = 100\n"
+                   "replicates = 100\n")
+    config = parse_sim_config(cfg)
+    assert [run.label for run in config.runs] == [
+        s.strip() for s in specs.split(",")]
 
 
 def test_simulate_config_fixed_suffix(tmp_path):

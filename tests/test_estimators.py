@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import clik.composite as comp
-from clik.errors import NoRootInDomain, SingularMatrix
-from clik.estimators import (closed_form, fit, mcle_newton,
+from clik.errors import NoRootInDomain, SingularMatrix, UnsupportedSpec
+from clik.estimators import (check_identified, closed_form, fit, mcle_newton,
                              method_of_moments_start, registered_closed_form)
 from clik.models import EMVN, Multinomial4, TriNormal
 
@@ -277,3 +277,19 @@ def test_fit_uses_fast_path_and_newton_consistently():
     slow = fit(comp.full_conditional(3), model, Y, theta)
     assert slow.solver == "newton"
     assert fast.params["rho"] == pytest.approx(slow.params["rho"], abs=1e-6)
+
+
+def test_check_identified():
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.5)
+    # no information on rho, whether sigma2 is free or fixed
+    for fixed in ({}, {"sigma2": 1.5}):
+        with pytest.raises(UnsupportedSpec, match="'independence'"):
+            check_identified(model, comp.independence(3), theta, fixed)
+    # with rho fixed the independence score identifies sigma2
+    check_identified(model, comp.independence(3), theta, {"rho": 0.3})
+    check_identified(model, comp.full_conditional(3), theta)
+    check_identified(model, comp.pairwise(3), theta)          # fast path
+    # info_exact's stencil leaves the domain here: the fits decide
+    tiny = model.params(rho=0.3, sigma2=1e-7)
+    check_identified(model, comp.full_conditional(3), tiny)

@@ -158,6 +158,32 @@ def test_substreams_differ_and_are_deterministic():
     np.testing.assert_array_equal(a, a2)
 
 
+@pytest.mark.parametrize("model, theta", [
+    (EMVN(4), EMVN(4).params(rho=0.3, sigma2=2.0)),
+    (TriNormal(), TriNormal().params(mu=0.5, rho=-0.4, sigma2=3.0)),
+    (Multinomial4(5.0), Multinomial4(5.0).params(0.2)),
+])
+def test_sampler_draws_are_sample_bits(model, theta):
+    # one sampler serves many draws; each equals a one-call sample
+    draw = model.sampler(theta)
+    for r, n in enumerate((1, 17, 300)):
+        a = draw(n, substream(41, r))
+        b = model.sample(theta, n, substream(41, r))
+        assert a.shape == (n, model.dim)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sampler_validates_once_at_set_up():
+    model = EMVN(3)
+    bad = model.params(rho=0.2).with_values(rho=-0.6)
+    with pytest.raises(DomainError):
+        model.sampler(bad)
+    with pytest.raises(DomainError):
+        model.sample(bad, 0, 1)          # the domain is checked before n
+    with pytest.raises(ValueError, match="n must be"):
+        model.sample(model.params(rho=0.2), 0, 1)
+
+
 def test_multinomial_sampler_mean_band():
     model = Multinomial4(5.0)
     theta = model.params(0.2)
