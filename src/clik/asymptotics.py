@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import (_godambe, _partitioned_from_mats, full_conditional,
-                        info_monte_carlo)
+from .composite import (_godambe, _partitioned_from_mats, batch_se,
+                        full_conditional, info_monte_carlo)
 from .errors import DomainError
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, substream
@@ -184,8 +184,7 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
         for hb, jb in zip(triple.batch_sensitivity, triple.batch_variability):
             pb, kb = _partitioned_from_mats(hb, jb, _godambe(hb, jb), i_idx, n_idx)
             batch_ratios.append(float(kb[0, 0] / pb[0, 0]))
-        se = float(np.std(batch_ratios, ddof=1) / np.sqrt(len(batch_ratios)))
-        rows.append([rho, ratio, se])
+        rows.append([rho, ratio, float(batch_se(batch_ratios))])
     return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows),
                            {"p": p, "draws": draws, "sigma2": sigma2})
 

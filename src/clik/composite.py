@@ -39,6 +39,8 @@ FD_STEP_EXACT = 1e-6
 
 #: Largest tolerated relative asymmetry of a numerically computed H.
 H_ASYMMETRY_TOL = 1e-6
+#: Fewest batches a batch-means standard error is computed from.
+MIN_BATCHES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +300,32 @@ class InfoTriple:
         atomic_csv(path, ["matrix", "row", "col", "value", "std_err"], rows)
 
 
-def _batch_edges(n: int, batches: int) -> np.ndarray:
-    return np.linspace(0, n, batches + 1).astype(int)
+def batch_slices(n: int, batches: int) -> list:
+    """``batches`` contiguous slices partitioning ``range(n)``: the batches
+    behind every batch-means standard error.  Raises ValueError for fewer
+    than ``MIN_BATCHES``, too few for the spread of the batch values to
+    estimate their standard error."""
+    if batches < MIN_BATCHES:
+        raise ValueError(f"batches must be >= {MIN_BATCHES}, got {batches}")
+    edges = np.linspace(0, n, batches + 1).astype(int)
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _cov(rows: np.ndarray) -> np.ndarray:
-    """Sample covariance of row vectors, always (q, q)."""
-    dev = rows - rows.mean(axis=0)
-    return symmetrize(dev.T @ dev / (rows.shape[0] - 1))
+def batch_se(per_batch) -> np.ndarray:
+    """Batch-means standard error of the values stacked along axis 0, one
+    per batch of :func:`batch_slices`."""
+    per_batch = np.asarray(per_batch)
+    return per_batch.std(axis=0, ddof=1) / np.sqrt(per_batch.shape[0])
+
+
+def sample_cov(x, y=None):
+    """Sample cross-covariance of paired rows ``x`` (n, a) and ``y`` (n, b),
+    or of paired values when both are (n,); with ``y`` omitted, the
+    symmetrized covariance of ``x``, always (a, a)."""
+    dev = x - x.mean(axis=0)
+    if y is None:
+        return symmetrize(dev.T @ dev / (x.shape[0] - 1))
+    return dev.T @ (y - y.mean(axis=0)) / (x.shape[0] - 1)
 
 
 def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -332,14 +352,13 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     """
     free = theta.free_names
     q, n = len(free), Y.shape[0]
+    slices = batch_slices(n, batches)
     U0 = composite_score(spec, model, Y, theta)
     if M is not None:
         U0 = U0 @ M
-    edges = _batch_edges(n, batches)
-    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    J_full = _cov(U0)
-    J_batch = np.stack([_cov(U0[sl]) for sl in slices])
+    J_full = sample_cov(U0)
+    J_batch = np.stack([sample_cov(U0[sl]) for sl in slices])
 
     steps = np.array([FD_STEP_INFO * max(1.0, abs(theta[name])) for name in free])
     stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + sign * h})
@@ -353,12 +372,12 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     sums = sums.reshape(q, 2, batches, q)         # (column, side, batch, row)
     diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
     Hcols_full = -(diff.sum(axis=1) / n).T
-    Hcols_batch = -np.transpose(diff / np.diff(edges)[:, None], (1, 2, 0))
+    sizes = np.array([sl.stop - sl.start for sl in slices])
+    Hcols_batch = -np.transpose(diff / sizes[:, None], (1, 2, 0))
 
     allow = H_ASYMMETRY_TOL
     if M is not None:
-        gap_b = Hcols_batch - np.transpose(Hcols_batch, (0, 2, 1))
-        se = gap_b.std(axis=0, ddof=1) / np.sqrt(batches)
+        se = batch_se(Hcols_batch - np.transpose(Hcols_batch, (0, 2, 1)))
         scale = max(1.0, float(np.max(np.abs(Hcols_full))))
         allow = max(allow, 6.0 * float(np.max(se)) / scale)
     if asymmetry(Hcols_full) > allow:
@@ -370,7 +389,6 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     G_full = _godambe(H_full, J_full)
     G_batch = np.stack([_godambe(h_, j_) for h_, j_ in zip(H_batch, J_batch)])
 
-    root_b = np.sqrt(batches)
     triple = InfoTriple(
         param_names=free,
         sensitivity=H_full,
@@ -378,9 +396,9 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         godambe=G_full,
         provenance="monte-carlo",
         draws=n,
-        sensitivity_se=H_batch.std(axis=0, ddof=1) / root_b,
-        variability_se=J_batch.std(axis=0, ddof=1) / root_b,
-        godambe_se=G_batch.std(axis=0, ddof=1) / root_b,
+        sensitivity_se=batch_se(H_batch),
+        variability_se=batch_se(J_batch),
+        godambe_se=batch_se(G_batch),
         batch_sensitivity=H_batch,
         batch_variability=J_batch,
     )
@@ -530,8 +548,7 @@ def info_bias_zscore(triple: InfoTriple) -> float:
     """
     if triple.batch_sensitivity is None:
         raise ValueError("z-score needs a Monte Carlo triple with batch data")
-    diff_b = triple.batch_sensitivity - triple.batch_variability
-    se = diff_b.std(axis=0, ddof=1) / np.sqrt(diff_b.shape[0])
+    se = batch_se(triple.batch_sensitivity - triple.batch_variability)
     return float(np.linalg.norm(triple.sensitivity - triple.variability)
                  / np.linalg.norm(se))
 
@@ -589,50 +606,42 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
                zip(triple.batch_sensitivity, triple.batch_variability)]
 
     resid = U - Uc @ M
-    edges = _batch_edges(draws, batches)
-    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    slices = batch_slices(draws, batches)
 
     b_est = resid.mean(axis=0)
-    b_means = np.stack([resid[sl].mean(axis=0) for sl in slices])
-    b_se = b_means.std(axis=0, ddof=1) / np.sqrt(batches)
+    b_se = batch_se([resid[sl].mean(axis=0) for sl in slices])
 
-    residual_cov = _cov(resid)
-    fisher = _cov(U)
+    residual_cov = sample_cov(resid)
+    fisher = sample_cov(U)
     gap_full = residual_cov - (fisher - triple.godambe)
 
     # batch versions (each batch uses its own projection)
     gap_b, cross_b, lam_b = [], [], []
     for bi, (sl, Mb) in enumerate(zip(slices, M_batch)):
         rb = U[sl] - Uc[sl] @ Mb
-        rcov = _cov(rb)
-        Ib = _cov(U[sl])
+        rcov = sample_cov(rb)
+        Ib = sample_cov(U[sl])
         Gb = _godambe(triple.batch_sensitivity[bi], triple.batch_variability[bi])
-        dev_c = Uc[sl] - Uc[sl].mean(axis=0)
-        dev_u = U[sl] - U[sl].mean(axis=0)
-        cross_b.append(dev_c.T @ dev_u / (sl.stop - sl.start - 1))
+        cross_b.append(sample_cov(Uc[sl], U[sl]))
         gap_b.append(rcov - (Ib - Gb))
         lam_b.append(float(np.max(np.linalg.eigvalsh(rcov))))
-    root_b = np.sqrt(batches)
     se_floor = 1e-12 * max(1.0, float(np.max(np.abs(fisher))))
-    gap_se = np.stack(gap_b).std(axis=0, ddof=1) / root_b
+    gap_se = batch_se(gap_b)
     residual_identity_z = float(np.max(np.abs(gap_full)
                                        / np.maximum(gap_se, se_floor)))
 
-    dev_c = Uc - Uc.mean(axis=0)
-    dev_u = U - U.mean(axis=0)
-    crosscov = dev_c.T @ dev_u / (draws - 1)
-    cross_se = np.stack(cross_b).std(axis=0, ddof=1) / root_b
+    crosscov = sample_cov(Uc, U)
+    cross_se = batch_se(cross_b)
     crosscov_identity_z = float(np.max(np.abs(triple.sensitivity - crosscov)
                                        / np.maximum(cross_se, se_floor)))
 
     # per-draw residual noise propagated from the uncertainty of J^-1 H
-    proj_b = np.stack([Uc @ Mb for Mb in M_batch])      # (B, n, q)
-    se_r = proj_b.std(axis=0, ddof=1) / root_b
+    se_r = batch_se([Uc @ Mb for Mb in M_batch])        # (n, q)
     floor = 1e-12 * (1.0 + float(np.max(np.abs(U))))
     max_residual_z = float(np.max(np.abs(resid) / np.maximum(se_r, floor)))
 
     lam = float(np.max(np.linalg.eigvalsh(residual_cov)))
-    lam_se = float(np.std(lam_b, ddof=1) / root_b)
+    lam_se = float(batch_se(lam_b))
     return FullEfficiencyReport(
         param_names=theta.free_names,
         triple=triple,

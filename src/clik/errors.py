@@ -39,8 +39,8 @@ class FailureBudgetExceeded(ClikError):
 
 
 class UnsupportedSpec(ClikError, ValueError):
-    """A spec has no registered fast path and more (or fewer) free
-    parameters than the Newton solver handles."""
+    """A spec cannot be fitted: it leaves no free parameter, or (checked
+    before a study samples) it carries no information on one."""
 
 
 class ConfigError(ClikError):

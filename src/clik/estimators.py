@@ -64,9 +64,9 @@ class EstimateResult:
 
 
 def _check_newton_free(free) -> None:
-    if not 1 <= len(free) <= 2:
-        raise UnsupportedSpec(f"Newton solver expects 1 or 2 free "
-                              f"parameters, got {len(free)}")
+    if not free:
+        raise UnsupportedSpec("Newton solver needs at least one free "
+                              "parameter, got none")
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,13 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
     """Newton iteration on the summed composite score of many datasets.
 
     Row ``i`` of ``stats`` is ``model.statistic`` of dataset ``i`` and is
-    fitted from ``start.point(i)``; the free parameters of ``start`` (1 or
-    2) are iterated, the known ones held.  All rows iterate in lockstep,
-    each exactly as it would alone: a central-difference score Jacobian
-    with step ``1e-5 * max(1, |x|)``, a SingularMatrix failure when
-    ``matrixops.is_singular`` calls it singular, step halving until the
-    iterate is interior with a finite score, and the best iterate kept.  A
+    fitted from ``start.point(i)``; the free parameters of ``start`` (any
+    number, at least one) are iterated, the known ones held.  All rows
+    iterate in lockstep, each exactly as it would alone: a central-
+    difference score Jacobian with step ``1e-5 * max(1, |x|)``, a
+    SingularMatrix failure when ``matrixops.is_singular`` calls it
+    singular, step halving until the iterate is interior with a finite
+    score, and the best iterate kept.  A
     fit converges when the sup norm of its summed score is below
     ``1e-8 * n``.  The score Jacobian at every returned estimate must be
     nonsingular as well, so a spec carrying no information on a free
@@ -570,16 +571,6 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
             return "trinormal_mu123", {
                 "sigma2": fixed.get("sigma2", theta_like["sigma2"])}
     return None
-
-
-def check_fittable(model: Model, spec: CompositeSpec, theta_like,
-                   fixed=None) -> None:
-    """Raise UnsupportedSpec unless :func:`fit` can fit this spec: it has
-    a registered fast path, or as many free parameters as Newton takes."""
-    if registered_closed_form(model, spec, theta_like, fixed) is None:
-        fixed = fixed or {}
-        _check_newton_free([n for n in theta_like.free_names
-                            if n not in fixed])
 
 
 def check_identified(model: Model, spec: CompositeSpec, theta_like,

@@ -264,7 +264,12 @@ class Model:
         raise NotImplementedError
 
     def margin_score(self, indices, Y, theta):
-        raise NotImplementedError
+        """Score of the margin over ``indices`` in the free parameters, per
+        row: :meth:`margin_score_rep` evaluated at ``r = y - mean(theta)``."""
+        rows, single = _as_rows(Y, self.dim)
+        out = affine_quadratic(*self.margin_score_rep(indices, theta),
+                               rows - self._mean(theta))
+        return out[0] if single else out
 
     def margin_score_rep(self, indices, theta):
         """Affine-quadratic form of each score coordinate in the full space.
@@ -359,48 +364,30 @@ class GaussianModel(Model):
         out = -0.5 * (len(idx) * LOG_2PI + logdet + quad)
         return float(out[0]) if single else out
 
-    def _margin_forms(self, idx, ix, theta):
-        """:meth:`margin_score_rep` on the margin's own coordinates only:
-        ``(c, b, A)`` of shapes ``(..., q)``, ``(..., q, m)``,
-        ``(..., q, m, m)`` for the residual ``r = y[idx] - mean[idx]``.
-        ``ix`` is ``(Ellipsis, *np.ix_(idx, idx))``.
+    margin_score = Model.margin_score   # perfbench/tracing.py wraps it per class
+
+    def margin_score_rep(self, indices, theta):
+        """See :meth:`Model.margin_score_rep`.  With ``S``, ``dS`` and
+        ``dmu`` the margin's covariance and the derivatives of covariance and
+        mean in parameter ``a``: ``c = -tr(S^-1 dS) / 2``, ``B = S^-1 dmu``
+        and ``A = S^-1 dS S^-1`` on the margin's coordinates, zero elsewhere.
         """
+        self.validate(theta)
+        idx = self._check_indices(indices)
+        cols, ix = list(idx), (Ellipsis, *np.ix_(idx, idx))
         cinv = sym_invert(self._cov(theta)[ix])
         cov_jac = self._cov_jac(theta)
         mean_jac = self._mean_jac(theta)
-        free, cols = theta.free_names, list(idx)
+        free, p = theta.free_names, self.dim
         lead = cinv.shape[:-2]
         c = np.empty(lead + (len(free),))
-        b = np.empty(lead + (len(free), len(cols)))
-        A = np.empty(lead + (len(free), len(cols), len(cols)))
+        B = np.zeros(lead + (len(free), p))
+        A = np.zeros(lead + (len(free), p, p))
         for a, name in enumerate(free):
             cd = cinv @ cov_jac[name][ix]
             c[..., a] = -0.5 * np.trace(cd, axis1=-2, axis2=-1)
-            A[..., a, :, :] = cd @ cinv
-            b[..., a, :] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
-        return c, b, A
-
-    def margin_score(self, indices, Y, theta):
-        self.validate(theta)
-        idx = self._check_indices(indices)
-        rows, single = _as_rows(Y, self.dim)
-        c, b, A = self._margin_forms(idx, (Ellipsis, *np.ix_(idx, idx)), theta)
-        out = affine_quadratic(c, b, A, rows[:, idx] - self._mean(theta)[list(idx)])
-        return out[0] if single else out
-
-    def margin_score_rep(self, indices, theta):
-        """See :meth:`Model.margin_score_rep`.  :meth:`margin_score`
-        evaluates the same forms; exact moments of the composite score
-        follow from them."""
-        self.validate(theta)
-        idx = self._check_indices(indices)
-        ix = np.ix_(idx, idx)
-        c, b, A_idx = self._margin_forms(idx, (Ellipsis, *ix), theta)
-        p = self.dim
-        B = np.zeros(b.shape[:-1] + (p,))
-        B[..., list(idx)] = b
-        A = np.zeros(A_idx.shape[:-2] + (p, p))
-        A[(Ellipsis, *ix)] = A_idx
+            A[(Ellipsis, a, *ix[1:])] = cd @ cinv
+            B[..., a, cols] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
         return c, B, A
 
     def conditional_moments(self, target, given, theta):
@@ -599,18 +586,7 @@ class Multinomial4(Model):
         out = sel @ np.log(probs) + (1.0 - sel.sum(axis=1)) * np.log(rest)
         return float(out[0]) if single else out
 
-    def margin_score(self, indices, Y, theta):
-        self.validate(theta)
-        idx = self._check_indices(indices)
-        rows, single = _as_rows(Y, self.dim)
-        probs = self.cell_probs(theta)[list(idx)]
-        grads = self.cell_grads()[list(idx)]
-        rest_grad = -grads.sum()
-        rest = 1.0 - probs.sum()
-        sel = rows[:, idx]
-        col = sel @ (grads / probs) + (1.0 - sel.sum(axis=1)) * (rest_grad / rest)
-        out = col.reshape(-1, 1)
-        return out[0] if single else out
+    margin_score = Model.margin_score   # perfbench/tracing.py wraps it per class
 
     def _mean(self, theta):
         return self.cell_probs(theta)[..., :3]

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import CompositeSpec
-from .errors import ClikError, FailureBudgetExceeded
-from .estimators import batch_route, check_fittable
+from .composite import CompositeSpec, batch_se, batch_slices, sample_cov
+from .errors import ClikError, FailureBudgetExceeded, UnsupportedSpec
+from .estimators import batch_route
 from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .fileio import atomic_csv, fmt
 from .models import Model, ParamVector, substream
@@ -78,8 +78,9 @@ class SimConfig:
             raise ValueError(f"duplicate run labels: {labels}")
         self.model.validate(self.theta_true)
         for run in self.runs:
-            check_fittable(self.model, run.spec, self.theta_true,
-                           run.fixed_dict)
+            if not self.free_names(run):
+                raise UnsupportedSpec(f"run {run.label!r} leaves no free "
+                                      f"parameter to fit")
 
     def free_names(self, run: SpecRun) -> tuple:
         fixed = run.fixed_dict
@@ -112,23 +113,13 @@ class SimResult:
 
     def ncov(self, label: str) -> np.ndarray:
         """n-scaled empirical covariance of the estimates."""
-        rows = self.valid_rows(label)
-        dev = rows - rows.mean(axis=0)
-        return self.config.n * (dev.T @ dev) / (rows.shape[0] - 1)
-
-    def ncov_batches(self, label: str, batches: int = DEFAULT_BATCHES) -> np.ndarray:
-        rows = self.valid_rows(label)
-        edges = np.linspace(0, rows.shape[0], batches + 1).astype(int)
-        out = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            part = rows[a:b]
-            dev = part - part.mean(axis=0)
-            out.append(self.config.n * (dev.T @ dev) / (part.shape[0] - 1))
-        return np.stack(out)
+        return self.config.n * sample_cov(self.valid_rows(label))
 
     def ncov_se(self, label: str, batches: int = DEFAULT_BATCHES) -> np.ndarray:
-        bats = self.ncov_batches(label, batches)
-        return bats.std(axis=0, ddof=1) / np.sqrt(batches)
+        """Batch-means standard error of :meth:`ncov`."""
+        rows = self.valid_rows(label)
+        return batch_se([self.config.n * sample_cov(rows[sl])
+                         for sl in batch_slices(rows.shape[0], batches)])
 
     def cross_ncov(self, label_a: str, col_a: int, label_b: str, col_b: int,
                    batches: int = DEFAULT_BATCHES):
@@ -138,14 +129,9 @@ class SimResult:
         x = self.estimates[label_a][ok, col_a]
         y = self.estimates[label_b][ok, col_b]
         n = self.config.n
-
-        def scaled_cov(xv, yv):
-            return n * float(np.cov(xv, yv, ddof=1)[0, 1])
-
-        edges = np.linspace(0, x.size, batches + 1).astype(int)
-        bats = [scaled_cov(x[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
-        se = float(np.std(bats, ddof=1) / np.sqrt(batches))
-        return scaled_cov(x, y), se
+        bats = [n * sample_cov(x[sl], y[sl])
+                for sl in batch_slices(x.size, batches)]
+        return n * float(sample_cov(x, y)), float(batch_se(bats))
 
     # -- serialization -----------------------------------------------------
 

@@ -308,20 +308,13 @@ def check_chain_unbiasedness(level="full", seed=701, threads=None):
         scores = comp.component_scores(spec, model, Y, theta)
         # 50 batches: with the max taken over many entries, the t-tails of
         # 20-batch standard errors are noticeably heavier than normal
-        batches = 50
-        edges = np.linspace(0, draws, batches + 1).astype(int)
+        slices = comp.batch_slices(draws, 50)
         worst = 0.0
         for a in range(len(scores)):
             for b in range(a + 1, len(scores)):
-                da = scores[a] - scores[a].mean(axis=0)
-                db = scores[b] - scores[b].mean(axis=0)
-                cross = da.T @ db / (draws - 1)
-                bats = []
-                for lo, hi in zip(edges[:-1], edges[1:]):
-                    xa = scores[a][lo:hi] - scores[a][lo:hi].mean(axis=0)
-                    xb = scores[b][lo:hi] - scores[b][lo:hi].mean(axis=0)
-                    bats.append(xa.T @ xb / (hi - lo - 1))
-                se = np.stack(bats).std(axis=0, ddof=1) / np.sqrt(batches)
+                cross = comp.sample_cov(scores[a], scores[b])
+                se = comp.batch_se([comp.sample_cov(scores[a][sl], scores[b][sl])
+                                    for sl in slices])
                 # entries with zero se come from score coordinates that are
                 # identically zero; their cross-covariance must be exactly 0
                 z = np.where(se > 0, np.abs(cross) / np.where(se > 0, se, 1.0),
@@ -440,7 +433,7 @@ def check_sandwich_dominance(level="full", seed=1001, threads=None):
         lam = lam_min(triple.sensitivity, triple.variability)
         bats = [lam_min(hb, jb) for hb, jb in
                 zip(triple.batch_sensitivity, triple.batch_variability)]
-        se = float(np.std(bats, ddof=1) / np.sqrt(len(bats)))
+        se = float(comp.batch_se(bats))
         thresh = -p["sigma"] * se
         out.append(CheckResult(f"sandwich-dominance/{label}", lam, thresh,
                                bool(lam >= thresh),

@@ -188,6 +188,18 @@ def test_newton_engine_bit_identical(config, lo, size):
     assert_engine_matches_fits(config, *span(lo, size), fast=False)
 
 
+@pytest.mark.parametrize("make_spec", [comp.pairwise, comp.full_conditional,
+                                       comp.chain, comp.full_likelihood])
+def test_newton_engine_three_free_trinormal(make_spec):
+    # mu, rho and sigma2 all free: no fast path, Newton in three dimensions
+    model = TriNormal()
+    config = mc.SimConfig(model, model.params(mu=0.4, rho=-0.3, sigma2=1.7),
+                          (mc.SpecRun(make_spec(3)),), n=100, replicates=100,
+                          seed=29)
+    assert config.free_names(config.runs[0]) == ("mu", "rho", "sigma2")
+    assert_engine_matches_fits(config, 0, 40, fast=False)
+
+
 def run_outcome(config, threads):
     """The bytes of every run's estimates and flags, or the message of
     the failure budget the study exceeded."""

@@ -168,11 +168,10 @@ def test_simulate_config_errors(tmp_path):
 
 
 def test_simulate_unsupported_spec_exits_2(tmp_path):
-    # TriNormal pairwise has three free parameters: no fast path matches
-    # and the Newton solver takes at most two
+    # every TriNormal parameter fixed leaves the run nothing to fit
     cfg = tmp_path / "tri.cfg"
     cfg.write_text("model = trinormal\nn = 100\nreplicates = 100\n"
-                   "specs = pairwise\n")
+                   "specs = pairwise!mu!rho!sigma2\n")
     out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(os.path.abspath(clik.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -182,7 +181,7 @@ def test_simulate_unsupported_spec_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
-    assert "Newton solver expects 1 or 2 free parameters" in proc.stderr
+    assert "'pairwise!mu!rho!sigma2' leaves no free parameter" in proc.stderr
     assert not (out / "simulate_estimates.csv").exists()
 
 

@@ -229,6 +229,25 @@ def test_info_monte_carlo_draw_floor():
         comp.info_monte_carlo(comp.pairwise(3), model, theta, 999, 1)
 
 
+def test_monte_carlo_batch_floor():
+    # nine batch values are too few for their spread to give a standard
+    # error; every batch-means estimator refuses them
+    model, theta = emvn_case()
+    spec = comp.pairwise(3)
+    base = comp.info_exact(spec, model, theta)
+    calls = [
+        lambda: comp.info_monte_carlo(spec, model, theta, 2000, 1, batches=9),
+        lambda: comp.projected_info_monte_carlo(spec, model, theta, 2000, 1,
+                                                base, batches=9),
+        lambda: comp.full_efficiency_check(spec, model, theta, 2000, 1,
+                                           batches=9),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="batches"):
+            call()
+    assert len(comp.batch_slices(2000, comp.MIN_BATCHES)) == comp.MIN_BATCHES
+
+
 def test_singular_variability_raises():
     # the independence likelihood carries no information about rho
     model, theta = emvn_case()

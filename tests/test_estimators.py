@@ -138,12 +138,20 @@ def test_newton_reports_nonconvergence():
     assert res.score_norm > 0
 
 
-def test_newton_requires_small_free_dimension():
+def test_newton_fits_three_free_and_rejects_none():
     model = TriNormal()
     theta = model.params(mu=0.0, rho=0.1, sigma2=1.0)
     Y = model.sample(theta, 100, 23)
-    with pytest.raises(ValueError):
-        mcle_newton(comp.pairwise(3), model, Y, theta)  # 3 free parameters
+    res = mcle_newton(comp.pairwise(3), model, Y, theta)
+    assert res.converged and res.params.free_names == ("mu", "rho", "sigma2")
+    score = comp.composite_score(comp.pairwise(3), model, Y, res.params)
+    assert np.max(np.abs(score.sum(axis=0))) < 1e-8 * len(Y)
+    # from the moment start, fit reaches the same root
+    np.testing.assert_allclose(fit(comp.pairwise(3), model, Y, theta)
+                               .params.values, res.params.values, atol=1e-8)
+    with pytest.raises(UnsupportedSpec, match="at least one free parameter"):
+        mcle_newton(comp.pairwise(3), model, Y, theta,
+                    fixed={"mu": 0.0, "rho": 0.1, "sigma2": 1.0})
 
 
 def test_newton_raises_on_singular_jacobian():

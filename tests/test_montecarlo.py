@@ -46,14 +46,10 @@ def test_config_validation():
 
 
 def test_config_rejects_specs_nothing_can_fit():
-    # three free parameters: no fast path, and too many for Newton
+    # every parameter fixed leaves nothing to fit
     model = TriNormal()
     theta = model.params(mu=0.0, rho=0.1, sigma2=1.0)
-    with pytest.raises(UnsupportedSpec, match="Newton"):
-        mc.SimConfig(model, theta, (mc.SpecRun(comp.pairwise(3)),),
-                     n=100, replicates=100, seed=0)
-    # every parameter fixed leaves Newton nothing to fit either
-    with pytest.raises(UnsupportedSpec):
+    with pytest.raises(UnsupportedSpec, match="no free parameter"):
         mc.SimConfig(model, theta, (mc.SpecRun(comp.pairwise(3), {
             "mu": 0.0, "rho": 0.1, "sigma2": 1.0}),),
                      n=100, replicates=100, seed=0)
@@ -277,6 +273,36 @@ def test_cross_ncov_matches_direct_covariance():
     direct = config.n * np.cov(est[:, 0], est[:, 1], ddof=1)[0, 1]
     assert val == pytest.approx(direct, rel=1e-12)
     assert se > 0
+
+
+def _batch_means_se(per_batch):
+    per_batch = np.asarray(per_batch)
+    return per_batch.std(axis=0, ddof=1) / np.sqrt(per_batch.shape[0])
+
+
+@pytest.mark.parametrize("batches", [10, 20, 33])
+def test_ncov_se_is_batch_means_of_batch_covariances(batches):
+    config = small_config(replicates=331)
+    result = mc.run(config)
+    rows = result.estimates["pairwise"]
+    edges = np.linspace(0, rows.shape[0], batches + 1).astype(int)
+    per_batch = [config.n * np.cov(rows[a:b].T, ddof=1)
+                 for a, b in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(result.ncov_se("pairwise", batches),
+                               _batch_means_se(per_batch), rtol=1e-12)
+
+
+@pytest.mark.parametrize("batches", [10, 20, 33])
+def test_cross_ncov_se_is_batch_means_of_batch_covariances(batches):
+    config = small_config(replicates=331)
+    result = mc.run(config)
+    x = result.estimates["pairwise!sigma2"][:, 0]
+    y = result.estimates["pairwise"][:, 1]
+    edges = np.linspace(0, x.size, batches + 1).astype(int)
+    per_batch = [config.n * np.cov(x[a:b], y[a:b], ddof=1)[0, 1]
+                 for a, b in zip(edges[:-1], edges[1:])]
+    _, se = result.cross_ncov("pairwise!sigma2", 0, "pairwise", 1, batches)
+    assert se == pytest.approx(float(_batch_means_se(per_batch)), rel=1e-12)
 
 
 # -- numeric Hessian -------------------------------------------------------------
