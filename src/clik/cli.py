@@ -43,6 +43,45 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started):
     return path
 
 
+def _integer(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive(text) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _numbers(text: str, flag: str) -> list:
+    """A non-empty comma-separated list of finite numbers."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects a comma-separated list: {exc}") from None
+    if not values or not np.all(np.isfinite(values)):
+        raise ConfigError(f"{flag} expects a comma-separated list of finite "
+                          f"numbers, got {text!r}")
+    return values
+
+
 def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -119,19 +158,12 @@ def cmd_figure3(args) -> int:
 def cmd_example2(args) -> int:
     """Two-block normal model: when the extra coordinate helps or hurts."""
     started = time.monotonic()
-    out = _ensure_out(args)
-    try:
-        sigma2s = [float(tok) for tok in args.sigma2.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--sigma2 expects a comma-separated list: {exc}")
+    sigma2s = _numbers(args.sigma2, "--sigma2")
     if args.rho:
-        try:
-            rho_grid = np.array(sorted(float(tok) for tok in args.rho.split(",")
-                                       if tok.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"--rho expects a comma-separated list: {exc}")
+        rho_grid = np.array(sorted(_numbers(args.rho, "--rho")))
     else:
         rho_grid = np.linspace(-1.0, 1.0, args.grid)
+    out = _ensure_out(args)
     rows = []
     for s2 in sigma2s:
         rho_star = asy.two_block_threshold(s2)
@@ -296,28 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # numeric flags are checked here, so a bad value exits 2 with a message
+    seed_type, grid_type, p_type = _integer(0), _integer(2), _integer(3)
+
     def common(p, seed=False):
         p.add_argument("--out", default=".", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=seed_type, default=0)
 
     p1 = sub.add_parser("figure1", help="pairwise known/free variance ratio curve")
-    p1.add_argument("--p", type=int, default=3)
-    p1.add_argument("--grid", type=int, default=201)
+    p1.add_argument("--p", type=p_type, default=3)
+    p1.add_argument("--grid", type=grid_type, default=201)
     common(p1)
     p1.set_defaults(func=cmd_figure1)
 
     p2 = sub.add_parser("figure2", help="full-conditional ratio curve (Monte Carlo)")
-    p2.add_argument("--p", type=int, default=3)
-    p2.add_argument("--grid", type=int, default=21)
-    p2.add_argument("--draws", type=int, default=200_000)
-    p2.add_argument("--sigma2", type=float, default=1.0)
+    p2.add_argument("--p", type=p_type, default=3)
+    p2.add_argument("--grid", type=grid_type, default=21)
+    p2.add_argument("--draws", type=_integer(comp.MIN_DRAWS), default=200_000)
+    p2.add_argument("--sigma2", type=_positive, default=1.0)
     common(p2, seed=True)
     p2.set_defaults(func=cmd_figure2)
 
     p3 = sub.add_parser("figure3", help="multinomial variance curves")
-    p3.add_argument("--k", type=float, default=5.0)
-    p3.add_argument("--grid", type=int, default=201)
+    p3.add_argument("--k", type=_positive, default=5.0)
+    p3.add_argument("--grid", type=grid_type, default=201)
     common(p3)
     p3.set_defaults(func=cmd_figure3)
 
@@ -326,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated sigma2 values")
     p4.add_argument("--rho", default="",
                     help="comma-separated rho values (default: uniform grid)")
-    p4.add_argument("--grid", type=int, default=201)
+    p4.add_argument("--grid", type=_integer(1), default=201)
     common(p4)
     p4.set_defaults(func=cmd_example2)
 
     p5 = sub.add_parser("verify", help="run the verification suite")
     p5.add_argument("--level", choices=("quick", "full"), default="full")
     common(p5, seed=False)
-    p5.add_argument("--seed", type=int, default=20260810)
+    p5.add_argument("--seed", type=seed_type, default=20260810)
     p5.set_defaults(func=cmd_verify)
 
     p6 = sub.add_parser("simulate", help="run a simulation study from a config file")

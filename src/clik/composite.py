@@ -41,6 +41,8 @@ FD_STEP_EXACT = 1e-6
 H_ASYMMETRY_TOL = 1e-6
 #: Fewest batches a batch-means standard error is computed from.
 MIN_BATCHES = 10
+#: Fewest draws a Monte Carlo information estimate accepts.
+MIN_DRAWS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +417,8 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
     score covariance, and per-entry standard errors come from ``batches``
     batch means.
     """
-    if draws < 1000:
-        raise ValueError("draws must be >= 1000")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
     triple, _ = _info_from_sample(spec, model, Y, theta, batches)
     return triple
@@ -442,8 +444,8 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
                                base: InfoTriple, batches: int = 20) -> InfoTriple:
     """Monte Carlo triple of the projected score ``H J^-1 u_c`` with the
     projection frozen from ``base`` (fresh draws, fresh randomness)."""
-    if draws < 1000:
-        raise ValueError("draws must be >= 1000")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     M = projection_matrix(base)
     Y = model.sample(theta, draws, seed)
     triple, _ = _info_from_sample(spec, model, Y, theta, batches, M)
@@ -595,8 +597,8 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     z-scores propagated from the uncertainty of ``H J^-1``, and the two
     internal identities residual_cov = I - G and H = Cov(u_c, u).
     """
-    if draws < 1000:
-        raise ValueError("draws must be >= 1000")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
     triple, Uc = _info_from_sample(spec, model, Y, theta, batches)
     U = model.full_score(Y, theta)

@@ -349,11 +349,19 @@ def bracket_roots(f, lo, hi, xtol, maxiter: int = BRENT_MAX_ITER):
 
 
 def _pair_stats(Y) -> np.ndarray:
-    """``(n, p, Q, W)`` of one dataset."""
-    n, p = Y.shape
-    q = float(np.sum(Y * Y))
-    w = float(np.sum(Y.sum(axis=1) ** 2))
-    return np.array([n, p, q, w])
+    """``(n, p, Q, W)`` of one dataset, or of each of a stack ``(..., n, p)``."""
+    n, p = Y.shape[-2:]
+    q = (Y * Y).sum(axis=(-2, -1))
+    if p < 8:
+        # numpy sums a row this short left to right, so column adds give
+        # ``Y.sum(axis=-1)`` bit for bit without a reduction call per row
+        rows = Y[..., 0].copy()
+        for j in range(1, p):
+            rows += Y[..., j]
+    else:
+        rows = Y.sum(axis=-1)
+    w = (rows ** 2).sum(axis=-1)
+    return np.stack([np.full_like(q, n), np.full_like(q, p), q, w], axis=-1)
 
 
 def _t_and_deriv(rho, p, q, w):
@@ -438,9 +446,10 @@ def _solve_pairwise(stats, sigma2=None):
 
 
 def _column_means(Y) -> np.ndarray:
-    # column by column, as ``Y[:, j].mean()``: ``Y.mean(axis=0)`` sums in
-    # another order and can differ in the last bit
-    return np.array([col.mean() for col in Y.T])
+    # each column alone, as ``Y[:, j].mean()`` sums it: ``Y.mean(axis=-2)``
+    # sums in another order and can differ in the last bit
+    columns = np.ascontiguousarray(np.swapaxes(Y, -1, -2))
+    return columns.sum(axis=-1) / Y.shape[-2]
 
 
 def _explicit(estimates):
@@ -476,7 +485,8 @@ def _solve_pairwise_known(stats, known):
 class FastPath:
     """A registered estimator: a per-dataset statistic and a batched solve.
 
-    ``statistic(Y)`` reduces one dataset to a 1-D array.  ``solve(stats,
+    ``statistic(Y)`` reduces one dataset ``(n, dim)`` to a 1-D array, and
+    a stack ``(..., n, dim)`` to one such row per dataset.  ``solve(stats,
     known)`` maps the statistics of R datasets, stacked as the rows of
     ``stats``, to ``(estimates, converged, score_norm)``: the ``(R, d)``
     free-parameter values in ``free`` order (NaN rows where there is no
@@ -520,7 +530,7 @@ def closed_form(name: str, data, known=None) -> EstimateResult:
     """
     entry = ESTIMATORS[name]
     known = known or {}
-    stats = entry.statistic(np.asarray(data, dtype=float))[None, :]
+    stats = entry.statistic(np.atleast_2d(np.asarray(data, dtype=float)))[None, :]
     estimates, converged, score_norm = entry.solve(stats, known)
     if not converged[0]:
         raise NoRootInDomain(f"{name}: no score root inside the domain")
@@ -665,8 +675,9 @@ def _newton_estimates(spec, model, stats, theta_like, fixed):
 def batch_route(model: Model, spec: CompositeSpec, theta_like, fixed=None):
     """``(statistic, solve)`` fitting a spec on many datasets.
 
-    ``statistic(Y)`` reduces one dataset to a 1-D array and ``solve(stats)``
-    maps the stacked statistics to ``(estimates, converged, score_norm)``
+    ``statistic(Y)`` reduces one dataset to a 1-D array (a stack of
+    datasets to one row each) and ``solve(stats)`` maps the stacked
+    statistics to ``(estimates, converged, score_norm)``
     as :class:`FastPath` does: the registered fast path when one matches,
     batched Newton from the moment starts otherwise.  Row ``i`` of every
     result equals what :func:`fit` gives on dataset ``i`` alone.

@@ -20,6 +20,7 @@ every point of a batched solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,20 +172,153 @@ class ParamBatch:
         return ParamVector(self.names, self.values[i], self.roles)
 
 
+# ---------------------------------------------------------------------------
+# random substreams
+# ---------------------------------------------------------------------------
+#
+# Replicate ``i`` of seed ``s`` draws from the stream numpy seeds with
+# ``default_rng(SeedSequence(s, spawn_key=(i,)))``.  numpy hashes one
+# SeedSequence at a time; the same hash runs here on arrays, one lane per
+# index: ``mix_entropy`` folds the 32-bit words of the seed (padded to the
+# pool size) and of the index into a pool of four words, and
+# ``generate_state(4, uint64)`` expands the pool into the four words PCG64
+# seeds from.  The hash constants advance independently of the data, so
+# every lane steps through the same sequence.  NEP 19 keeps both the hash
+# and PCG64's seeding stable across numpy versions.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(value) -> list:
+    """Little-endian 32-bit words of a non-negative integer (``[0]`` for 0)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(start: int, mult: int):
+    """The hash constant sequence: ``(xor, multiplier)`` per hash step."""
+    const = start
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, consts):
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> 16)
+
+
+def _seed_state(entropy) -> np.ndarray:
+    """``(R, 4)`` uint64 PCG64 seed words from the entropy words ``(R,)``
+    uint32 each, in SeedSequence's order."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, consts)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    half = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64)
+            for i in range(2 * _POOL_SIZE)]
+    return np.stack([half[2 * j] | (half[2 * j + 1] << 32)
+                     for j in range(_POOL_SIZE)], axis=1)
+
+
+def _stream_words(seed, indices) -> np.ndarray:
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=(i,))`` for each
+    ``i`` of ``indices``, ``(len(indices), 4)`` uint64; one row, of
+    ``SeedSequence(seed)``, when ``indices`` is None."""
+    run = _words32(seed)
+    if indices is None:
+        return _seed_state([np.array([w], dtype=np.uint32) for w in run])
+    keys = np.asarray(indices)
+    if np.any(keys < 0):
+        raise ValueError("substream indices must be non-negative")
+    keys = keys.astype(np.uint64)
+    low = (keys & _MASK32).astype(np.uint32)
+    high = (keys >> 32).astype(np.uint32)
+    run += [0] * (_POOL_SIZE - len(run))
+    out = np.empty((keys.size, _POOL_SIZE), dtype=np.uint64)
+    for wide in (False, True):              # one or two words per index
+        rows = np.flatnonzero((high > 0) == wide)
+        if rows.size:
+            entropy = [np.full(rows.size, w, dtype=np.uint32) for w in run]
+            entropy += [low[rows], high[rows]] if wide else [low[rows]]
+            out[rows] = _seed_state(entropy)
+    return out
+
+
+class _SeedWords:
+    """Seed sequence of one stream whose PCG64 seed words are precomputed.
+
+    It implements numpy's ``ISeedSequence`` and is registered as one by
+    :func:`substreams`, so that ``import clik`` does not load
+    ``numpy.random``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words seed PCG64 only")
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def substreams(seed, indices):
+    """Iterator over ``substream(seed, i)`` for each ``i`` of ``indices``.
+
+    The seed words of every index are hashed at once, here; each Generator
+    is built, by PCG64's own seeding, when the iterator reaches it.  Raises
+    ValueError for a negative seed or index and TypeError for a seed that
+    is not an integer.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)     # a no-op once registered
+    return map(_generator, _stream_words(seed, indices))
+
+
 def substream(seed, index=None) -> np.random.Generator:
     """Deterministic RNG substream for a replicate index.
 
-    ``substream(seed, i)`` yields independent streams for distinct ``i``,
-    so replicates may be generated concurrently in any partitioning with
-    bit-identical results.
+    ``substream(seed, i)`` draws exactly what
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))``
+    draws, and ``substream(seed)`` what ``default_rng(seed)`` draws, so
+    distinct ``i`` give independent streams and replicates may be generated
+    concurrently in any partitioning with bit-identical results.  A
+    Generator ``seed`` is returned as it is.  The stream cannot ``spawn``
+    children.
     """
     if isinstance(seed, np.random.Generator):
         if index is not None:
             raise ValueError("cannot derive an indexed substream from a Generator")
         return seed
-    ss = (np.random.SeedSequence(seed) if index is None
-          else np.random.SeedSequence(seed, spawn_key=(index,)))
-    return np.random.default_rng(ss)
+    return next(substreams(seed, None if index is None else [index]))
 
 
 def _as_rows(y, dim: int):
@@ -296,10 +430,14 @@ class Model:
     # -- sampling -------------------------------------------------------------
 
     def sampler(self, theta: ParamVector):
-        """``draw(n, rng)``: ``n`` exact draws at ``theta`` from the
-        Generator ``rng``.  ``theta`` is validated and everything that does
-        not depend on ``n`` or ``rng`` (a covariance factor, cell
-        probabilities) is computed once, here."""
+        """``draw(n, rngs)``: one dataset of ``n`` exact draws at ``theta``
+        from each Generator of the sequence ``rngs``, stacked as an
+        ``(len(rngs), n, dim)`` array.  ``theta`` is validated and
+        everything that does not depend on ``n`` or ``rngs`` (a covariance
+        factor, cell probabilities) is computed once, here.  The noise of
+        the whole block is drawn into one array, a generator at a time, and
+        transformed in one call; dataset ``k`` equals a draw of ``rngs[k]``
+        alone."""
         raise NotImplementedError
 
     def sample(self, theta: ParamVector, n: int, seed) -> np.ndarray:
@@ -308,7 +446,7 @@ class Model:
         draw = self.sampler(theta)
         if n < 1:
             raise ValueError("n must be >= 1")
-        return draw(n, substream(seed))
+        return draw(n, [substream(seed)])[0]
 
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)
@@ -319,10 +457,14 @@ class Model:
         held as ``[n, ybar, W.ravel()]`` with ``W`` the scatter about the
         sample mean ``ybar``: every composite score is affine-quadratic in
         ``y``, so its sum over the rows follows from these alone
-        (:func:`clik.composite.summed_score`)."""
-        ybar = Y.mean(axis=0)
-        dev = Y - ybar
-        return np.concatenate([[Y.shape[0]], ybar, (dev.T @ dev).ravel()])
+        (:func:`clik.composite.summed_score`).  A stack of datasets
+        ``(..., n, dim)`` gives one statistic per dataset."""
+        ybar = Y.mean(axis=-2)
+        dev = Y - ybar[..., None, :]
+        scatter = np.swapaxes(dev, -1, -2) @ dev
+        count = np.full(ybar.shape[:-1] + (1,), float(Y.shape[-2]))
+        flat = scatter.reshape(ybar.shape[:-1] + (-1,))
+        return np.concatenate([count, ybar, flat], axis=-1)
 
 
 class GaussianModel(Model):
@@ -415,8 +557,13 @@ class GaussianModel(Model):
         factor = cholesky_lower(self._cov(theta)).T
         mean = self._mean(theta)
 
-        def draw(n, rng):
-            return mean + rng.standard_normal((int(n), self.dim)) @ factor
+        def draw(n, rngs):
+            noise = np.empty((len(rngs), int(n), self.dim))
+            for rng, block in zip(rngs, noise):
+                rng.standard_normal(out=block)
+            out = noise @ factor
+            out += mean
+            return out
         return draw
 
     sample = Model.sample   # perfbench/tracing.py wraps it per class
@@ -609,8 +756,11 @@ class Multinomial4(Model):
         cum = np.cumsum(self.cell_probs(theta))
         outcomes = self.outcomes()
 
-        def draw(n, rng):
-            cells = np.searchsorted(cum, rng.random(int(n)), side="right")
+        def draw(n, rngs):
+            uniform = np.empty((len(rngs), int(n)))
+            for rng, block in zip(rngs, uniform):
+                rng.random(out=block)
+            cells = np.searchsorted(cum, uniform, side="right")
             return outcomes[np.minimum(cells, 3)]
         return draw
 

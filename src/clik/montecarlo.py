@@ -8,13 +8,20 @@ the stacked statistics (a registered fast path, or lockstep Newton), and
 reports empirical means, n-scaled covariances and batch-means standard
 errors.  Non-converged or failed fits are excluded from the moments but
 counted, with a hard 1% failure budget.
+
+Replicates are drawn and reduced in blocks of about ``BLOCK_BYTES`` of
+draws: the substreams of a chunk are seeded in one vectorised pass, and
+each block is sampled into one array, transformed in one call and reduced
+by one call per distinct statistic.  Replicate ``r`` of seed ``s`` is
+still drawn from its own stream, the one
+``default_rng(SeedSequence(s, spawn_key=(r,)))`` gives.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .errors import ClikError, FailureBudgetExceeded, UnsupportedSpec
 from .estimators import batch_route
 from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .fileio import atomic_csv, fmt
-from .models import Model, ParamVector, substream
+from .models import Model, ParamVector, substreams
 
 CSV_ESTIMATES_HEADER = ["spec", "replicate", "param", "estimate", "converged"]
 CSV_SUMMARY_HEADER = ["spec", "param", "mean", "n_var", "std_err", "failures"]
@@ -32,6 +39,10 @@ MIN_N = 10
 MIN_REPLICATES = 100
 FAILURE_BUDGET = 0.01
 DEFAULT_BATCHES = 20
+#: Bytes of draws per block of replicates sampled and reduced together:
+#: enough replicates to amortise the per-call cost of sampling and of each
+#: statistic, few enough that a block's temporaries stay cache-sized.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -89,11 +100,16 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Estimates keyed by run label; failed replicates hold NaN rows."""
+    """Estimates keyed by run label; failed replicates hold NaN rows.
+
+    ``score_norm`` is the absolute score (sup norm for Newton) that each
+    replicate's solve reports at its estimate, as :func:`fit` reports it.
+    """
 
     config: SimConfig
     estimates: dict = field(default_factory=dict)     # label -> (R, d)
     converged: dict = field(default_factory=dict)     # label -> (R,) bool
+    score_norm: dict = field(default_factory=dict)    # label -> (R,)
 
     def labels(self):
         return [run.label for run in self.config.runs]
@@ -164,28 +180,33 @@ class SimResult:
         atomic_csv(path, CSV_SUMMARY_HEADER, self.summary_rows())
 
 
-def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
-    """``label -> (estimates, converged)`` of every run on replicates
-    ``lo..hi-1``; deterministic in (seed, replicate).
+def _block_size(config: SimConfig) -> int:
+    """Replicates per block: as many as ``BLOCK_BYTES`` of draws hold."""
+    return max(1, BLOCK_BYTES // (8 * config.n * config.model.dim))
 
-    The sampler is set up once per chunk.  Each replicate is drawn once and
-    reduced to the statistic of each run's fit route (computed once for all
-    runs that share it); each run is then solved in one batched call.
+
+def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
+    """``label -> (estimates, converged, score_norm)`` of every run on
+    replicates ``lo..hi-1``; deterministic in (seed, replicate).
+
+    The sampler is set up and the substreams seeded once per chunk.  Each
+    block of replicates is drawn in one sampler call and reduced to the
+    statistic of each run's fit route (computed once for all runs that
+    share it); each run is then solved in one batched call.
     """
     routes = {run.label: batch_route(config.model, run.spec,
                                      config.theta_true, run.fixed_dict)
               for run in config.runs}
     stats = {statistic: [] for statistic, _ in routes.values()}
     draw = config.model.sampler(config.theta_true)
-    for r in range(lo, hi):
-        Y = draw(config.n, substream(config.seed, r))
-        for statistic, rows in stats.items():
-            rows.append(statistic(Y))
-    out = {}
-    for label, (statistic, solve) in routes.items():
-        estimates, converged, _ = solve(np.array(stats[statistic]))
-        out[label] = (estimates, converged)
-    return out
+    streams = substreams(config.seed, range(lo, hi))
+    size = _block_size(config)
+    for _ in range(lo, hi, size):
+        Y = draw(config.n, list(islice(streams, size)))
+        for statistic, blocks in stats.items():
+            blocks.append(statistic(Y))
+    return {label: solve(np.concatenate(stats[statistic]))
+            for label, (statistic, solve) in routes.items()}
 
 
 def worker_count(threads=None) -> int:
@@ -213,16 +234,19 @@ def run(config: SimConfig, threads=None) -> SimResult:
     else:
         edges = np.linspace(0, R, workers * 4 + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        # imported here: multiprocessing adds about 15 ms to ``import clik``
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, [config] * len(spans),
                                    [a for a, _ in spans], [b for _, b in spans]))
 
     result = SimResult(config)
     for run_ in config.runs:
-        est = np.concatenate([chunk[run_.label][0] for chunk in chunks])
-        conv = np.concatenate([chunk[run_.label][1] for chunk in chunks])
+        est, conv, norm = (np.concatenate(parts) for parts in
+                           zip(*(chunk[run_.label] for chunk in chunks)))
         result.estimates[run_.label] = est
         result.converged[run_.label] = conv
+        result.score_norm[run_.label] = norm
         fails = int((~conv).sum())
         if fails > FAILURE_BUDGET * R:
             raise FailureBudgetExceeded(

@@ -116,3 +116,59 @@ def brentq_pairwise(stats, sigma2=None, score=None, loglik=None):
         return rho[:, None], ~np.isnan(rho), resid
     t, _ = est._t_and_deriv(rho, p, q, w)
     return np.column_stack([rho, t / (2.0 * nc)]), ~np.isnan(rho), resid
+
+
+def parent_draw(model, theta, n, seed, index):
+    """Dataset ``index`` of a study, drawn as one replicate was before
+    replicates were drawn in blocks: numpy's own seeding, then
+    ``mean + Z @ factor`` (Gaussian) or one ``searchsorted`` of uniforms
+    over the cumulative cell probabilities (Multinomial4)."""
+    from clik.models import Multinomial4
+    rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                       spawn_key=(index,)))
+    if isinstance(model, Multinomial4):
+        cum = np.cumsum(model.cell_probs(theta))
+        cells = np.searchsorted(cum, rng.random(n), side="right")
+        return model.outcomes()[np.minimum(cells, 3)]
+    factor = np.linalg.cholesky(model._cov(theta)).T
+    return model._mean(theta) + rng.standard_normal((n, model.dim)) @ factor
+
+
+def parent_pair_stats(Y):
+    n, p = Y.shape
+    q = float(np.sum(Y * Y))
+    w = float(np.sum(Y.sum(axis=1) ** 2))
+    return np.array([n, p, q, w])
+
+
+def parent_column_means(Y):
+    return np.array([col.mean() for col in Y.T])
+
+
+def parent_statistic(Y):
+    ybar = Y.mean(axis=0)
+    dev = Y - ybar
+    return np.concatenate([[Y.shape[0]], ybar, (dev.T @ dev).ravel()])
+
+
+#: The one-dataset formula of each fit-route statistic, by function name.
+PARENT_STATISTICS = {"_pair_stats": parent_pair_stats,
+                     "_column_means": parent_column_means,
+                     "statistic": parent_statistic}
+
+
+def parent_run(config):
+    """``label -> (estimates, converged, score_norm)`` of a simulation
+    study along the per-replicate route: :func:`parent_draw` and the
+    one-dataset statistic formulas for every replicate, then each run's
+    batched solve over the stacked statistics."""
+    from clik.estimators import batch_route
+    data = [parent_draw(config.model, config.theta_true, config.n,
+                        config.seed, r) for r in range(config.replicates)]
+    out = {}
+    for run in config.runs:
+        statistic, solve = batch_route(config.model, run.spec,
+                                       config.theta_true, run.fixed_dict)
+        formula = PARENT_STATISTICS[statistic.__name__]
+        out[run.label] = solve(np.array([formula(Y) for Y in data]))
+    return out

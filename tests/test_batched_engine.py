@@ -29,9 +29,10 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def per_replicate(config, run, lo, hi):
-    """(estimates, converged) from one ``fit`` call per replicate."""
+    """(estimates, converged, score_norm) from one ``fit`` call per
+    replicate; the score norm is NaN where ``fit`` raised."""
     names = config.free_names(run)
-    rows, flags = [], []
+    rows, flags, norms = [], [], []
     for r in range(lo, hi):
         Y = config.model.sample(config.theta_true, config.n,
                                 substream(config.seed, r))
@@ -44,7 +45,9 @@ def per_replicate(config, run, lo, hi):
         rows.append([res.params[n] for n in names] if ok
                     else [np.nan] * len(names))
         flags.append(ok)
-    return np.array(rows, dtype=float), np.array(flags, dtype=bool)
+        norms.append(np.nan if res is None else res.score_norm)
+    return (np.array(rows, dtype=float), np.array(flags, dtype=bool),
+            np.array(norms))
 
 
 def assert_engine_matches_fits(config, lo, hi, fast=True):
@@ -53,11 +56,15 @@ def assert_engine_matches_fits(config, lo, hi, fast=True):
         match = est.registered_closed_form(config.model, run.spec,
                                            config.theta_true, run.fixed_dict)
         assert (match is not None) == fast
-        got, ok = chunk[run.label]
-        want, want_ok = per_replicate(config, run, lo, hi)
+        got, ok, norm = chunk[run.label]
+        want, want_ok, want_norm = per_replicate(config, run, lo, hi)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
+        # the score norm each solve reports is the one fit reports
+        returned = ~np.isnan(want_norm)
+        assert norm.shape == (hi - lo,)
+        assert norm[returned].tobytes() == want_norm[returned].tobytes()
 
 
 def span(draw_lo, size, replicates=100):
@@ -328,7 +335,7 @@ def read_estimates(path, result):
 def test_simulate_csvs_round_trip_bit_exactly(config):
     # the replicates of one chunk, failures kept whatever the budget says
     result = mc.SimResult(config)
-    for label, (estimates, converged) in mc._run_chunk(
+    for label, (estimates, converged, _) in mc._run_chunk(
             config, 0, config.replicates).items():
         result.estimates[label] = estimates
         result.converged[label] = converged

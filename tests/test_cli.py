@@ -107,6 +107,30 @@ def test_example2_rejects_bad_sigma_list(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--p", "1"], ["figure1", "--grid", "0"],
+    ["figure2", "--p", "1"], ["figure2", "--grid", "0"],
+    ["figure2", "--draws", "10"], ["figure2", "--seed", "-1"],
+    ["figure2", "--sigma2", "nan"],
+    ["figure3", "--k", "0"], ["figure3", "--k", "inf"],
+    ["figure3", "--grid", "1"],
+    ["example2", "--grid", "0"], ["example2", "--grid", "-1"],
+    ["example2", "--sigma2", ""], ["example2", "--sigma2", "nan"],
+    ["verify", "--seed", "-1"],
+], ids=" ".join)
+def test_numeric_flags_exit_2_with_a_message(argv, tmp_path, capsys):
+    # every numeric flag is checked when parsed: no traceback, no output
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_smoke(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
@@ -185,15 +209,29 @@ def test_simulate_unsupported_spec_exits_2(tmp_path):
     assert not (out / "simulate_estimates.csv").exists()
 
 
-def test_import_does_not_load_scipy():
-    # scipy costs most of the start-up time and is a test-only dependency
+def assert_import_leaves_unloaded(module):
+    """``import clik, clik.cli`` in a fresh interpreter leaves ``module``
+    out of ``sys.modules``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(clik.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import clik, clik.cli, sys; assert 'scipy' not in sys.modules"],
+         f"import clik, clik.cli, sys; assert {module!r} not in sys.modules"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    # scipy costs most of the start-up time and is a test-only dependency
+    assert_import_leaves_unloaded("scipy")
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures.process",
+                                    "multiprocessing", "numpy.random"])
+def test_import_does_not_load_multiprocessing(module):
+    # only a multi-worker run needs the process pool, and only sampling
+    # needs numpy.random: neither is paid by every command at start-up
+    assert_import_leaves_unloaded(module)
 
 
 @pytest.mark.parametrize("model_lines, specs", [

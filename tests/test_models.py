@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clik.composite import (Component, CompositeSpec, chain, composite_loglik,
                             full_likelihood, info_exact)
 from clik.errors import DimensionMismatch, DomainError
-from clik.models import EMVN, Multinomial4, ParamVector, TriNormal, substream
+from clik.models import (EMVN, Multinomial4, ParamVector, TriNormal,
+                         substream, substreams)
 from oracles import numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
@@ -167,10 +170,52 @@ def test_sampler_draws_are_sample_bits(model, theta):
     # one sampler serves many draws; each equals a one-call sample
     draw = model.sampler(theta)
     for r, n in enumerate((1, 17, 300)):
-        a = draw(n, substream(41, r))
+        a = draw(n, [substream(41, r)])[0]
         b = model.sample(theta, n, substream(41, r))
         assert a.shape == (n, model.dim)
         assert a.tobytes() == b.tobytes()
+    # a block: dataset k is what generator k draws alone
+    block = draw(17, list(substreams(41, range(3, 8))))
+    assert block.shape == (5, 17, model.dim)
+    for k, r in enumerate(range(3, 8)):
+        b = model.sample(theta, 17, substream(41, r))
+        assert block[k].tobytes() == b.tobytes()
+
+
+def _numpy_stream(seed, index=None):
+    ss = (np.random.SeedSequence(seed) if index is None
+          else np.random.SeedSequence(seed, spawn_key=(index,)))
+    return np.random.default_rng(ss)
+
+
+def _assert_same_stream(rng, ref):
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+    assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**160),
+       indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+def test_substreams_are_numpy_seed_sequence_streams(seed, indices):
+    # the vectorised hash seeds exactly what numpy's SeedSequence seeds,
+    # for seeds and indices of one or several 32-bit words
+    _assert_same_stream(substream(seed), _numpy_stream(seed))
+    streams = substreams(seed, indices)
+    for i in indices:
+        _assert_same_stream(next(streams), _numpy_stream(seed, i))
+        _assert_same_stream(substream(seed, i), _numpy_stream(seed, i))
+    assert next(streams, None) is None
+
+
+def test_substreams_reject_negative_seeds_and_indices():
+    for seed, index in ((-1, None), (-1, 0), (2**40, -3)):
+        with pytest.raises(ValueError):
+            substream(seed, index)
+    with pytest.raises(ValueError):
+        substreams(-1, [0, 1])
+    with pytest.raises(TypeError):
+        substream(1.5, 0)
 
 
 def test_sampler_validates_once_at_set_up():

@@ -10,7 +10,7 @@ import clik.montecarlo as mc
 from clik.errors import (ClikError, DomainError, FailureBudgetExceeded,
                          SingularMatrix, UnsupportedSpec)
 from clik.models import EMVN, Multinomial4, TriNormal
-from oracles import numeric_hessian
+from oracles import PARENT_STATISTICS, numeric_hessian, parent_draw, parent_run
 
 
 def small_config(replicates=200, seed=3):
@@ -86,6 +86,100 @@ def test_run_deterministic_across_worker_counts():
                                           parallel.estimates[label])
             np.testing.assert_array_equal(serial.converged[label],
                                           parallel.converged[label])
+            np.testing.assert_array_equal(serial.score_norm[label],
+                                          parallel.score_norm[label])
+
+
+_SPECS = {"independence": comp.independence, "pairwise": comp.pairwise,
+          "full_conditional": comp.full_conditional,
+          "full": comp.full_likelihood}
+
+
+def study(model, values, tokens, n=100, replicates=250, seed=11):
+    """A study with one run per ``spec!fixed...`` token."""
+    theta = model.params(**values)
+    runs = []
+    for token in tokens:
+        name, *fixed = token.split("!")
+        runs.append(mc.SpecRun(_SPECS[name](model.dim),
+                               {f: theta[f] for f in fixed}))
+    return mc.SimConfig(model, theta, tuple(runs), n=n,
+                        replicates=replicates, seed=seed)
+
+
+EMVN_RUNS = ("pairwise", "pairwise!sigma2", "full_conditional!sigma2")
+PARENT_ROUTE_STUDIES = {
+    **{f"emvn{p}": (EMVN(p), {"rho": rho, "sigma2": 1.5}, EMVN_RUNS)
+       for p, rho in ((3, -0.3), (4, 0.2), (5, 0.5), (6, -0.1))},
+    "trinormal": (TriNormal(), {"mu": 0.4, "rho": 0.5, "sigma2": 2.0},
+                  ("independence!rho!sigma2", "pairwise")),
+    "multinomial4": (Multinomial4(5.0), {"theta": 0.2}, ("full", "pairwise")),
+}
+
+
+def assert_matches_parent_route(config, result):
+    for label, want in parent_run(config).items():
+        got = (result.estimates[label], result.converged[label],
+               result.score_norm[label])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("case", list(PARENT_ROUTE_STUDIES))
+def test_run_matches_parent_route_bit_for_bit(case, threads):
+    # block sampling, block statistics and the vectorised seeding give the
+    # bits of one numpy-seeded draw and one statistic per replicate
+    config = study(*PARENT_ROUTE_STUDIES[case])
+    assert config.replicates % mc._block_size(config) != 0
+    assert mc._block_size(config) < config.replicates
+    assert_matches_parent_route(config, mc.run(config, threads=threads))
+
+
+@pytest.mark.parametrize("model, values, tokens", [
+    (EMVN(3), {"rho": 0.4, "sigma2": 1.0}, ("pairwise", "pairwise!sigma2")),
+    (TriNormal(), {"mu": -0.2, "rho": 0.3, "sigma2": 0.5},
+     ("independence!rho!sigma2",)),
+])
+def test_run_matches_parent_route_at_large_n(model, values, tokens):
+    # rows longer than numpy's default 8192-element ufunc buffer
+    config = study(model, values, tokens, n=9000, replicates=100, seed=4)
+    assert mc._block_size(config) == 1
+    assert_matches_parent_route(config, mc.run(config, threads=1))
+
+
+_EMVN5, _EMVN9, _TRI, _MULT = EMVN(5), EMVN(9), TriNormal(), Multinomial4(2.0)
+
+
+@pytest.mark.parametrize("name, model, theta", [
+    (name, model, theta)
+    for model, theta in ((_EMVN5, _EMVN5.params(rho=0.3, sigma2=2.0)),
+                         (_EMVN9, _EMVN9.params(rho=-0.1, sigma2=0.7)),
+                         (_TRI, _TRI.params(mu=1.0, rho=-0.5, sigma2=3.0)),
+                         (_MULT, _MULT.params(0.3)))
+    for name in PARENT_STATISTICS
+    if name != "_pair_stats" or isinstance(model, EMVN)])
+@pytest.mark.parametrize("n", [1, 7, 300, 8500])
+def test_block_statistics_equal_one_dataset_formulas(name, model, theta, n):
+    statistic = model.statistic if name == "statistic" else getattr(est, name)
+    data = np.stack([parent_draw(model, theta, n, 8, r) for r in range(4)])
+    stacked = statistic(data)
+    for Y, row in zip(data, stacked):
+        assert row.tobytes() == PARENT_STATISTICS[name](Y).tobytes()
+        assert statistic(Y).tobytes() == row.tobytes()
+
+
+def test_score_norm_is_recorded_per_replicate():
+    config = study(EMVN(4), {"rho": 0.3, "sigma2": 1.0},
+                   ("full_conditional", "pairwise"), replicates=120)
+    result = mc.run(config, threads=1)
+    for label in result.labels():
+        assert result.score_norm[label].shape == (config.replicates,)
+    ok = result.converged["full_conditional"]
+    assert ok.any()
+    newton = result.score_norm["full_conditional"][ok]
+    assert np.all(newton < est.NEWTON_TOL_PER_OBS * config.n)
 
 
 def test_reported_moments_are_permutation_invariant():
@@ -166,7 +260,7 @@ def test_uninformative_spec_replicates_fail():
     theta = model.params(rho=0.3, sigma2=1.0)
     config = mc.SimConfig(model, theta, (mc.SpecRun(comp.independence(3)),),
                           n=100, replicates=100, seed=5)
-    estimates, converged = mc._run_chunk(config, 0, 10)["independence"]
+    estimates, converged, _ = mc._run_chunk(config, 0, 10)["independence"]
     assert not converged.any()
     assert np.isnan(estimates).all()
     with pytest.raises(FailureBudgetExceeded):
