@@ -10,6 +10,8 @@ produced by the Monte Carlo sandwich with batch standard errors.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,20 +265,34 @@ def _check_multinomial_domain(theta, k: float) -> None:
 def multinomial_info_scalars(theta: float, k: float) -> MultinomialInfo:
     """Exact sensitivity/variability scalars of the independence and
     pairwise likelihoods, plus the full-likelihood Fisher information.
+
+    Raises DomainError where ``k * theta`` underflows (below the smallest
+    normal float) or a scalar is not finite in double precision.
     """
     _check_multinomial_domain(theta, k)
     t = float(theta)
-    h_ind = 2 / t + 2 / (1 - t) + 1 / (k * t) + 1 / (k * (k - t))
-    j_ind = (2 / (t * (1 - t)) + 1 / (t * (k - t))
-             - 2 / (1 - t) ** 2 - 4 / ((1 - t) * (k - t)))
-    h_pair = (4 / t + 2 / (k * t) + 4 / (1 - 2 * t)
-              + 2 * (1 + 1 / k) ** 2 / (1 - (1 + 1 / k) * t))
-    a = 2 / t + 2 / (1 - 2 * t) + (1 + 1 / k) / (1 - t - t / k)
-    b = 2 / t + 2 * (1 + 1 / k) / (1 - t - t / k)
-    j_pair = (2 * a ** 2 * t * (1 - t) + b ** 2 * (t / k) * (1 - t / k)
-              - 2 * a ** 2 * t ** 2 - 4 * a * b * t ** 2 / k)
-    fisher = 1.0 / (t / (2 + 1 / k) - t ** 2)
-    return MultinomialInfo(h_ind, j_ind, h_pair, j_pair, fisher)
+    if not k * t >= sys.float_info.min:
+        raise DomainError(f"k * theta = {k * t:g} underflows "
+                          f"(k={k:g}, theta={t:g})")
+    try:
+        h_ind = 2 / t + 2 / (1 - t) + 1 / (k * t) + 1 / (k * (k - t))
+        j_ind = (2 / (t * (1 - t)) + 1 / (t * (k - t))
+                 - 2 / (1 - t) ** 2 - 4 / ((1 - t) * (k - t)))
+        h_pair = (4 / t + 2 / (k * t) + 4 / (1 - 2 * t)
+                  + 2 * (1 + 1 / k) ** 2 / (1 - (1 + 1 / k) * t))
+        a = 2 / t + 2 / (1 - 2 * t) + (1 + 1 / k) / (1 - t - t / k)
+        b = 2 / t + 2 * (1 + 1 / k) / (1 - t - t / k)
+        j_pair = (2 * a ** 2 * t * (1 - t) + b ** 2 * (t / k) * (1 - t / k)
+                  - 2 * a ** 2 * t ** 2 - 4 * a * b * t ** 2 / k)
+        fisher = 1.0 / (t / (2 + 1 / k) - t ** 2)
+        scalars = (h_ind, j_ind, h_pair, j_pair, fisher)
+        finite = all(map(math.isfinite, scalars))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"multinomial information is not finite at "
+                          f"k={k:g}, theta={t:g}")
+    return MultinomialInfo(*scalars)
 
 
 def multinomial_variance_curves(k: float, grid=None) -> EfficiencyCurve:
@@ -290,8 +306,15 @@ def multinomial_variance_curves(k: float, grid=None) -> EfficiencyCurve:
     rows = []
     for t in grid:
         info = multinomial_info_scalars(float(t), k)
-        rows.append([t, info.nvar_full, info.nvar_ind, info.nvar_pair,
-                     info.nvar_pair / info.nvar_ind])
+        try:
+            row = [t, info.nvar_full, info.nvar_ind, info.nvar_pair,
+                   info.nvar_pair / info.nvar_ind]
+        except (OverflowError, ZeroDivisionError):
+            row = [math.nan]
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"multinomial variances are not finite at "
+                              f"k={k:g}, theta={t:g}")
+        rows.append(row)
     return EfficiencyCurve(
         "theta", ("nvar_full", "nvar_ind", "nvar_pair", "ratio_pair_over_ind"),
         np.asarray(rows), {"k": k})

@@ -134,11 +134,11 @@ def cmd_figure2(args) -> int:
 def cmd_figure3(args) -> int:
     """Per-observation variances of the three multinomial estimators."""
     started = time.monotonic()
-    out = _ensure_out(args)
     model = Multinomial4(args.k)
     grid = asy.default_grid(0.0, model.theta_max, args.grid,
                             margin=0.01 * model.theta_max)
     curve = asy.multinomial_variance_curves(args.k, grid)
+    out = _ensure_out(args)
     csv_path = os.path.join(out, "figure3.csv")
     curve.to_csv(csv_path)
     left = Panel("theta", "n x asymptotic variance", f"k={args.k}")

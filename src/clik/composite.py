@@ -10,8 +10,9 @@ information bias, checks full efficiency through the linear score
 recovery condition, projects scores onto information-unbiased form, and
 computes profile / known-nuisance asymptotic variances from a triple.
 
-Every component score is an affine-quadratic form in ``r = y - mean``
-(``Model.margin_score_rep``), so the composite score is one combined form
+Every component score is an affine-quadratic form in ``r = y - mean``,
+and one ``Model.margin_score_reps`` call builds the forms of every
+distinct margin of a spec, so the composite score is one combined form
 per free parameter: :func:`composite_score` contracts it with each row,
 and :func:`summed_score` with a dataset's statistic.  Monte Carlo H is a
 central difference of sample-mean scores over common draws; the means at
@@ -28,7 +29,7 @@ import numpy as np
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
-                     ParamVector, _as_rows, affine_quadratic)
+                     ParamVector, _as_rows, affine_quadratic, unpack_forms)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -148,61 +149,56 @@ def full_likelihood(p: int) -> CompositeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _component_values(spec: CompositeSpec, margin):
-    """Yield ``(weight, value)`` for each component of ``spec``.
-
-    A margin's value is ``margin(indices)``; a conditional's is
-    ``margin(joint) - margin(given)``.  ``margin`` is called once per
-    distinct (sorted) index set.
-    """
-    cache = {}
-
-    def at(idx):
-        idx = tuple(sorted(idx))
-        if idx not in cache:
-            cache[idx] = margin(idx)
-        return cache[idx]
-
+def _margins(spec: CompositeSpec) -> tuple:
+    """The distinct (sorted) index sets of the margins the components of
+    ``spec`` read: each component's joint set and, for a conditional, its
+    given set, in order of first use."""
+    sets = {}
     for comp in spec.components:
-        value = at(comp.given + comp.indices)
+        sets[tuple(sorted(comp.given + comp.indices))] = None
         if comp.kind == "conditional":
-            value = value - at(comp.given)
+            sets[tuple(sorted(comp.given))] = None
+    return tuple(sets)
+
+
+def _component_values(spec: CompositeSpec, values):
+    """Yield ``(weight, value)`` for each component of ``spec``, with
+    ``values`` mapping each index set of :func:`_margins` to that margin's
+    value: a margin's value is ``values[indices]``, a conditional's
+    ``values[joint] - values[given]``."""
+    for comp in spec.components:
+        value = values[tuple(sorted(comp.given + comp.indices))]
+        if comp.kind == "conditional":
+            value = value - values[tuple(sorted(comp.given))]
         yield comp.weight, value
 
 
-def _weighted_total(spec: CompositeSpec, margin):
+def _weighted_total(spec: CompositeSpec, values):
     """Sum of ``weight * value`` over :func:`_component_values`."""
     return sum(weight * value
-               for weight, value in _component_values(spec, margin))
+               for weight, value in _component_values(spec, values))
 
 
-def _packed_rep(model, idx, theta):
-    """:meth:`~clik.models.Model.margin_score_rep` of one margin packed into
-    one ``(..., q, 1 + p + p*p)`` array ``[c, B, A.ravel()]``, so that
-    components combine by plain array arithmetic; the leading axes are those
-    of a ParamBatch ``theta``."""
-    c, B, A = model.margin_score_rep(idx, theta)
-    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
-                          axis=-1)
+def _margin_values(spec: CompositeSpec, margin) -> dict:
+    """``{indices: margin(indices)}`` over :func:`_margins`: one call per
+    distinct margin."""
+    return {idx: margin(idx) for idx in _margins(spec)}
 
 
 def _spec_forms(spec, model, theta):
     """Total composite score as packed affine-quadratic forms of
-    ``r = y - mean`` (see :func:`_packed_rep`)."""
-    return _weighted_total(spec, lambda idx: _packed_rep(model, idx, theta))
-
-
-def _unpacked(forms, p: int):
-    """``(c, B, A)`` of packed forms (see :func:`_packed_rep`)."""
-    return (forms[..., 0], forms[..., 1:p + 1],
-            forms[..., p + 1:].reshape(forms.shape[:-1] + (p, p)))
+    ``r = y - mean`` (see :func:`clik.models.pack_forms`), from one
+    ``margin_score_reps`` call."""
+    sets = _margins(spec)
+    return _weighted_total(spec, dict(zip(
+        sets, model.margin_score_reps(sets, theta))))
 
 
 def composite_loglik(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Weighted sum of component log densities, per observation."""
     rows, single = _as_rows(Y, model.dim)
-    total = _weighted_total(
-        spec, lambda idx: model.margin_loglik(idx, rows, theta))
+    total = _weighted_total(spec, _margin_values(
+        spec, lambda idx: model.margin_loglik(idx, rows, theta)))
     return float(total[0]) if single else total
 
 
@@ -214,7 +210,8 @@ def composite_score(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     keeps the per-margin route.
     """
     rows, single = _as_rows(Y, model.dim)
-    total = affine_quadratic(*_unpacked(_spec_forms(spec, model, theta), model.dim),
+    total = affine_quadratic(*unpack_forms(_spec_forms(spec, model, theta),
+                                           model.dim),
                              rows - model._mean(theta))
     return total[0] if single else total
 
@@ -235,15 +232,16 @@ def summed_score(spec: CompositeSpec, model: Model, stats, theta):
     d = ybar - model._mean(theta)
     outer = (d[..., :, None] * d[..., None, :]).reshape(d.shape[:-1] + (p * p,))
     z = np.concatenate([n, n * d, 0.5 * (n * outer + scatter)], axis=-1)
-    return _weighted_total(spec, lambda idx: (
-        _packed_rep(model, idx, theta) * z[..., None, :]).sum(axis=-1))
+    sets = _margins(spec)
+    sums = (model.margin_score_reps(sets, theta) * z[..., None, :]).sum(axis=-1)
+    return _weighted_total(spec, dict(zip(sets, sums)))
 
 
 def component_scores(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
     """Unweighted per-component score arrays (list of ``(n, q)``)."""
     rows, _ = _as_rows(Y, model.dim)
-    return [value for _, value in _component_values(
-        spec, lambda idx: model.margin_score(idx, rows, theta))]
+    return [value for _, value in _component_values(spec, _margin_values(
+        spec, lambda idx: model.margin_score(idx, rows, theta)))]
 
 
 def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
@@ -457,46 +455,43 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_info_exact(spec, model, theta, stencil):
-    """J at ``theta`` and the exact mean score (data drawn at ``theta``) at
-    each stencil point; the forms of all the points are built as one
-    batch."""
-    q, p = len(theta.free_names), model.dim
-    points = ParamBatch.stack([theta, *stencil])
-    c_all, B_all, A_all = _unpacked(_spec_forms(spec, model, points), p)
-    cov0 = model._cov(theta)
-    mean0 = model._mean(theta)
+def _gaussian_info_exact(spec, model, points):
+    """J at ``points[0]`` and the exact mean score (data drawn at
+    ``points[0]``) at every other point, ``(len(points) - 1, q)``; the forms
+    of all the points are built as one batch.
 
-    B0, A0 = B_all[0], A_all[0]
-    J = np.empty((q, q))
-    for a in range(q):
-        for b in range(a, q):
-            J[a, b] = J[b, a] = (B0[a] @ cov0 @ B0[b]
-                                 + 0.5 * np.trace(A0[a] @ cov0 @ A0[b] @ cov0))
-
-    means = []
-    for c, B, A, mean in zip(c_all[1:], B_all[1:], A_all[1:],
-                             model._mean(points)[1:]):
-        delta = mean0 - mean
-        vals = np.empty(q)
-        for a in range(q):
-            vals[a] = (c[a] + B[a] @ delta
-                       + 0.5 * (np.trace(A[a] @ cov0) + delta @ A[a] @ delta))
-        means.append(vals)
-    return J, means
+    With ``r = y - mean`` and ``y ~ N(mean0, S)``, ``J = B0 S B0' +
+    tr(A0 S A0 S) / 2``, and the mean of ``c + B r + r' A r / 2`` at a
+    point whose mean is ``mean0 - d`` is ``c + B d + (tr(A S) + d' A d) /
+    2``.  Each of those products is one stacked matmul that rounds as the
+    product of one point's vectors and matrices does: the central
+    difference in :func:`info_exact` magnifies the rounding of the means by
+    ``1 / h``."""
+    p = model.dim
+    forms = _spec_forms(spec, model, points)
+    cov0 = model._cov(points)[0]
+    _, B0, A0 = unpack_forms(forms[0], p)
+    AS = A0 @ cov0
+    J = B0 @ cov0 @ B0.T + 0.5 * np.einsum("aij,bji->ab", AS, AS)
+    c, B, A = unpack_forms(forms[1:], p)
+    mean = model._mean(points)
+    d = (mean[0] - mean[1:])[:, None, :, None]      # (S, 1, p, 1)
+    dAd = (np.swapaxes(d, -1, -2) @ A @ d)[..., 0, 0]
+    Bd = (B[..., None, :] @ d)[..., 0, 0]
+    return J, c + Bd + 0.5 * (np.trace(A @ cov0, axis1=-2, axis2=-1) + dAd)
 
 
-def _multinomial_info_exact(spec, model, theta, stencil):
-    """J at ``theta`` and the exact mean score at each stencil point as sums
-    over the four outcomes; the forms of all the points are built as one
-    batch."""
-    points = ParamBatch.stack([theta, *stencil])
-    U = affine_quadratic(*_unpacked(_spec_forms(spec, model, points), model.dim),
+def _multinomial_info_exact(spec, model, points):
+    """J at ``points[0]`` and the exact mean score at every other point, as
+    sums over the four outcomes; the forms of all the points are built as
+    one batch."""
+    U = affine_quadratic(*unpack_forms(_spec_forms(spec, model, points),
+                                       model.dim),
                          model.outcomes() - model._mean(points)[:, None, :])
-    w = model.cell_probs(theta)
+    w = model.cell_probs(points)[0]
     m0 = w @ U[0]
-    J = symmetrize(np.einsum("o,oi,oj->ij", w, U[0], U[0]) - np.outer(m0, m0))
-    return J, [w @ u for u in U[1:]]
+    J = np.einsum("o,oi,oj->ij", w, U[0], U[0]) - np.outer(m0, m0)
+    return J, w @ U[1:]
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -506,7 +501,8 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     form in the observation, so J follows from Gaussian product moments; for
     the four-cell multinomial, expectations are finite sums over the four
     outcomes.  H is minus the derivative of the exact mean score, taken by
-    central differences with a tiny step.
+    central differences with a tiny step: the mean scores at ``theta`` and
+    at the ``2q`` stencil points come from one batch of forms.
     """
     if isinstance(model, GaussianModel):
         exact = _gaussian_info_exact
@@ -517,18 +513,20 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
 
     free = theta.free_names
     q = len(free)
-    steps = [FD_STEP_EXACT * max(1.0, abs(theta[name])) for name in free]
-    stencil = [theta.with_values(**{name: theta[name] + sign * h})
-               for name, h in zip(free, steps) for sign in (1.0, -1.0)]
-    J, means = exact(spec, model, theta, stencil)
-    H = np.empty((q, q))
-    for b, h in enumerate(steps):
-        H[:, b] = -(means[2 * b] - means[2 * b + 1]) / (2.0 * h)
+    steps = np.array([FD_STEP_EXACT * max(1.0, abs(theta[name]))
+                      for name in free])
+    cols = np.repeat([theta.names.index(name) for name in free], 2)
+    values = np.array([theta.values] * (2 * q + 1))
+    values[np.arange(1, 2 * q + 1), cols] += (steps[:, None]
+                                              * [1.0, -1.0]).ravel()
+    J, means = exact(spec, model, ParamBatch(theta.names, values, theta.roles))
+    means = means.reshape(q, 2, q)          # (column, side, row)
+    H = -((means[:, 0] - means[:, 1]) / (2.0 * steps[:, None])).T
     if asymmetry(H) > H_ASYMMETRY_TOL:
         raise ValueError(f"exact sensitivity asymmetric beyond tolerance: "
                          f"{asymmetry(H):g}")
-    H = symmetrize(H)
-    return InfoTriple(free, H, symmetrize(J), _godambe(H, J), "analytic")
+    H, J = symmetrize(H), symmetrize(J)
+    return InfoTriple(free, H, J, _godambe(H, J), "analytic")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, SingularMatrix
 from .fileio import atomic_csv  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .matrixops import cholesky_lower, solve_sym, sym_invert
 
@@ -344,6 +344,20 @@ def affine_quadratic(c, B, A, resid):
     return out
 
 
+def pack_forms(c, B, A):
+    """Score forms ``(c, B, A)`` (see :meth:`Model.margin_score_rep`) packed
+    into one ``(..., q, 1 + dim + dim**2)`` array ``[c, B, A.ravel()]``, so
+    that forms combine by plain array arithmetic."""
+    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
+                          axis=-1)
+
+
+def unpack_forms(forms, dim: int):
+    """``(c, B, A)`` views of packed forms (see :func:`pack_forms`)."""
+    return (forms[..., 0], forms[..., 1:dim + 1],
+            forms[..., dim + 1:].reshape(forms.shape[:-1] + (dim, dim)))
+
+
 def _canon(indices) -> tuple:
     idx = tuple(sorted(int(i) for i in indices))
     if len(set(idx)) != len(idx):
@@ -414,6 +428,17 @@ class Model:
         the leading axes are those of a ParamBatch ``theta``.
         """
         raise NotImplementedError
+
+    def margin_score_reps(self, index_sets, theta):
+        """The forms of :meth:`margin_score_rep` of every margin in
+        ``index_sets``, packed (:func:`pack_forms`) and stacked along a new
+        first axis: shape ``(len(index_sets), ..., q, 1 + dim + dim**2)``,
+        the middle axes those of a ParamBatch ``theta``.  Here one
+        :meth:`margin_score_rep` call per margin; :class:`GaussianModel`
+        builds every margin in one pass.
+        """
+        return np.stack([pack_forms(*self.margin_score_rep(idx, theta))
+                         for idx in index_sets])
 
     def _mean(self, theta) -> np.ndarray:
         """Mean of the observation, shape ``(..., dim)``."""
@@ -509,28 +534,56 @@ class GaussianModel(Model):
     margin_score = Model.margin_score   # perfbench/tracing.py wraps it per class
 
     def margin_score_rep(self, indices, theta):
-        """See :meth:`Model.margin_score_rep`.  With ``S``, ``dS`` and
-        ``dmu`` the margin's covariance and the derivatives of covariance and
+        """See :meth:`Model.margin_score_rep`: the one-margin case of
+        :meth:`margin_score_reps`."""
+        return unpack_forms(self.margin_score_reps([indices], theta)[0],
+                            self.dim)
+
+    def margin_score_reps(self, index_sets, theta):
+        """See :meth:`Model.margin_score_reps`.  With ``S``, ``dS`` and
+        ``dmu`` a margin's covariance and the derivatives of covariance and
         mean in parameter ``a``: ``c = -tr(S^-1 dS) / 2``, ``B = S^-1 dmu``
         and ``A = S^-1 dS S^-1`` on the margin's coordinates, zero elsewhere.
+
+        The full covariance and the derivatives are computed once; the
+        margins of one size are inverted as one stack by one ``sym_invert``
+        call, and their blocks are embedded into the full space by 0/1
+        selection matrices ``Sel`` (``B Sel`` and ``Sel' A Sel``), which
+        copy every entry exactly.  Each margin's forms equal those of the
+        margin alone, bit for bit.  A SingularMatrix lists in ``rows`` the
+        points of a ParamBatch ``theta`` at which some margin is singular.
         """
         self.validate(theta)
-        idx = self._check_indices(indices)
-        cols, ix = list(idx), (Ellipsis, *np.ix_(idx, idx))
-        cinv = sym_invert(self._cov(theta)[ix])
-        cov_jac = self._cov_jac(theta)
-        mean_jac = self._mean_jac(theta)
+        sets = [self._check_indices(idx) for idx in index_sets]
         free, p = theta.free_names, self.dim
-        lead = cinv.shape[:-2]
-        c = np.empty(lead + (len(free),))
-        B = np.zeros(lead + (len(free), p))
-        A = np.zeros(lead + (len(free), p, p))
+        cov, cov_jac, mean_jac = (self._cov(theta), self._cov_jac(theta),
+                                  self._mean_jac(theta))
+        lead = cov.shape[:-2]
+        dS = np.empty(lead + (len(free), p, p))
+        dmu = np.empty(lead + (len(free), p))
         for a, name in enumerate(free):
-            cd = cinv @ cov_jac[name][ix]
-            c[..., a] = -0.5 * np.trace(cd, axis1=-2, axis2=-1)
-            A[(Ellipsis, a, *ix[1:])] = cd @ cinv
-            B[..., a, cols] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
-        return c, B, A
+            dS[..., a, :, :] = cov_jac[name]
+            dmu[..., a, :] = mean_jac[name]
+        out = np.empty((len(sets),) + lead + (len(free), 1 + p + p * p))
+        for size in sorted(set(map(len, sets))):
+            group = [k for k, idx in enumerate(sets) if len(idx) == size]
+            members = np.array([sets[k] for k in group])        # (K, m)
+            block = (Ellipsis, members[:, :, None], members[:, None, :])
+            try:
+                cinv = sym_invert(cov[block])                   # (..., K, m, m)
+            except SingularMatrix as exc:
+                raise SingularMatrix(str(exc), rows=np.unique(
+                    exc.rows // len(group))) from None
+            cinv = cinv[..., None, :, :, :]                     # (..., 1, K, m, m)
+            sel = np.eye(p)[members]                            # (K, m, p)
+            cd = cinv @ dS[block]                               # (..., q, K, m, m)
+            B = (cinv @ dmu[..., members, None])[..., None, :, 0] @ sel
+            A = np.swapaxes(sel, -1, -2) @ (cd @ cinv) @ sel
+            forms = np.concatenate(
+                [-0.5 * np.trace(cd, axis1=-2, axis2=-1)[..., None],
+                 B[..., 0, :], A.reshape(A.shape[:-2] + (-1,))], axis=-1)
+            out[group] = np.moveaxis(forms, -2, 0)
+        return out
 
     def conditional_moments(self, target, given, theta):
         """Conditional mean weights and variance of ``y_target | y_given``.

@@ -172,3 +172,99 @@ def parent_run(config):
         formula = PARENT_STATISTICS[statistic.__name__]
         out[run.label] = solve(np.array([formula(Y) for Y in data]))
     return out
+
+
+def parent_margin_score_rep(model, indices, theta):
+    """``(c, B, A)`` of one margin as ``margin_score_rep`` built them one
+    margin per call, before every margin of a spec was built in one pass:
+    for a Gaussian model one ``sym_invert`` of the margin covariance and a
+    loop over the free parameters, scattering each block into zeros."""
+    from clik.matrixops import sym_invert
+    from clik.models import Multinomial4
+    model.validate(theta)
+    idx = model._check_indices(indices)
+    if isinstance(model, Multinomial4):
+        idx = list(idx)
+        probs = model.cell_probs(theta)
+        grads = model.cell_grads()[idx]
+        rest = -grads.sum() / (1.0 - probs[..., idx].sum(axis=-1))
+        B = np.zeros(probs.shape[:-1] + (1, 3))
+        B[..., 0, idx] = grads / probs[..., idx] - rest[..., None]
+        c = rest[..., None] + (B * probs[..., None, :3]).sum(axis=-1)
+        return c, B, np.zeros(B.shape + (3,))
+    cols, ix = list(idx), (Ellipsis, *np.ix_(idx, idx))
+    cinv = sym_invert(model._cov(theta)[ix])
+    cov_jac = model._cov_jac(theta)
+    mean_jac = model._mean_jac(theta)
+    free, p = theta.free_names, model.dim
+    lead = cinv.shape[:-2]
+    c = np.empty(lead + (len(free),))
+    B = np.zeros(lead + (len(free), p))
+    A = np.zeros(lead + (len(free), p, p))
+    for a, name in enumerate(free):
+        cd = cinv @ cov_jac[name][ix]
+        c[..., a] = -0.5 * np.trace(cd, axis1=-2, axis2=-1)
+        A[(Ellipsis, a, *ix[1:])] = cd @ cinv
+        B[..., a, cols] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
+    return c, B, A
+
+
+def parent_packed_rep(model, indices, theta):
+    """:func:`parent_margin_score_rep` packed as ``[c, B, A.ravel()]``."""
+    c, B, A = parent_margin_score_rep(model, indices, theta)
+    return np.concatenate([c[..., None], B, A.reshape(A.shape[:-2] + (-1,))],
+                          axis=-1)
+
+
+def parent_info_exact(spec, model, theta):
+    """``(H, J, G)`` of ``info_exact`` along the parent's loops: one
+    :func:`parent_packed_rep` per margin, a Python loop over the ``q**2``
+    entries of J and over the ``2q`` stencil points, and H as the central
+    difference (step ``1e-6 * max(1, |x|)``) of the exact mean scores."""
+    from clik.models import GaussianModel, ParamBatch
+    free, p = theta.free_names, model.dim
+    q = len(free)
+    steps = [1e-6 * max(1.0, abs(theta[name])) for name in free]
+    stencil = [theta.with_values(**{name: theta[name] + sign * h})
+               for name, h in zip(free, steps) for sign in (1.0, -1.0)]
+    points = ParamBatch.stack([theta, *stencil])
+    forms = 0
+    for comp in spec.components:
+        value = parent_packed_rep(model, comp.given + comp.indices, points)
+        if comp.kind == "conditional":
+            value = value - parent_packed_rep(model, comp.given, points)
+        forms = forms + comp.weight * value
+    c_all = forms[..., 0]
+    B_all = forms[..., 1:p + 1]
+    A_all = forms[..., p + 1:].reshape(forms.shape[:-1] + (p, p))
+    mean_all = model._mean(points)
+    if isinstance(model, GaussianModel):
+        cov0, mean0 = model._cov(theta), model._mean(theta)
+        B0, A0 = B_all[0], A_all[0]
+        J = np.empty((q, q))
+        for a in range(q):
+            for b in range(a, q):
+                J[a, b] = J[b, a] = (B0[a] @ cov0 @ B0[b] + 0.5 * np.trace(
+                    A0[a] @ cov0 @ A0[b] @ cov0))
+        means = []
+        for c, B, A, mean in zip(c_all[1:], B_all[1:], A_all[1:],
+                                 mean_all[1:]):
+            delta = mean0 - mean
+            means.append([c[a] + B[a] @ delta + 0.5 * (
+                np.trace(A[a] @ cov0) + delta @ A[a] @ delta)
+                for a in range(q)])
+    else:
+        resid = model.outcomes() - mean_all[:, None, :]
+        U = (c_all[:, None, :] + np.einsum("soj,saj->soa", resid, B_all)
+             + 0.5 * np.einsum("soi,saij,soj->soa", resid, A_all, resid))
+        w = model.cell_probs(theta)
+        m0 = w @ U[0]
+        J = np.einsum("o,oi,oj->ij", w, U[0], U[0]) - np.outer(m0, m0)
+        J = 0.5 * (J + J.T)
+        means = [w @ u for u in U[1:]]
+    H = np.empty((q, q))
+    for b, h in enumerate(steps):
+        H[:, b] = -(np.asarray(means[2 * b]) - means[2 * b + 1]) / (2.0 * h)
+    H = 0.5 * (H + H.T)
+    G = H @ np.linalg.solve(J, H)
+    return H, J, 0.5 * (G + G.T)

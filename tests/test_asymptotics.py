@@ -225,6 +225,22 @@ def test_multinomial_frozen_values_k5():
     assert info.fisher_full == pytest.approx(19.642857142857142, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta, k", [
+    (1e-302, 1e-300),       # k * theta underflows to 0
+    (1e-162, 1e-160),       # k * theta is subnormal
+    (1e-200, 5.0),          # the squares in j_pair overflow
+], ids=str)
+def test_multinomial_scalars_reject_unrepresentable_points(theta, k):
+    with pytest.raises(DomainError):
+        asy.multinomial_info_scalars(theta, k)
+
+
+def test_multinomial_curves_reject_unrepresentable_variances():
+    # every scalar is finite, but the squares in the variances overflow
+    with pytest.raises(DomainError):
+        asy.multinomial_variance_curves(1e-150, [1e-152])
+
+
 def test_multinomial_full_efficiency_at_k1():
     model = Multinomial4(1.0)
     for t in np.linspace(0.01, model.theta_max - 0.01, 50):

@@ -114,12 +114,15 @@ def test_example2_rejects_bad_sigma_list(tmp_path):
     ["figure2", "--sigma2", "nan"],
     ["figure3", "--k", "0"], ["figure3", "--k", "inf"],
     ["figure3", "--grid", "1"],
+    ["figure3", "--k", "1e-300", "--grid", "5"], ["figure3", "--k", "1e-160"],
+    ["figure3", "--k", "1e-150"],
     ["example2", "--grid", "0"], ["example2", "--grid", "-1"],
     ["example2", "--sigma2", ""], ["example2", "--sigma2", "nan"],
     ["verify", "--seed", "-1"],
 ], ids=" ".join)
 def test_numeric_flags_exit_2_with_a_message(argv, tmp_path, capsys):
-    # every numeric flag is checked when parsed: no traceback, no output
+    # every numeric flag is checked before output is written: no
+    # traceback, no output
     try:
         code = main(argv + ["--out", str(tmp_path / "out")])
     except SystemExit as exc:
