@@ -28,7 +28,7 @@ from .errors import (ClikError, ConfigError, DimensionMismatch, DomainError,
                      FailureBudgetExceeded, NoRootInDomain,
                      NotPositiveDefinite, SingularMatrix, UnsupportedSpec)
 from .estimators import (EstimateResult, closed_form, fit, mcle_newton,
-                         method_of_moments_start, registered_closed_form)
+                         registered_closed_form)
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
                         symmetrize)
 from .models import (EMVN, GaussianModel, Model, Multinomial4, ParamVector,
@@ -49,7 +49,7 @@ __all__ = [
     "FullEfficiencyReport", "project_score", "projection_matrix",
     "projected_info_monte_carlo", "partitioned_variance",
     "EstimateResult", "mcle_newton", "closed_form", "fit",
-    "method_of_moments_start", "registered_closed_form",
+    "registered_closed_form",
     "EfficiencyCurve", "default_grid", "avar_rho_known_sigma",
     "avar_rho_free_sigma", "pairwise_ratio_curve",
     "full_conditional_ratio_curve", "pairwise_rho_sigma_acov",

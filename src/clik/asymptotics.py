@@ -256,7 +256,7 @@ class MultinomialInfo:
 def _check_multinomial_domain(theta, k: float) -> None:
     if k <= 0:
         raise DomainError("k must be positive")
-    tmax = k / (2.0 * k + 1.0)
+    tmax = Multinomial4(k).theta_max
     theta = np.asarray(theta, dtype=float)
     if np.any(theta <= 0) or np.any(theta >= tmax):
         raise DomainError(f"theta must lie in (0, {tmax})")

@@ -29,7 +29,8 @@ import numpy as np
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
-                     ParamVector, _as_rows, affine_quadratic, unpack_forms)
+                     ParamVector, _as_rows, affine_quadratic, unpack_forms,
+                     unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -226,12 +227,11 @@ def summed_score(spec: CompositeSpec, model: Model, stats, theta):
     stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
     then ``(R, q)``.
     """
-    p = model.dim
-    stats = np.asarray(stats, dtype=float)
-    n, ybar, scatter = stats[..., :1], stats[..., 1:p + 1], stats[..., p + 1:]
-    d = ybar - model._mean(theta)
-    outer = (d[..., :, None] * d[..., None, :]).reshape(d.shape[:-1] + (p * p,))
-    z = np.concatenate([n, n * d, 0.5 * (n * outer + scatter)], axis=-1)
+    n, ybar, scatter = unpack_statistic(stats)
+    n, d = n[..., None], ybar - model._mean(theta)
+    moment = 0.5 * (n[..., None] * (d[..., :, None] * d[..., None, :]) + scatter)
+    z = np.concatenate([n, n * d, moment.reshape(moment.shape[:-2] + (-1,))],
+                       axis=-1)
     sets = _margins(spec)
     sums = (model.margin_score_reps(sets, theta) * z[..., None, :]).sum(axis=-1)
     return _weighted_total(spec, dict(zip(sets, sums)))

@@ -1,18 +1,18 @@
 """Maximum composite likelihood estimation.
 
-Every fit is a per-dataset statistic and one solve over the stacked
-statistics of many datasets, so a simulation study fits all replicates of
-a run in one call, and :func:`fit` is the one-dataset case.  Registered
-fast paths cover the four-cell multinomial MLE, the two mean estimators of
-the two-block normal model, and the equicorrelated-normal pairwise
-correlation estimators (variance known or profiled out), which reduce to
-root finding in rho on a pair of sufficient statistics: a score scan,
-then one :func:`bracket_roots` pass (Brent's method, as
+Every fit is one solve over the stacked ``Model.statistic`` rows (``n``,
+the sample mean and the scatter about it) of many datasets, so a
+simulation study fits all replicates of a run in one call, and
+:func:`fit` is the one-dataset case.  Registered fast paths cover the
+four-cell multinomial MLE and the two mean estimators of the two-block
+normal model, which read the sample means, and the equicorrelated-normal
+pairwise correlation estimators (variance known or profiled out), which
+reduce to root finding in rho on two sums derived from the statistic: a
+score scan, then one :func:`bracket_roots` pass (Brent's method, as
 ``scipy.optimize.brentq`` runs it, on every bracket of every dataset at
 once).  Every other spec is solved by Newton iteration on the summed
-composite score, which follows exactly from ``Model.statistic`` (``n``,
-the sample mean and the scatter about it); all datasets iterate in
-lockstep.
+composite score, which follows exactly from the statistic; all datasets
+iterate in lockstep.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
 from .matrixops import is_singular
 from .models import (EMVN, Model, Multinomial4, ParamBatch, ParamVector,
-                     TriNormal)
+                     TriNormal, unpack_statistic)
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
@@ -348,20 +348,14 @@ def bracket_roots(f, lo, hi, xtol, maxiter: int = BRENT_MAX_ITER):
 # Maximizing over sigma2 gives sigma2_hat(rho) = T(rho) / (2 Nc).
 
 
-def _pair_stats(Y) -> np.ndarray:
-    """``(n, p, Q, W)`` of one dataset, or of each of a stack ``(..., n, p)``."""
-    n, p = Y.shape[-2:]
-    q = (Y * Y).sum(axis=(-2, -1))
-    if p < 8:
-        # numpy sums a row this short left to right, so column adds give
-        # ``Y.sum(axis=-1)`` bit for bit without a reduction call per row
-        rows = Y[..., 0].copy()
-        for j in range(1, p):
-            rows += Y[..., j]
-    else:
-        rows = Y.sum(axis=-1)
-    w = (rows ** 2).sum(axis=-1)
-    return np.stack([np.full_like(q, n), np.full_like(q, p), q, w], axis=-1)
+def _pair_sums(stats) -> np.ndarray:
+    """``(n, p, Q, W)`` rows from ``Model.statistic`` rows: with ``S`` the
+    scatter about the sample mean, ``Q = tr S + n ybar'ybar`` and
+    ``W = 1'S1 + n (1'ybar)^2``, each a sum of two nonnegative terms."""
+    n, ybar, scatter = unpack_statistic(stats)
+    q = np.trace(scatter, axis1=-2, axis2=-1) + n * (ybar * ybar).sum(axis=-1)
+    w = scatter.sum(axis=(-2, -1)) + n * ybar.sum(axis=-1) ** 2
+    return np.stack([n, np.full_like(n, ybar.shape[-1]), q, w], axis=-1)
 
 
 def _t_and_deriv(rho, p, q, w):
@@ -445,13 +439,6 @@ def _solve_pairwise(stats, sigma2=None):
 # ---------------------------------------------------------------------------
 
 
-def _column_means(Y) -> np.ndarray:
-    # each column alone, as ``Y[:, j].mean()`` sums it: ``Y.mean(axis=-2)``
-    # sums in another order and can differ in the last bit
-    columns = np.ascontiguousarray(np.swapaxes(Y, -1, -2))
-    return columns.sum(axis=-1) / Y.shape[-2]
-
-
 def _explicit(estimates):
     """``(estimates, converged, score_norm)`` of an explicit formula in
     one parameter."""
@@ -459,62 +446,61 @@ def _explicit(estimates):
     return estimates.reshape(rows, 1), np.ones(rows, dtype=bool), np.zeros(rows)
 
 
-def _solve_mu12(means, known):
+def _solve_mu12(stats, known):
+    _, means, _ = unpack_statistic(stats)
     return _explicit(0.5 * (means[:, 0] + means[:, 1]))
 
 
-def _solve_mu123(means, known):
+def _solve_mu123(stats, known):
+    _, means, _ = unpack_statistic(stats)
     s2 = float(known["sigma2"])
     return _explicit((s2 * (means[:, 0] + means[:, 1]) + means[:, 2])
                      / (1.0 + 2.0 * s2))
 
 
-def _solve_multinomial(means, known):
+def _solve_multinomial(stats, known):
+    _, means, _ = unpack_statistic(stats)
     return _explicit(means.sum(axis=1) / (2.0 + 1.0 / float(known["k"])))
 
 
 def _solve_pairwise_free(stats, known):
-    return _solve_pairwise(stats)
+    return _solve_pairwise(_pair_sums(stats))
 
 
 def _solve_pairwise_known(stats, known):
-    return _solve_pairwise(stats, sigma2=float(known["sigma2"]))
+    return _solve_pairwise(_pair_sums(stats), sigma2=float(known["sigma2"]))
 
 
 @dataclass(frozen=True)
 class FastPath:
-    """A registered estimator: a per-dataset statistic and a batched solve.
+    """A registered estimator: a batched solve over ``Model.statistic``.
 
-    ``statistic(Y)`` reduces one dataset ``(n, dim)`` to a 1-D array, and
-    a stack ``(..., n, dim)`` to one such row per dataset.  ``solve(stats,
-    known)`` maps the statistics of R datasets, stacked as the rows of
-    ``stats``, to ``(estimates, converged, score_norm)``: the ``(R, d)``
-    free-parameter values in ``free`` order (NaN rows where there is no
-    estimate), an ``(R,)`` flag and the absolute score at each estimate.
-    ``known`` supplies the fixed values the solve reads; the parameters
-    among them, ``known_params``, are reported as known in a fit.
+    ``solve(stats, known)`` maps the statistics of R datasets, stacked as
+    the rows of ``stats``, to ``(estimates, converged, score_norm)``: the
+    ``(R, d)`` free-parameter values in ``free`` order (NaN rows where
+    there is no estimate), an ``(R,)`` flag and the absolute score at each
+    estimate.  ``known`` supplies the fixed values the solve reads; the
+    parameters among them, ``known_params``, are reported as known in a
+    fit.
     """
 
     free: tuple                         # ((name, role), ...)
     known_params: tuple
-    statistic: Callable[[np.ndarray], np.ndarray]
     solve: Callable[[np.ndarray, dict], tuple]
 
 
-#: The registered estimators by id.  Runs whose entries share a statistic
-#: (the two pairwise estimators) can share its computation.
+#: The registered estimators by id.
 ESTIMATORS = {
-    "trinormal_mu12": FastPath((("mu", "interest"),), (),
-                               _column_means, _solve_mu12),
+    "trinormal_mu12": FastPath((("mu", "interest"),), (), _solve_mu12),
     "trinormal_mu123": FastPath((("mu", "interest"),), ("sigma2",),
-                                _column_means, _solve_mu123),
+                                _solve_mu123),
     "multinomial4_mle": FastPath((("theta", "interest"),), (),
-                                 _column_means, _solve_multinomial),
+                                 _solve_multinomial),
     "emvn_pairwise_rho": FastPath((("rho", "interest"),
                                    ("sigma2", "nuisance")), (),
-                                  _pair_stats, _solve_pairwise_free),
+                                  _solve_pairwise_free),
     "emvn_pairwise_rho_known_sigma": FastPath((("rho", "interest"),),
-                                              ("sigma2",), _pair_stats,
+                                              ("sigma2",),
                                               _solve_pairwise_known),
 }
 
@@ -530,7 +516,7 @@ def closed_form(name: str, data, known=None) -> EstimateResult:
     """
     entry = ESTIMATORS[name]
     known = known or {}
-    stats = entry.statistic(np.atleast_2d(np.asarray(data, dtype=float)))[None, :]
+    stats = Model.statistic(np.atleast_2d(np.asarray(data, dtype=float)))[None]
     estimates, converged, score_norm = entry.solve(stats, known)
     if not converged[0]:
         raise NoRootInDomain(f"{name}: no score root inside the domain")
@@ -623,13 +609,10 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
     clipped inside the domain.  Parameters that ``theta_like`` tags known
     keep their values, and so do the ``fixed`` ones, which are tagged known."""
     fixed = dict(fixed or {})
-    stats = np.asarray(stats, dtype=float)
+    n, ybar, scatter = unpack_statistic(stats)
     p = model.dim
-    n, ybar = stats[:, 0], stats[:, 1:p + 1]
-    scatter = stats[:, p + 1:].reshape(-1, p, p)
     if isinstance(model, EMVN):
-        q = np.trace(scatter, axis1=1, axis2=2) + n * (ybar * ybar).sum(axis=1)
-        w = scatter.sum(axis=(1, 2)) + n * ybar.sum(axis=1) ** 2
+        _, _, q, w = _pair_sums(stats).T
         lo, hi = -1.0 / (p - 1), 1.0
         pad = 0.02 * (hi - lo)
         updates = {"rho": np.clip((w / q - 1.0) / (p - 1), lo + pad, hi - pad),
@@ -653,13 +636,6 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
     return ParamBatch(theta.names, values, theta.roles)
 
 
-def method_of_moments_start(model: Model, Y, theta_like: ParamVector,
-                            fixed=None) -> ParamVector:
-    """The starting point :func:`fit` gives Newton on one dataset."""
-    stats = model.statistic(np.asarray(Y, dtype=float))[None]
-    return moment_starts(model, stats, theta_like, fixed).point(0)
-
-
 def _newton_estimates(spec, model, stats, theta_like, fixed):
     """``(estimates, converged, score_norm)`` of batched Newton from the
     moment starts; failed rows hold NaN."""
@@ -673,22 +649,21 @@ def _newton_estimates(spec, model, stats, theta_like, fixed):
 
 
 def batch_route(model: Model, spec: CompositeSpec, theta_like, fixed=None):
-    """``(statistic, solve)`` fitting a spec on many datasets.
+    """``solve(stats)`` fitting a spec on many datasets.
 
-    ``statistic(Y)`` reduces one dataset to a 1-D array (a stack of
-    datasets to one row each) and ``solve(stats)`` maps the stacked
-    statistics to ``(estimates, converged, score_norm)``
-    as :class:`FastPath` does: the registered fast path when one matches,
-    batched Newton from the moment starts otherwise.  Row ``i`` of every
-    result equals what :func:`fit` gives on dataset ``i`` alone.
+    ``solve`` maps the stacked ``model.statistic`` rows of the datasets to
+    ``(estimates, converged, score_norm)`` as :class:`FastPath` does: the
+    registered fast path when one matches, batched Newton from the moment
+    starts otherwise.  Row ``i`` of every result equals what :func:`fit`
+    gives on dataset ``i`` alone.
     """
     match = registered_closed_form(model, spec, theta_like, fixed)
     if match is not None:
         name, known = match
-        entry = ESTIMATORS[name]
-        return entry.statistic, lambda stats: entry.solve(stats, known)
-    return model.statistic, lambda stats: _newton_estimates(
-        spec, model, stats, theta_like, fixed)
+        solve = ESTIMATORS[name].solve
+        return lambda stats: solve(stats, known)
+    return lambda stats: _newton_estimates(spec, model, stats, theta_like,
+                                           fixed)
 
 
 def fit(spec: CompositeSpec, model: Model, data, theta_like: ParamVector,

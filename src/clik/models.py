@@ -20,6 +20,7 @@ every point of a batched solve.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -358,6 +359,19 @@ def unpack_forms(forms, dim: int):
             forms[..., dim + 1:].reshape(forms.shape[:-1] + (dim, dim)))
 
 
+def unpack_statistic(stats):
+    """``(n, ybar, W)`` of statistics laid out as :meth:`Model.statistic`
+    gives them, shapes ``(...)``, ``(..., dim)`` and ``(..., dim, dim)``;
+    ``dim`` is read from the row length ``1 + dim + dim**2``."""
+    stats = np.asarray(stats, dtype=float)
+    dim = (math.isqrt(4 * stats.shape[-1] - 3) - 1) // 2
+    if 1 + dim + dim * dim != stats.shape[-1]:
+        raise DimensionMismatch(f"statistic of length {stats.shape[-1]} is "
+                                f"not 1 + dim + dim**2")
+    return (stats[..., 0], stats[..., 1:dim + 1],
+            stats[..., dim + 1:].reshape(stats.shape[:-1] + (dim, dim)))
+
+
 def _canon(indices) -> tuple:
     idx = tuple(sorted(int(i) for i in indices))
     if len(set(idx)) != len(idx):
@@ -477,17 +491,25 @@ class Model:
         arr, _ = _as_rows(Y, self.dim)
         return arr
 
-    def statistic(self, Y) -> np.ndarray:
+    @staticmethod
+    def statistic(Y) -> np.ndarray:
         """The sufficient statistic ``(n, sum y, sum y y')`` of a dataset,
         held as ``[n, ybar, W.ravel()]`` with ``W`` the scatter about the
-        sample mean ``ybar``: every composite score is affine-quadratic in
-        ``y``, so its sum over the rows follows from these alone
+        sample mean ``ybar`` (read back by :func:`unpack_statistic`): every
+        composite score is affine-quadratic in ``y``, so its sum over the
+        rows follows from these alone
         (:func:`clik.composite.summed_score`).  A stack of datasets
-        ``(..., n, dim)`` gives one statistic per dataset."""
-        ybar = Y.mean(axis=-2)
-        dev = Y - ybar[..., None, :]
-        scatter = np.swapaxes(dev, -1, -2) @ dev
-        count = np.full(ybar.shape[:-1] + (1,), float(Y.shape[-2]))
+        ``(..., n, dim)`` gives one statistic per dataset, each with the
+        bits of that dataset alone.  ``Y`` is not modified."""
+        n = Y.shape[-2]
+        # a copy even where swapaxes would be contiguous (n = 1): the
+        # centring below writes to it
+        dev = np.swapaxes(Y, -1, -2).copy()
+        # each column summed alone, as ``Y[:, j].mean()`` sums it
+        ybar = dev.sum(axis=-1) / n
+        dev -= ybar[..., None]
+        scatter = dev @ np.swapaxes(dev, -1, -2)
+        count = np.full(ybar.shape[:-1] + (1,), float(n))
         flat = scatter.reshape(ybar.shape[:-1] + (-1,))
         return np.concatenate([count, ybar, flat], axis=-1)
 
@@ -746,6 +768,9 @@ class Multinomial4(Model):
     def __init__(self, k: float):
         if not k > 0:
             raise ValueError("k must be positive")
+        if not math.isfinite(2.0 * k + 1.0):
+            raise DomainError(f"k={k:g} is too large: 2k + 1 overflows, so "
+                              f"theta has no admissible range")
         self.k = float(k)
 
     def __repr__(self):

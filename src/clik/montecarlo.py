@@ -2,18 +2,18 @@
 
 Draws R independent datasets of size n (one deterministic RNG substream
 per replicate, so results are identical no matter how replicates are
-partitioned across workers), reduces each dataset to the statistic of
-every requested spec's fit route, fits each run in one batched solve over
-the stacked statistics (a registered fast path, or lockstep Newton), and
-reports empirical means, n-scaled covariances and batch-means standard
-errors.  Non-converged or failed fits are excluded from the moments but
-counted, with a hard 1% failure budget.
+partitioned across workers), reduces each dataset to its
+``Model.statistic``, fits each run in one batched solve over the stacked
+statistics (a registered fast path, or lockstep Newton), and reports
+empirical means, n-scaled covariances and batch-means standard errors.
+Non-converged or failed fits are excluded from the moments but counted,
+with a hard 1% failure budget.
 
 Replicates are drawn and reduced in blocks of about ``BLOCK_BYTES`` of
 draws: the substreams of a chunk are seeded in one vectorised pass, and
 each block is sampled into one array, transformed in one call and reduced
-by one call per distinct statistic.  Replicate ``r`` of seed ``s`` is
-still drawn from its own stream, the one
+by one ``Model.statistic`` call that every run reads.  Replicate ``r`` of
+seed ``s`` is still drawn from its own stream, the one
 ``default_rng(SeedSequence(s, spawn_key=(r,)))`` gives.
 """
 
@@ -40,7 +40,7 @@ MIN_REPLICATES = 100
 FAILURE_BUDGET = 0.01
 DEFAULT_BATCHES = 20
 #: Bytes of draws per block of replicates sampled and reduced together:
-#: enough replicates to amortise the per-call cost of sampling and of each
+#: enough replicates to amortise the per-call cost of sampling and of the
 #: statistic, few enough that a block's temporaries stay cache-sized.
 BLOCK_BYTES = 256 * 1024
 
@@ -190,23 +190,20 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     replicates ``lo..hi-1``; deterministic in (seed, replicate).
 
     The sampler is set up and the substreams seeded once per chunk.  Each
-    block of replicates is drawn in one sampler call and reduced to the
-    statistic of each run's fit route (computed once for all runs that
-    share it); each run is then solved in one batched call.
+    block of replicates is drawn in one sampler call and reduced by one
+    ``Model.statistic`` call; each run is then solved in one batched call
+    over the stacked statistics.
     """
-    routes = {run.label: batch_route(config.model, run.spec,
+    solves = {run.label: batch_route(config.model, run.spec,
                                      config.theta_true, run.fixed_dict)
               for run in config.runs}
-    stats = {statistic: [] for statistic, _ in routes.values()}
     draw = config.model.sampler(config.theta_true)
     streams = substreams(config.seed, range(lo, hi))
     size = _block_size(config)
-    for _ in range(lo, hi, size):
-        Y = draw(config.n, list(islice(streams, size)))
-        for statistic, blocks in stats.items():
-            blocks.append(statistic(Y))
-    return {label: solve(np.concatenate(stats[statistic]))
-            for label, (statistic, solve) in routes.items()}
+    stats = np.concatenate([
+        config.model.statistic(draw(config.n, list(islice(streams, size))))
+        for _ in range(lo, hi, size)])
+    return {label: solve(stats) for label, solve in solves.items()}
 
 
 def worker_count(threads=None) -> int:

@@ -135,6 +135,8 @@ def parent_draw(model, theta, n, seed, index):
 
 
 def parent_pair_stats(Y):
+    """``(n, p, Q, W)`` of one dataset straight from its rows: the sum of
+    squared entries and the sum of squared row sums."""
     n, p = Y.shape
     q = float(np.sum(Y * Y))
     w = float(np.sum(Y.sum(axis=1) ** 2))
@@ -146,32 +148,25 @@ def parent_column_means(Y):
 
 
 def parent_statistic(Y):
+    """``Model.statistic`` of one dataset by the textbook formula: its
+    mean and scatter round differently, so it is a tolerance oracle."""
     ybar = Y.mean(axis=0)
     dev = Y - ybar
     return np.concatenate([[Y.shape[0]], ybar, (dev.T @ dev).ravel()])
 
 
-#: The one-dataset formula of each fit-route statistic, by function name.
-PARENT_STATISTICS = {"_pair_stats": parent_pair_stats,
-                     "_column_means": parent_column_means,
-                     "statistic": parent_statistic}
-
-
 def parent_run(config):
     """``label -> (estimates, converged, score_norm)`` of a simulation
-    study along the per-replicate route: :func:`parent_draw` and the
-    one-dataset statistic formulas for every replicate, then each run's
-    batched solve over the stacked statistics."""
+    study along the per-replicate route: :func:`parent_draw` and one
+    ``Model.statistic`` call for every replicate, then each run's batched
+    solve over the stacked statistics."""
     from clik.estimators import batch_route
-    data = [parent_draw(config.model, config.theta_true, config.n,
-                        config.seed, r) for r in range(config.replicates)]
-    out = {}
-    for run in config.runs:
-        statistic, solve = batch_route(config.model, run.spec,
-                                       config.theta_true, run.fixed_dict)
-        formula = PARENT_STATISTICS[statistic.__name__]
-        out[run.label] = solve(np.array([formula(Y) for Y in data]))
-    return out
+    stats = np.array([config.model.statistic(
+        parent_draw(config.model, config.theta_true, config.n, config.seed, r))
+        for r in range(config.replicates)])
+    return {run.label: batch_route(config.model, run.spec, config.theta_true,
+                                   run.fixed_dict)(stats)
+            for run in config.runs}
 
 
 def parent_margin_score_rep(model, indices, theta):

@@ -241,6 +241,18 @@ def test_multinomial_curves_reject_unrepresentable_variances():
         asy.multinomial_variance_curves(1e-150, [1e-152])
 
 
+def test_overflowing_k_is_rejected_by_name():
+    # 2k + 1 overflows for k above about 9e307: the error names k instead
+    # of reporting an empty theta range
+    for call in (lambda: Multinomial4(1e308),
+                 lambda: asy.multinomial_info_scalars(0.1, 1e308),
+                 lambda: asy.multinomial_variance_curves(1e308)):
+        with pytest.raises(DomainError, match=r"k=1e\+308 is too large"):
+            call()
+    k = 8e307
+    assert Multinomial4(k).theta_max == k / (2.0 * k + 1.0) == 0.5
+
+
 def test_multinomial_full_efficiency_at_k1():
     model = Multinomial4(1.0)
     for t in np.linspace(0.01, model.theta_max - 0.01, 50):

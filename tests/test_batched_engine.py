@@ -133,7 +133,7 @@ def test_no_root_replicate_inside_a_batch(p, rho, others, where, seed, name):
     entry = est.ESTIMATORS[name]
     known = {"sigma2": 1.0}
     estimates, converged, score_norm = entry.solve(
-        np.array([entry.statistic(Y) for Y in data]), known)
+        np.array([model.statistic(Y) for Y in data]), known)
     assert not converged[where]
     assert np.isnan(estimates[where]).all()
     for i, Y in enumerate(data):

@@ -44,8 +44,9 @@ def pair_stats(draw):
                          sigma2=draw(st.floats(0.1, 10.0)))
     seed = draw(st.integers(0, 2**32 - 1))
     sizes = draw(st.lists(st.integers(10, 500), min_size=1, max_size=6))
-    stats = np.array([est._pair_stats(model.sample(theta, n, substream(seed, r)))
-                      for r, n in enumerate(sizes)])
+    stats = est._pair_sums(np.array([
+        model.statistic(model.sample(theta, n, substream(seed, r)))
+        for r, n in enumerate(sizes)]))
     sigma2 = draw(st.sampled_from([None, theta["sigma2"],
                                    draw(st.floats(0.1, 10.0))]))
     return stats, sigma2

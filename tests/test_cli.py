@@ -134,6 +134,17 @@ def test_numeric_flags_exit_2_with_a_message(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_k_exits_2_naming_k(tmp_path, capsys):
+    cfg = tmp_path / "mult.cfg"
+    cfg.write_text("model = multinomial4\nk = 1e308\ntheta = 0.1\n"
+                   "n = 100\nreplicates = 100\nspecs = full\n")
+    for argv in (["figure3", "--k", "1e308"], ["simulate", str(cfg)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "k=1e+308 is too large" in err
+
+
 def test_simulate_smoke(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

@@ -4,7 +4,7 @@ import pytest
 import clik.composite as comp
 from clik.errors import NoRootInDomain, SingularMatrix, UnsupportedSpec
 from clik.estimators import (check_identified, closed_form, fit, mcle_newton,
-                             method_of_moments_start, registered_closed_form)
+                             moment_starts, registered_closed_form)
 from clik.models import EMVN, Multinomial4, TriNormal
 
 
@@ -82,7 +82,8 @@ def test_pairwise_rho_agrees_with_newton_over_datasets():
     for seed in range(50):
         Y = model.sample(theta, 120, 1000 + seed)
         cf = closed_form("emvn_pairwise_rho", Y)
-        start = method_of_moments_start(model, Y, theta).with_values(
+        stats = model.statistic(Y)[None]
+        start = moment_starts(model, stats, theta).point(0).with_values(
             rho=min(cf.params["rho"] + 0.15, 0.95), sigma2=1.5)
         nr = mcle_newton(spec, model, Y, start)
         assert nr.converged
@@ -253,8 +254,8 @@ def test_repeated_components_get_no_fast_path():
         assert registered_closed_form(model, spec, theta) is None
         Y = model.sample(theta, 500, 5)
         res = fit(spec, model, Y, theta)
-        newton = mcle_newton(spec, model, Y,
-                             method_of_moments_start(model, Y, theta))
+        start = moment_starts(model, model.statistic(Y)[None], theta)
+        newton = mcle_newton(spec, model, Y, start.point(0))
         assert res.solver == "newton" and res.converged
         np.testing.assert_array_equal(res.params.free_values,
                                       newton.params.free_values)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clik.asymptotics as asy
 import clik.composite as comp
@@ -9,8 +11,9 @@ import clik.estimators as est
 import clik.montecarlo as mc
 from clik.errors import (ClikError, DomainError, FailureBudgetExceeded,
                          SingularMatrix, UnsupportedSpec)
-from clik.models import EMVN, Multinomial4, TriNormal
-from oracles import PARENT_STATISTICS, numeric_hessian, parent_draw, parent_run
+from clik.models import EMVN, Model, Multinomial4, TriNormal
+from oracles import (numeric_hessian, parent_column_means, parent_draw,
+                     parent_pair_stats, parent_run, parent_statistic)
 
 
 def small_config(replicates=200, seed=3):
@@ -150,6 +153,10 @@ def test_run_matches_parent_route_at_large_n(model, values, tokens):
 
 
 _EMVN5, _EMVN9, _TRI, _MULT = EMVN(5), EMVN(9), TriNormal(), Multinomial4(2.0)
+#: Gap allowed between what the fit routes read from ``Model.statistic``
+#: and the textbook formulas, as a fraction of the largest entry of each
+#: compared block: the two round each sum differently.
+STATISTIC_RTOL = 1e-13
 
 
 @pytest.mark.parametrize("name, model, theta", [
@@ -157,17 +164,102 @@ _EMVN5, _EMVN9, _TRI, _MULT = EMVN(5), EMVN(9), TriNormal(), Multinomial4(2.0)
     for model, theta in ((_EMVN5, _EMVN5.params(rho=0.3, sigma2=2.0)),
                          (_EMVN9, _EMVN9.params(rho=-0.1, sigma2=0.7)),
                          (_TRI, _TRI.params(mu=1.0, rho=-0.5, sigma2=3.0)),
-                         (_MULT, _MULT.params(0.3)))
-    for name in PARENT_STATISTICS
+                         (_MULT, _MULT.params(0.3)),
+                         (_TRI, _TRI.params(mu=1e3, rho=0.2, sigma2=1e-2)))
+    for name in ("_pair_stats", "_column_means", "statistic")
     if name != "_pair_stats" or isinstance(model, EMVN)])
 @pytest.mark.parametrize("n", [1, 7, 300, 8500])
 def test_block_statistics_equal_one_dataset_formulas(name, model, theta, n):
-    statistic = model.statistic if name == "statistic" else getattr(est, name)
+    # ``name`` is the quantity checked against its one-dataset formula: the
+    # pairwise sums (n, p, Q, W) and the column means the fast paths read,
+    # or the whole statistic that Newton reads
     data = np.stack([parent_draw(model, theta, n, 8, r) for r in range(4)])
-    stacked = statistic(data)
+    before = data.copy()
+    stacked = model.statistic(data)
+    p = model.dim
     for Y, row in zip(data, stacked):
-        assert row.tobytes() == PARENT_STATISTICS[name](Y).tobytes()
-        assert statistic(Y).tobytes() == row.tobytes()
+        assert Model.statistic(Y).tobytes() == row.tobytes()
+        if name == "_column_means":
+            # bit for bit, so the TriNormal and Multinomial4 fast estimates
+            # keep their bits
+            assert row[1:p + 1].tobytes() == parent_column_means(Y).tobytes()
+            continue
+        if name == "_pair_stats":
+            got, want = est._pair_sums(row), parent_pair_stats(Y)
+            assert got[:2].tolist() == want[:2].tolist()
+            # W sums signed scatter entries: its gap is bounded on Q's scale
+            blocks = [(got[2:], want[2:], want[2])]
+        else:
+            want = parent_statistic(Y)
+            blocks = [(row[sl], want[sl], np.abs(want[sl]).max()) for sl in
+                      (slice(0, 1), slice(1, p + 1), slice(p + 1, None))]
+        for got, want, scale in blocks:
+            assert np.abs(got - want).max() <= STATISTIC_RTOL * scale
+    assert data.tobytes() == before.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.integers(3, 10), u=st.floats(0.001, 0.999),
+       sigma2=st.floats(0.1, 10.0),
+       n=st.one_of(st.integers(1, 60), st.integers(61, 8500)),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_sums_from_statistic_match_the_rows(p, u, sigma2, n, seed):
+    # Q is a sum of nonnegative terms either way.  W = 1'S1 + n (1'ybar)^2
+    # sums the signed scatter entries, so its gap is bounded on the scale
+    # of Q (W <= p Q); relative to W alone it grows where W << p Q, with
+    # rho near -1/(p - 1).
+    model = EMVN(p)
+    lo = -1.0 / (p - 1)
+    theta = model.params(rho=lo + u * (1.0 - lo), sigma2=sigma2)
+    Y = parent_draw(model, theta, n, seed, 0)
+    got = est._pair_sums(model.statistic(Y)[None])[0]
+    want = parent_pair_stats(Y)
+    assert got[:2].tolist() == want[:2].tolist()
+    assert abs(got[2] - want[2]) <= 1e-13 * want[2]
+    assert abs(got[3] - want[3]) <= 1e-13 * want[2]
+
+
+def test_each_block_is_reduced_once_by_model_statistic(monkeypatch):
+    # one fast-path run and one Newton run read the same statistic: the
+    # draws are touched by one ``Model.statistic`` call per block, and by
+    # no other numpy call
+    config = study(EMVN(3), {"rho": 0.3, "sigma2": 1.0},
+                   ("pairwise", "full_conditional"), n=500, replicates=200)
+    size = mc._block_size(config)
+    assert -(-config.replicates // size) == 10
+    plain = mc.run(config, threads=1)
+
+    touched, calls = [], []
+
+    class Draws(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            touched.append(ufunc.__name__)
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(x) for x in out)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            touched.append(func.__name__)
+            return super().__array_function__(func, types, args, kwargs)
+
+    statistic, sampler = Model.statistic, EMVN.sampler
+
+    def counted(Y):
+        calls.append(len(Y))
+        return statistic(np.asarray(Y))
+
+    def watched(self, theta):
+        draw = sampler(self, theta)
+        return lambda n, rngs: draw(n, rngs).view(Draws)
+
+    monkeypatch.setattr(Model, "statistic", staticmethod(counted))
+    monkeypatch.setattr(EMVN, "sampler", watched)
+    result = mc.run(config, threads=1)
+    assert calls == [size] * 9 + [config.replicates - 9 * size]
+    assert touched == []
+    for label in result.labels():
+        assert (result.estimates[label].tobytes()
+                == plain.estimates[label].tobytes())
 
 
 def test_score_norm_is_recorded_per_replicate():
