@@ -182,11 +182,9 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
         prof, known = _partitioned_from_mats(
             triple.sensitivity, triple.variability, triple.godambe, i_idx, n_idx)
         ratio = float(known[0, 0] / prof[0, 0])
-        batch_ratios = []
-        for hb, jb in zip(triple.batch_sensitivity, triple.batch_variability):
-            pb, kb = _partitioned_from_mats(hb, jb, _godambe(hb, jb), i_idx, n_idx)
-            batch_ratios.append(float(kb[0, 0] / pb[0, 0]))
-        rows.append([rho, ratio, float(batch_se(batch_ratios))])
+        hb, jb = triple.batch_sensitivity, triple.batch_variability
+        pb, kb = _partitioned_from_mats(hb, jb, _godambe(hb, jb), i_idx, n_idx)
+        rows.append([rho, ratio, float(batch_se(kb[:, 0, 0] / pb[:, 0, 0]))])
     return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows),
                            {"p": p, "draws": draws, "sigma2": sigma2})
 

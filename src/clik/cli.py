@@ -306,8 +306,8 @@ def parse_sim_config(path) -> mc.SimConfig:
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    out = _ensure_out(args)
     config = parse_sim_config(args.config)
+    out = _ensure_out(args)
     result = mc.run(config)
     est_path = os.path.join(out, "simulate_estimates.csv")
     sum_path = os.path.join(out, "simulate_summary.csv")

@@ -17,7 +17,9 @@ per free parameter: :func:`composite_score` contracts it with each row,
 and :func:`summed_score` with a dataset's statistic.  Monte Carlo H is a
 central difference of sample-mean scores over common draws; the means at
 the stencil points come from per-batch statistics, so the draws are
-scored row by row only once, at ``theta``.
+scored row by row only once, at ``theta``.  Monte Carlo J is pooled from
+the batch covariances and means, and the batch Godambe matrices are one
+stacked solve, as are the partitioned variances of a stack of triples.
 """
 
 from __future__ import annotations
@@ -328,7 +330,18 @@ def sample_cov(x, y=None):
     return dev.T @ (y - y.mean(axis=0)) / (x.shape[0] - 1)
 
 
+def _pooled_cov(covs, means, sizes):
+    """The :func:`sample_cov` of the rows of every batch together, from each
+    batch's covariance, mean and size: ``(sum_b (n_b - 1) C_b + sum_b n_b
+    (m_b - m)(m_b - m)') / (n - 1)``, with ``m`` the mean of all rows."""
+    n = sizes.sum()
+    dev = means - sizes @ means / n
+    within = np.tensordot(sizes - 1, covs, axes=1)
+    return symmetrize((within + (sizes[:, None] * dev).T @ dev) / (n - 1))
+
+
 def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """``H J^-1 H``, or that of each matrix pair of a stack."""
     return symmetrize(H @ solve_sym(J, H))
 
 
@@ -338,12 +351,15 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     ``M`` when given) over the draws ``Y``.  Returns ``(triple,
     scores_at_theta)``.
 
-    J is the sample covariance of the scores at ``theta``.  H is minus the
+    J is the sample covariance of the scores at ``theta``, pooled
+    (:func:`_pooled_cov`) from each batch's :func:`sample_cov` and mean, so
+    one pass over the scores gives J and its batch values.  H is minus the
     central difference of the sample-mean score in each free parameter
     (common draws across shifts); the mean at every stencil point comes
     from each batch's ``model.statistic`` through one :func:`summed_score`
     call, so only the scores at ``theta`` are evaluated row by row.
-    Standard errors come from ``batches`` contiguous batch means.
+    Standard errors come from ``batches`` contiguous batch means; the batch
+    Godambe matrices are one stacked solve.
 
     A genuine composite score is a gradient field, so its per-draw
     Jacobian is symmetric and the estimated H must be symmetric to
@@ -357,8 +373,11 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     if M is not None:
         U0 = U0 @ M
 
-    J_full = sample_cov(U0)
+    starts = [sl.start for sl in slices]
+    sizes = np.diff(starts + [n])
     J_batch = np.stack([sample_cov(U0[sl]) for sl in slices])
+    means = np.add.reduceat(U0, starts, axis=0) / sizes[:, None]
+    J_full = _pooled_cov(J_batch, means, sizes)
 
     steps = np.array([FD_STEP_INFO * max(1.0, abs(theta[name])) for name in free])
     stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + sign * h})
@@ -372,7 +391,6 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     sums = sums.reshape(q, 2, batches, q)         # (column, side, batch, row)
     diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
     Hcols_full = -(diff.sum(axis=1) / n).T
-    sizes = np.array([sl.stop - sl.start for sl in slices])
     Hcols_batch = -np.transpose(diff / sizes[:, None], (1, 2, 0))
 
     allow = H_ASYMMETRY_TOL
@@ -383,11 +401,8 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     if asymmetry(Hcols_full) > allow:
         raise ValueError(f"sensitivity estimate asymmetric beyond tolerance: "
                          f"{asymmetry(Hcols_full):g}")
-    H_full = symmetrize(Hcols_full)
-    H_batch = np.stack([symmetrize(m) for m in Hcols_batch])
-
-    G_full = _godambe(H_full, J_full)
-    G_batch = np.stack([_godambe(h_, j_) for h_, j_ in zip(H_batch, J_batch)])
+    H_full, H_batch = symmetrize(Hcols_full), symmetrize(Hcols_batch)
+    G_full, G_batch = _godambe(H_full, J_full), _godambe(H_batch, J_batch)
 
     triple = InfoTriple(
         param_names=free,
@@ -602,8 +617,8 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     U = model.full_score(Y, theta)
 
     M = projection_matrix(triple)                      # J^-1 H
-    M_batch = [solve_sym(jb, hb) for hb, jb in
-               zip(triple.batch_sensitivity, triple.batch_variability)]
+    M_batch = solve_sym(triple.batch_variability, triple.batch_sensitivity)
+    G_batch = _godambe(triple.batch_sensitivity, triple.batch_variability)
 
     resid = U - Uc @ M
     slices = batch_slices(draws, batches)
@@ -617,11 +632,10 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
 
     # batch versions (each batch uses its own projection)
     gap_b, cross_b, lam_b = [], [], []
-    for bi, (sl, Mb) in enumerate(zip(slices, M_batch)):
+    for sl, Mb, Gb in zip(slices, M_batch, G_batch):
         rb = U[sl] - Uc[sl] @ Mb
         rcov = sample_cov(rb)
         Ib = sample_cov(U[sl])
-        Gb = _godambe(triple.batch_sensitivity[bi], triple.batch_variability[bi])
         cross_b.append(sample_cov(Uc[sl], U[sl]))
         gap_b.append(rcov - (Ib - Gb))
         lam_b.append(float(np.max(np.linalg.eigvalsh(rcov))))
@@ -665,10 +679,13 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
 
 
 def _partitioned_from_mats(H, J, G, i_idx, n_idx):
-    ii = np.ix_(i_idx, i_idx)
-    nn = np.ix_(n_idx, n_idx)
-    in_ = np.ix_(i_idx, n_idx)
-    ni = np.ix_(n_idx, i_idx)
+    """:func:`partitioned_variance` from the matrices of a triple, or from
+    stacks ``(..., q, q)`` of them, matrix by matrix."""
+    i_idx, n_idx = np.asarray(i_idx), np.asarray(n_idx)
+    ii = (Ellipsis, i_idx[:, None], i_idx[None, :])
+    nn = (Ellipsis, n_idx[:, None], n_idx[None, :])
+    in_ = (Ellipsis, i_idx[:, None], n_idx[None, :])
+    ni = (Ellipsis, n_idx[:, None], i_idx[None, :])
     schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
     avar_profile = sym_invert(schur)
     h_ii_inv = sym_invert(H[ii])

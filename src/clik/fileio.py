@@ -17,13 +17,14 @@ def fmt(value: float) -> str:
 def atomic_write(path, newline=None):
     """Yield a text file that replaces ``path`` only when the block exits
     cleanly (a temp file in the same directory, then a rename), so readers
-    never see a partial file."""
+    never see a partial file.  The file is the temp file's own text
+    stream, so a write is not routed through the temp-file wrapper."""
     tmp = tempfile.NamedTemporaryFile(
         "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
         suffix=".tmp", delete=False, newline=newline)
     try:
         with tmp:
-            yield tmp
+            yield tmp.file
         os.replace(tmp.name, path)
     except BaseException:
         os.unlink(tmp.name)

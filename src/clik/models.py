@@ -340,8 +340,10 @@ def affine_quadratic(c, B, A, resid):
     residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``."""
     out = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
     for a in range(c.shape[-1]):
+        # a zero A leaves a linear form's bits alone
         if np.any(A[..., a, :, :]):
-            out[..., a] += 0.5 * ((resid @ A[..., a, :, :]) * resid).sum(axis=-1)
+            out[..., a] += 0.5 * np.einsum("...nm,...nm->...n",
+                                           resid @ A[..., a, :, :], resid)
     return out
 
 
@@ -439,20 +441,21 @@ class Model:
         Returns ``(c, B, A)`` with shapes ``(..., q)``, ``(..., q, dim)`` and
         ``(..., q, dim, dim)`` such that score coordinate ``a`` equals
         ``c[a] + B[a] @ r + 0.5 * r @ A[a] @ r`` for ``r = y - mean(theta)``;
-        the leading axes are those of a ParamBatch ``theta``.
+        the leading axes are those of a ParamBatch ``theta``.  The one-margin
+        case of :meth:`margin_score_reps`.
         """
-        raise NotImplementedError
+        return unpack_forms(self.margin_score_reps([indices], theta)[0],
+                            self.dim)
 
     def margin_score_reps(self, index_sets, theta):
         """The forms of :meth:`margin_score_rep` of every margin in
         ``index_sets``, packed (:func:`pack_forms`) and stacked along a new
         first axis: shape ``(len(index_sets), ..., q, 1 + dim + dim**2)``,
-        the middle axes those of a ParamBatch ``theta``.  Here one
-        :meth:`margin_score_rep` call per margin; :class:`GaussianModel`
-        builds every margin in one pass.
+        the middle axes those of a ParamBatch ``theta``.  Every margin is
+        built in one pass: ``theta`` is validated, and what the margins
+        share is computed, once per call.
         """
-        return np.stack([pack_forms(*self.margin_score_rep(idx, theta))
-                         for idx in index_sets])
+        raise NotImplementedError
 
     def _mean(self, theta) -> np.ndarray:
         """Mean of the observation, shape ``(..., dim)``."""
@@ -554,12 +557,6 @@ class GaussianModel(Model):
         return float(out[0]) if single else out
 
     margin_score = Model.margin_score   # perfbench/tracing.py wraps it per class
-
-    def margin_score_rep(self, indices, theta):
-        """See :meth:`Model.margin_score_rep`: the one-margin case of
-        :meth:`margin_score_reps`."""
-        return unpack_forms(self.margin_score_reps([indices], theta)[0],
-                            self.dim)
 
     def margin_score_reps(self, index_sets, theta):
         """See :meth:`Model.margin_score_reps`.  With ``S``, ``dS`` and
@@ -816,18 +813,22 @@ class Multinomial4(Model):
     def _mean(self, theta):
         return self.cell_probs(theta)[..., :3]
 
-    def margin_score_rep(self, indices, theta):
-        """See :meth:`Model.margin_score_rep`; the score is linear in the
-        indicators, so ``A`` is zero."""
+    def margin_score_reps(self, index_sets, theta):
+        """See :meth:`Model.margin_score_reps`.  The score is linear in the
+        indicators, so ``A`` is zero; the cell probabilities are computed
+        once for every margin."""
         self.validate(theta)
-        idx = list(self._check_indices(indices))
         probs = self.cell_probs(theta)
-        grads = self.cell_grads()[idx]
-        rest = -grads.sum() / (1.0 - probs[..., idx].sum(axis=-1))
-        B = np.zeros(probs.shape[:-1] + (1, 3))
-        B[..., 0, idx] = grads / probs[..., idx] - rest[..., None]
-        c = rest[..., None] + (B * probs[..., None, :3]).sum(axis=-1)
-        return c, B, np.zeros(B.shape + (3,))
+        cell_grads = self.cell_grads()
+        out = np.zeros((len(index_sets),) + probs.shape[:-1] + (1, 1 + 3 + 3 * 3))
+        for forms, indices in zip(out, index_sets):
+            idx = list(self._check_indices(indices))
+            grads = cell_grads[idx]
+            rest = -grads.sum() / (1.0 - probs[..., idx].sum(axis=-1))
+            B = forms[..., 0, 1:4]
+            B[..., idx] = grads / probs[..., idx] - rest[..., None]
+            forms[..., 0, 0] = rest + (B * probs[..., :3]).sum(axis=-1)
+        return out
 
     def sampler(self, theta):
         self.validate(theta)

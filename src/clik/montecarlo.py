@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -152,16 +152,20 @@ class SimResult:
     # -- serialization -----------------------------------------------------
 
     def write_estimates_csv(self, path) -> None:
-        rows = []
+        """One row per replicate and free parameter, replicates in order;
+        the columns are built whole (``repr`` of a float is :func:`fmt`)."""
+        tables = []
         for label in self.labels():
             names = self.param_names(label)
-            est = self.estimates[label]
-            conv = self.converged[label]
-            for r in range(est.shape[0]):
-                for j, name in enumerate(names):
-                    rows.append([label, r, name, fmt(est[r, j]),
-                                 str(bool(conv[r]))])
-        atomic_csv(path, CSV_ESTIMATES_HEADER, rows)
+            est = np.asarray(self.estimates[label], dtype=float)
+            conv = np.asarray(self.converged[label], dtype=bool)
+            reps, d = est.shape[0], len(names)
+            tables.append(zip(repeat(label),
+                              np.repeat(np.arange(reps), d).tolist(),
+                              list(names) * reps,
+                              map(repr, est.ravel().tolist()),
+                              np.repeat(conv, d).astype(str).tolist()))
+        atomic_csv(path, CSV_ESTIMATES_HEADER, chain.from_iterable(tables))
 
     def summary_rows(self) -> list:
         rows = []

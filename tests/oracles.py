@@ -263,3 +263,44 @@ def parent_info_exact(spec, model, theta):
     H = 0.5 * (H + H.T)
     G = H @ np.linalg.solve(J, H)
     return H, J, 0.5 * (G + G.T)
+
+
+def parent_affine_quadratic(c, B, A, resid):
+    """``models.affine_quadratic`` with the quadratic term as a product and
+    a sum over the last axis, ``((r @ A_a) * r).sum(-1)``, as it was
+    before the term became one ``einsum``; a zero ``A_a`` is skipped."""
+    out = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+    for a in range(c.shape[-1]):
+        if np.any(A[..., a, :, :]):
+            out[..., a] += 0.5 * ((resid @ A[..., a, :, :]) * resid).sum(axis=-1)
+    return out
+
+
+def parent_partitioned(H, J, G, i_idx, n_idx):
+    """``(avar_profile, avar_known)`` of one triple's matrices, indexed by
+    ``np.ix_`` as before the blocks were taken from stacks."""
+    from clik.matrixops import solve_sym, sym_invert, symmetrize
+    ii, nn = np.ix_(i_idx, i_idx), np.ix_(n_idx, n_idx)
+    in_, ni = np.ix_(i_idx, n_idx), np.ix_(n_idx, i_idx)
+    schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
+    h_ii_inv = sym_invert(H[ii])
+    return sym_invert(schur), symmetrize(h_ii_inv @ J[ii] @ h_ii_inv)
+
+
+def parent_estimates_csv(result, path):
+    """``SimResult.write_estimates_csv`` as it was: one list per row, each
+    estimate through ``fileio.fmt``, each flag through ``str(bool(...))``."""
+    import csv
+
+    from clik.fileio import fmt
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["spec", "replicate", "param", "estimate",
+                         "converged"])
+        for label in result.labels():
+            names = result.param_names(label)
+            est, conv = result.estimates[label], result.converged[label]
+            for r in range(est.shape[0]):
+                for j, name in enumerate(names):
+                    writer.writerow([label, r, name, fmt(est[r, j]),
+                                     str(bool(conv[r]))])

@@ -143,6 +143,7 @@ def test_overflowing_k_exits_2_naming_k(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "k=1e+308 is too large" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_simulate_smoke(tmp_path, capsys):
