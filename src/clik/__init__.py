@@ -27,8 +27,7 @@ from .composite import (Component, CompositeSpec, FullEfficiencyReport,
 from .errors import (ClikError, ConfigError, DimensionMismatch, DomainError,
                      FailureBudgetExceeded, NoRootInDomain,
                      NotPositiveDefinite, SingularMatrix, UnsupportedSpec)
-from .estimators import (EstimateResult, closed_form, fit, mcle_newton,
-                         registered_closed_form)
+from .estimators import EstimateResult, fit, registered_closed_form
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
                         symmetrize)
 from .models import (EMVN, GaussianModel, Model, Multinomial4, ParamVector,
@@ -48,8 +47,7 @@ __all__ = [
     "info_bias_measure", "info_bias_zscore", "full_efficiency_check",
     "FullEfficiencyReport", "project_score", "projection_matrix",
     "projected_info_monte_carlo", "partitioned_variance",
-    "EstimateResult", "mcle_newton", "closed_form", "fit",
-    "registered_closed_form",
+    "EstimateResult", "fit", "registered_closed_form",
     "EfficiencyCurve", "default_grid", "avar_rho_known_sigma",
     "avar_rho_free_sigma", "pairwise_ratio_curve",
     "full_conditional_ratio_curve", "pairwise_rho_sigma_acov",

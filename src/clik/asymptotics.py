@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import (_godambe, _partitioned_from_mats, batch_se,
-                        full_conditional, info_monte_carlo)
+from .composite import (_partitioned_from_mats, batch_se, full_conditional,
+                        info_monte_carlo)
 from .errors import DomainError
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, substream
@@ -182,8 +182,9 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
         prof, known = _partitioned_from_mats(
             triple.sensitivity, triple.variability, triple.godambe, i_idx, n_idx)
         ratio = float(known[0, 0] / prof[0, 0])
-        hb, jb = triple.batch_sensitivity, triple.batch_variability
-        pb, kb = _partitioned_from_mats(hb, jb, _godambe(hb, jb), i_idx, n_idx)
+        pb, kb = _partitioned_from_mats(
+            triple.batch_sensitivity, triple.batch_variability,
+            triple.batch_godambe, i_idx, n_idx)
         rows.append([rho, ratio, float(batch_se(kb[:, 0, 0] / pb[:, 0, 0]))])
     return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows),
                            {"p": p, "draws": draws, "sigma2": sigma2})

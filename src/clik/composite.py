@@ -270,7 +270,7 @@ def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
 class InfoTriple:
     """Sensitivity H, variability J and Godambe information G = H J^-1 H
     at a fixed parameter point, with provenance and (for Monte Carlo)
-    batch-means standard errors."""
+    batch-means standard errors and the batch matrices behind them."""
 
     param_names: tuple
     sensitivity: np.ndarray
@@ -283,6 +283,7 @@ class InfoTriple:
     godambe_se: np.ndarray | None = None
     batch_sensitivity: np.ndarray | None = None     # (B, q, q)
     batch_variability: np.ndarray | None = None
+    batch_godambe: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -416,6 +417,7 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         godambe_se=batch_se(G_batch),
         batch_sensitivity=H_batch,
         batch_variability=J_batch,
+        batch_godambe=G_batch,
     )
     return triple, U0
 
@@ -618,7 +620,6 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
 
     M = projection_matrix(triple)                      # J^-1 H
     M_batch = solve_sym(triple.batch_variability, triple.batch_sensitivity)
-    G_batch = _godambe(triple.batch_sensitivity, triple.batch_variability)
 
     resid = U - Uc @ M
     slices = batch_slices(draws, batches)
@@ -632,7 +633,7 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
 
     # batch versions (each batch uses its own projection)
     gap_b, cross_b, lam_b = [], [], []
-    for sl, Mb, Gb in zip(slices, M_batch, G_batch):
+    for sl, Mb, Gb in zip(slices, M_batch, triple.batch_godambe):
         rb = U[sl] - Uc[sl] @ Mb
         rcov = sample_cov(rb)
         Ib = sample_cov(U[sl])

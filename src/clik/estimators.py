@@ -2,8 +2,10 @@
 
 Every fit is one solve over the stacked ``Model.statistic`` rows (``n``,
 the sample mean and the scatter about it) of many datasets, so a
-simulation study fits all replicates of a run in one call, and
-:func:`fit` is the one-dataset case.  Registered fast paths cover the
+simulation study fits all replicates of a run in one call.
+:func:`batch_route` is the one place that picks the solve for a spec,
+and :func:`fit` is its one-dataset case; both routes fill the same
+per-dataset record, :class:`Fits`.  Registered fast paths cover the
 four-cell multinomial MLE and the two mean estimators of the two-block
 normal model, which read the sample means, and the equicorrelated-normal
 pairwise correlation estimators (variance known or profiled out), which
@@ -58,6 +60,41 @@ class EstimateResult:
     solver: str                         # "closed-form" | "newton"
 
 
+@dataclass(frozen=True)
+class Fits:
+    """Outcome of fitting a spec on many datasets, one entry per dataset.
+
+    ``params.point(i)`` is fit ``i``: the ``theta_like`` it started from,
+    fixed parameters tagged known, with the free values replaced.
+    ``errors[i]`` is the exception that ended fit ``i`` (NoRootInDomain,
+    DomainError or SingularMatrix), or None; such a fit is not converged.
+    """
+
+    params: ParamBatch
+    iterations: np.ndarray
+    converged: np.ndarray
+    score_norm: np.ndarray
+    errors: list
+    solver: str                         # "closed-form" | "newton"
+
+    def columns(self):
+        """``(estimates, converged, score_norm)``: the free values of every
+        fit, NaN rows where a fit failed or did not converge."""
+        ok = self.converged & np.array([e is None for e in self.errors])
+        cols = [self.params.names.index(n) for n in self.params.free_names]
+        estimates = self.params.values[:, cols]
+        estimates[~ok] = np.nan
+        return estimates, ok, self.score_norm
+
+    def result(self) -> EstimateResult:
+        """The EstimateResult of the first fit, or its failure raised."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return EstimateResult(self.params.point(0), int(self.iterations[0]),
+                              bool(self.converged[0]),
+                              float(self.score_norm[0]), self.solver)
+
+
 # ---------------------------------------------------------------------------
 # Newton solver
 # ---------------------------------------------------------------------------
@@ -67,21 +104,6 @@ def _check_newton_free(free) -> None:
     if not free:
         raise UnsupportedSpec("Newton solver needs at least one free "
                               "parameter, got none")
-
-
-@dataclass(frozen=True)
-class NewtonFits:
-    """Outcome of :func:`newton_solve`, one entry per dataset.
-
-    ``errors[i]`` is the exception that ended fit ``i`` (DomainError or
-    SingularMatrix), or None; such a fit is not converged.
-    """
-
-    params: ParamBatch
-    iterations: np.ndarray
-    converged: np.ndarray
-    score_norm: np.ndarray
-    errors: list
 
 
 def _scores(spec, model, stats, points):
@@ -128,7 +150,7 @@ def _jacobian(spec, model, stats, points, cols):
 
 def newton_solve(spec: CompositeSpec, model: Model, stats,
                  start: ParamBatch, max_iter: int = NEWTON_MAX_ITER
-                 ) -> NewtonFits:
+                 ) -> Fits:
     """Newton iteration on the summed composite score of many datasets.
 
     Row ``i`` of ``stats`` is ``model.statistic`` of dataset ``i`` and is
@@ -226,37 +248,8 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
     values = best
     jacobians(alive(), "score Jacobian at the estimate")
     failed = np.array([e is not None for e in errors])
-    return NewtonFits(batch(best), iterations, (best_norm < tol) & ~failed,
-                      best_norm, errors)
-
-
-def _one_fit(fits: NewtonFits) -> EstimateResult:
-    """The EstimateResult of a one-dataset :func:`newton_solve`, or its
-    failure raised."""
-    if fits.errors[0] is not None:
-        raise fits.errors[0]
-    return EstimateResult(fits.params.point(0), int(fits.iterations[0]),
-                          bool(fits.converged[0]), float(fits.score_norm[0]),
-                          "newton")
-
-
-def mcle_newton(spec: CompositeSpec, model: Model, data, theta0: ParamVector,
-                fixed=None, max_iter: int = NEWTON_MAX_ITER) -> EstimateResult:
-    """Newton iteration on the summed composite score of one dataset, from
-    ``theta0``: the one-dataset case of :func:`newton_solve`.
-
-    ``fixed`` maps parameter names to values held at those values (tagged
-    known).  Raises the fit's failure: DomainError, or SingularMatrix when
-    a score Jacobian is singular, for example when the spec carries no
-    information on a free parameter.
-    """
-    Y = model.check_data(data)
-    theta = theta0
-    if fixed:
-        theta = theta.with_values(**fixed).with_roles(
-            **{name: "known" for name in fixed})
-    return _one_fit(newton_solve(spec, model, model.statistic(Y)[None],
-                                 ParamBatch.stack([theta]), max_iter))
+    return Fits(batch(best), iterations, (best_norm < tol) & ~failed,
+                best_norm, errors, "newton")
 
 
 # ---------------------------------------------------------------------------
@@ -477,56 +470,23 @@ class FastPath:
 
     ``solve(stats, known)`` maps the statistics of R datasets, stacked as
     the rows of ``stats``, to ``(estimates, converged, score_norm)``: the
-    ``(R, d)`` free-parameter values in ``free`` order (NaN rows where
-    there is no estimate), an ``(R,)`` flag and the absolute score at each
-    estimate.  ``known`` supplies the fixed values the solve reads; the
-    parameters among them, ``known_params``, are reported as known in a
-    fit.
+    ``(R, d)`` values of the ``free`` parameters (NaN rows where there is
+    no estimate), an ``(R,)`` flag and the absolute score at each
+    estimate.  ``known`` supplies the fixed values the solve reads.
     """
 
-    free: tuple                         # ((name, role), ...)
-    known_params: tuple
+    free: tuple
     solve: Callable[[np.ndarray, dict], tuple]
 
 
 #: The registered estimators by id.
 ESTIMATORS = {
-    "trinormal_mu12": FastPath((("mu", "interest"),), (), _solve_mu12),
-    "trinormal_mu123": FastPath((("mu", "interest"),), ("sigma2",),
-                                _solve_mu123),
-    "multinomial4_mle": FastPath((("theta", "interest"),), (),
-                                 _solve_multinomial),
-    "emvn_pairwise_rho": FastPath((("rho", "interest"),
-                                   ("sigma2", "nuisance")), (),
-                                  _solve_pairwise_free),
-    "emvn_pairwise_rho_known_sigma": FastPath((("rho", "interest"),),
-                                              ("sigma2",),
-                                              _solve_pairwise_known),
+    "trinormal_mu12": FastPath(("mu",), _solve_mu12),
+    "trinormal_mu123": FastPath(("mu",), _solve_mu123),
+    "multinomial4_mle": FastPath(("theta",), _solve_multinomial),
+    "emvn_pairwise_rho": FastPath(("rho", "sigma2"), _solve_pairwise_free),
+    "emvn_pairwise_rho_known_sigma": FastPath(("rho",), _solve_pairwise_known),
 }
-
-
-def closed_form(name: str, data, known=None) -> EstimateResult:
-    """Evaluate a registered estimator on one dataset.
-
-    Known ids: ``trinormal_mu12``, ``trinormal_mu123`` (needs ``sigma2``),
-    ``multinomial4_mle`` (needs ``k``), ``emvn_pairwise_rho`` and
-    ``emvn_pairwise_rho_known_sigma`` (needs ``sigma2``).  Raises KeyError
-    for an unknown id or a missing known value, and NoRootInDomain when
-    the score has no root inside the domain.
-    """
-    entry = ESTIMATORS[name]
-    known = known or {}
-    stats = Model.statistic(np.atleast_2d(np.asarray(data, dtype=float)))[None]
-    estimates, converged, score_norm = entry.solve(stats, known)
-    if not converged[0]:
-        raise NoRootInDomain(f"{name}: no score root inside the domain")
-    names = tuple(n for n, _ in entry.free) + entry.known_params
-    values = (*estimates[0].tolist(),
-              *(float(known[n]) for n in entry.known_params))
-    roles = (tuple(r for _, r in entry.free)
-             + ("known",) * len(entry.known_params))
-    return EstimateResult(ParamVector(names, values, roles), 0, True,
-                          float(score_norm[0]), "closed-form")
 
 
 def _unit_margins(spec: CompositeSpec):
@@ -540,8 +500,9 @@ def _unit_margins(spec: CompositeSpec):
 
 def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
                            fixed=None):
-    """Return ``(name, known)``: the id in :data:`ESTIMATORS` of the fast
-    path for this fit and the values its solve reads, or None.
+    """Return ``(entry, known)``: the :class:`FastPath` in
+    :data:`ESTIMATORS` that fits this spec and the values its solve reads,
+    or None.
 
     Matching is structural (spec components plus which parameters are
     fixed), so hand-built specs qualify as well as the constructors.
@@ -553,20 +514,28 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
     if (isinstance(model, EMVN)
             and margins == list(combinations(range(model.dim), 2))):
         if not fixed and free_after == ["rho", "sigma2"]:
-            return "emvn_pairwise_rho", {}
+            return ESTIMATORS["emvn_pairwise_rho"], {}
         if set(fixed) == {"sigma2"} and free_after == ["rho"]:
-            return "emvn_pairwise_rho_known_sigma", {"sigma2": fixed["sigma2"]}
+            return ESTIMATORS["emvn_pairwise_rho_known_sigma"], fixed
 
-    if isinstance(model, Multinomial4) and margins == [(0, 1, 2)] and not fixed:
-        return "multinomial4_mle", {"k": model.k}
+    if (isinstance(model, Multinomial4) and margins == [(0, 1, 2)]
+            and free_after == ["theta"]):
+        return ESTIMATORS["multinomial4_mle"], {"k": model.k}
 
     if isinstance(model, TriNormal) and free_after == ["mu"]:
         if margins == [(0,), (1,)]:
-            return "trinormal_mu12", {}
+            return ESTIMATORS["trinormal_mu12"], {}
         if margins == [(0,), (1,), (2,)]:
-            return "trinormal_mu123", {
+            return ESTIMATORS["trinormal_mu123"], {
                 "sigma2": fixed.get("sigma2", theta_like["sigma2"])}
     return None
+
+
+def _hold(theta_like: ParamVector, fixed) -> ParamVector:
+    """``theta_like`` with the ``fixed`` values set and tagged known."""
+    fixed = dict(fixed or {})
+    return theta_like.with_values(**fixed).with_roles(
+        **{name: "known" for name in fixed})
 
 
 def check_identified(model: Model, spec: CompositeSpec, theta_like,
@@ -580,9 +549,7 @@ def check_identified(model: Model, spec: CompositeSpec, theta_like,
     pass unchecked."""
     if registered_closed_form(model, spec, theta_like, fixed) is not None:
         return
-    fixed = fixed or {}
-    theta = theta_like.with_values(**fixed).with_roles(
-        **{name: "known" for name in fixed})
+    theta = _hold(theta_like, fixed)
     try:
         singular = is_singular(info_exact(spec, model, theta).sensitivity)
     except SingularMatrix:
@@ -608,7 +575,6 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
     ``stats`` (``model.statistic`` of each dataset): the method of moments,
     clipped inside the domain.  Parameters that ``theta_like`` tags known
     keep their values, and so do the ``fixed`` ones, which are tagged known."""
-    fixed = dict(fixed or {})
     n, ybar, scatter = unpack_statistic(stats)
     p = model.dim
     if isinstance(model, EMVN):
@@ -626,9 +592,7 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
         pad = 0.02 * model.theta_max
         updates = {"theta": np.clip(ybar.sum(axis=1) / (2.0 + 1.0 / model.k),
                                     pad, model.theta_max - pad)}
-    theta = theta_like.with_values(**fixed)
-    if fixed:
-        theta = theta.with_roles(**{name: "known" for name in fixed})
+    theta = _hold(theta_like, fixed)
     values = np.tile(theta.values, (len(stats), 1))
     for name, column in updates.items():
         if name in theta.free_names:
@@ -636,44 +600,47 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
     return ParamBatch(theta.names, values, theta.roles)
 
 
-def _newton_estimates(spec, model, stats, theta_like, fixed):
-    """``(estimates, converged, score_norm)`` of batched Newton from the
-    moment starts; failed rows hold NaN."""
-    fits = newton_solve(spec, model, stats,
-                        moment_starts(model, stats, theta_like, fixed))
-    ok = fits.converged & np.array([e is None for e in fits.errors])
-    cols = [fits.params.names.index(n) for n in fits.params.free_names]
-    estimates = fits.params.values[:, cols]
-    estimates[~ok] = np.nan
-    return estimates, ok, fits.score_norm
-
-
 def batch_route(model: Model, spec: CompositeSpec, theta_like, fixed=None):
-    """``solve(stats)`` fitting a spec on many datasets.
+    """``solve(stats) -> Fits`` fitting a spec on many datasets.
 
-    ``solve`` maps the stacked ``model.statistic`` rows of the datasets to
-    ``(estimates, converged, score_norm)`` as :class:`FastPath` does: the
-    registered fast path when one matches, batched Newton from the moment
-    starts otherwise.  Row ``i`` of every result equals what :func:`fit`
-    gives on dataset ``i`` alone.
+    ``solve`` fits the datasets whose ``model.statistic`` rows are stacked
+    in ``stats``: by the registered fast path when one matches, where a
+    dataset with no score root in the domain fails with NoRootInDomain,
+    and by batched Newton from the moment starts otherwise.  :func:`fit`
+    is the one-dataset case.
     """
     match = registered_closed_form(model, spec, theta_like, fixed)
-    if match is not None:
-        name, known = match
-        solve = ESTIMATORS[name].solve
-        return lambda stats: solve(stats, known)
-    return lambda stats: _newton_estimates(spec, model, stats, theta_like,
-                                           fixed)
+    if match is None:
+        return lambda stats: newton_solve(
+            spec, model, stats, moment_starts(model, stats, theta_like, fixed))
+    entry, known = match
+    theta = _hold(theta_like, fixed)
+    cols = [theta.names.index(name) for name in entry.free]
+
+    def solve(stats):
+        estimates, converged, score_norm = entry.solve(stats, known)
+        values = np.tile(theta.values, (len(stats), 1))
+        values[:, cols] = estimates
+        errors = [None] * len(stats)
+        for i in np.flatnonzero(~converged):
+            errors[i] = NoRootInDomain(f"spec {spec.name!r}: no score root "
+                                       f"inside the domain of {model!r}")
+        return Fits(ParamBatch(theta.names, values, theta.roles),
+                    np.zeros(len(stats), dtype=int), converged, score_norm,
+                    errors, "closed-form")
+    return solve
 
 
 def fit(spec: CompositeSpec, model: Model, data, theta_like: ParamVector,
         fixed=None) -> EstimateResult:
-    """Fit a spec: registered fast path when one matches, Newton from the
-    method of moments otherwise (raising the fit's failure)."""
-    match = registered_closed_form(model, spec, theta_like, fixed)
-    if match is not None:
-        name, known = match
-        return closed_form(name, data, known)
+    """Fit a spec on one dataset: the one-row case of :func:`batch_route`.
+
+    Returns ``theta_like`` with ``fixed`` held known and the free values
+    fitted, or raises the fit's failure (NoRootInDomain, DomainError,
+    SingularMatrix, or UnsupportedSpec when nothing is free).
+    """
     stats = model.statistic(model.check_data(data))[None]
-    return _one_fit(newton_solve(spec, model, stats,
-                                 moment_starts(model, stats, theta_like, fixed)))
+    return batch_route(model, spec, theta_like, fixed)(stats).result()
+
+
+closed_form = mcle_newton = fit  # perfbench/tracing.py wraps these names; remove with ROADMAP item 5

@@ -207,7 +207,7 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     stats = np.concatenate([
         config.model.statistic(draw(config.n, list(islice(streams, size))))
         for _ in range(lo, hi, size)])
-    return {label: solve(stats) for label, solve in solves.items()}
+    return {label: solve(stats).columns() for label, solve in solves.items()}
 
 
 def worker_count(threads=None) -> int:

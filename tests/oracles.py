@@ -165,7 +165,7 @@ def parent_run(config):
         parent_draw(config.model, config.theta_true, config.n, config.seed, r))
         for r in range(config.replicates)])
     return {run.label: batch_route(config.model, run.spec, config.theta_true,
-                                   run.fixed_dict)(stats)
+                                   run.fixed_dict)(stats).columns()
             for run in config.runs}
 
 

@@ -130,8 +130,10 @@ def test_no_root_replicate_inside_a_batch(p, rho, others, where, seed, name):
     data = [model.sample(theta, 40, substream(seed, r)) for r in range(others)]
     where = min(where, others)
     data.insert(where, degenerate_dataset(p))
-    entry = est.ESTIMATORS[name]
-    known = {"sigma2": 1.0}
+    spec = comp.pairwise(p)
+    fixed = {"sigma2": 1.0} if name.endswith("known_sigma") else {}
+    entry, known = est.registered_closed_form(model, spec, theta, fixed)
+    assert entry is est.ESTIMATORS[name]
     estimates, converged, score_norm = entry.solve(
         np.array([model.statistic(Y) for Y in data]), known)
     assert not converged[where]
@@ -139,11 +141,11 @@ def test_no_root_replicate_inside_a_batch(p, rho, others, where, seed, name):
     for i, Y in enumerate(data):
         if i == where:
             with pytest.raises(NoRootInDomain):
-                est.closed_form(name, Y, known)
+                est.fit(spec, model, Y, theta, fixed)
             continue
-        res = est.closed_form(name, Y, known)
+        res = est.fit(spec, model, Y, theta, fixed)
         assert converged[i]
-        values = [res.params[n] for n, _ in entry.free]
+        values = [res.params[n] for n in entry.free]
         assert np.array(values).tobytes() == estimates[i].tobytes()
         assert res.score_norm == score_norm[i]
 

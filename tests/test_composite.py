@@ -338,11 +338,10 @@ def test_projection_preserves_score_roots():
     # the same parameter point on every dataset
     model, theta = emvn_case()
     spec = comp.pairwise(3)
-    from clik.estimators import closed_form
+    from clik.estimators import fit
     for seed in range(5):
         Y = model.sample(theta, 400, 137 + seed)
-        fitted = closed_form("emvn_pairwise_rho", Y).params
-        root = theta.with_values(rho=fitted["rho"], sigma2=fitted["sigma2"])
+        root = fit(spec, model, Y, theta).params
         exact = comp.info_exact(spec, model, root)
         total = comp.composite_score(spec, model, Y, root).sum(axis=0)
         proj_total = comp.project_score(exact, total)

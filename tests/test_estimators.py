@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 
 import clik.composite as comp
-from clik.errors import NoRootInDomain, SingularMatrix, UnsupportedSpec
-from clik.estimators import (check_identified, closed_form, fit, mcle_newton,
-                             moment_starts, registered_closed_form)
-from clik.models import EMVN, Multinomial4, TriNormal
+from clik.errors import (DimensionMismatch, NoRootInDomain, SingularMatrix,
+                         UnsupportedSpec)
+from clik.estimators import (ESTIMATORS, NEWTON_MAX_ITER, check_identified,
+                             fit, moment_starts, newton_solve,
+                             registered_closed_form)
+from clik.models import EMVN, Multinomial4, ParamBatch, TriNormal
+
+
+def newton_from(spec, model, Y, start, max_iter=NEWTON_MAX_ITER):
+    """The Newton fit of one dataset from ``start``, as ``Fits``."""
+    return newton_solve(spec, model, model.statistic(Y)[None],
+                        ParamBatch.stack([start]), max_iter)
 
 
 def test_trinormal_mu12_is_the_pair_mean():
+    tri = TriNormal()
     Y = np.array([[1.0, 3.0, 9.9], [1.0, 3.0, -9.9]])
-    res = closed_form("trinormal_mu12", Y)
+    res = fit(comp.singleton_margins([0, 1]), tri, Y, tri.params(),
+              fixed={"rho": 0.5, "sigma2": 1.0})
     assert res.params["mu"] == pytest.approx(2.0, abs=1e-14)
     assert res.solver == "closed-form"
     assert res.converged
@@ -19,7 +29,9 @@ def test_trinormal_mu12_is_the_pair_mean():
 def test_trinormal_mu123_weighting():
     rng = np.random.default_rng(0)
     Y = rng.standard_normal((50, 3))
-    res = closed_form("trinormal_mu123", Y, {"sigma2": 2.0})
+    tri = TriNormal()
+    res = fit(comp.singleton_margins([0, 1, 2]), tri, Y, tri.params(),
+              fixed={"rho": 0.0, "sigma2": 2.0})
     expect = (2.0 * (Y[:, 0].mean() + Y[:, 1].mean()) + Y[:, 2].mean()) / 5.0
     assert res.params["mu"] == pytest.approx(expect, abs=1e-14)
 
@@ -27,7 +39,7 @@ def test_trinormal_mu123_weighting():
 def test_multinomial_mle_formula():
     model = Multinomial4(5.0)
     Y = model.sample(model.params(0.2), 2000, 1)
-    res = closed_form("multinomial4_mle", Y, {"k": 5.0})
+    res = fit(comp.full_likelihood(3), model, Y, model.params(0.2))
     assert res.params["theta"] == pytest.approx(
         Y.mean(axis=0).sum() / 2.2, abs=1e-14)
 
@@ -36,9 +48,9 @@ def test_newton_reaches_multinomial_mle_exactly():
     model = Multinomial4(5.0)
     theta = model.params(0.2)
     Y = model.sample(theta, 3000, 2)
-    target = closed_form("multinomial4_mle", Y, {"k": 5.0}).params["theta"]
+    target = fit(comp.full_likelihood(3), model, Y, theta).params["theta"]
     start = theta.with_values(theta=0.1)      # deliberately off
-    res = mcle_newton(comp.full_likelihood(3), model, Y, start)
+    res = newton_from(comp.full_likelihood(3), model, Y, start).result()
     assert res.converged
     assert res.params["theta"] == pytest.approx(target, abs=1e-10)
 
@@ -47,10 +59,11 @@ def test_newton_reaches_trinormal_mu123():
     model = TriNormal()
     truth = model.params(mu=0.5, rho=0.3, sigma2=2.0)
     Y = model.sample(truth, 2000, 3)
-    target = closed_form("trinormal_mu123", Y, {"sigma2": 2.0}).params["mu"]
-    start = truth.with_values(mu=-1.0)
-    res = mcle_newton(comp.singleton_margins([0, 1, 2]), model, Y, start,
-                      fixed={"rho": 0.3, "sigma2": 2.0})
+    spec = comp.singleton_margins([0, 1, 2])
+    target = fit(spec, model, Y, truth,
+                 fixed={"rho": 0.3, "sigma2": 2.0}).params["mu"]
+    start = truth.with_values(mu=-1.0).with_roles(rho="known", sigma2="known")
+    res = newton_from(spec, model, Y, start).result()
     assert res.converged
     assert res.params["mu"] == pytest.approx(target, abs=1e-10)
 
@@ -62,17 +75,13 @@ def test_closed_form_estimators_zero_their_scores():
     spec = comp.pairwise(3)
     n = Y.shape[0]
 
-    free = closed_form("emvn_pairwise_rho", Y)
-    point = theta.with_values(rho=free.params["rho"],
-                              sigma2=free.params["sigma2"])
-    total = comp.composite_score(spec, model, Y, point).sum(axis=0)
-    assert np.max(np.abs(total)) < 1e-8 * n
-
-    known = closed_form("emvn_pairwise_rho_known_sigma", Y, {"sigma2": 1.2})
-    point = theta.with_values(rho=known.params["rho"], sigma2=1.2)
-    rho_idx = point.free_names.index("rho")
-    total = comp.composite_score(spec, model, Y, point).sum(axis=0)
-    assert abs(total[rho_idx]) < 1e-8 * n
+    for fixed in ({}, {"sigma2": 1.2}):
+        res = fit(spec, model, Y, theta, fixed)
+        assert res.solver == "closed-form"
+        # the fitted point scores only its free parameters
+        total = comp.composite_score(spec, model, Y, res.params).sum(axis=0)
+        assert total.shape == (2 - len(fixed),)
+        assert np.max(np.abs(total)) < 1e-8 * n
 
 
 def test_pairwise_rho_agrees_with_newton_over_datasets():
@@ -81,11 +90,11 @@ def test_pairwise_rho_agrees_with_newton_over_datasets():
     spec = comp.pairwise(3)
     for seed in range(50):
         Y = model.sample(theta, 120, 1000 + seed)
-        cf = closed_form("emvn_pairwise_rho", Y)
+        cf = fit(spec, model, Y, theta)
         stats = model.statistic(Y)[None]
         start = moment_starts(model, stats, theta).point(0).with_values(
             rho=min(cf.params["rho"] + 0.15, 0.95), sigma2=1.5)
-        nr = mcle_newton(spec, model, Y, start)
+        nr = newton_from(spec, model, Y, start).result()
         assert nr.converged
         assert nr.params["rho"] == pytest.approx(cf.params["rho"], abs=1e-8)
 
@@ -94,10 +103,10 @@ def test_pairwise_rho_equals_full_mle_and_full_conditional():
     model = EMVN(3)
     theta = model.params(rho=0.4, sigma2=1.5)
     Y = model.sample(theta, 1500, 7)
-    cf = closed_form("emvn_pairwise_rho", Y)
+    cf = fit(comp.pairwise(3), model, Y, theta)
     start = theta.with_values(rho=0.1, sigma2=1.0)
-    mle = mcle_newton(comp.full_likelihood(3), model, Y, start)
-    fc = mcle_newton(comp.full_conditional(3), model, Y, start)
+    mle = newton_from(comp.full_likelihood(3), model, Y, start).result()
+    fc = newton_from(comp.full_conditional(3), model, Y, start).result()
     assert mle.converged and fc.converged
     assert mle.params["rho"] == pytest.approx(cf.params["rho"], abs=1e-6)
     assert fc.params["rho"] == pytest.approx(cf.params["rho"], abs=1e-6)
@@ -108,9 +117,10 @@ def test_newton_row_order_invariance():
     theta = model.params(rho=0.3, sigma2=1.0)
     Y = model.sample(theta, 300, 11)
     start = theta.with_values(rho=0.05, sigma2=1.4)
-    res = mcle_newton(comp.full_conditional(3), model, Y, start)
+    res = newton_from(comp.full_conditional(3), model, Y, start).result()
     perm = np.random.default_rng(13).permutation(Y.shape[0])
-    res_perm = mcle_newton(comp.full_conditional(3), model, Y[perm], start)
+    res_perm = newton_from(comp.full_conditional(3), model, Y[perm],
+                           start).result()
     assert res.params["rho"] == pytest.approx(res_perm.params["rho"], abs=1e-9)
     assert res.params["sigma2"] == pytest.approx(res_perm.params["sigma2"],
                                                  abs=1e-9)
@@ -133,8 +143,8 @@ def test_newton_reports_nonconvergence():
     model = Multinomial4(5.0)
     theta = model.params(0.2)
     Y = model.sample(theta, 1000, 19)
-    res = mcle_newton(comp.full_likelihood(3), model, Y,
-                      theta.with_values(theta=0.43), max_iter=1)
+    res = newton_from(comp.full_likelihood(3), model, Y,
+                      theta.with_values(theta=0.43), max_iter=1).result()
     assert not res.converged
     assert res.score_norm > 0
 
@@ -143,7 +153,7 @@ def test_newton_fits_three_free_and_rejects_none():
     model = TriNormal()
     theta = model.params(mu=0.0, rho=0.1, sigma2=1.0)
     Y = model.sample(theta, 100, 23)
-    res = mcle_newton(comp.pairwise(3), model, Y, theta)
+    res = newton_from(comp.pairwise(3), model, Y, theta).result()
     assert res.converged and res.params.free_names == ("mu", "rho", "sigma2")
     score = comp.composite_score(comp.pairwise(3), model, Y, res.params)
     assert np.max(np.abs(score.sum(axis=0))) < 1e-8 * len(Y)
@@ -151,17 +161,18 @@ def test_newton_fits_three_free_and_rejects_none():
     np.testing.assert_allclose(fit(comp.pairwise(3), model, Y, theta)
                                .params.values, res.params.values, atol=1e-8)
     with pytest.raises(UnsupportedSpec, match="at least one free parameter"):
-        mcle_newton(comp.pairwise(3), model, Y, theta,
-                    fixed={"mu": 0.0, "rho": 0.1, "sigma2": 1.0})
+        fit(comp.pairwise(3), model, Y, theta,
+            fixed={"mu": 0.0, "rho": 0.1, "sigma2": 1.0})
 
 
 def test_newton_raises_on_singular_jacobian():
     # the independence score carries no information on rho
     model = EMVN(3)
     Y = model.sample(model.params(rho=0.0), 500, 5)
-    with pytest.raises(SingularMatrix):
-        mcle_newton(comp.independence(3), model, Y,
-                    model.params(rho=0.3, sigma2=1.0))
+    fits = newton_from(comp.independence(3), model, Y,
+                       model.params(rho=0.3, sigma2=1.0))
+    assert isinstance(fits.errors[0], SingularMatrix)
+    assert not fits.converged[0]
 
 
 def test_fit_rejects_spec_without_information():
@@ -186,7 +197,7 @@ def test_newton_is_invariant_to_data_units():
 
     def newton(s):
         start = model.params(rho=0.1, sigma2=1.5 * s ** 2)
-        res = mcle_newton(spec, model, s * Y, start)
+        res = newton_from(spec, model, s * Y, start).result()
         assert res.converged
         return res.params["rho"], res.params["sigma2"] / s ** 2
 
@@ -201,21 +212,63 @@ def test_no_root_in_domain_for_degenerate_data():
     # perfectly correlated columns push the correlation root to the boundary
     base = np.random.default_rng(29).standard_normal(40)
     Y = np.column_stack([base, base, base])
-    with pytest.raises(NoRootInDomain):
-        closed_form("emvn_pairwise_rho", Y)
+    model = EMVN(3)
+    for fixed in ({}, {"sigma2": 1.0}):
+        with pytest.raises(NoRootInDomain,
+                           match=r"spec 'pairwise'.* EMVN\(p=3\)"):
+            fit(comp.pairwise(3), model, Y, model.params(rho=0.3), fixed)
 
 
-def test_unknown_estimator_id():
-    with pytest.raises(KeyError):
-        closed_form("nope", np.zeros((5, 3)))
+def test_fast_path_validates_data():
+    # both fits take a fast path, which read the data unchecked
+    emvn, emvn4 = EMVN(3), EMVN(4)
+    Y4 = emvn4.sample(emvn4.params(rho=0.3), 50, 3)
+    with pytest.raises(DimensionMismatch):
+        fit(comp.pairwise(3), emvn, Y4, emvn.params(rho=0.3))
+    mult = Multinomial4(5.0)
+    with pytest.raises(ValueError, match="0/1 indicators"):
+        fit(comp.full_likelihood(3), mult, np.full((20, 3), 2.0),
+            mult.params(0.2))
+
+
+def test_fit_returns_theta_like_after_fixed_on_every_route():
+    emvn, tri, mult = EMVN(3), TriNormal(), Multinomial4(5.0)
+    t_emvn = emvn.params(rho=0.3, sigma2=1.2)
+    t_tri = tri.params(mu=0.4, rho=0.5, sigma2=2.0)
+    tri_held = {"rho": 0.5, "sigma2": 2.0}
+    fast = [
+        (tri, comp.singleton_margins([0, 1]), t_tri, tri_held),
+        (tri, comp.singleton_margins([0, 1, 2]), t_tri, tri_held),
+        (mult, comp.full_likelihood(3), mult.params(0.2), {}),
+        (emvn, comp.pairwise(3), t_emvn, {}),
+        (emvn, comp.pairwise(3), t_emvn, {"sigma2": 1.2}),
+    ]
+    # the singleton margins reweighted have no fast path
+    weighted = comp.CompositeSpec("weighted", [
+        comp.Component("margin", (i,), weight=w) for i, w in enumerate(
+            (1.0, 2.0, 0.5))])
+    newton = [(tri, weighted, t_tri, tri_held)]
+    for model, spec, theta, fixed in fast + newton:
+        res = fit(spec, model, model.sample(theta, 200, 7), theta, fixed)
+        held = theta.with_roles(**{name: "known" for name in fixed})
+        assert res.solver == ("newton" if spec is weighted else "closed-form")
+        assert res.params.names == held.names
+        assert res.params.roles == held.roles
+        for name in set(held.names) - set(held.free_names):
+            assert res.params[name] == held[name]
+    # every fast path is covered
+    assert [registered_closed_form(model, spec, theta, fixed)[0]
+            for model, spec, theta, fixed in fast] == list(ESTIMATORS.values())
 
 
 def test_registered_closed_form_dispatch():
     emvn = EMVN(3)
     theta = emvn.params(rho=0.2, sigma2=1.0)
     assert registered_closed_form(emvn, comp.pairwise(3), theta) is not None
-    assert registered_closed_form(
-        emvn, comp.pairwise(3), theta, {"sigma2": 1.0}) is not None
+    entry, known = registered_closed_form(
+        emvn, comp.pairwise(3), theta, {"sigma2": 1.0})
+    assert entry is ESTIMATORS["emvn_pairwise_rho_known_sigma"]
+    assert known == {"sigma2": 1.0}
     assert registered_closed_form(emvn, comp.full_conditional(3), theta) is None
 
     tri = TriNormal()
@@ -255,7 +308,7 @@ def test_repeated_components_get_no_fast_path():
         Y = model.sample(theta, 500, 5)
         res = fit(spec, model, Y, theta)
         start = moment_starts(model, model.statistic(Y)[None], theta)
-        newton = mcle_newton(spec, model, Y, start.point(0))
+        newton = newton_from(spec, model, Y, start.point(0)).result()
         assert res.solver == "newton" and res.converged
         np.testing.assert_array_equal(res.params.free_values,
                                       newton.params.free_values)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clik.asymptotics as asy
 import clik.composite as comp
 import clik.montecarlo as mc
 from clik.models import (EMVN, Multinomial4, ParamBatch, TriNormal,
@@ -125,6 +126,7 @@ def test_monte_carlo_triple_matches_per_batch_loops(spec, model, theta,
     Gb = comp._godambe(Hb, Jb)
     loop = np.stack([comp._godambe(h, j) for h, j in zip(Hb, Jb)])
     assert Gb.tobytes() == loop.tobytes()
+    assert triple.batch_godambe.tobytes() == Gb.tobytes()
     assert triple.godambe_se.tobytes() == comp.batch_se(loop).tobytes()
 
     i_idx = [triple.param_names.index(name) for name in interest]
@@ -153,6 +155,20 @@ def test_info_monte_carlo_solves_once_for_the_sample_and_once_for_the_batches(
     comp.info_monte_carlo(comp.full_conditional(3), model,
                           model.params(rho=0.3), 2000, 7)
     assert calls == [(2, 2), (20, 2, 2)]
+
+
+def test_ratio_curve_reads_the_batch_godambe_matrices(monkeypatch):
+    # per grid point: the triple's two Godambe solves (sample, batch
+    # stack), then one Schur solve each for the point and the batch stack
+    calls = []
+    real = comp.solve_sym
+
+    def counted(m, rhs):
+        calls.append(np.shape(m))
+        return real(m, rhs)
+    monkeypatch.setattr(comp, "solve_sym", counted)
+    asy.full_conditional_ratio_curve(3, grid=[0.3], draws=2000, seed=7)
+    assert calls == [(2, 2), (20, 2, 2), (1, 1), (20, 1, 1)]
 
 
 def test_estimates_csv_is_byte_identical_to_per_row_writer(tmp_path):
