@@ -14,7 +14,10 @@ Every component score is an affine-quadratic form in ``r = y - mean``,
 and one ``Model.margin_score_reps`` call builds the forms of every
 distinct margin of a spec, so the composite score is one combined form
 per free parameter: :func:`composite_score` contracts it with each row,
-and :func:`summed_score` with a dataset's statistic.  Monte Carlo H is a
+and :func:`summed_score` with a dataset's statistic.  One moment kernel,
+:func:`_moment`, gives ``E[u_a u_b']`` of the forms of any two scores:
+the exact J, and the exact sensitivity ``E[u_c u']`` that the Newton
+route steps with (:func:`exact_sensitivity`).  Monte Carlo H is a
 central difference of sample-mean scores over common draws; the means at
 the stencil points come from per-batch statistics, so the draws are
 scored row by row only once, at ``theta``.  Monte Carlo J is pooled from
@@ -472,43 +475,58 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_info_exact(spec, model, points):
-    """J at ``points[0]`` and the exact mean score (data drawn at
-    ``points[0]``) at every other point, ``(len(points) - 1, q)``; the forms
-    of all the points are built as one batch.
-
-    With ``r = y - mean`` and ``y ~ N(mean0, S)``, ``J = B0 S B0' +
-    tr(A0 S A0 S) / 2``, and the mean of ``c + B r + r' A r / 2`` at a
-    point whose mean is ``mean0 - d`` is ``c + B d + (tr(A S) + d' A d) /
-    2``.  Each of those products is one stacked matmul that rounds as the
-    product of one point's vectors and matrices does: the central
-    difference in :func:`info_exact` magnifies the rounding of the means by
-    ``1 / h``."""
+def _moment(model, forms_a, forms_b, theta):
+    """``E[u_a u_b']`` of two scores, given as packed forms at ``theta``,
+    under data drawn at ``theta``: their covariance, since both have mean
+    zero there.  Gaussian: ``B_a S B_b' + tr(A_a S A_b S) / 2``; four-cell
+    multinomial: a sum over the outcomes, in an order that no batch or
+    layout changes.  Shape ``(..., q_a, q_b)`` over a ParamBatch."""
     p = model.dim
-    forms = _spec_forms(spec, model, points)
-    cov0 = model._cov(points)[0]
-    _, B0, A0 = unpack_forms(forms[0], p)
-    AS = A0 @ cov0
-    J = B0 @ cov0 @ B0.T + 0.5 * np.einsum("aij,bji->ab", AS, AS)
-    c, B, A = unpack_forms(forms[1:], p)
+    (_, Ba, Aa), (_, Bb, Ab) = (unpack_forms(f, p) for f in (forms_a, forms_b))
+    if isinstance(model, Multinomial4):
+        resid = (model.outcomes() - model._mean(theta)[..., None, :])[..., None, :]
+        ua, ub = (c[..., None, :] + (resid * B[..., None, :, :]).sum(axis=-1)
+                  for c, B in ((forms_a[..., 0], Ba), (forms_b[..., 0], Bb)))
+        w = model.cell_probs(theta)[..., :, None]
+        ma, mb = (w * ua).sum(axis=-2), (w * ub).sum(axis=-2)
+        return ((w[..., None] * ua[..., :, None] * ub[..., None, :]).sum(axis=-3)
+                - ma[..., :, None] * mb[..., None, :])
+    cov = model._cov(theta)
+    ASa, ASb = Aa @ cov[..., None, :, :], Ab @ cov[..., None, :, :]
+    return (Ba @ cov @ np.swapaxes(Bb, -1, -2)
+            + 0.5 * np.einsum("...aij,...bji->...ab", ASa, ASb))
+
+
+def exact_sensitivity(spec: CompositeSpec, model: Model, theta):
+    """Exact H of a spec at a point or ParamBatch: ``E[u_c u']`` with ``u``
+    the full score (differentiate ``E[u_c] = 0``).  Not symmetrized, so a
+    parameter the spec carries no information on keeps a zero row."""
+    return _moment(model, _spec_forms(spec, model, theta),
+                   _spec_forms(full_likelihood(model.dim), model, theta), theta)
+
+
+def _mean_scores(model, forms, points):
+    """The exact mean of the scores with packed forms ``forms`` at
+    ``points[1:]`` under data drawn at ``points[0]``, ``(len(points) - 1,
+    q)``.
+
+    For the multinomial it is a sum over the four outcomes.  With ``y ~
+    N(mean0, S)``, the mean of ``c + B r + r' A r / 2`` at a point whose
+    mean is ``mean0 - d`` is ``c + B d + (tr(A S) + d' A d) / 2``.  Each of
+    those products is one stacked matmul that rounds as the product of one
+    point's vectors and matrices does: the central difference in
+    :func:`info_exact` magnifies the rounding of the means by ``1 / h``."""
     mean = model._mean(points)
+    if isinstance(model, Multinomial4):
+        U = affine_quadratic(*unpack_forms(forms, model.dim),
+                             model.outcomes() - mean[:, None, :])
+        return model.cell_probs(points)[0] @ U[1:]
+    c, B, A = unpack_forms(forms[1:], model.dim)
     d = (mean[0] - mean[1:])[:, None, :, None]      # (S, 1, p, 1)
     dAd = (np.swapaxes(d, -1, -2) @ A @ d)[..., 0, 0]
     Bd = (B[..., None, :] @ d)[..., 0, 0]
-    return J, c + Bd + 0.5 * (np.trace(A @ cov0, axis1=-2, axis2=-1) + dAd)
-
-
-def _multinomial_info_exact(spec, model, points):
-    """J at ``points[0]`` and the exact mean score at every other point, as
-    sums over the four outcomes; the forms of all the points are built as
-    one batch."""
-    U = affine_quadratic(*unpack_forms(_spec_forms(spec, model, points),
-                                       model.dim),
-                         model.outcomes() - model._mean(points)[:, None, :])
-    w = model.cell_probs(points)[0]
-    m0 = w @ U[0]
-    J = np.einsum("o,oi,oj->ij", w, U[0], U[0]) - np.outer(m0, m0)
-    return J, w @ U[1:]
+    trAS = np.trace(A @ model._cov(points)[0], axis1=-2, axis2=-1)
+    return c + Bd + 0.5 * (trAS + dAd)
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -517,15 +535,11 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     For Gaussian models the score of every component is an affine-quadratic
     form in the observation, so J follows from Gaussian product moments; for
     the four-cell multinomial, expectations are finite sums over the four
-    outcomes.  H is minus the derivative of the exact mean score, taken by
-    central differences with a tiny step: the mean scores at ``theta`` and
-    at the ``2q`` stencil points come from one batch of forms.
+    outcomes (:func:`_moment`).  H is minus the derivative of the exact mean
+    score, taken by central differences with a tiny step: the mean scores at
+    ``theta`` and at the ``2q`` stencil points come from one batch of forms.
     """
-    if isinstance(model, GaussianModel):
-        exact = _gaussian_info_exact
-    elif isinstance(model, Multinomial4):
-        exact = _multinomial_info_exact
-    else:
+    if not isinstance(model, (GaussianModel, Multinomial4)):
         raise TypeError(f"no exact information route for {model!r}")
 
     free = theta.free_names
@@ -536,7 +550,10 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     values = np.array([theta.values] * (2 * q + 1))
     values[np.arange(1, 2 * q + 1), cols] += (steps[:, None]
                                               * [1.0, -1.0]).ravel()
-    J, means = exact(spec, model, ParamBatch(theta.names, values, theta.roles))
+    points = ParamBatch(theta.names, values, theta.roles)
+    forms = _spec_forms(spec, model, points)
+    J = _moment(model, forms[0], forms[0], theta)
+    means = _mean_scores(model, forms, points)
     means = means.reshape(q, 2, q)          # (column, side, row)
     H = -((means[:, 0] - means[:, 1]) / (2.0 * steps[:, None])).T
     if asymmetry(H) > H_ASYMMETRY_TOL:

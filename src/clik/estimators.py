@@ -12,9 +12,10 @@ pairwise correlation estimators (variance known or profiled out), which
 reduce to root finding in rho on two sums derived from the statistic: a
 score scan, then one :func:`bracket_roots` pass (Brent's method, as
 ``scipy.optimize.brentq`` runs it, on every bracket of every dataset at
-once).  Every other spec is solved by Newton iteration on the summed
-composite score, which follows exactly from the statistic; all datasets
-iterate in lockstep.
+once).  Every other spec is solved by Fisher scoring on the summed
+composite score, which follows exactly from the statistic, with the exact
+sensitivity in place of the score Jacobian; all datasets iterate in
+lockstep.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .composite import CompositeSpec, info_exact, summed_score
+from .composite import CompositeSpec, exact_sensitivity, summed_score
 from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
@@ -35,8 +36,6 @@ from .models import (EMVN, Model, Multinomial4, ParamBatch, ParamVector,
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
-#: Central-difference step scale of the Newton score Jacobian.
-NEWTON_FD_STEP = 1e-5
 #: Step halvings tried before a Newton fit stops where it is.
 NEWTON_MAX_HALVINGS = 60
 #: Number of equispaced scan points used to bracket score roots.
@@ -96,81 +95,60 @@ class Fits:
 
 
 # ---------------------------------------------------------------------------
-# Newton solver
+# Newton solver (Fisher scoring)
 # ---------------------------------------------------------------------------
 
 
-def _check_newton_free(free) -> None:
-    if not free:
-        raise UnsupportedSpec("Newton solver needs at least one free "
-                              "parameter, got none")
-
-
-def _scores(spec, model, stats, points):
-    """``(scores, outside, singular)``: the summed score of each row of
-    ``stats`` at the matching point of ``points``, NaN on the rows whose
-    point is not interior (flagged in ``outside``) or whose margin
-    covariances ``sym_invert`` finds singular (flagged in ``singular``)."""
+def _guarded(model, points, evaluate, shape):
+    """``(values, outside, singular)``: ``evaluate(keep)`` on the rows
+    ``keep`` of ``points``, NaN on the rows whose point is not interior
+    (flagged in ``outside``) or whose margin covariances ``sym_invert``
+    finds singular (flagged in ``singular``)."""
     outside = ~model.interior(points)
     singular = np.zeros(len(points), dtype=bool)
-    out = np.full((len(points), len(points.free_names)), np.nan)
+    out = np.full((len(points),) + shape, np.nan)
     while not np.all(outside | singular):
         keep = np.flatnonzero(~(outside | singular))
         try:
-            out[keep] = summed_score(spec, model, stats[keep],
-                                     points.take(keep))
+            out[keep] = evaluate(keep)
             break
         except SingularMatrix as exc:
             singular[keep[exc.rows]] = True
     return out, outside, singular
 
 
-def _jacobian(spec, model, stats, points, cols):
-    """Central-difference score Jacobians ``(N, q, q)`` at every point, with
-    step ``NEWTON_FD_STEP * max(1, |x|)``, and the points whose stencil
-    leaves the domain or meets a singular covariance (NaN Jacobians)."""
-    h = NEWTON_FD_STEP * np.maximum(1.0, np.abs(points.values[:, cols]))
-    jac = np.empty((len(points), len(cols), len(cols)))
-    outside = np.zeros(len(points), dtype=bool)
-    singular = outside.copy()
-    for a, col in enumerate(cols):
-        sides = []
-        for sign in (1.0, -1.0):
-            shifted = points.values.copy()
-            shifted[:, col] += sign * h[:, a]
-            score, out, sing = _scores(spec, model, stats,
-                                       ParamBatch(points.names, shifted,
-                                                  points.roles))
-            sides.append(score)
-            outside |= out
-            singular |= sing
-        jac[:, :, a] = (sides[0] - sides[1]) / (2.0 * h[:, a, None])
-    return jac, outside, singular & ~outside
+def _scores(spec, model, stats, points):
+    """The summed score of each row of ``stats`` at the matching point of
+    ``points``, as :func:`_guarded` returns it."""
+    return _guarded(model, points, lambda keep: summed_score(
+        spec, model, stats[keep], points.take(keep)),
+        (len(points.free_names),))
 
 
 def newton_solve(spec: CompositeSpec, model: Model, stats,
                  start: ParamBatch, max_iter: int = NEWTON_MAX_ITER
                  ) -> Fits:
-    """Newton iteration on the summed composite score of many datasets.
+    """Fisher scoring on the summed composite score of many datasets.
 
     Row ``i`` of ``stats`` is ``model.statistic`` of dataset ``i`` and is
     fitted from ``start.point(i)``; the free parameters of ``start`` (any
     number, at least one) are iterated, the known ones held.  All rows
-    iterate in lockstep, each exactly as it would alone: a central-
-    difference score Jacobian with step ``1e-5 * max(1, |x|)``, a
-    SingularMatrix failure when ``matrixops.is_singular`` calls it
-    singular, step halving until the iterate is interior with a finite
-    score, and the best iterate kept.  A
-    fit converges when the sup norm of its summed score is below
-    ``1e-8 * n``.  The score Jacobian at every returned estimate must be
-    nonsingular as well, so a spec carrying no information on a free
-    parameter fails even when the start already zeroes the score.  A fit
-    whose start or Jacobian stencil leaves the domain fails with
-    DomainError.
+    iterate in lockstep, each exactly as it would alone: a step
+    ``(n H)^-1 sum(u_c)`` with ``H`` the exact sensitivity at the iterate
+    (:func:`clik.composite.exact_sensitivity`), a SingularMatrix failure
+    when ``matrixops.is_singular`` calls ``H`` singular, step halving until
+    the iterate is interior with a finite score, and the best iterate kept.
+    A fit converges when the sup norm of its summed score is below ``1e-8
+    * n``.  ``H`` at every returned estimate must be nonsingular as well,
+    so a spec carrying no information on a free parameter fails even when
+    the start already zeroes the score.  A fit whose start leaves the
+    domain fails with DomainError.
     """
     stats = np.asarray(stats, dtype=float)
     free = start.free_names
-    _check_newton_free(free)
+    if not free:
+        raise UnsupportedSpec("Newton solver needs at least one free "
+                              "parameter, got none")
     cols = [start.names.index(name) for name in free]
     values = np.array(start.values, dtype=float)
     tol = NEWTON_TOL_PER_OBS * stats[:, 0]
@@ -188,19 +166,18 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
     def alive():
         return np.flatnonzero([e is None for e in errors])
 
-    def jacobians(rows, what):
-        """Score Jacobians at the current points of ``rows``; the rows
-        whose Jacobian fails or is singular are failed and dropped."""
-        jac, outside, bad = _jacobian(spec, model, stats[rows],
-                                      batch(values[rows]), cols)
-        fail(rows[outside], DomainError,
-             f"Jacobian stencil leaves the domain of {model!r}")
+    def sensitivities(rows, what):
+        """``H`` at the current points of ``rows``; the rows whose ``H`` or
+        covariance is singular are failed and dropped."""
+        points = batch(values[rows])
+        H, _, bad = _guarded(model, points, lambda keep: exact_sensitivity(
+            spec, model, points.take(keep)), (len(free), len(free)))
         fail(rows[bad], SingularMatrix, "singular covariance")
-        ok = np.flatnonzero(~(outside | bad))
-        singular = is_singular(jac[ok])
+        ok = np.flatnonzero(~bad)
+        singular = is_singular(H[ok])
         fail(rows[ok[singular]], SingularMatrix, f"singular {what}")
         ok = ok[~singular]
-        return rows[ok], jac[ok]
+        return rows[ok], H[ok]
 
     score, outside, singular = _scores(spec, model, stats, start)
     fail(np.flatnonzero(outside), DomainError,
@@ -214,8 +191,9 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        rows, jac = jacobians(active, "score Jacobian")
-        delta = np.linalg.solve(jac, -score[rows][..., None])[..., 0]
+        rows, H = sensitivities(active, "sensitivity")
+        delta = np.linalg.solve(stats[rows, 0][:, None, None] * H,
+                                score[rows][..., None])[..., 0]
 
         step = np.ones(rows.size)
         pending = np.arange(rows.size)
@@ -246,7 +224,7 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
         active = moved[~(norm[moved] < tol[moved])]
 
     values = best
-    jacobians(alive(), "score Jacobian at the estimate")
+    sensitivities(alive(), "sensitivity at the estimate")
     failed = np.array([e is not None for e in errors])
     return Fits(batch(best), iterations, (best_norm < tol) & ~failed,
                 best_norm, errors, "newton")
@@ -505,29 +483,30 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
     or None.
 
     Matching is structural (spec components plus which parameters are
-    fixed), so hand-built specs qualify as well as the constructors.
+    known, by ``fixed`` or by a known tag in ``theta_like``), so hand-built
+    specs qualify as well as the constructors.
     """
-    fixed = dict(fixed or {})
-    free_after = [n for n in theta_like.free_names if n not in fixed]
+    theta = _hold(theta_like, fixed)
+    free = list(theta.free_names)
     margins = _unit_margins(spec)
 
     if (isinstance(model, EMVN)
             and margins == list(combinations(range(model.dim), 2))):
-        if not fixed and free_after == ["rho", "sigma2"]:
+        if free == ["rho", "sigma2"]:
             return ESTIMATORS["emvn_pairwise_rho"], {}
-        if set(fixed) == {"sigma2"} and free_after == ["rho"]:
-            return ESTIMATORS["emvn_pairwise_rho_known_sigma"], fixed
+        if free == ["rho"]:
+            return (ESTIMATORS["emvn_pairwise_rho_known_sigma"],
+                    {"sigma2": theta["sigma2"]})
 
     if (isinstance(model, Multinomial4) and margins == [(0, 1, 2)]
-            and free_after == ["theta"]):
+            and free == ["theta"]):
         return ESTIMATORS["multinomial4_mle"], {"k": model.k}
 
-    if isinstance(model, TriNormal) and free_after == ["mu"]:
+    if isinstance(model, TriNormal) and free == ["mu"]:
         if margins == [(0,), (1,)]:
             return ESTIMATORS["trinormal_mu12"], {}
         if margins == [(0,), (1,), (2,)]:
-            return ESTIMATORS["trinormal_mu123"], {
-                "sigma2": fixed.get("sigma2", theta_like["sigma2"])}
+            return ESTIMATORS["trinormal_mu123"], {"sigma2": theta["sigma2"]}
     return None
 
 
@@ -542,22 +521,16 @@ def check_identified(model: Model, spec: CompositeSpec, theta_like,
                      fixed=None) -> None:
     """Raise UnsupportedSpec when a Newton-route spec carries no
     information on its free parameters at ``theta_like`` (``fixed`` held
-    known): its exact sensitivity matrix, or the variability matrix it is
-    paired with, is singular.  Every Newton fit of such a spec ends in a
-    singular Jacobian, so a study can reject it before drawing any data.
-    Fast-path specs, and points where ``info_exact`` cannot be evaluated,
-    pass unchecked."""
+    known): its exact sensitivity, the H that Newton steps with, is
+    singular.  Every Newton fit of such a spec fails on it, so a study can
+    reject it before drawing any data.  Fast-path specs pass unchecked."""
     if registered_closed_form(model, spec, theta_like, fixed) is not None:
         return
     theta = _hold(theta_like, fixed)
     try:
-        singular = is_singular(info_exact(spec, model, theta).sensitivity)
+        singular = is_singular(exact_sensitivity(spec, model, theta))
     except SingularMatrix:
         singular = True
-    except DomainError:
-        # info_exact's difference stencil left the domain (sigma2 below
-        # about 1e-5): nothing is known, so the fits decide as before
-        return
     if singular:
         raise UnsupportedSpec(f"spec {spec.name!r} does not identify "
                               f"{', '.join(theta.free_names)} in {model!r}: "

@@ -140,11 +140,13 @@ def test_newton_estimates_land_in_sandwich_band():
 
 
 def test_newton_reports_nonconvergence():
-    model = Multinomial4(5.0)
-    theta = model.params(0.2)
+    # one scoring step from far off cannot finish this fit (it would finish
+    # a Multinomial4 full-likelihood fit, whose mean is linear in theta)
+    model = EMVN(3)
+    theta = model.params(rho=0.3, roles={"sigma2": "known"})
     Y = model.sample(theta, 1000, 19)
-    res = newton_from(comp.full_likelihood(3), model, Y,
-                      theta.with_values(theta=0.43), max_iter=1).result()
+    res = newton_from(comp.full_conditional(3), model, Y,
+                      theta.with_values(rho=-0.45), max_iter=1).result()
     assert not res.converged
     assert res.score_norm > 0
 
@@ -189,8 +191,10 @@ def test_fit_rejects_spec_without_information():
 
 
 def test_newton_is_invariant_to_data_units():
-    # rescaling the data by s leaves rho and scales sigma2 by s**2; the
-    # singular-Jacobian check must not depend on the units of sigma2
+    # rescaling the data by s leaves rho and scales sigma2 by s**2; neither
+    # the step nor the singular-sensitivity check may depend on the units of
+    # sigma2.  s = 1e-4 is left out: its sigma2 estimate, about 1e-8, lies
+    # inside the absolute BOUNDARY_MARGIN of the domain
     model = EMVN(3)
     Y = model.sample(model.params(rho=0.3), 500, 5)
     spec = comp.full_conditional(3)
@@ -202,7 +206,7 @@ def test_newton_is_invariant_to_data_units():
         return res.params["rho"], res.params["sigma2"] / s ** 2
 
     rho, sigma2 = newton(1.0)
-    for s in (1e-2, 1e3, 1e4):
+    for s in (1e-3, 1e-2, 1e3, 1e4):
         rho_s, sigma2_s = newton(s)
         assert rho_s == pytest.approx(rho, rel=1e-9)
         assert sigma2_s == pytest.approx(sigma2, rel=1e-9)
@@ -288,6 +292,18 @@ def test_registered_closed_form_dispatch():
     assert registered_closed_form(mult, comp.pairwise(3), tm) is None
 
 
+def test_known_sigma2_is_read_from_roles_and_fixed_alike():
+    # sigma2 tagged known by theta_like, or named in ``fixed``: one route
+    # and one estimate
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    Y = model.sample(theta, 500, 5)
+    tagged = fit(comp.pairwise(3), model, Y, theta.with_roles(sigma2="known"))
+    held = fit(comp.pairwise(3), model, Y, theta, fixed={"sigma2": 1.0})
+    assert tagged.solver == held.solver == "closed-form"
+    assert tagged.params == held.params
+
+
 def test_repeated_components_get_no_fast_path():
     # a repeated margin changes the summed score, so it must not be solved
     # as the spec without the repeat
@@ -352,6 +368,8 @@ def test_check_identified():
     check_identified(model, comp.independence(3), theta, {"rho": 0.3})
     check_identified(model, comp.full_conditional(3), theta)
     check_identified(model, comp.pairwise(3), theta)          # fast path
-    # info_exact's stencil leaves the domain here: the fits decide
+    # no difference stencil: the verdicts hold at a tiny sigma2 as well
     tiny = model.params(rho=0.3, sigma2=1e-7)
     check_identified(model, comp.full_conditional(3), tiny)
+    with pytest.raises(UnsupportedSpec, match="'independence'"):
+        check_identified(model, comp.independence(3), tiny)

@@ -359,6 +359,19 @@ def test_uninformative_spec_replicates_fail():
         mc.run(config, threads=1)
 
 
+def test_small_n_three_free_parameters_all_converge():
+    # TriNormal pairwise with mu, rho and sigma2 free at n = 10: every
+    # replicate reaches the score root near the truth, although some of
+    # these datasets also have a root near rho = -0.2
+    model = TriNormal()
+    theta = model.params(mu=-2.0, rho=0.9, sigma2=5.0)
+    config = mc.SimConfig(model, theta, (mc.SpecRun(comp.pairwise(3)),),
+                          n=10, replicates=300, seed=7)
+    result = mc.run(config, threads=1)
+    assert result.failures("pairwise") == 0
+    assert np.all(result.estimates["pairwise"][:, 1] > 0.5)
+
+
 def test_simulated_variance_hits_closed_forms():
     model = EMVN(3)
     theta = model.params(rho=0.5, sigma2=1.0)

@@ -6,16 +6,22 @@ Differentiating ``E_theta[u_c(theta)] = 0`` in theta gives
 tests compute the cross moment directly instead: from the
 affine-quadratic forms of ``margin_score_rep`` for the Gaussian models
 (``B_c S B_u^T + 1/2 tr(A_c S A_u S)``), and as a sum over the four
-outcomes for the multinomial.
+outcomes for the multinomial.  The library's moment kernel
+(``composite.exact_sensitivity``) is checked against the same cross
+moments, at a batch of points against one point at a time, and through
+the Fisher scoring that steps with it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clik.composite as comp
 from clik.errors import SingularMatrix
-from clik.models import EMVN, GaussianModel, Multinomial4, TriNormal
+from clik.estimators import batch_route, moment_starts, newton_solve
+from clik.models import (EMVN, GaussianModel, Multinomial4, ParamBatch,
+                         TriNormal)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -41,23 +47,31 @@ def weighted_specs(draw, p):
 
 
 @st.composite
+def interior_points(draw, model):
+    """An interior parameter point of ``model``, every parameter free."""
+    if isinstance(model, EMVN):
+        lo = -1.0 / (model.dim - 1)
+        return model.params(rho=lo + draw(INTERIOR) * (1.0 - lo),
+                            sigma2=draw(st.floats(0.3, 3.0)))
+    if isinstance(model, TriNormal):
+        return model.params(mu=draw(st.floats(-2.0, 2.0)),
+                            rho=draw(st.floats(-0.9, 0.9)),
+                            sigma2=draw(st.floats(0.3, 3.0)))
+    return model.params(draw(INTERIOR) * model.theta_max)
+
+
+@st.composite
 def cases(draw):
     """A model, an interior parameter point with some parameters known, and
     a random weighted spec."""
     family = draw(st.sampled_from(["emvn", "trinormal", "multinomial"]))
     if family == "emvn":
         model = EMVN(draw(st.integers(3, 5)))
-        lo = -1.0 / (model.dim - 1)
-        theta = model.params(rho=lo + draw(INTERIOR) * (1.0 - lo),
-                             sigma2=draw(st.floats(0.3, 3.0)))
     elif family == "trinormal":
         model = TriNormal()
-        theta = model.params(mu=draw(st.floats(-2.0, 2.0)),
-                             rho=draw(st.floats(-0.9, 0.9)),
-                             sigma2=draw(st.floats(0.3, 3.0)))
     else:
         model = Multinomial4(draw(st.floats(0.5, 10.0)))
-        theta = model.params(draw(INTERIOR) * model.theta_max)
+    theta = draw(interior_points(model))
     names = model.param_names
     known = draw(st.lists(st.sampled_from(names), unique=True,
                           max_size=len(names) - 1))
@@ -87,6 +101,12 @@ def multinomial_cross_moment(spec, model, theta):
     return np.einsum("o,oa,ob->ab", model.cell_probs(theta), U_c, U)
 
 
+def cross_moment(spec, model, theta):
+    if isinstance(model, GaussianModel):
+        return gaussian_cross_moment(spec, model, theta)
+    return multinomial_cross_moment(spec, model, theta)
+
+
 @SETTINGS
 @given(case=cases())
 def test_exact_sensitivity_is_cross_moment_with_full_score(case):
@@ -95,8 +115,46 @@ def test_exact_sensitivity_is_cross_moment_with_full_score(case):
         H = comp.info_exact(spec, model, theta).sensitivity
     except SingularMatrix:
         assume(False)       # the spec carries no information on a parameter
-    if isinstance(model, GaussianModel):
-        cross = gaussian_cross_moment(spec, model, theta)
-    else:
-        cross = multinomial_cross_moment(spec, model, theta)
+    cross = cross_moment(spec, model, theta)
     assert np.max(np.abs(H - cross)) <= 1e-6 * np.max(np.abs(H))
+
+
+@SETTINGS
+@given(case=cases())
+def test_moment_kernel_is_the_cross_moment(case):
+    model, theta, spec = case
+    H = comp.exact_sensitivity(spec, model, theta)
+    cross = cross_moment(spec, model, theta)
+    assert np.max(np.abs(H - cross)) <= 1e-12 * np.max(np.abs(H))
+
+
+@SETTINGS
+@given(case=cases(), data=st.data())
+def test_batched_moment_kernel_matches_a_loop(case, data):
+    model, theta, spec = case
+    others = data.draw(st.lists(interior_points(model), min_size=1,
+                                max_size=4))
+    points = ParamBatch(theta.names, np.array(
+        [theta.values] + [pt.values for pt in others]), theta.roles)
+    H = comp.exact_sensitivity(spec, model, points)
+    assert H.shape == (len(points),) + (len(theta.free_names),) * 2
+    for i in range(len(points)):
+        np.testing.assert_array_equal(
+            H[i], comp.exact_sensitivity(spec, model, points.point(i)))
+
+
+@pytest.mark.parametrize("p, rho", [(3, -0.3), (3, 0.3), (4, 0.8)])
+@pytest.mark.parametrize("fixed", [{}, {"sigma2": 1.0}], ids=["free", "known"])
+def test_scoring_lands_on_the_fast_path_root(p, rho, fixed):
+    # newton_solve run directly on a spec that has a fast path
+    model, spec = EMVN(p), comp.pairwise(p)
+    theta = model.params(rho=rho, sigma2=1.0)
+    stats = model.statistic(np.stack([model.sample(theta, 500, seed)
+                                      for seed in range(10)]))
+    fast = batch_route(model, spec, theta, fixed)(stats)
+    assert fast.solver == "closed-form"
+    scored = newton_solve(spec, model, stats,
+                          moment_starts(model, stats, theta, fixed))
+    assert scored.converged.all()
+    np.testing.assert_allclose(scored.params.values, fast.params.values,
+                               rtol=1e-8)
