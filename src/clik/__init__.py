@@ -25,7 +25,7 @@ from .composite import (Component, CompositeSpec, FullEfficiencyReport,
                         projected_info_monte_carlo, projection_matrix,
                         singleton_margins)
 from .errors import (ClikError, ConfigError, DimensionMismatch, DomainError,
-                     FailureBudgetExceeded, NoRootInDomain,
+                     FailureBudgetExceeded, InvalidArgument, NoRootInDomain,
                      NotPositiveDefinite, SingularMatrix, UnsupportedSpec)
 from .estimators import EstimateResult, fit, registered_closed_form
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
@@ -58,5 +58,5 @@ __all__ = [
     "sym_invert", "is_psd", "loewner_geq", "cholesky_lower", "symmetrize",
     "ClikError", "DomainError", "SingularMatrix", "NotPositiveDefinite",
     "DimensionMismatch", "NoRootInDomain", "FailureBudgetExceeded",
-    "ConfigError", "UnsupportedSpec",
+    "ConfigError", "UnsupportedSpec", "InvalidArgument",
 ]

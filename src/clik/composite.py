@@ -17,12 +17,14 @@ per free parameter: :func:`composite_score` contracts it with each row,
 and :func:`summed_score` with a dataset's statistic.  One moment kernel,
 :func:`_moment`, gives ``E[u_a u_b']`` of the forms of any two scores:
 the exact J, and the exact sensitivity ``E[u_c u']`` that the Newton
-route steps with (:func:`exact_sensitivity`).  Monte Carlo H is a
-central difference of sample-mean scores over common draws; the means at
-the stencil points come from per-batch statistics, so the draws are
-scored row by row only once, at ``theta``.  Monte Carlo J is pooled from
-the batch covariances and means, and the batch Godambe matrices are one
-stacked solve, as are the partitioned variances of a stack of triples.
+route steps with (:func:`exact_sensitivity`).  Monte Carlo information
+is one blocked pass over the draws: each batch is scored at ``theta``,
+reduced to its score mean and covariance, and summarised by its
+statistic while it is in cache.  Monte Carlo H is a central difference
+of sample-mean scores over common draws, with the means at the stencil
+points taken from the batch statistics; J is pooled from the batch
+covariances and means, and the batch Godambe matrices are one stacked
+solve, as are the partitioned variances of a stack of triples.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
@@ -69,20 +72,21 @@ class Component:
 
     def __post_init__(self):
         if self.kind not in ("margin", "conditional"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
+            raise InvalidArgument(f"unknown component kind {self.kind!r}")
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "given", tuple(int(i) for i in self.given))
         if not self.indices:
-            raise ValueError("component needs at least one index")
+            raise InvalidArgument("component needs at least one index")
         if self.kind == "margin" and self.given:
-            raise ValueError("margin components take no given set")
+            raise InvalidArgument("margin components take no given set")
         if self.kind == "conditional":
             if len(self.indices) != 1:
-                raise ValueError("conditional components have a single target")
+                raise InvalidArgument(
+                    "conditional components have a single target")
             if self.indices[0] in self.given:
-                raise ValueError("target appears in its own given set")
+                raise InvalidArgument("target appears in its own given set")
         if not self.weight >= 0:
-            raise ValueError("component weights must be nonnegative")
+            raise InvalidArgument("component weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class CompositeSpec:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
-            raise ValueError("spec needs at least one component")
+            raise InvalidArgument("spec needs at least one component")
 
     def __repr__(self):
         return f"CompositeSpec({self.name!r}, {len(self.components)} components)"
@@ -308,11 +312,12 @@ class InfoTriple:
 
 def batch_slices(n: int, batches: int) -> list:
     """``batches`` contiguous slices partitioning ``range(n)``: the batches
-    behind every batch-means standard error.  Raises ValueError for fewer
-    than ``MIN_BATCHES``, too few for the spread of the batch values to
-    estimate their standard error."""
+    behind every batch-means standard error.  Raises InvalidArgument for
+    fewer than ``MIN_BATCHES``, too few for the spread of the batch values
+    to estimate their standard error."""
     if batches < MIN_BATCHES:
-        raise ValueError(f"batches must be >= {MIN_BATCHES}, got {batches}")
+        raise InvalidArgument(
+            f"batches must be >= {MIN_BATCHES}, got {batches}")
     edges = np.linspace(0, n, batches + 1).astype(int)
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
@@ -353,17 +358,22 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
                       batches: int, M=None):
     """Monte Carlo InfoTriple of the composite score (right-multiplied by
     ``M`` when given) over the draws ``Y``.  Returns ``(triple,
-    scores_at_theta)``.
+    scores_at_theta)``, the scores ``(n, q)`` the transpose of one
+    feature-major ``(q, n)`` buffer.
 
-    J is the sample covariance of the scores at ``theta``, pooled
-    (:func:`_pooled_cov`) from each batch's :func:`sample_cov` and mean, so
-    one pass over the scores gives J and its batch values.  H is minus the
-    central difference of the sample-mean score in each free parameter
-    (common draws across shifts); the mean at every stencil point comes
-    from each batch's ``model.statistic`` through one :func:`summed_score`
+    One blocked pass over the ``batches`` contiguous batches of
+    :func:`batch_slices`: the spec's forms are built once at ``theta``,
+    and each batch, while it is in cache, is scored by
+    :func:`clik.models.affine_quadratic`, written feature-major into the
+    buffer, reduced to its mean and covariance, and summarised by
+    ``model.statistic``.  J is the sample covariance of all the scores,
+    pooled (:func:`_pooled_cov`) from the batch covariances and means.  H
+    is minus the central difference of the sample-mean score in each free
+    parameter (common draws across shifts); the mean at every stencil
+    point comes from the batch statistics through one :func:`summed_score`
     call, so only the scores at ``theta`` are evaluated row by row.
-    Standard errors come from ``batches`` contiguous batch means; the batch
-    Godambe matrices are one stacked solve.
+    Standard errors come from the batch values; the batch Godambe matrices
+    are one stacked solve.  ``Y`` is not modified.
 
     A genuine composite score is a gradient field, so its per-draw
     Jacobian is symmetric and the estimated H must be symmetric to
@@ -373,22 +383,28 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     free = theta.free_names
     q, n = len(free), Y.shape[0]
     slices = batch_slices(n, batches)
-    U0 = composite_score(spec, model, Y, theta)
-    if M is not None:
-        U0 = U0 @ M
-
-    starts = [sl.start for sl in slices]
-    sizes = np.diff(starts + [n])
-    J_batch = np.stack([sample_cov(U0[sl]) for sl in slices])
-    means = np.add.reduceat(U0, starts, axis=0) / sizes[:, None]
+    c, B, A = unpack_forms(_spec_forms(spec, model, theta), model.dim)
+    sizes = np.array([sl.stop - sl.start for sl in slices])
+    mean = model._mean(theta)
+    scores = np.empty((q, n))
+    means = np.empty((batches, q))
+    J_batch = np.empty((batches, q, q))
+    stats = []
+    for b, sl in enumerate(slices):
+        U = affine_quadratic(c, B, A, Y[sl] - mean).T
+        block = scores[:, sl]
+        block[...] = U if M is None else M.T @ U
+        # block.T is column-major, so both reduce along contiguous rows
+        means[b] = block.mean(axis=1)
+        J_batch[b] = sample_cov(block.T)
+        stats.append(model.statistic(Y[sl]))
     J_full = _pooled_cov(J_batch, means, sizes)
 
     steps = np.array([FD_STEP_INFO * max(1.0, abs(theta[name])) for name in free])
     stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + sign * h})
                                 for name, h in zip(free, steps)
                                 for sign in (1.0, -1.0)])
-    stats = np.stack([model.statistic(Y[sl]) for sl in slices])
-    sums = summed_score(spec, model, np.tile(stats, (2 * q, 1)),
+    sums = summed_score(spec, model, np.tile(np.stack(stats), (2 * q, 1)),
                         stencil.take(np.repeat(np.arange(2 * q), batches)))
     if M is not None:
         sums = sums @ M
@@ -403,8 +419,8 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         scale = max(1.0, float(np.max(np.abs(Hcols_full))))
         allow = max(allow, 6.0 * float(np.max(se)) / scale)
     if asymmetry(Hcols_full) > allow:
-        raise ValueError(f"sensitivity estimate asymmetric beyond tolerance: "
-                         f"{asymmetry(Hcols_full):g}")
+        raise InvalidArgument(f"sensitivity estimate asymmetric beyond "
+                              f"tolerance: {asymmetry(Hcols_full):g}")
     H_full, H_batch = symmetrize(Hcols_full), symmetrize(Hcols_batch)
     G_full, G_batch = _godambe(H_full, J_full), _godambe(H_batch, J_batch)
 
@@ -422,7 +438,7 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         batch_variability=J_batch,
         batch_godambe=G_batch,
     )
-    return triple, U0
+    return triple, scores.T
 
 
 def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
@@ -436,7 +452,7 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
     batch means.
     """
     if draws < MIN_DRAWS:
-        raise ValueError(f"draws must be >= {MIN_DRAWS}")
+        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
     triple, _ = _info_from_sample(spec, model, Y, theta, batches)
     return triple
@@ -463,7 +479,7 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
     """Monte Carlo triple of the projected score ``H J^-1 u_c`` with the
     projection frozen from ``base`` (fresh draws, fresh randomness)."""
     if draws < MIN_DRAWS:
-        raise ValueError(f"draws must be >= {MIN_DRAWS}")
+        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
     M = projection_matrix(base)
     Y = model.sample(theta, draws, seed)
     triple, _ = _info_from_sample(spec, model, Y, theta, batches, M)
@@ -557,8 +573,8 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     means = means.reshape(q, 2, q)          # (column, side, row)
     H = -((means[:, 0] - means[:, 1]) / (2.0 * steps[:, None])).T
     if asymmetry(H) > H_ASYMMETRY_TOL:
-        raise ValueError(f"exact sensitivity asymmetric beyond tolerance: "
-                         f"{asymmetry(H):g}")
+        raise InvalidArgument(f"exact sensitivity asymmetric beyond "
+                              f"tolerance: {asymmetry(H):g}")
     H, J = symmetrize(H), symmetrize(J)
     return InfoTriple(free, H, J, _godambe(H, J), "analytic")
 
@@ -581,7 +597,8 @@ def info_bias_zscore(triple: InfoTriple) -> float:
     Values below ~3 are consistent with an information-unbiased spec.
     """
     if triple.batch_sensitivity is None:
-        raise ValueError("z-score needs a Monte Carlo triple with batch data")
+        raise InvalidArgument(
+            "z-score needs a Monte Carlo triple with batch data")
     se = batch_se(triple.batch_sensitivity - triple.batch_variability)
     return float(np.linalg.norm(triple.sensitivity - triple.variability)
                  / np.linalg.norm(se))
@@ -630,7 +647,7 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     internal identities residual_cov = I - G and H = Cov(u_c, u).
     """
     if draws < MIN_DRAWS:
-        raise ValueError(f"draws must be >= {MIN_DRAWS}")
+        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
     triple, Uc = _info_from_sample(spec, model, Y, theta, batches)
     U = model.full_score(Y, theta)
@@ -731,6 +748,7 @@ def partitioned_variance(triple: InfoTriple, interest):
     i_idx = [triple.param_names.index(n) for n in names]
     n_idx = [k for k in range(triple.dim) if k not in i_idx]
     if not i_idx or not n_idx:
-        raise ValueError("both the interest and nuisance blocks must be nonempty")
+        raise InvalidArgument(
+            "both the interest and nuisance blocks must be nonempty")
     return _partitioned_from_mats(triple.sensitivity, triple.variability,
                                   triple.godambe, i_idx, n_idx)

@@ -38,6 +38,13 @@ class FailureBudgetExceeded(ClikError):
     """Too many replicates of a simulation study failed to converge."""
 
 
+class InvalidArgument(ClikError, ValueError):
+    """An argument is malformed or out of range: a component or spec that
+    cannot be built, too few draws or batches, or an estimate that fails
+    a consistency guard.  A ValueError too, so callers that catch that
+    keep working."""
+
+
 class UnsupportedSpec(ClikError, ValueError):
     """A spec cannot be fitted: it leaves no free parameter, or (checked
     before a study samples) it carries no information on one."""

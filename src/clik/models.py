@@ -38,6 +38,11 @@ BOUNDARY_MARGIN = 1e-8
 
 _ROLES = ("interest", "nuisance", "known")
 
+#: Rows per feature buffer of :func:`affine_quadratic`: bounds its
+#: temporary to ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however
+#: many rows are scored.
+_KERNEL_ROWS = 1 << 14
+
 
 def _free(names, roles) -> tuple:
     return tuple(n for n, r in zip(names, roles) if r != "known")
@@ -337,14 +342,57 @@ def _as_rows(y, dim: int):
 def affine_quadratic(c, B, A, resid):
     """Rows ``c + B r + r' A r / 2`` of affine-quadratic score forms with
     shapes ``(..., q)``, ``(..., q, m)`` and ``(..., q, m, m)`` at the
-    residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``."""
-    out = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
-    for a in range(c.shape[-1]):
-        # a zero A leaves a linear form's bits alone
-        if np.any(A[..., a, :, :]):
-            out[..., a] += 0.5 * np.einsum("...nm,...nm->...n",
-                                           resid @ A[..., a, :, :], resid)
-    return out
+    residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``.
+    ``resid`` is not modified.
+
+    A column whose ``A`` is zero is ``c + r @ B'``, bit for bit as a
+    linear form always was.  The other columns are taken feature-major,
+    ``_KERNEL_ROWS`` rows at a time: the rows ``r'`` of a copy of
+    ``resid`` transposed, and their ``m (m + 1) / 2`` distinct products
+    ``r_i r_j`` (``i <= j``), meet ``B`` and the packed entries of ``A``
+    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it) in one
+    matmul.  When every column is quadratic the result is the transpose of
+    the ``(..., q, n)`` product."""
+    m, n = resid.shape[-1], resid.shape[-2]
+    quad = np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1)) \
+        if A.any() else None
+    if quad is None or not quad.all():
+        linear = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+        if quad is None:
+            return linear
+    coef = np.empty(A.shape[:-2] + (m + m * (m + 1) // 2,))  # (..., q, m + K)
+    coef[..., :m] = B
+    k = m
+    for a in range(m):
+        coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
+        coef[..., k] *= 0.5
+        k += m - a
+    # every column's row of coef takes part, so a column's bits do not
+    # depend on which other columns are quadratic
+    if quad.all():
+        out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
+                       + (c.shape[-1], n))                    # (..., q, n)
+    else:
+        out = np.swapaxes(linear, -1, -2)
+    for start in range(0, n, _KERNEL_ROWS):
+        rows = resid[..., start:start + _KERNEL_ROWS, :]
+        # feature rows: r' copied into a fresh buffer (so nothing below can
+        # write to the caller's rows, even one row), then r_a r_b, b >= a
+        feats = np.empty(rows.shape[:-2] + (coef.shape[-1], rows.shape[-2]))
+        feats[..., :m, :] = np.swapaxes(rows, -1, -2)
+        k = m
+        for a in range(m):
+            np.multiply(feats[..., a:m, :], feats[..., a:a + 1, :],
+                        out=feats[..., k:k + m - a, :])
+            k += m - a
+        vals = coef @ feats
+        vals += c[..., None]
+        cols = slice(start, start + rows.shape[-2])
+        if quad.all():
+            out[..., cols] = vals
+        else:
+            out[..., quad, cols] = vals[..., quad, :]
+    return np.swapaxes(out, -1, -2)
 
 
 def pack_forms(c, B, A):

@@ -304,3 +304,46 @@ def parent_estimates_csv(result, path):
                 for j, name in enumerate(names):
                     writer.writerow([label, r, name, fmt(est[r, j]),
                                      str(bool(conv[r]))])
+
+
+def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
+    """``(triple, scores, batch_means)`` of ``composite._info_from_sample``
+    along the parent's whole-sample route: one ``composite_score`` call
+    over all the draws, then one ``sample_cov`` per batch and the batch
+    means by ``np.add.reduceat``; H from the batch statistics through one
+    ``summed_score`` call, as the library takes it."""
+    import clik.composite as comp
+    from clik.matrixops import symmetrize
+    from clik.models import ParamBatch
+    free = theta.free_names
+    q, n = len(free), Y.shape[0]
+    slices = comp.batch_slices(n, batches)
+    U0 = comp.composite_score(spec, model, Y, theta)
+    if M is not None:
+        U0 = U0 @ M
+    starts = [sl.start for sl in slices]
+    sizes = np.diff(starts + [n])
+    J_batch = np.stack([comp.sample_cov(U0[sl]) for sl in slices])
+    means = np.add.reduceat(U0, starts, axis=0) / sizes[:, None]
+    J = comp._pooled_cov(J_batch, means, sizes)
+
+    steps = np.array([comp.FD_STEP_INFO * max(1.0, abs(theta[name]))
+                      for name in free])
+    stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + s * h})
+                                for name, h in zip(free, steps)
+                                for s in (1.0, -1.0)])
+    stats = np.stack([model.statistic(Y[sl]) for sl in slices])
+    sums = comp.summed_score(spec, model, np.tile(stats, (2 * q, 1)),
+                             stencil.take(np.repeat(np.arange(2 * q), batches)))
+    if M is not None:
+        sums = sums @ M
+    sums = sums.reshape(q, 2, batches, q)
+    diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
+    H = symmetrize(-(diff.sum(axis=1) / n).T)
+    H_batch = symmetrize(-np.transpose(diff / sizes[:, None], (1, 2, 0)))
+    G, G_batch = comp._godambe(H, J), comp._godambe(H_batch, J_batch)
+    triple = comp.InfoTriple(
+        free, H, J, G, "monte-carlo", n, comp.batch_se(H_batch),
+        comp.batch_se(J_batch), comp.batch_se(G_batch), H_batch, J_batch,
+        G_batch)
+    return triple, U0, means

@@ -1,0 +1,205 @@
+"""Monte Carlo information in one blocked pass over the draws, against the
+whole-sample route it replaced.
+
+``composite._info_from_sample`` scores each batch of draws with
+``models.affine_quadratic``, writes the scores feature-major into one
+buffer and reduces the batch to its mean and covariance while it is in
+cache.  The oracle (``oracles.parent_info_from_sample``) scores all the
+draws in one ``composite_score`` call, then takes ``sample_cov`` of each
+batch.  The two round differently, so J, its batch values, the batch
+means and the scores agree to rounding; H comes from the same batch
+statistics on both routes and is bit for bit the same.  A linear score
+(the multinomial) rounds alike on both routes, so its whole triple is
+bit for bit the same.  Neither route writes to the caller's draws, the
+blocked pass holds no whole-sample temporary beyond the score buffer, and
+the kernel's scratch does not grow with the number of rows.
+"""
+
+import tracemalloc
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import clik.composite as comp
+import clik.models as models
+from clik.errors import ClikError, InvalidArgument, SingularMatrix
+from clik.models import (EMVN, Multinomial4, ParamBatch, TriNormal,
+                         affine_quadratic, unpack_forms)
+from oracles import parent_info_from_sample
+from test_sensitivity_identity import SETTINGS, cases
+
+TRIPLE_FIELDS = ("sensitivity", "variability", "godambe", "sensitivity_se",
+                 "variability_se", "godambe_se", "batch_sensitivity",
+                 "batch_variability", "batch_godambe")
+
+
+def blocked(spec, model, Y, theta, batches, M=None):
+    """``(triple, scores, batch_means)`` of the blocked pass; the batch
+    means are those it hands to ``_pooled_cov``."""
+    with mock.patch.object(comp, "_pooled_cov",
+                           wraps=comp._pooled_cov) as pooled:
+        triple, scores = comp._info_from_sample(spec, model, Y, theta,
+                                                batches, M)
+    return triple, scores, pooled.call_args.args[1]
+
+
+@SETTINGS
+@given(case=cases(), batches=st.integers(10, 25), per=st.integers(40, 80),
+       extra=st.integers(1, 9), project=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
+                                                 project, seed):
+    model, theta, spec = case
+    n = per * batches + extra            # never a multiple of batches
+    M = None
+    try:
+        if project:
+            M = comp.projection_matrix(comp.info_exact(spec, model, theta))
+        Y = model.sample(theta, n, seed)
+        got, scores, means = blocked(spec, model, Y, theta, batches, M)
+    except (SingularMatrix, InvalidArgument):
+        assume(False)       # the spec carries no information on a parameter
+    want, U0, want_means = parent_info_from_sample(spec, model, Y, theta,
+                                                   batches, M)
+
+    tol = 1e-12 * np.max(np.abs(want.variability))
+    assert np.max(np.abs(got.variability - want.variability)) <= tol
+    assert np.max(np.abs(got.batch_variability
+                         - want.batch_variability)) <= tol
+    assert np.max(np.abs(means - want_means)) <= tol
+    assert scores.shape == U0.shape
+    assert np.max(np.abs(scores - U0)) <= tol
+
+    for name in ("sensitivity", "batch_sensitivity", "sensitivity_se"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    if M is None:
+        # a linear column (TriNormal mu, every multinomial column) keeps
+        # its bits beside quadratic ones
+        _, _, A = unpack_forms(comp._spec_forms(spec, model, theta),
+                               model.dim)
+        for a in np.flatnonzero(~np.any(A, axis=(-2, -1))):
+            assert scores[:, a].tobytes() == U0[:, a].tobytes()
+    if isinstance(model, Multinomial4):
+        for name in TRIPLE_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_linear_forms_keep_their_bits_in_any_layout():
+    # info_exact's multinomial stencil hands the kernel residuals laid out
+    # as broadcasting leaves them; a linear column is c + r @ B' on them
+    model = Multinomial4(5.0)
+    points = ParamBatch.stack([model.params(t) for t in (0.2, 0.2001, 0.1999)])
+    c, B, A = unpack_forms(comp._spec_forms(comp.pairwise(3), model, points),
+                           model.dim)
+    resid = model.outcomes() - model._mean(points)[:, None, :]
+    for rows in (resid, np.asfortranarray(resid), np.ascontiguousarray(resid)):
+        want = c[..., None, :] + rows @ np.swapaxes(B, -1, -2)
+        assert affine_quadratic(c, B, A, rows).tobytes() == want.tobytes()
+
+
+# -- the caller's draws are never written ------------------------------------
+
+
+def write_cases():
+    """EMVN full-conditional (every column quadratic), TriNormal pairwise
+    (mixed) and Multinomial4 pairwise (linear)."""
+    emvn, tri, multi = EMVN(3), TriNormal(), Multinomial4(5.0)
+    yield comp.full_conditional(3), emvn, emvn.params(rho=0.4, sigma2=1.3)
+    yield comp.pairwise(3), tri, tri.params(mu=0.7, rho=-0.3, sigma2=2.0)
+    yield comp.pairwise(3), multi, multi.params(0.2)
+
+
+WRITE_IDS = ["emvn", "trinormal", "multinomial"]
+
+
+@pytest.mark.parametrize("spec, model, theta", list(write_cases()),
+                         ids=WRITE_IDS)
+@pytest.mark.parametrize("n", [1, 2347])
+def test_score_kernels_leave_the_rows_unchanged(spec, model, theta, n):
+    Y = model.sample(theta, n, 3)
+    before = Y.tobytes()
+    rows = [Y, Y[0]] if n == 1 else [Y, Y[:1], Y[5:6]]
+    c, B, A = unpack_forms(comp._spec_forms(spec, model, theta), model.dim)
+    for y in rows:
+        comp.composite_score(spec, model, y, theta)
+        resid = np.atleast_2d(y) - model._mean(theta)
+        kept = resid.tobytes()
+        affine_quadratic(c, B, A, resid)
+        affine_quadratic(c, B, A, resid.T.copy().T)     # feature-major rows
+        assert resid.tobytes() == kept
+    assert Y.tobytes() == before
+
+
+@pytest.mark.parametrize("spec, model, theta", list(write_cases()),
+                         ids=WRITE_IDS)
+@pytest.mark.parametrize("n", [1, 15, 2347])
+def test_blocked_pass_leaves_the_draws_unchanged(spec, model, theta, n):
+    # n = 15 cuts 10 batches of one and two rows; n = 1 leaves nine empty
+    Y = model.sample(theta, n, 3)
+    before = Y.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            comp._info_from_sample(spec, model, Y, theta, 10)
+        except ClikError:
+            assert n < 20       # a batch of one row has no covariance
+    assert Y.tobytes() == before
+
+
+# -- memory ------------------------------------------------------------------
+
+
+def test_blocked_pass_holds_no_whole_sample_temporary():
+    model = EMVN(3)
+    theta = model.params(rho=0.4, sigma2=1.3)
+    Y = model.sample(theta, 200_000, 5)
+    tracemalloc.start()
+    try:
+        _, scores = comp._info_from_sample(comp.full_conditional(3), model, Y,
+                                           theta, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the score buffer itself is 3.2 MB; each whole-sample temporary of
+    # the scores or the residual rows would add at least as much again
+    assert scores.shape == (200_000, 2)
+    assert peak < 2 * scores.nbytes
+
+
+def _scratch(model, Y, theta):
+    """Peak bytes that ``model.full_score`` holds beyond its residual rows
+    and its result."""
+    tracemalloc.start()
+    try:
+        U = model.full_score(Y, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - Y.nbytes - U.nbytes
+
+
+def test_whole_sample_kernel_scratch_does_not_grow_with_the_sample():
+    # the feature buffer of affine_quadratic covers _KERNEL_ROWS rows at a
+    # time; a per-column (n, m) product would add 7.2 MB from n to 4n here
+    model = EMVN(3)
+    theta = model.params(rho=0.4, sigma2=1.3)
+    small, large = (_scratch(model, model.sample(theta, n, 5), theta)
+                    for n in (100_000, 400_000))
+    assert large < small + 1e6
+
+
+def test_kernel_rows_do_not_change_the_scores():
+    model = TriNormal()
+    theta = model.params(mu=0.7, rho=-0.3, sigma2=2.0)
+    resid = model.sample(theta, 2 * models._KERNEL_ROWS + 123, 9) \
+        - model._mean(theta)
+    c, B, A = unpack_forms(comp._spec_forms(comp.pairwise(3), model, theta),
+                           model.dim)
+    chunked = affine_quadratic(c, B, A, resid)
+    with mock.patch.object(models, "_KERNEL_ROWS", resid.shape[0]):
+        whole = affine_quadratic(c, B, A, resid)
+    assert chunked.tobytes() == whole.tobytes()

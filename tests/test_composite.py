@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import clik.composite as comp
-from clik.errors import SingularMatrix
+from clik.errors import ClikError, InvalidArgument, SingularMatrix
 from clik.matrixops import is_psd, loewner_geq
 from clik.models import EMVN, Multinomial4, TriNormal
 
@@ -429,3 +431,53 @@ def test_partitioned_variance_validates_blocks():
         comp.partitioned_variance(exact, ["rho", "sigma2"])
     with pytest.raises(ValueError):
         comp.partitioned_variance(exact, [])
+
+
+# -- argument errors -------------------------------------------------------------
+
+
+def invalid_arguments():
+    """``(id, call)`` for each InvalidArgument raise site of the module."""
+    model, theta = emvn_case()
+    spec = comp.pairwise(3)
+    exact = comp.info_exact(spec, model, theta)
+
+    def asymmetric(call):
+        def run():
+            # any H is asymmetric beyond a negative tolerance
+            with mock.patch.object(comp, "H_ASYMMETRY_TOL", -1.0):
+                call()
+        return run
+
+    yield "component-kind", lambda: comp.Component("blah", (0,))
+    yield "component-empty", lambda: comp.Component("margin", ())
+    yield "margin-given", lambda: comp.Component("margin", (0,), (1,))
+    yield "conditional-targets", lambda: comp.Component("conditional",
+                                                        (0, 1), (2,))
+    yield "conditional-self", lambda: comp.Component("conditional", (0,),
+                                                     (0, 1))
+    yield "component-weight", lambda: comp.Component("margin", (0,),
+                                                     weight=-0.1)
+    yield "spec-empty", lambda: comp.CompositeSpec("empty", [])
+    yield "batch-floor", lambda: comp.batch_slices(1000, 5)
+    yield "draws-info", lambda: comp.info_monte_carlo(spec, model, theta,
+                                                      999, 1)
+    yield "draws-projected", lambda: comp.projected_info_monte_carlo(
+        spec, model, theta, 999, 1, exact)
+    yield "draws-efficiency", lambda: comp.full_efficiency_check(
+        spec, model, theta, 999, 1)
+    yield "asymmetry-monte-carlo", asymmetric(
+        lambda: comp.info_monte_carlo(spec, model, theta, 1000, 1))
+    yield "asymmetry-exact", asymmetric(
+        lambda: comp.info_exact(spec, model, theta))
+    yield "zscore-exact", lambda: comp.info_bias_zscore(exact)
+    yield "partition-empty", lambda: comp.partitioned_variance(exact, [])
+
+
+@pytest.mark.parametrize("call", [call for _, call in invalid_arguments()],
+                         ids=[name for name, _ in invalid_arguments()])
+def test_each_argument_check_raises_a_clik_error(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, ClikError)
+    assert isinstance(info.value, ValueError)
