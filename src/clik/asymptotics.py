@@ -18,7 +18,7 @@ import numpy as np
 
 from .composite import (_partitioned_from_mats, batch_se, full_conditional,
                         info_monte_carlo)
-from .errors import DomainError
+from .errors import DomainError, InvalidArgument
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, substream
 
@@ -47,12 +47,13 @@ class EfficiencyCurve:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "value_names", tuple(self.value_names))
         if rows.ndim != 2 or rows.shape[1] != 1 + len(self.value_names):
-            raise ValueError(f"rows shape {rows.shape} does not match "
-                             f"{len(self.value_names)} value columns")
+            raise InvalidArgument(f"rows shape {rows.shape} does not match "
+                                  f"{len(self.value_names)} value columns")
         if not np.all(np.isfinite(rows)):
-            raise ValueError("curve contains non-finite values")
+            raise InvalidArgument("curve contains non-finite values")
         if np.any(np.diff(rows[:, 0]) <= 0):
-            raise ValueError(f"{self.x_name} grid must be strictly increasing")
+            raise InvalidArgument(
+                f"{self.x_name} grid must be strictly increasing")
 
     @property
     def x(self) -> np.ndarray:
@@ -78,7 +79,7 @@ def default_grid(lo: float, hi: float, size: int = 201,
                  margin: float = 0.01) -> np.ndarray:
     """Equispaced grid clipped ``margin`` inside an open interval."""
     if size < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise InvalidArgument("grid needs at least 2 points")
     return np.linspace(lo + margin, hi - margin, size)
 
 

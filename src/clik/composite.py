@@ -314,11 +314,15 @@ def batch_slices(n: int, batches: int) -> list:
     """``batches`` contiguous slices partitioning ``range(n)``: the batches
     behind every batch-means standard error.  Raises InvalidArgument for
     fewer than ``MIN_BATCHES``, too few for the spread of the batch values
-    to estimate their standard error."""
+    to estimate their standard error, and when a batch would hold fewer
+    than 2 rows, too few for a batch covariance."""
     if batches < MIN_BATCHES:
         raise InvalidArgument(
             f"batches must be >= {MIN_BATCHES}, got {batches}")
     edges = np.linspace(0, n, batches + 1).astype(int)
+    if np.min(np.diff(edges)) < 2:
+        raise InvalidArgument(f"{batches} batches of {n} rows leave a batch "
+                              f"with fewer than 2 rows")
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 

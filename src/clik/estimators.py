@@ -8,14 +8,13 @@ and :func:`fit` is its one-dataset case; both routes fill the same
 per-dataset record, :class:`Fits`.  Registered fast paths cover the
 four-cell multinomial MLE and the two mean estimators of the two-block
 normal model, which read the sample means, and the equicorrelated-normal
-pairwise correlation estimators (variance known or profiled out), which
-reduce to root finding in rho on two sums derived from the statistic: a
-score scan, then one :func:`bracket_roots` pass (Brent's method, as
-``scipy.optimize.brentq`` runs it, on every bracket of every dataset at
-once).  Every other spec is solved by Fisher scoring on the summed
-composite score, which follows exactly from the statistic, with the exact
-sensitivity in place of the score Jacobian; all datasets iterate in
-lockstep.
+pairwise correlation estimators, which read two sums derived from the
+statistic: with the variance profiled out the estimate is explicit, and
+with it known the estimate is a root of a cubic, found for every dataset
+at once by one batched eigenvalue call.  Every other spec is solved by
+Fisher scoring on the summed composite score, which follows exactly from
+the statistic, with the exact sensitivity in place of the score Jacobian;
+all datasets iterate in lockstep.
 """
 
 from __future__ import annotations
@@ -38,14 +37,10 @@ NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
 #: Step halvings tried before a Newton fit stops where it is.
 NEWTON_MAX_HALVINGS = 60
-#: Number of equispaced scan points used to bracket score roots.
-ROOT_SCAN_POINTS = 16
-#: How far inside the open domain the scan grid starts.
-ROOT_SCAN_MARGIN = 1e-6
-#: Iteration cap and relative tolerance of :func:`bracket_roots`, as in
-#: ``scipy.optimize.brentq``.
-BRENT_MAX_ITER = 100
-BRENT_RTOL = 4 * np.finfo(float).eps
+#: How far inside the open domain a pairwise estimate of rho must lie.
+ROOT_MARGIN = 1e-6
+#: Newton steps that polish each eigenvalue root of a cubic.
+POLISH_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -231,83 +226,7 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
 
 
 # ---------------------------------------------------------------------------
-# bracketed roots
-# ---------------------------------------------------------------------------
-
-
-def bracket_roots(f, lo, hi, xtol, maxiter: int = BRENT_MAX_ITER):
-    """Roots of ``f`` in the brackets ``[lo[k], hi[k]]``, all at once.
-
-    ``f(x, rows)`` returns the values at ``x[m]`` of the functions of
-    brackets ``rows[m]``; it is called only for the brackets still
-    iterating.  Every bracket runs Brent's method exactly as
-    ``scipy.optimize.brentq`` does, with ``rtol = 4 eps``: the same
-    interpolation, extrapolation and bisection steps in the same
-    floating-point order, so its root has the same bits.  Returns
-    ``(roots, converged)``; a bracket whose ends do not differ in sign,
-    whose function gives NaN, or that is not converged after ``maxiter``
-    iterations has root NaN and ``converged`` False.
-    """
-    xpre, xcur = (np.array(x, dtype=float).ravel() for x in (lo, hi))
-    rows = np.arange(xpre.size)
-    with np.errstate(all="ignore"):
-        fpre, fcur = (np.asarray(f(x, rows), dtype=float) for x in (xpre, xcur))
-        # brentq's order: a NaN end fails, a zero end (lo first) is the
-        # root, ends of one sign fail
-        finite = ~(np.isnan(fpre) | np.isnan(fcur))
-        roots = np.where(finite & (fpre == 0.0), xpre,
-                         np.where(finite & (fcur == 0.0), xcur, np.nan))
-        live = (finite & (fpre != 0.0) & (fcur != 0.0)
-                & (np.signbit(fpre) != np.signbit(fcur)))
-        rows, xpre, xcur, fpre, fcur = (a[live] for a in
-                                        (rows, xpre, xcur, fpre, fcur))
-        xblk = fblk = spre = scur = np.zeros(rows.size)
-        for _ in range(maxiter):
-            failed = np.isnan(fcur)
-            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre)
-                                                    != np.signbit(fcur))
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            spre, scur = (np.where(flip, xcur - xpre, s) for s in (spre, scur))
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                                np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                                np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-
-            delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = ~failed & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            roots[rows[done]] = xcur[done]
-            keep = ~(failed | done)
-            if not keep.all():
-                (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
-                 sbis) = (a[keep] for a in (rows, xpre, xcur, xblk, fpre, fcur,
-                                           fblk, spre, scur, delta, sbis))
-            if rows.size == 0:
-                break
-
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
-                           / (dblk * dpre * (fblk - fpre)))
-            stry = np.where(xpre == xblk, interpolate, extrapolate)
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2 * np.abs(stry)
-                        < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = np.asarray(f(xcur, rows), dtype=float)
-    return roots, ~np.isnan(roots)
-
-
-# ---------------------------------------------------------------------------
-# equicorrelated-normal pairwise machinery
+# equicorrelated-normal pairwise estimators
 # ---------------------------------------------------------------------------
 #
 # Every bivariate margin has covariance sigma2 * [[1, rho], [rho, 1]], so the
@@ -315,8 +234,14 @@ def bracket_roots(f, lo, hi, xtol, maxiter: int = BRENT_MAX_ITER):
 #   Q = sum of squared entries,   W = sum of squared row sums:
 #   cl(rho, sigma2) = -Nc log(2 pi) - Nc log sigma2 - (Nc/2) log(1 - rho^2)
 #                     - T(rho) / (2 sigma2),
-# with Nc = n p (p-1)/2 and T(rho) = ((p-1) Q - (W - Q) rho) / (1 - rho^2).
-# Maximizing over sigma2 gives sigma2_hat(rho) = T(rho) / (2 Nc).
+# with Nc = n p (p-1)/2 and T(rho) = (a - 2 c rho) / (1 - rho^2), where
+# a = (p-1) Q and c = (W - Q)/2.  Both estimators are roots of polynomials:
+# - sigma2 profiled out (sigma2_hat(rho) = T(rho) / (2 Nc)), the profile
+#   score Nc (2c - a rho) / ((1 - rho^2)(a - 2 c rho)), whose denominator is
+#   positive on the domain, has the one root rho = 2c/a, where sigma2_hat =
+#   Q / (n p): the method of moments, and the Gaussian MLE;
+# - sigma2 known, sigma2 (1 - rho^2)^2 times the score is the cubic
+#   -s rho^3 + c rho^2 + (s - a) rho + c, with s = Nc sigma2.
 
 
 def _pair_sums(stats) -> np.ndarray:
@@ -329,6 +254,20 @@ def _pair_sums(stats) -> np.ndarray:
     return np.stack([n, np.full_like(n, ybar.shape[-1]), q, w], axis=-1)
 
 
+def _pair_moments(n, p, q, w):
+    """``(rho, sigma2)``: ``(W/Q - 1) / (p-1)`` and ``Q / (n p)``, the
+    method of moments and the pairwise estimates with sigma2 free; NaN
+    where ``Q = 0``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (w / q - 1.0) / (p - 1), q / (n * p)
+
+
+def _pair_domain(p):
+    """Ends of the closed interval in which a pairwise estimate of rho must
+    lie: ``ROOT_MARGIN`` inside ``(-1/(p-1), 1)``."""
+    return -1.0 / (p - 1) + ROOT_MARGIN, 1.0 - ROOT_MARGIN
+
+
 def _t_and_deriv(rho, p, q, w):
     a = (p - 1) * q
     c = 0.5 * (w - q)
@@ -339,70 +278,85 @@ def _t_and_deriv(rho, p, q, w):
 
 
 def _pair_score(rho, p, q, w, nc, sigma2):
-    """Score in rho with ``sigma2`` known, or the profile score when
-    ``sigma2`` is None.  Elementwise, so scalars and arrays give the same
-    bits."""
-    t, tp = _t_and_deriv(rho, p, q, w)
-    if sigma2 is None:
-        return -nc * tp / t + nc * rho / (1.0 - rho * rho)
+    """Score in rho with ``sigma2`` known."""
+    _, tp = _t_and_deriv(rho, p, q, w)
     return nc * rho / (1.0 - rho * rho) - tp / (2.0 * sigma2)
 
 
 def _pair_loglik(rho, p, q, w, nc, sigma2):
     """The objective :func:`_pair_score` differentiates, up to a constant."""
     t, _ = _t_and_deriv(rho, p, q, w)
-    if sigma2 is None:
-        return -nc * np.log(t) - 0.5 * nc * np.log(1.0 - rho * rho)
     return (-nc * np.log(sigma2) - 0.5 * nc * np.log(1.0 - rho * rho)
             - t / (2.0 * sigma2))
 
 
-def _solve_pairwise(stats, sigma2=None):
-    """Pairwise rho (and the profiled sigma2 when ``sigma2`` is None) for
-    each row ``(n, p, Q, W)`` of ``stats``.
+def _cubic_roots(coef, lo, hi):
+    """Real roots in ``[lo[k, 0], hi[k, 0]]`` of the cubic ``coef[k, 0] x^3 +
+    coef[k, 1] x^2 + coef[k, 2] x + coef[k, 3]`` of every row ``k``.
 
-    The score is scanned on ``ROOT_SCAN_POINTS`` equispaced points of the
-    open domain for all rows at once.  A scan point where the score is
-    exactly zero is a root; every sign change between neighbouring points
-    is polished by one :func:`bracket_roots` pass over the brackets of all
-    rows.  The roots of a row sit in an ``(R, ROOT_SCAN_POINTS)`` candidate
-    array in scan order, and a row with several keeps the one with the
-    highest pairwise log likelihood (the first on a tie).  Rows without a
-    root, or whose bracket did not converge, get NaN.
+    The roots are the eigenvalues of the companion matrices, all rows in
+    one ``np.linalg.eigvals`` call; an eigenvalue with a nonzero imaginary
+    part is not a root.  Each real one is polished by ``POLISH_STEPS``
+    Newton steps on the cubic.  Returns an ``(R, 3)`` array, the roots of a
+    row ascending and NaN after them; a row with a non-finite coefficient or
+    a zero leading one has none.
     """
-    n, p, q, w = (stats[:, [k]] for k in range(4))
+    coef = np.asarray(coef, dtype=float)
+    with np.errstate(all="ignore"):
+        monic = coef[:, 1:] / coef[:, :1]
+        ok = np.all(np.isfinite(monic), axis=1)
+        companion = np.zeros((len(coef), 3, 3))
+        companion[:, 0] = np.where(ok[:, None], -monic, 0.0)
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        eig = np.linalg.eigvals(companion)
+        x = np.where((np.imag(eig) == 0.0) & ok[:, None], np.real(eig), np.nan)
+        b2, b1, b0 = (monic[:, [k]] for k in range(3))
+        for _ in range(POLISH_STEPS):
+            f = ((x + b2) * x + b1) * x + b0
+            df = (3.0 * x + 2.0 * b2) * x + b1
+            step = x - f / df
+            x = np.where(np.isfinite(step), step, x)
+        inside = (x >= lo) & (x <= hi)
+    return np.sort(np.where(inside, x, np.nan), axis=1)
+
+
+def _solve_pairwise_free(stats, known):
+    """Pairwise rho and sigma2 of each dataset: the closed form of
+    :func:`_pair_moments`.  A row converges when its rho lies in the
+    interval of :func:`_pair_domain`, where the profile score changes sign
+    once; other rows get NaN."""
+    n, p, q, w = _pair_sums(stats).T
+    rho, sigma2 = _pair_moments(n, p, q, w)
+    lo, hi = _pair_domain(p)
+    ok = (rho >= lo) & (rho <= hi)
+    estimates = np.where(ok[:, None], np.column_stack([rho, sigma2]), np.nan)
+    return estimates, ok, np.zeros(len(ok))
+
+
+def _solve_pairwise_known(stats, known):
+    """Pairwise rho of each dataset with ``known["sigma2"]`` held.
+
+    The candidates are the roots of the score's cubic in the interval of
+    :func:`_pair_domain` (:func:`_cubic_roots`); a row with several keeps
+    the one with the highest pairwise log likelihood, the lowest on a tie.
+    Rows without one get NaN.
+    """
+    sigma2 = float(known["sigma2"])
+    n, p, q, w = (col[:, None] for col in _pair_sums(stats).T)
     nc = n * p * (p - 1) / 2.0
-    grid = np.linspace((-1.0 / (p - 1) + ROOT_SCAN_MARGIN)[:, 0],
-                       1.0 - ROOT_SCAN_MARGIN, ROOT_SCAN_POINTS, axis=1)
-    vals = _pair_score(grid, p, q, w, nc, sigma2)
-    finite = np.isfinite(vals)
-    paired = finite[:, :-1] & finite[:, 1:]
-    at_zero = np.append(paired, finite[:, -1:], axis=1) & (vals == 0.0)
-    crossing = paired & (vals[:, :-1] * vals[:, 1:] < 0.0)
-
-    cand = np.where(at_zero, grid, np.nan)
-    i, j = np.nonzero(crossing)
-    args = [col[i, 0] for col in (p, q, w, nc)]
-    cand[i, j], _ = bracket_roots(
-        lambda x, rows: _pair_score(x, *(a[rows] for a in args), sigma2),
-        grid[i, j], grid[i, j + 1], xtol=1e-13)
-
-    found = ~np.isnan(cand)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
+        s, a, c = nc * sigma2, (p - 1) * q, 0.5 * (w - q)
+        cand = _cubic_roots(np.hstack([-s, c, s - a, c]), *_pair_domain(p))
+        found = ~np.isnan(cand)
         objective = np.where(found, _pair_loglik(cand, p, q, w, nc, sigma2),
                              -np.inf)
-    pick = np.argmax(objective, axis=1)
-    rows = np.arange(len(stats))
-    # a max of -inf may land on an empty slot: take the first root then
-    pick = np.where(found[rows, pick], pick, np.argmax(found, axis=1))
-    rho = cand[rows, pick]
-
-    p, q, w, nc = (col[:, 0] for col in (p, q, w, nc))
-    resid = np.abs(_pair_score(rho, p, q, w, nc, sigma2))
-    if sigma2 is not None:
-        return rho[:, None], ~np.isnan(rho), resid
-    t, _ = _t_and_deriv(rho, p, q, w)
-    return np.column_stack([rho, t / (2.0 * nc)]), ~np.isnan(rho), resid
+        pick = np.argmax(objective, axis=1)
+        rows = np.arange(len(cand))
+        # roots ascend, NaN last: a max of -inf on an empty slot takes slot 0
+        rho = cand[rows, np.where(found[rows, pick], pick, 0)]
+        resid = np.abs(_pair_score(rho, p[:, 0], q[:, 0], w[:, 0], nc[:, 0],
+                                   sigma2))
+    return rho[:, None], ~np.isnan(rho), resid
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +386,6 @@ def _solve_mu123(stats, known):
 def _solve_multinomial(stats, known):
     _, means, _ = unpack_statistic(stats)
     return _explicit(means.sum(axis=1) / (2.0 + 1.0 / float(known["k"])))
-
-
-def _solve_pairwise_free(stats, known):
-    return _solve_pairwise(_pair_sums(stats))
-
-
-def _solve_pairwise_known(stats, known):
-    return _solve_pairwise(_pair_sums(stats), sigma2=float(known["sigma2"]))
 
 
 @dataclass(frozen=True)
@@ -551,11 +497,11 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
     n, ybar, scatter = unpack_statistic(stats)
     p = model.dim
     if isinstance(model, EMVN):
-        _, _, q, w = _pair_sums(stats).T
+        rho, sigma2 = _pair_moments(*_pair_sums(stats).T)
         lo, hi = -1.0 / (p - 1), 1.0
         pad = 0.02 * (hi - lo)
-        updates = {"rho": np.clip((w / q - 1.0) / (p - 1), lo + pad, hi - pad),
-                   "sigma2": np.maximum(q / (n * p), 1e-6)}
+        updates = {"rho": np.clip(rho, lo + pad, hi - pad),
+                   "sigma2": np.maximum(sigma2, 1e-6)}
     elif isinstance(model, TriNormal):
         corr = scatter[:, 0, 1] / np.sqrt(scatter[:, 0, 0] * scatter[:, 1, 1])
         updates = {"mu": ybar.mean(axis=1),

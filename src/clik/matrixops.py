@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from .errors import (DimensionMismatch, InvalidArgument, NotPositiveDefinite,
+                     SingularMatrix)
 
 #: Determinant floor of :func:`is_singular` for the equilibrated matrix.
 SINGULAR_TOL_FACTOR = 1e-12
@@ -111,7 +112,7 @@ def is_psd(m, tol: float) -> bool:
         is ``>= -tol``.
     """
     if tol < 0:
-        raise ValueError("tol must be nonnegative")
+        raise InvalidArgument("tol must be nonnegative")
     a = symmetrize(m)
     return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, SingularMatrix
 from .fileio import atomic_csv  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .matrixops import cholesky_lower, solve_sym, sym_invert
+from .matrixops import cholesky_lower, sym_invert
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -651,24 +651,6 @@ class GaussianModel(Model):
                  B[..., 0, :], A.reshape(A.shape[:-2] + (-1,))], axis=-1)
             out[group] = np.moveaxis(forms, -2, 0)
         return out
-
-    def conditional_moments(self, target, given, theta):
-        """Conditional mean weights and variance of ``y_target | y_given``.
-
-        Returns ``(intercept, weights, var)`` so the conditional mean at an
-        observation is ``intercept + weights @ y[given]``.
-        """
-        self.validate(theta)
-        given = _canon(given)
-        if target in given:
-            raise ValueError("target appears in given set")
-        cov = self._cov(theta)
-        mu = self._mean(theta)
-        cross = cov[np.ix_([target], given)].ravel()
-        w = solve_sym(cov[np.ix_(given, given)], cross)
-        var = float(cov[target, target] - w @ cross)
-        intercept = float(mu[target] - w @ mu[list(given)])
-        return intercept, w, var
 
     # -- sampling -------------------------------------------------------------
 

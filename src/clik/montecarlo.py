@@ -26,7 +26,8 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .composite import CompositeSpec, batch_se, batch_slices, sample_cov
-from .errors import ClikError, FailureBudgetExceeded, UnsupportedSpec
+from .errors import (ClikError, FailureBudgetExceeded, InvalidArgument,
+                     UnsupportedSpec)
 from .estimators import batch_route
 from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .fileio import atomic_csv, fmt
@@ -79,14 +80,14 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
         if self.n < MIN_N:
-            raise ValueError(f"n must be >= {MIN_N}")
+            raise InvalidArgument(f"n must be >= {MIN_N}")
         if self.replicates < MIN_REPLICATES:
-            raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
+            raise InvalidArgument(f"replicates must be >= {MIN_REPLICATES}")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InvalidArgument("seed must be >= 0")
         labels = [r.label for r in self.runs]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate run labels: {labels}")
+            raise InvalidArgument(f"duplicate run labels: {labels}")
         self.model.validate(self.theta_true)
         for run in self.runs:
             if not self.free_names(run):
@@ -299,8 +300,8 @@ def paradox_covariance_diagnostics(spec: CompositeSpec, model: Model,
     the truth) and reports the n-scaled covariances with batch errors.
     """
     if len(theta.interest_names) != 1 or len(theta.nuisance_names) != 1:
-        raise ValueError("diagnostics need exactly one interest and one "
-                         "nuisance parameter")
+        raise InvalidArgument("diagnostics need exactly one interest and "
+                              "one nuisance parameter")
     psi, lam = theta.interest_names[0], theta.nuisance_names[0]
     config = SimConfig(
         model, theta,

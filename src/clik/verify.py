@@ -21,7 +21,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import composite as comp
 from . import montecarlo as mc
-from .estimators import bracket_roots
+from .errors import InvalidArgument
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, TriNormal, substream
 
@@ -55,7 +55,8 @@ def _level_params(level: str):
         return {"sigma": 3.0, "scale": 1}
     if level == "quick":
         return {"sigma": 4.0, "scale": 10}
-    raise ValueError(f"unknown level {level!r}; expected 'quick' or 'full'")
+    raise InvalidArgument(
+        f"unknown level {level!r}; expected 'quick' or 'full'")
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +92,24 @@ def check_pairwise_variance_formulas(level="full", seed=101, threads=None):
 
 
 def _bracketed_root(f, lo, hi):
-    """Root of ``f`` inside ``(lo, hi)``, or None when ``f`` does not change
-    sign across the bracket (NaN when Brent's method does not converge)."""
-    if not f(lo) * f(hi) < 0.0:
+    """Root of ``f`` inside ``(lo, hi)`` by bisection to width 1e-12, or
+    None when ``f`` does not change sign across the bracket (NaN when ``f``
+    gives NaN on the way)."""
+    f_lo = f(lo)
+    if not f_lo * f(hi) < 0.0:
         return None
-    roots, _ = bracket_roots(lambda x, rows: np.array([f(float(x[0]))]),
-                             [lo], [hi], xtol=1e-12)
-    return float(roots[0])
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if np.isnan(f_mid):
+            return float("nan")
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _exact_pairwise_ratio(rho):

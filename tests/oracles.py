@@ -61,29 +61,50 @@ def stencil_info(score_fn, theta, n, batches):
             0.5 * (J + J.T))
 
 
-def brentq_pairwise(stats, sigma2=None, score=None, loglik=None):
-    """The EMVN pairwise fast path as one scalar ``scipy.optimize.brentq``
-    call per scan bracket: ``(estimates, converged, score_norm)`` of each
-    row ``(n, p, Q, W)`` of ``stats``, or the exception brentq raises.
+def conditional_moments(model, target, given, theta):
+    """Conditional mean weights and variance of ``y_target | y_given`` in a
+    Gaussian model, by partitioned-covariance arithmetic.
 
-    ``score`` and ``loglik`` default to the estimator's own functions of
-    ``(rho, p, Q, W, Nc, sigma2)``; a root polished by brentq, a scan
-    point where the score is exactly zero, and the last scan point when it
-    is a zero are the candidates, in scan order, and a row with several
-    keeps the first with the highest ``loglik``.
+    Returns ``(intercept, weights, var)`` so the conditional mean at an
+    observation is ``intercept + weights @ y[given]``.
+    """
+    model.validate(theta)
+    given = sorted(given)
+    cov, mu = model._cov(theta), model._mean(theta)
+    cross = cov[target, given]
+    w = np.linalg.solve(cov[np.ix_(given, given)], cross)
+    var = float(cov[target, target] - w @ cross)
+    intercept = float(mu[target] - w @ mu[given])
+    return intercept, w, var
+
+
+#: Scan points and margin of :func:`brentq_pairwise`, as the EMVN pairwise
+#: fast path once scanned its score.
+SCAN_POINTS = 16
+SCAN_MARGIN = 1e-6
+
+
+def brentq_pairwise(sums, sigma2):
+    """The EMVN pairwise fit of rho with ``sigma2`` known, as it once ran:
+    ``(estimates, converged, score_norm)`` of each row ``(n, p, Q, W)`` of
+    ``sums``.
+
+    The score is scanned on ``SCAN_POINTS`` equispaced points from
+    ``SCAN_MARGIN`` inside the domain.  A scan point where it is exactly
+    zero is a candidate, and so is the root of one scalar
+    ``scipy.optimize.brentq`` call (``xtol=1e-13``) across every sign
+    change; a row with several keeps the first with the highest pairwise
+    log likelihood.  A root in a cell whose ends share a sign is missed.
     """
     from scipy.optimize import brentq
 
     from clik import estimators as est
-    score = score or est._pair_score
-    loglik = loglik or est._pair_loglik
-    stats = np.asarray(stats, dtype=float)
-    n, p, q, w = (stats[:, [k]] for k in range(4))
+    sums = np.asarray(sums, dtype=float)
+    n, p, q, w = (sums[:, [k]] for k in range(4))
     nc = n * p * (p - 1) / 2.0
-    grid = np.linspace((-1.0 / (p - 1) + est.ROOT_SCAN_MARGIN)[:, 0],
-                       1.0 - est.ROOT_SCAN_MARGIN, est.ROOT_SCAN_POINTS,
-                       axis=1)
-    vals = score(grid, p, q, w, nc, sigma2)
+    grid = np.linspace((-1.0 / (p - 1) + SCAN_MARGIN)[:, 0],
+                       1.0 - SCAN_MARGIN, SCAN_POINTS, axis=1)
+    vals = est._pair_score(grid, p, q, w, nc, sigma2)
     finite = np.isfinite(vals)
     paired = finite[:, :-1] & finite[:, 1:]
     at_zero = paired & (vals[:, :-1] == 0.0)
@@ -97,7 +118,8 @@ def brentq_pairwise(stats, sigma2=None, score=None, loglik=None):
         if at_zero[i, j]:
             roots[i].append(float(grid[i, j]))
         else:
-            roots[i].append(float(brentq(score, grid[i, j], grid[i, j + 1],
+            roots[i].append(float(brentq(est._pair_score, grid[i, j],
+                                         grid[i, j + 1],
                                          args=(*args[i], sigma2),
                                          xtol=1e-13)))
     for i in np.flatnonzero(end_zero):
@@ -105,17 +127,11 @@ def brentq_pairwise(stats, sigma2=None, score=None, loglik=None):
 
     rho = np.full(len(args), np.nan)
     for i, found in enumerate(roots):
-        if len(found) == 1:
-            rho[i] = found[0]
-        elif found:
-            objective = [loglik(r, *args[i], sigma2) for r in found]
+        if found:
+            objective = [est._pair_loglik(r, *args[i], sigma2) for r in found]
             rho[i] = found[int(np.argmax(objective))]
-
-    resid = np.abs(score(rho, p, q, w, nc, sigma2))
-    if sigma2 is not None:
-        return rho[:, None], ~np.isnan(rho), resid
-    t, _ = est._t_and_deriv(rho, p, q, w)
-    return np.column_stack([rho, t / (2.0 * nc)]), ~np.isnan(rho), resid
+    resid = np.abs(est._pair_score(rho, p, q, w, nc, sigma2))
+    return rho[:, None], ~np.isnan(rho), resid
 
 
 def parent_draw(model, theta, n, seed, index):

@@ -460,6 +460,9 @@ def invalid_arguments():
                                                      weight=-0.1)
     yield "spec-empty", lambda: comp.CompositeSpec("empty", [])
     yield "batch-floor", lambda: comp.batch_slices(1000, 5)
+    # 600 batches of 1000 draws: some hold one row, too few for a covariance
+    yield "batch-rows", lambda: comp.info_monte_carlo(spec, model, theta,
+                                                      1000, 1, batches=600)
     yield "draws-info", lambda: comp.info_monte_carlo(spec, model, theta,
                                                       999, 1)
     yield "draws-projected", lambda: comp.projected_info_monte_carlo(

