@@ -26,7 +26,8 @@ from .composite import (Component, CompositeSpec, FullEfficiencyReport,
                         singleton_margins)
 from .errors import (ClikError, ConfigError, DimensionMismatch, DomainError,
                      FailureBudgetExceeded, InvalidArgument, NoRootInDomain,
-                     NotPositiveDefinite, SingularMatrix, UnsupportedSpec)
+                     NotPositiveDefinite, SingularMatrix, UnknownParameter,
+                     UnsupportedSpec)
 from .estimators import EstimateResult, fit, registered_closed_form
 from .matrixops import (cholesky_lower, is_psd, loewner_geq, sym_invert,
                         symmetrize)
@@ -58,5 +59,5 @@ __all__ = [
     "sym_invert", "is_psd", "loewner_geq", "cholesky_lower", "symmetrize",
     "ClikError", "DomainError", "SingularMatrix", "NotPositiveDefinite",
     "DimensionMismatch", "NoRootInDomain", "FailureBudgetExceeded",
-    "ConfigError", "UnsupportedSpec", "InvalidArgument",
+    "ConfigError", "UnsupportedSpec", "InvalidArgument", "UnknownParameter",
 ]

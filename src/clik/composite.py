@@ -4,8 +4,8 @@ A composite spec is a weighted collection of margin / conditional
 components.  This module evaluates the composite log density and score,
 estimates the sensitivity matrix H (expected negative score Jacobian),
 variability matrix J (score covariance) and Godambe information
-G = H J^-1 H either by Monte Carlo or exactly (Gaussian quadratic-form
-moments; four-cell enumeration for the multinomial), quantifies
+G = H J^-1 H either by Monte Carlo or exactly (quadratic-form moments
+from each model's mean and covariance), quantifies
 information bias, checks full efficiency through the linear score
 recovery condition, projects scores onto information-unbiased form, and
 computes profile / known-nuisance asymptotic variances from a triple.
@@ -36,9 +36,8 @@ import numpy as np
 from .errors import InvalidArgument
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
-from .models import (GaussianModel, Model, Multinomial4, ParamBatch,
-                     ParamVector, _as_rows, affine_quadratic, unpack_forms,
-                     unpack_statistic)
+from .models import (Model, ParamBatch, ParamVector, _as_rows,
+                     affine_quadratic, unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -498,19 +497,12 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 def _moment(model, forms_a, forms_b, theta):
     """``E[u_a u_b']`` of two scores, given as packed forms at ``theta``,
     under data drawn at ``theta``: their covariance, since both have mean
-    zero there.  Gaussian: ``B_a S B_b' + tr(A_a S A_b S) / 2``; four-cell
-    multinomial: a sum over the outcomes, in an order that no batch or
-    layout changes.  Shape ``(..., q_a, q_b)`` over a ParamBatch."""
+    zero there, ``B_a S B_b' + tr(A_a S A_b S) / 2`` with ``S`` the
+    model's covariance.  Exact for Gaussian data, and for any data when
+    ``A`` is zero, as it is for every multinomial score.  Shape ``(...,
+    q_a, q_b)`` over a ParamBatch."""
     p = model.dim
     (_, Ba, Aa), (_, Bb, Ab) = (unpack_forms(f, p) for f in (forms_a, forms_b))
-    if isinstance(model, Multinomial4):
-        resid = (model.outcomes() - model._mean(theta)[..., None, :])[..., None, :]
-        ua, ub = (c[..., None, :] + (resid * B[..., None, :, :]).sum(axis=-1)
-                  for c, B in ((forms_a[..., 0], Ba), (forms_b[..., 0], Bb)))
-        w = model.cell_probs(theta)[..., :, None]
-        ma, mb = (w * ua).sum(axis=-2), (w * ub).sum(axis=-2)
-        return ((w[..., None] * ua[..., :, None] * ub[..., None, :]).sum(axis=-3)
-                - ma[..., :, None] * mb[..., None, :])
     cov = model._cov(theta)
     ASa, ASb = Aa @ cov[..., None, :, :], Ab @ cov[..., None, :, :]
     return (Ba @ cov @ np.swapaxes(Bb, -1, -2)
@@ -530,17 +522,13 @@ def _mean_scores(model, forms, points):
     ``points[1:]`` under data drawn at ``points[0]``, ``(len(points) - 1,
     q)``.
 
-    For the multinomial it is a sum over the four outcomes.  With ``y ~
-    N(mean0, S)``, the mean of ``c + B r + r' A r / 2`` at a point whose
-    mean is ``mean0 - d`` is ``c + B d + (tr(A S) + d' A d) / 2``.  Each of
-    those products is one stacked matmul that rounds as the product of one
+    With ``y`` of mean ``mean0`` and covariance ``S``, the mean of ``c +
+    B r + r' A r / 2`` at a point whose mean is ``mean0 - d`` is ``c + B d
+    + (tr(A S) + d' A d) / 2``, whatever the distribution.  Each of those
+    products is one stacked matmul that rounds as the product of one
     point's vectors and matrices does: the central difference in
     :func:`info_exact` magnifies the rounding of the means by ``1 / h``."""
     mean = model._mean(points)
-    if isinstance(model, Multinomial4):
-        U = affine_quadratic(*unpack_forms(forms, model.dim),
-                             model.outcomes() - mean[:, None, :])
-        return model.cell_probs(points)[0] @ U[1:]
     c, B, A = unpack_forms(forms[1:], model.dim)
     d = (mean[0] - mean[1:])[:, None, :, None]      # (S, 1, p, 1)
     dAd = (np.swapaxes(d, -1, -2) @ A @ d)[..., 0, 0]
@@ -552,16 +540,14 @@ def _mean_scores(model, forms, points):
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
     """Exact information triple (no sampling).
 
-    For Gaussian models the score of every component is an affine-quadratic
-    form in the observation, so J follows from Gaussian product moments; for
-    the four-cell multinomial, expectations are finite sums over the four
-    outcomes (:func:`_moment`).  H is minus the derivative of the exact mean
+    The score of every component is an affine-quadratic form in the
+    observation, so J follows from the model's mean and covariance
+    (:func:`_moment`): exactly for Gaussian data, and for the multinomial,
+    whose scores are linear.  H is minus the derivative of the exact mean
     score, taken by central differences with a tiny step: the mean scores at
     ``theta`` and at the ``2q`` stencil points come from one batch of forms.
+    A model without a covariance (``Model._cov``) raises InvalidArgument.
     """
-    if not isinstance(model, (GaussianModel, Multinomial4)):
-        raise TypeError(f"no exact information route for {model!r}")
-
     free = theta.free_names
     q = len(free)
     steps = np.array([FD_STEP_EXACT * max(1.0, abs(theta[name]))

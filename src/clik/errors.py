@@ -45,6 +45,11 @@ class InvalidArgument(ClikError, ValueError):
     keep working."""
 
 
+class UnknownParameter(ClikError, KeyError):
+    """A parameter name that the point does not have.  A KeyError too, as
+    a failed lookup by name."""
+
+
 class UnsupportedSpec(ClikError, ValueError):
     """A spec cannot be fitted: it leaves no free parameter, or (checked
     before a study samples) it carries no information on one."""

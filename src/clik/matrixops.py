@@ -20,7 +20,9 @@ import numpy as np
 from .errors import (DimensionMismatch, InvalidArgument, NotPositiveDefinite,
                      SingularMatrix)
 
-#: Determinant floor of :func:`is_singular` for the equilibrated matrix.
+#: Floor of :func:`is_singular` on the ratio of the smallest to the largest
+#: singular value of the equilibrated matrix: a relative gap, so it does not
+#: shrink with the dimension as a determinant floor does.
 SINGULAR_TOL_FACTOR = 1e-12
 
 
@@ -42,26 +44,32 @@ def asymmetry(m) -> float:
 def is_singular(m):
     """Whether a square matrix is singular, whatever the units of its axes.
 
-    Each row, then each column, is divided by its largest absolute entry; a
-    zero row or column is singular, else ``|det(scaled)| <=
-    SINGULAR_TOL_FACTOR``.  Scaling never lowers ``|det|`` relative to
-    ``SINGULAR_TOL_FACTOR * max|entry| ** dim``, so above that bound the
-    verdict is taken without scaling.  A stack gives a boolean array of
-    verdicts, one matrix gives a bool.
+    Each row, then each column, is divided by its largest absolute entry
+    (a zero row or column stays zero), and the matrix is singular when the
+    smallest singular value of the result is at most SINGULAR_TOL_FACTOR
+    times the largest.  The scaled matrix has ``|det| >= |det(m)| /
+    max|entry| ** dim`` and no singular value above ``dim``, so a matrix
+    with ``|det(m)| > SINGULAR_TOL_FACTOR * (dim * max|entry|) ** dim`` is
+    regular without scaling, and only the others are decomposed.  A matrix
+    with a NaN or infinite entry is not called singular.  A stack gives a
+    boolean array of verdicts, one matrix gives a bool.
     """
     a = np.asarray(m, dtype=float)
-    mag = np.abs(a)
-    scale = mag.max(axis=(-2, -1), initial=0.0)
-    undecided = (np.abs(np.linalg.det(a))
-                 <= SINGULAR_TOL_FACTOR * scale ** a.shape[-1])
+    dim = a.shape[-1]
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    # a NaN or infinite entry is never decomposed (the SVD would not
+    # converge); the solve that follows propagates it
+    det = np.abs(np.linalg.det(a))
+    undecided = np.asarray(np.isfinite(scale) & (
+        det <= SINGULAR_TOL_FACTOR * (dim * scale) ** dim))
     if np.any(undecided):
-        rows = mag.max(axis=-1, keepdims=True)
-        scaled = a / np.where(rows == 0.0, 1.0, rows)
+        sub = a[undecided]                      # (k, dim, dim)
+        rows = np.abs(sub).max(axis=-1, keepdims=True)
+        scaled = sub / np.where(rows == 0.0, 1.0, rows)
         cols = np.abs(scaled).max(axis=-2, keepdims=True)
-        tiny = (np.abs(np.linalg.det(scaled / np.where(cols == 0.0, 1.0, cols)))
-                <= SINGULAR_TOL_FACTOR)
-        undecided &= (np.any(rows == 0.0, axis=(-2, -1))
-                      | np.any(cols == 0.0, axis=(-2, -1)) | tiny)
+        sv = np.linalg.svd(scaled / np.where(cols == 0.0, 1.0, cols),
+                           compute_uv=False)
+        undecided[undecided] = sv[:, -1] <= SINGULAR_TOL_FACTOR * sv[:, 0]
     return bool(undecided) if undecided.ndim == 0 else undecided
 
 

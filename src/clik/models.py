@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SingularMatrix
+from .errors import (DimensionMismatch, DomainError, InvalidArgument,
+                     SingularMatrix, UnknownParameter)
 from .fileio import atomic_csv  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .matrixops import cholesky_lower, sym_invert
 
@@ -78,12 +79,12 @@ class ParamVector:
 
     def __post_init__(self):
         if not (len(self.names) == len(self.values) == len(self.roles)):
-            raise ValueError("names, values and roles must have equal length")
+            raise InvalidArgument("names, values and roles must have equal length")
         if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate parameter names in {self.names}")
+            raise InvalidArgument(f"duplicate parameter names in {self.names}")
         for r in self.roles:
             if r not in _ROLES:
-                raise ValueError(f"unknown role {r!r}; expected one of {_ROLES}")
+                raise InvalidArgument(f"unknown role {r!r}; expected one of {_ROLES}")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "roles", tuple(self.roles))
@@ -116,14 +117,14 @@ class ParamVector:
     def with_values(self, **updates) -> "ParamVector":
         for n in updates:
             if n not in self.names:
-                raise KeyError(f"unknown parameter {n!r}")
+                raise UnknownParameter(f"unknown parameter {n!r}")
         vals = tuple(float(updates.get(n, v)) for n, v in zip(self.names, self.values))
         return replace(self, values=vals)
 
     def with_roles(self, **updates) -> "ParamVector":
         for n in updates:
             if n not in self.names:
-                raise KeyError(f"unknown parameter {n!r}")
+                raise UnknownParameter(f"unknown parameter {n!r}")
         roles = tuple(updates.get(n, r) for n, r in zip(self.names, self.roles))
         return replace(self, roles=roles)
 
@@ -203,7 +204,7 @@ def _words32(value) -> list:
     """Little-endian 32-bit words of a non-negative integer (``[0]`` for 0)."""
     value = operator.index(value)
     if value < 0:
-        raise ValueError(f"seed must be non-negative, got {value}")
+        raise InvalidArgument(f"seed must be non-negative, got {value}")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -261,7 +262,7 @@ def _stream_words(seed, indices) -> np.ndarray:
         return _seed_state([np.array([w], dtype=np.uint32) for w in run])
     keys = np.asarray(indices)
     if np.any(keys < 0):
-        raise ValueError("substream indices must be non-negative")
+        raise InvalidArgument("substream indices must be non-negative")
     keys = keys.astype(np.uint64)
     low = (keys & _MASK32).astype(np.uint32)
     high = (keys >> 32).astype(np.uint32)
@@ -288,7 +289,7 @@ class _SeedWords:
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
-            raise ValueError("precomputed seed words seed PCG64 only")
+            raise InvalidArgument("precomputed seed words seed PCG64 only")
         return self.words
 
 
@@ -301,8 +302,8 @@ def substreams(seed, indices):
 
     The seed words of every index are hashed at once, here; each Generator
     is built, by PCG64's own seeding, when the iterator reaches it.  Raises
-    ValueError for a negative seed or index and TypeError for a seed that
-    is not an integer.
+    InvalidArgument for a negative seed or index and TypeError for a seed
+    that is not an integer.
     """
     from numpy.random.bit_generator import ISeedSequence
     ISeedSequence.register(_SeedWords)     # a no-op once registered
@@ -322,7 +323,7 @@ def substream(seed, index=None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         if index is not None:
-            raise ValueError("cannot derive an indexed substream from a Generator")
+            raise InvalidArgument("cannot derive an indexed substream from a Generator")
         return seed
     return next(substreams(seed, None if index is None else [index]))
 
@@ -425,7 +426,7 @@ def unpack_statistic(stats):
 def _canon(indices) -> tuple:
     idx = tuple(sorted(int(i) for i in indices))
     if len(set(idx)) != len(idx):
-        raise ValueError(f"repeated indices in {indices}")
+        raise InvalidArgument(f"repeated indices in {indices}")
     return idx
 
 
@@ -465,7 +466,7 @@ class Model:
     def _check_indices(self, indices):
         idx = _canon(indices)
         if not idx:
-            raise ValueError("index set must be nonempty")
+            raise InvalidArgument("index set must be nonempty")
         if idx[0] < 0 or idx[-1] >= self.dim:
             raise DimensionMismatch(f"indices {idx} outside 0..{self.dim - 1}")
         return idx
@@ -509,6 +510,12 @@ class Model:
         """Mean of the observation, shape ``(..., dim)``."""
         raise NotImplementedError
 
+    def _cov(self, theta) -> np.ndarray:
+        """Covariance of the observation, shape ``(..., dim, dim)``.  With
+        :meth:`_mean` and the score forms, all that the exact information
+        route (:func:`clik.composite.info_exact`) reads of a model."""
+        raise InvalidArgument(f"no exact information route for {self!r}")
+
     # -- full likelihood -------------------------------------------------
 
     def loglik(self, Y, theta):
@@ -535,7 +542,7 @@ class Model:
         call of :meth:`sampler`."""
         draw = self.sampler(theta)
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidArgument("n must be >= 1")
         return draw(n, [substream(seed)])[0]
 
     def check_data(self, Y) -> np.ndarray:
@@ -565,26 +572,29 @@ class Model:
         return np.concatenate([count, ybar, flat], axis=-1)
 
 
+def _free_rows(theta, dmu, dS):
+    """The rows of the free parameters of ``theta``, in ``free_names``
+    order, of Jacobians ``dmu`` ``(..., len(names), dim)`` and ``dS``
+    ``(..., len(names), dim, dim)`` laid out in ``theta.names`` order."""
+    rows = [theta.names.index(name) for name in theta.free_names]
+    return dmu[..., rows, :], dS[..., rows, :, :]
+
+
 class GaussianModel(Model):
     """Gaussian family: margins from the partitioned mean/covariance.
 
-    Subclasses supply the full mean vector, covariance matrix and their
-    derivatives in each free parameter; margin log densities and scores
-    for any index subset follow from the generic formulas
+    Subclasses supply the full mean vector (:meth:`_mean`), covariance
+    matrix (:meth:`_cov`) and their derivatives in the free parameters
+    (:meth:`_jacobians`); margin log densities and scores for any index
+    subset follow from the generic formulas
     ``l = -m/2 log(2 pi) - 1/2 log|S| - 1/2 r' S^-1 r`` and
     ``dl/da = -1/2 tr(S^-1 dS) + 1/2 (S^-1 r)' dS (S^-1 r) + dmu' S^-1 r``.
     """
 
-    def _mean_jac(self, theta) -> dict:
-        """Map free-parameter name -> d(mean)/d(param), shape (..., dim)."""
-        raise NotImplementedError
-
-    def _cov(self, theta) -> np.ndarray:
-        """Covariance of the observation, shape (..., dim, dim)."""
-        raise NotImplementedError
-
-    def _cov_jac(self, theta) -> dict:
-        """Map free-parameter name -> d(cov)/d(param), shape (..., dim, dim)."""
+    def _jacobians(self, theta):
+        """``(dmu, dS)``: the derivatives of the mean and the covariance in
+        each free parameter, in ``theta.free_names`` order, shapes ``(...,
+        q, dim)`` and ``(..., q, dim, dim)``."""
         raise NotImplementedError
 
     # -- margins -----------------------------------------------------------
@@ -622,16 +632,9 @@ class GaussianModel(Model):
         """
         self.validate(theta)
         sets = [self._check_indices(idx) for idx in index_sets]
-        free, p = theta.free_names, self.dim
-        cov, cov_jac, mean_jac = (self._cov(theta), self._cov_jac(theta),
-                                  self._mean_jac(theta))
-        lead = cov.shape[:-2]
-        dS = np.empty(lead + (len(free), p, p))
-        dmu = np.empty(lead + (len(free), p))
-        for a, name in enumerate(free):
-            dS[..., a, :, :] = cov_jac[name]
-            dmu[..., a, :] = mean_jac[name]
-        out = np.empty((len(sets),) + lead + (len(free), 1 + p + p * p))
+        p, cov = self.dim, self._cov(theta)
+        dmu, dS = self._jacobians(theta)
+        out = np.empty((len(sets),) + dS.shape[:-2] + (1 + p + p * p,))
         for size in sorted(set(map(len, sets))):
             group = [k for k, idx in enumerate(sets) if len(idx) == size]
             members = np.array([sets[k] for k in group])        # (K, m)
@@ -681,7 +684,7 @@ class EMVN(GaussianModel):
 
     def __init__(self, p: int):
         if int(p) != p or p < 2:
-            raise ValueError("p must be an integer >= 2")
+            raise InvalidArgument("p must be an integer >= 2")
         self.p = int(p)
         self.dim = self.p
 
@@ -704,22 +707,17 @@ class EMVN(GaussianModel):
     def _mean(self, theta):
         return np.zeros(theta.shape + (self.p,))
 
-    def _mean_jac(self, theta):
-        zero = self._mean(theta)
-        return {name: zero for name in theta.free_names}
-
     def _cov(self, theta):
         rho, sigma2 = _lift(theta["rho"], 2), _lift(theta["sigma2"], 2)
         return sigma2 * ((1.0 - rho) * np.eye(self.p) + rho * np.ones((self.p, self.p)))
 
-    def _cov_jac(self, theta):
+    def _jacobians(self, theta):
         rho, sigma2 = _lift(theta["rho"], 2), _lift(theta["sigma2"], 2)
-        jac = {}
-        if "rho" in theta.free_names:
-            jac["rho"] = sigma2 * (np.ones((self.p, self.p)) - np.eye(self.p))
-        if "sigma2" in theta.free_names:
-            jac["sigma2"] = (1.0 - rho) * np.eye(self.p) + rho * np.ones((self.p, self.p))
-        return jac
+        eye, ones = np.eye(self.p), np.ones((self.p, self.p))
+        dS = np.empty(theta.shape + (2, self.p, self.p))
+        dS[..., 0, :, :] = sigma2 * (ones - eye)
+        dS[..., 1, :, :] = (1.0 - rho) * eye + rho * ones
+        return _free_rows(theta, np.zeros(dS.shape[:-1]), dS)
 
 
 class TriNormal(GaussianModel):
@@ -752,13 +750,6 @@ class TriNormal(GaussianModel):
     def _mean(self, theta):
         return _lift(theta["mu"], 1) * np.ones(3)
 
-    def _mean_jac(self, theta):
-        shape = theta.shape + (3,)
-        jac = {name: np.zeros(shape) for name in theta.free_names}
-        if "mu" in jac:
-            jac["mu"] = np.ones(shape)
-        return jac
-
     def _cov(self, theta):
         cov = np.zeros(theta.shape + (3, 3))
         cov[..., 0, 0] = cov[..., 1, 1] = 1.0
@@ -766,19 +757,12 @@ class TriNormal(GaussianModel):
         cov[..., 2, 2] = theta["sigma2"]
         return cov
 
-    def _cov_jac(self, theta):
-        jac = {}
-        if "mu" in theta.free_names:
-            jac["mu"] = np.zeros((3, 3))
-        if "rho" in theta.free_names:
-            d = np.zeros((3, 3))
-            d[0, 1] = d[1, 0] = 1.0
-            jac["rho"] = d
-        if "sigma2" in theta.free_names:
-            d = np.zeros((3, 3))
-            d[2, 2] = 1.0
-            jac["sigma2"] = d
-        return jac
+    def _jacobians(self, theta):
+        dmu = np.zeros(theta.shape + (3, 3))
+        dmu[..., 0, :] = 1.0
+        dS = np.zeros(theta.shape + (3, 3, 3))
+        dS[..., 1, 0, 1] = dS[..., 1, 1, 0] = dS[..., 2, 2, 2] = 1.0
+        return _free_rows(theta, dmu, dS)
 
 
 class Multinomial4(Model):
@@ -794,7 +778,7 @@ class Multinomial4(Model):
 
     def __init__(self, k: float):
         if not k > 0:
-            raise ValueError("k must be positive")
+            raise InvalidArgument("k must be positive")
         if not math.isfinite(2.0 * k + 1.0):
             raise DomainError(f"k={k:g} is too large: 2k + 1 overflows, so "
                               f"theta has no admissible range")
@@ -843,6 +827,14 @@ class Multinomial4(Model):
     def _mean(self, theta):
         return self.cell_probs(theta)[..., :3]
 
+    def _cov(self, theta):
+        """``diag(m) - m m'``, the covariance of the indicators, with ``m``
+        the mean (:meth:`_mean`).  C-ordered for a ParamBatch too (its cell
+        probabilities are a transposed array), so that the moment kernel's
+        matmuls round each point as they round it alone."""
+        m = np.ascontiguousarray(self._mean(theta))[..., :, None]
+        return m * (np.eye(3) - np.swapaxes(m, -1, -2))
+
     def margin_score_reps(self, index_sets, theta):
         """See :meth:`Model.margin_score_reps`.  The score is linear in the
         indicators, so ``A`` is zero; the cell probabilities are computed
@@ -878,7 +870,7 @@ class Multinomial4(Model):
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)
         if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("multinomial data must be 0/1 indicators")
+            raise InvalidArgument("multinomial data must be 0/1 indicators")
         if np.any(arr.sum(axis=1) > 1):
-            raise ValueError("at most one indicator may be set per row")
+            raise InvalidArgument("at most one indicator may be set per row")
         return arr

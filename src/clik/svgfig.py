@@ -6,11 +6,11 @@ visual companions.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fileio import atomic_write
 
 _COLORS = ("#1f3b73", "#b13a2f", "#3c7a3c", "#7a4f9e", "#a07f1f")
 
@@ -123,15 +123,5 @@ def write_figure(path, panels, panel_size=(480, 380)) -> None:
     for i, panel in enumerate(panels):
         parts.append(_render_panel(panel, i * w, 0, w, h))
     parts.append("</svg>")
-    text = "".join(parts)
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        suffix=".tmp", delete=False)
-    try:
-        tmp.write(text)
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    with atomic_write(path) as fh:
+        fh.write("".join(parts))

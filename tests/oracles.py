@@ -205,18 +205,17 @@ def parent_margin_score_rep(model, indices, theta):
         return c, B, np.zeros(B.shape + (3,))
     cols, ix = list(idx), (Ellipsis, *np.ix_(idx, idx))
     cinv = sym_invert(model._cov(theta)[ix])
-    cov_jac = model._cov_jac(theta)
-    mean_jac = model._mean_jac(theta)
+    dmu, dS = model._jacobians(theta)
     free, p = theta.free_names, model.dim
     lead = cinv.shape[:-2]
     c = np.empty(lead + (len(free),))
     B = np.zeros(lead + (len(free), p))
     A = np.zeros(lead + (len(free), p, p))
-    for a, name in enumerate(free):
-        cd = cinv @ cov_jac[name][ix]
+    for a in range(len(free)):
+        cd = cinv @ dS[..., a, :, :][ix]
         c[..., a] = -0.5 * np.trace(cd, axis1=-2, axis2=-1)
         A[(Ellipsis, a, *ix[1:])] = cd @ cinv
-        B[..., a, cols] = (cinv @ mean_jac[name][..., cols, None])[..., 0]
+        B[..., a, cols] = (cinv @ dmu[..., a, :][..., cols, None])[..., 0]
     return c, B, A
 
 

@@ -9,10 +9,13 @@ draws in one ``composite_score`` call, then takes ``sample_cov`` of each
 batch.  The two round differently, so J, its batch values, the batch
 means and the scores agree to rounding; H comes from the same batch
 statistics on both routes and is bit for bit the same.  A linear score
-(the multinomial) rounds alike on both routes, so its whole triple is
-bit for bit the same.  Neither route writes to the caller's draws, the
-blocked pass holds no whole-sample temporary beyond the score buffer, and
-the kernel's scratch does not grow with the number of rows.
+column (TriNormal ``mu``, every multinomial column) is bit for bit the
+same on both routes; the batch means of even a linear score still sum in
+different orders (``block.mean`` against ``np.add.reduceat``), so the
+multinomial's J and G, like every other model's J, agree to rounding.
+Neither route writes to the caller's draws, the blocked pass holds no
+whole-sample temporary beyond the score buffer, and the kernel's scratch
+does not grow with the number of rows.
 """
 
 import tracemalloc
@@ -21,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import clik.composite as comp
@@ -32,9 +35,15 @@ from clik.models import (EMVN, Multinomial4, ParamBatch, TriNormal,
 from oracles import parent_info_from_sample
 from test_sensitivity_identity import SETTINGS, cases
 
-TRIPLE_FIELDS = ("sensitivity", "variability", "godambe", "sensitivity_se",
-                 "variability_se", "godambe_se", "batch_sensitivity",
-                 "batch_variability", "batch_godambe")
+
+def rounding_case():
+    """A Multinomial4 case whose J and G differ in the last bit between the
+    two routes (at 10 batches of 40 draws, one extra, seed 0): its batch
+    means differ by 2.8e-17."""
+    model = Multinomial4(1.686592290745729)
+    spec = comp.CompositeSpec("random",
+                              [comp.Component("margin", (0,), (), 0.1)])
+    return model, model.params(0.06929951082467593), spec
 
 
 def blocked(spec, model, Y, theta, batches, M=None):
@@ -51,6 +60,8 @@ def blocked(spec, model, Y, theta, batches, M=None):
 @given(case=cases(), batches=st.integers(10, 25), per=st.integers(40, 80),
        extra=st.integers(1, 9), project=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(case=rounding_case(), batches=10, per=40, extra=1, project=False,
+         seed=0)
 def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
                                                  project, seed):
     model, theta, spec = case
@@ -84,13 +95,16 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
         for a in np.flatnonzero(~np.any(A, axis=(-2, -1))):
             assert scores[:, a].tobytes() == U0[:, a].tobytes()
     if isinstance(model, Multinomial4):
-        for name in TRIPLE_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        gtol = 1e-12 * np.max(np.abs(want.godambe))
+        for name, bound in (("variability_se", tol), ("godambe", gtol),
+                            ("godambe_se", gtol), ("batch_godambe", gtol)):
+            assert np.max(np.abs(getattr(got, name)
+                                 - getattr(want, name))) <= bound
 
 
 def test_linear_forms_keep_their_bits_in_any_layout():
-    # info_exact's multinomial stencil hands the kernel residuals laid out
-    # as broadcasting leaves them; a linear column is c + r @ B' on them
+    # residuals laid out as broadcasting leaves them (the outcomes less a
+    # batch of means); a linear column is c + r @ B' on them
     model = Multinomial4(5.0)
     points = ParamBatch.stack([model.params(t) for t in (0.2, 0.2001, 0.1999)])
     c, B, A = unpack_forms(comp._spec_forms(comp.pairwise(3), model, points),

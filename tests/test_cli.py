@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import clik
 import clik.asymptotics as asy
 import clik.models
+import clik.svgfig as svgfig
 import clik.verify as verify_mod
 from clik.asymptotics import EfficiencyCurve
 from clik.cli import main, parse_sim_config
@@ -51,6 +52,18 @@ def test_figure1_outputs(tmp_path):
     assert manifest["command"] == "figure1"
     assert len(manifest["outputs"]) == 2
     assert "wall_time_s" in manifest
+
+
+def test_failed_figure_write_leaves_no_temp_file(tmp_path):
+    # a label that cannot be encoded fails the write once the temp file is
+    # open: the old figure stays and no temp file is left beside it
+    path = tmp_path / "figure.svg"
+    path.write_text("old")
+    panel = svgfig.Panel("x", "y").add([0.0, 1.0], [0.0, 1.0], label="\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        svgfig.write_figure(path, panel)
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["figure.svg"]
 
 
 def test_figure2_deterministic_rerun(tmp_path):

@@ -137,6 +137,14 @@ def test_is_singular_is_unit_free():
         assert is_singular(d @ rank_one @ d)
     assert is_singular(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert is_singular(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    # an EMVN(9) covariance at rho 0.976: condition number 367, but a
+    # determinant below 1e-12
+    equi = 0.024 * np.eye(9) + 0.976
+    assert np.linalg.det(equi) < 1e-12
+    assert not is_singular(equi)
+    assert not is_singular(np.diag(rng.choice(units, 9)) @ equi)
+    # a non-finite entry is left to the solve, as a NaN determinant is
+    assert not is_singular(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_inversions_are_unit_free():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from clik.composite import (Component, CompositeSpec, chain, composite_loglik,
                             full_likelihood, info_exact)
 from clik.errors import DimensionMismatch, DomainError
-from clik.models import (EMVN, Multinomial4, ParamVector, TriNormal,
-                         substream, substreams)
+from clik.models import (EMVN, Multinomial4, ParamBatch, ParamVector,
+                         TriNormal, substream, substreams)
 from oracles import conditional_moments, numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
@@ -278,6 +278,30 @@ def test_multinomial_cells_sum_to_one():
         for t in np.linspace(0.01, model.theta_max - 0.01, 7):
             assert model.cell_probs(model.params(t)).sum() == pytest.approx(
                 1.0, abs=1e-12)
+
+
+def outcome_covariance(model, theta):
+    """``sum_k w_k (o_k - m)(o_k - m)'`` over the four outcomes ``o_k`` and
+    cell probabilities ``w_k``, with ``m = sum_k w_k o_k``."""
+    w, outcomes = model.cell_probs(theta), model.outcomes()
+    dev = outcomes - w @ outcomes
+    return np.einsum("k,ki,kj->ij", w, dev, dev)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.floats(0.5, 10.0), fracs=st.lists(st.floats(0.05, 0.95),
+                                              min_size=1, max_size=5))
+def test_multinomial_covariance_is_the_outcome_sum(k, fracs):
+    model = Multinomial4(k)
+    points = [model.params(f * model.theta_max) for f in fracs]
+    batch = ParamBatch.stack(points)
+    stacked = model._cov(batch)
+    assert stacked.shape == (len(points), 3, 3)
+    for theta, got in zip(points, stacked):
+        want = outcome_covariance(model, theta)
+        np.testing.assert_allclose(model._cov(theta), want, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+        np.testing.assert_array_equal(got, model._cov(theta))
 
 
 # -- scores ---------------------------------------------------------------------
