@@ -202,13 +202,19 @@ def two_block_mean_variances(sigma2: float, rho: float):
     weighted mean that adds the independent third coordinate.
 
     Returns ``(v12, v123)`` with ``v12 = (1+rho)/2`` and
-    ``v123 = (2 (1+rho) sigma2^2 + sigma2) / (1 + 2 sigma2)^2``.
+    ``v123 = (2 (1+rho) sigma2^2 + sigma2) / (1 + 2 sigma2)^2``; above
+    ``sigma2 = 1`` the same ratio is evaluated in ``u = 1/sigma2``, as
+    ``(2 (1+rho) + u) / (2 + u)^2``, so that no power of ``sigma2``
+    overflows.
     """
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     if not -1.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [-1, 1]")
     v12 = (1.0 + rho) / 2.0
+    if sigma2 > 1.0:
+        u = 1.0 / sigma2
+        return v12, (2.0 * (1.0 + rho) + u) / (2.0 + u) ** 2
     v123 = (2.0 * (1.0 + rho) * sigma2 ** 2 + sigma2) / (1.0 + 2.0 * sigma2) ** 2
     return v12, v123
 
@@ -218,10 +224,15 @@ def two_block_threshold(sigma2: float) -> float:
     makes the mean estimator worse: ``rho* = -(1 + 2 sigma2)/(1 + 4 sigma2)``.
 
     Tends to -1/2 as ``sigma2`` grows, so an arbitrarily precise extra
-    coordinate still hurts on a nonvanishing correlation range.
+    coordinate still hurts on a nonvanishing correlation range.  Above
+    ``sigma2 = 1`` it is evaluated as ``-(2 + u)/(4 + u)``, ``u =
+    1/sigma2``, which stays finite where ``4 sigma2`` overflows.
     """
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
+    if sigma2 > 1.0:
+        u = 1.0 / sigma2
+        return -(2.0 + u) / (4.0 + u)
     return -(1.0 + 2.0 * sigma2) / (1.0 + 4.0 * sigma2)
 
 

@@ -5,16 +5,17 @@ the sample mean and the scatter about it) of many datasets, so a
 simulation study fits all replicates of a run in one call.
 :func:`batch_route` is the one place that picks the solve for a spec,
 and :func:`fit` is its one-dataset case; both routes fill the same
-per-dataset record, :class:`Fits`.  Registered fast paths cover the
-four-cell multinomial MLE and the two mean estimators of the two-block
-normal model, which read the sample means, and the equicorrelated-normal
-pairwise correlation estimators, which read two sums derived from the
-statistic: with the variance profiled out the estimate is explicit, and
-with it known the estimate is a root of a cubic, found for every dataset
-at once by one batched eigenvalue call.  Every other spec is solved by
-Fisher scoring on the summed composite score, which follows exactly from
-the statistic, with the exact sensitivity in place of the score Jacobian;
-all datasets iterate in lockstep.
+per-dataset record, :class:`Fits`.  The registered fast paths are the
+equicorrelated-normal pairwise correlation estimators, which read two
+sums derived from the statistic: with the variance profiled out the
+estimate is explicit, and with it known the estimate is a root of a
+cubic, found for every dataset at once by one batched eigenvalue call.
+Every other spec is solved by Fisher scoring on the summed composite
+score, which follows exactly from the statistic, with the exact
+sensitivity in place of the score Jacobian; all datasets iterate in
+lockstep.  Where the score is linear in the free parameters (the
+two-block normal means, the four-cell multinomial MLE) one scoring step
+from the moment start lands on the estimate.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wrap
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
 from .matrixops import is_singular
-from .models import (EMVN, Model, Multinomial4, ParamBatch, ParamVector,
-                     TriNormal, unpack_statistic)
+from .models import (EMVN, Model, ParamBatch, ParamVector, TriNormal,
+                     unpack_statistic)
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
@@ -364,30 +365,6 @@ def _solve_pairwise_known(stats, known):
 # ---------------------------------------------------------------------------
 
 
-def _explicit(estimates):
-    """``(estimates, converged, score_norm)`` of an explicit formula in
-    one parameter."""
-    rows = len(estimates)
-    return estimates.reshape(rows, 1), np.ones(rows, dtype=bool), np.zeros(rows)
-
-
-def _solve_mu12(stats, known):
-    _, means, _ = unpack_statistic(stats)
-    return _explicit(0.5 * (means[:, 0] + means[:, 1]))
-
-
-def _solve_mu123(stats, known):
-    _, means, _ = unpack_statistic(stats)
-    s2 = float(known["sigma2"])
-    return _explicit((s2 * (means[:, 0] + means[:, 1]) + means[:, 2])
-                     / (1.0 + 2.0 * s2))
-
-
-def _solve_multinomial(stats, known):
-    _, means, _ = unpack_statistic(stats)
-    return _explicit(means.sum(axis=1) / (2.0 + 1.0 / float(known["k"])))
-
-
 @dataclass(frozen=True)
 class FastPath:
     """A registered estimator: a batched solve over ``Model.statistic``.
@@ -405,9 +382,6 @@ class FastPath:
 
 #: The registered estimators by id.
 ESTIMATORS = {
-    "trinormal_mu12": FastPath(("mu",), _solve_mu12),
-    "trinormal_mu123": FastPath(("mu",), _solve_mu123),
-    "multinomial4_mle": FastPath(("theta",), _solve_multinomial),
     "emvn_pairwise_rho": FastPath(("rho", "sigma2"), _solve_pairwise_free),
     "emvn_pairwise_rho_known_sigma": FastPath(("rho",), _solve_pairwise_known),
 }
@@ -443,16 +417,6 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
         if free == ["rho"]:
             return (ESTIMATORS["emvn_pairwise_rho_known_sigma"],
                     {"sigma2": theta["sigma2"]})
-
-    if (isinstance(model, Multinomial4) and margins == [(0, 1, 2)]
-            and free == ["theta"]):
-        return ESTIMATORS["multinomial4_mle"], {"k": model.k}
-
-    if isinstance(model, TriNormal) and free == ["mu"]:
-        if margins == [(0,), (1,)]:
-            return ESTIMATORS["trinormal_mu12"], {}
-        if margins == [(0,), (1,), (2,)]:
-            return ESTIMATORS["trinormal_mu123"], {"sigma2": theta["sigma2"]}
     return None
 
 
@@ -465,13 +429,11 @@ def _hold(theta_like: ParamVector, fixed) -> ParamVector:
 
 def check_identified(model: Model, spec: CompositeSpec, theta_like,
                      fixed=None) -> None:
-    """Raise UnsupportedSpec when a Newton-route spec carries no
-    information on its free parameters at ``theta_like`` (``fixed`` held
-    known): its exact sensitivity, the H that Newton steps with, is
-    singular.  Every Newton fit of such a spec fails on it, so a study can
-    reject it before drawing any data.  Fast-path specs pass unchecked."""
-    if registered_closed_form(model, spec, theta_like, fixed) is not None:
-        return
+    """Raise UnsupportedSpec when a spec carries no information on its
+    free parameters at ``theta_like`` (``fixed`` held known): its exact
+    sensitivity, the H that Newton steps with, is singular.  Every Newton
+    fit of such a spec fails on it, so a study can reject it before drawing
+    any data."""
     theta = _hold(theta_like, fixed)
     try:
         singular = is_singular(exact_sensitivity(spec, model, theta))
@@ -503,10 +465,15 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
         updates = {"rho": np.clip(rho, lo + pad, hi - pad),
                    "sigma2": np.maximum(sigma2, 1e-6)}
     elif isinstance(model, TriNormal):
-        corr = scatter[:, 0, 1] / np.sqrt(scatter[:, 0, 0] * scatter[:, 1, 1])
+        # a constant column (or a single row) has no sample correlation or
+        # variance: the start takes 0 and the floor instead
+        spread = np.sqrt(scatter[:, 0, 0] * scatter[:, 1, 1])
+        corr = np.divide(scatter[:, 0, 1], spread, out=np.zeros_like(spread),
+                         where=spread > 0)
         updates = {"mu": ybar.mean(axis=1),
                    "rho": np.clip(corr, -0.96, 0.96),
-                   "sigma2": np.maximum(scatter[:, 2, 2] / (n - 1), 1e-6)}
+                   "sigma2": np.maximum(scatter[:, 2, 2] / np.maximum(n - 1, 1),
+                                        1e-6)}
     else:
         pad = 0.02 * model.theta_max
         updates = {"theta": np.clip(ybar.sum(axis=1) / (2.0 + 1.0 / model.k),

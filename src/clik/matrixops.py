@@ -58,10 +58,13 @@ def is_singular(m):
     dim = a.shape[-1]
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     # a NaN or infinite entry is never decomposed (the SVD would not
-    # converge); the solve that follows propagates it
-    det = np.abs(np.linalg.det(a))
-    undecided = np.asarray(np.isfinite(scale) & (
-        det <= SINGULAR_TOL_FACTOR * (dim * scale) ** dim))
+    # converge); the solve that follows propagates it.  Where the screen
+    # overflows (entries above about 1e100) it reads inf <= inf and leaves
+    # the verdict to the SVD
+    with np.errstate(over="ignore"):
+        det = np.abs(np.linalg.det(a))
+        undecided = np.asarray(np.isfinite(scale) & (
+            det <= SINGULAR_TOL_FACTOR * (dim * scale) ** dim))
     if np.any(undecided):
         sub = a[undecided]                      # (k, dim, dim)
         rows = np.abs(sub).max(axis=-1, keepdims=True)

@@ -803,7 +803,8 @@ class Multinomial4(Model):
     def cell_probs(self, theta) -> np.ndarray:
         """The four cell probabilities, shape ``(..., 4)``."""
         t = theta["theta"]
-        return np.array([t, t, t / self.k, 1.0 - (2.0 + 1.0 / self.k) * t]).T
+        return np.stack([t, t, t / self.k, 1.0 - (2.0 + 1.0 / self.k) * t],
+                        axis=-1)
 
     def cell_grads(self) -> np.ndarray:
         return np.array([1.0, 1.0, 1.0 / self.k, -(2.0 + 1.0 / self.k)])
@@ -829,10 +830,8 @@ class Multinomial4(Model):
 
     def _cov(self, theta):
         """``diag(m) - m m'``, the covariance of the indicators, with ``m``
-        the mean (:meth:`_mean`).  C-ordered for a ParamBatch too (its cell
-        probabilities are a transposed array), so that the moment kernel's
-        matmuls round each point as they round it alone."""
-        m = np.ascontiguousarray(self._mean(theta))[..., :, None]
+        the mean (:meth:`_mean`)."""
+        m = self._mean(theta)[..., :, None]
         return m * (np.eye(3) - np.swapaxes(m, -1, -2))
 
     def margin_score_reps(self, index_sets, theta):

@@ -155,6 +155,21 @@ def test_two_block_threshold_values():
         asy.two_block_threshold(0.0)
 
 
+def test_two_block_closed_forms_for_huge_sigma2():
+    # taken in u = 1/sigma2 above sigma2 = 1: finite where sigma2 ** 2 or
+    # 4 sigma2 overflow, with the bits of the original ratio at and below 1
+    assert asy.two_block_threshold(1e308) == -0.5
+    assert asy.two_block_mean_variances(1e308, 0.3) == (0.65, 0.65)
+    for s2 in (1e-3, 0.5, 1.0):
+        assert (asy.two_block_threshold(s2)
+                == -(1.0 + 2.0 * s2) / (1.0 + 4.0 * s2))
+        assert asy.two_block_mean_variances(s2, 0.3)[1] == (
+            (2.0 * 1.3 * s2 ** 2 + s2) / (1.0 + 2.0 * s2) ** 2)
+    for s2 in (1.5, 2.0, 17.0, 1e6):
+        assert asy.two_block_threshold(s2) == pytest.approx(
+            -(1.0 + 2.0 * s2) / (1.0 + 4.0 * s2), rel=1e-15)
+
+
 def test_two_block_threshold_is_the_crossing_point():
     for s2 in (0.3, 1.0, 2.0, 17.0):
         rho_star = asy.two_block_threshold(s2)

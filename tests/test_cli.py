@@ -106,6 +106,18 @@ def test_example2_outputs(tmp_path):
     assert at_minus_one and float(at_minus_one[0]["v12"]) == 0.0
 
 
+def test_example2_huge_sigma2_gives_finite_rows(tmp_path):
+    # sigma2 ** 2 and 4 sigma2 overflow here; the closed forms are taken
+    # in 1/sigma2 instead
+    assert main(["example2", "--sigma2", "1e200,1e308", "--grid", "5",
+                 "--out", str(tmp_path)]) == 0
+    rows = rows_of(tmp_path / "example2.csv")
+    assert len(rows) == 10
+    for row in rows:
+        assert all(np.isfinite(float(v)) for v in row.values())
+        assert float(row["rho_star"]) == -0.5
+
+
 def test_example2_explicit_rho_grid(tmp_path):
     assert main(["example2", "--sigma2", "2", "--rho", "0.5,-1,0",
                  "--out", str(tmp_path)]) == 0

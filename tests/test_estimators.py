@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clik.composite as comp
 from clik.errors import (DimensionMismatch, NoRootInDomain, SingularMatrix,
@@ -22,7 +26,7 @@ def test_trinormal_mu12_is_the_pair_mean():
     res = fit(comp.singleton_margins([0, 1]), tri, Y, tri.params(),
               fixed={"rho": 0.5, "sigma2": 1.0})
     assert res.params["mu"] == pytest.approx(2.0, abs=1e-14)
-    assert res.solver == "closed-form"
+    assert res.solver == "newton" and res.iterations <= 1
     assert res.converged
 
 
@@ -66,6 +70,84 @@ def test_newton_reaches_trinormal_mu123():
     res = newton_from(spec, model, Y, start).result()
     assert res.converged
     assert res.params["mu"] == pytest.approx(target, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.floats(-2.0, 2.0), rho=st.floats(-0.9, 0.9),
+       s2=st.floats(0.2, 5.0), n=st.integers(2, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_trinormal_means_take_one_scoring_step(mu, rho, s2, n, seed):
+    # with rho and sigma2 held the summed mu score is linear and its exact
+    # H constant, so one scoring step lands on the explicit mean
+    tri = TriNormal()
+    theta = tri.params(mu=mu, rho=rho, sigma2=s2)
+    Y = tri.sample(theta, n, seed)
+    m = Y.mean(axis=0)
+    explicit = {(0, 1): 0.5 * (m[0] + m[1]),
+                (0, 1, 2): (s2 * (m[0] + m[1]) + m[2]) / (1.0 + 2.0 * s2)}
+    for margins, want in explicit.items():
+        res = fit(comp.singleton_margins(list(margins)), tri, Y, theta,
+                  fixed={"rho": rho, "sigma2": s2})
+        assert res.solver == "newton" and res.converged
+        assert res.iterations <= 1
+        assert abs(res.params["mu"] - want) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.floats(0.5, 20.0), u=st.floats(0.02, 0.98),
+       n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_multinomial_mle_takes_at_most_one_scoring_step(k, u, n, seed):
+    # the cell probabilities are linear in theta: the moment start is the
+    # MLE (a step away where the start is clipped inside the domain)
+    model = Multinomial4(k)
+    theta = model.params(u * model.theta_max)
+    Y = model.sample(theta, n, seed)
+    res = fit(comp.full_likelihood(3), model, Y, theta)
+    assert res.solver == "newton"
+    if 0 < Y.sum() < n:
+        assert res.converged and res.iterations <= 1
+        want = Y.mean(axis=0).sum() / (2.0 + 1.0 / k)
+        assert abs(res.params["theta"] - want) <= 1e-14
+    else:
+        assert res.converged is False
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(k=st.floats(0.5, 20.0), n=st.integers(1, 60),
+       empty=st.sampled_from(["cells 1-3", "cell 4"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_multinomial_mle_on_the_boundary_does_not_converge(k, n, empty, seed):
+    # with no observation in cells 1-3 the MLE is theta = 0, with none in
+    # cell 4 it is theta_max: neither is in the domain
+    model = Multinomial4(k)
+    if empty == "cells 1-3":
+        Y = np.zeros((n, 3))
+    else:
+        Y = np.eye(3)[np.random.default_rng(seed).integers(0, 3, n)]
+    res = fit(comp.full_likelihood(3), model, Y,
+              model.params(0.2 * model.theta_max))
+    assert res.solver == "newton"
+    assert res.converged is False
+    assert model.interior(res.params)
+
+
+def test_trinormal_start_on_a_constant_column():
+    # a constant column has no sample correlation: the start takes 0, and
+    # neither the start nor the fits raise or warn
+    tri = TriNormal()
+    theta = tri.params(mu=0.0, rho=0.5, sigma2=1.0)
+    Y = tri.sample(theta, 40, 3)
+    Y[:, 0] = 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = moment_starts(tri, tri.statistic(Y)[None], theta)
+        assert start.point(0)["rho"] == 0.0
+        for spec, fixed in ((comp.chain(3), {"rho": 0.5}),
+                            (comp.pairwise(3), {})):
+            assert fit(spec, tri, Y, theta, fixed).converged
+        one_row = moment_starts(tri, tri.statistic(Y[:1])[None], theta)
+    assert one_row.point(0)["rho"] == 0.0
+    assert one_row.point(0)["sigma2"] == 1e-6
 
 
 def test_closed_form_estimators_zero_their_scores():
@@ -224,7 +306,8 @@ def test_no_root_in_domain_for_degenerate_data():
 
 
 def test_fast_path_validates_data():
-    # both fits take a fast path, which read the data unchecked
+    # the fast path and Newton read only the statistic of the data, which
+    # fit builds from checked data
     emvn, emvn4 = EMVN(3), EMVN(4)
     Y4 = emvn4.sample(emvn4.params(rho=0.3), 50, 3)
     with pytest.raises(DimensionMismatch):
@@ -241,21 +324,22 @@ def test_fit_returns_theta_like_after_fixed_on_every_route():
     t_tri = tri.params(mu=0.4, rho=0.5, sigma2=2.0)
     tri_held = {"rho": 0.5, "sigma2": 2.0}
     fast = [
-        (tri, comp.singleton_margins([0, 1]), t_tri, tri_held),
-        (tri, comp.singleton_margins([0, 1, 2]), t_tri, tri_held),
-        (mult, comp.full_likelihood(3), mult.params(0.2), {}),
         (emvn, comp.pairwise(3), t_emvn, {}),
         (emvn, comp.pairwise(3), t_emvn, {"sigma2": 1.2}),
     ]
-    # the singleton margins reweighted have no fast path
     weighted = comp.CompositeSpec("weighted", [
         comp.Component("margin", (i,), weight=w) for i, w in enumerate(
             (1.0, 2.0, 0.5))])
-    newton = [(tri, weighted, t_tri, tri_held)]
+    newton = [
+        (tri, comp.singleton_margins([0, 1]), t_tri, tri_held),
+        (tri, comp.singleton_margins([0, 1, 2]), t_tri, tri_held),
+        (tri, weighted, t_tri, tri_held),
+        (mult, comp.full_likelihood(3), mult.params(0.2), {}),
+    ]
     for model, spec, theta, fixed in fast + newton:
         res = fit(spec, model, model.sample(theta, 200, 7), theta, fixed)
         held = theta.with_roles(**{name: "known" for name in fixed})
-        assert res.solver == ("newton" if spec is weighted else "closed-form")
+        assert res.solver == ("closed-form" if model is emvn else "newton")
         assert res.params.names == held.names
         assert res.params.roles == held.roles
         for name in set(held.names) - set(held.free_names):
@@ -275,21 +359,21 @@ def test_registered_closed_form_dispatch():
     assert known == {"sigma2": 1.0}
     assert registered_closed_form(emvn, comp.full_conditional(3), theta) is None
 
+    # the two-block means and the multinomial MLE are scored by Newton,
+    # whose first step lands on them
     tri = TriNormal()
     t3 = tri.params(mu=0.0, rho=0.1, sigma2=2.0)
-    assert registered_closed_form(
-        tri, comp.singleton_margins([0, 1]), t3,
-        {"rho": 0.1, "sigma2": 2.0}) is not None
-    assert registered_closed_form(
-        tri, comp.singleton_margins([0, 1, 2]), t3,
-        {"rho": 0.1, "sigma2": 2.0}) is not None
-    # with free nuisance parameters there is no registered fast path
-    assert registered_closed_form(tri, comp.singleton_margins([0, 1]), t3) is None
+    for margins in ([0, 1], [0, 1, 2]):
+        for fixed in ({"rho": 0.1, "sigma2": 2.0}, {}):
+            assert registered_closed_form(
+                tri, comp.singleton_margins(margins), t3, fixed) is None
 
     mult = Multinomial4(5.0)
     tm = mult.params(0.2)
-    assert registered_closed_form(mult, comp.full_likelihood(3), tm) is not None
+    assert registered_closed_form(mult, comp.full_likelihood(3), tm) is None
     assert registered_closed_form(mult, comp.pairwise(3), tm) is None
+    assert list(ESTIMATORS) == ["emvn_pairwise_rho",
+                                "emvn_pairwise_rho_known_sigma"]
 
 
 def test_known_sigma2_is_read_from_roles_and_fixed_alike():

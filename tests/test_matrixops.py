@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,17 @@ def test_is_singular_is_unit_free():
     assert not is_singular(np.diag(rng.choice(units, 9)) @ equi)
     # a non-finite entry is left to the solve, as a NaN determinant is
     assert not is_singular(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_overflowing_determinant_screen_is_quiet():
+    # above about 1e100 the determinant screen overflows to inf <= inf and
+    # leaves the verdict to the SVD, without a RuntimeWarning
+    big = np.eye(3) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_singular(big)
+        np.testing.assert_array_equal(sym_invert(big), np.eye(3) * 1e-200)
+        assert is_singular(np.ones((3, 3)) * 1e200)
 
 
 def test_inversions_are_unit_free():

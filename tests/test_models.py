@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clik.composite import (Component, CompositeSpec, chain, composite_loglik,
-                            full_likelihood, info_exact)
+from clik.composite import (Component, CompositeSpec, _spec_forms, chain,
+                            composite_loglik, full_likelihood, info_exact)
 from clik.errors import DimensionMismatch, DomainError
 from clik.models import (EMVN, Multinomial4, ParamBatch, ParamVector,
-                         TriNormal, substream, substreams)
+                         TriNormal, affine_quadratic, substream, substreams,
+                         unpack_forms)
 from oracles import conditional_moments, numeric_hessian
 
 LOG_2PI = np.log(2 * np.pi)
@@ -302,6 +303,29 @@ def test_multinomial_covariance_is_the_outcome_sum(k, fracs):
         np.testing.assert_allclose(model._cov(theta), want, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(want)))
         np.testing.assert_array_equal(got, model._cov(theta))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.floats(0.5, 10.0), fracs=st.lists(st.floats(0.05, 0.95),
+                                              min_size=2, max_size=5))
+def test_multinomial_batch_scores_have_the_bits_of_each_point(k, fracs):
+    # the cell probabilities of a batch are C-ordered, so its residual rows
+    # meet the score forms in the same matmul as one point's rows do
+    model = Multinomial4(k)
+    points = [model.params(f * model.theta_max) for f in fracs]
+    batch = ParamBatch.stack(points)
+    assert model.cell_probs(batch).flags.c_contiguous
+    spec = full_likelihood(3)
+    outcomes = model.outcomes()
+
+    def scores(theta):
+        c, B, A = unpack_forms(_spec_forms(spec, model, theta), 3)
+        return affine_quadratic(c, B, A,
+                                outcomes - model._mean(theta)[..., None, :])
+    stacked = scores(batch)
+    for i in range(len(points)):
+        one = scores(ParamBatch.stack([points[i]]))[0]
+        assert stacked[i].tobytes() == one.tobytes()
 
 
 # -- scores ---------------------------------------------------------------------
