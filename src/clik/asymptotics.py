@@ -18,7 +18,7 @@ import numpy as np
 
 from .composite import (_partitioned_from_mats, batch_se, full_conditional,
                         info_monte_carlo)
-from .errors import DomainError, InvalidArgument
+from .errors import ClikError, DomainError, InvalidArgument
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, substream
 
@@ -166,7 +166,8 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
     variance for the full-conditional correlation estimator.
 
     Each grid point gets an independent substream; ``std_err`` is the
-    batch-means error of the ratio.
+    batch-means error of the ratio.  A ClikError at a grid point is raised
+    again, as the same class, with ``rho`` and ``sigma2`` named.
     """
     if grid is None:
         grid = default_grid(-1.0 / (p - 1), 1.0, size=21)
@@ -176,17 +177,22 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
     spec = full_conditional(p)
     rows = []
     for i, rho in enumerate(grid):
-        theta = model.params(rho=float(rho), sigma2=sigma2)
-        triple = info_monte_carlo(spec, model, theta, draws, substream(seed, i))
-        i_idx = [triple.param_names.index("rho")]
-        n_idx = [triple.param_names.index("sigma2")]
-        prof, known = _partitioned_from_mats(
-            triple.sensitivity, triple.variability, triple.godambe, i_idx, n_idx)
-        ratio = float(known[0, 0] / prof[0, 0])
-        pb, kb = _partitioned_from_mats(
-            triple.batch_sensitivity, triple.batch_variability,
-            triple.batch_godambe, i_idx, n_idx)
-        rows.append([rho, ratio, float(batch_se(kb[:, 0, 0] / pb[:, 0, 0]))])
+        try:
+            theta = model.params(rho=float(rho), sigma2=sigma2)
+            triple = info_monte_carlo(spec, model, theta, draws,
+                                      substream(seed, i))
+            i_idx = [triple.param_names.index("rho")]
+            n_idx = [triple.param_names.index("sigma2")]
+            prof, known = _partitioned_from_mats(
+                triple.sensitivity, triple.variability, triple.godambe,
+                i_idx, n_idx)
+            pb, kb = _partitioned_from_mats(
+                triple.batch_sensitivity, triple.batch_variability,
+                triple.batch_godambe, i_idx, n_idx)
+        except ClikError as exc:
+            raise type(exc)(f"rho={rho:g}, sigma2={sigma2:g}: {exc}") from exc
+        rows.append([rho, float(known[0, 0] / prof[0, 0]),
+                     float(batch_se(kb[:, 0, 0] / pb[:, 0, 0]))])
     return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows),
                            {"p": p, "draws": draws, "sigma2": sigma2})
 

@@ -390,7 +390,3 @@ def main(argv=None) -> int:
         name = getattr(exc, "filename", None)
         print(f"error: {name or ''}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

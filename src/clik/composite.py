@@ -14,17 +14,19 @@ Every component score is an affine-quadratic form in ``r = y - mean``,
 and one ``Model.margin_score_reps`` call builds the forms of every
 distinct margin of a spec, so the composite score is one combined form
 per free parameter: :func:`composite_score` contracts it with each row,
-and :func:`summed_score` with a dataset's statistic.  One moment kernel,
-:func:`_moment`, gives ``E[u_a u_b']`` of the forms of any two scores:
-the exact J, and the exact sensitivity ``E[u_c u']`` that the Newton
-route steps with (:func:`exact_sensitivity`).  Monte Carlo information
-is one blocked pass over the draws: each batch is scored at ``theta``,
-reduced to its score mean and covariance, and summarised by its
-statistic while it is in cache.  Monte Carlo H is a central difference
-of sample-mean scores over common draws, with the means at the stencil
-points taken from the batch statistics; J is pooled from the batch
-covariances and means, and the batch Godambe matrices are one stacked
-solve, as are the partitioned variances of a stack of triples.
+and :func:`_contract` with a dataset's statistic (:func:`summed_score`)
+or, for an exact mean score, the population's ``[1, mean, cov]``.  One
+moment kernel, :func:`_moment`, gives ``E[u_a u_b']`` of the forms of
+any two scores: the exact J, and the exact sensitivity ``E[u_c u']``
+that the Newton route steps with (:func:`exact_sensitivity`).  Monte
+Carlo information is one blocked pass over the draws: each batch is
+scored at ``theta``, reduced to its score mean and covariance, and
+summarised by its statistic while it is in cache.  Monte Carlo H is a
+central difference of sample-mean scores over common draws, with the
+means at the stencil points taken from the batch statistics; J is
+pooled from the batch covariances and means, and the batch Godambe
+matrices are one stacked solve, as are the partitioned variances of a
+stack of triples.  Every stencil comes from :func:`_stencil`.
 """
 
 from __future__ import annotations
@@ -235,14 +237,21 @@ def summed_score(spec: CompositeSpec, model: Model, stats, theta):
     stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
     then ``(R, q)``.
     """
+    sets = _margins(spec)
+    return _weighted_total(spec, dict(zip(sets, _contract(
+        model.margin_score_reps(sets, theta), stats, model._mean(theta)))))
+
+
+def _contract(forms, stats, mean):
+    """Summed scores ``(..., q)`` of packed forms ``(..., q, L)`` in ``r = y
+    - mean`` over the dataset with statistic ``stats``: their contraction
+    with ``[n, n d, (n d d' + W) / 2]``, ``d = ybar - mean``."""
     n, ybar, scatter = unpack_statistic(stats)
-    n, d = n[..., None], ybar - model._mean(theta)
+    n, d = n[..., None], ybar - mean
     moment = 0.5 * (n[..., None] * (d[..., :, None] * d[..., None, :]) + scatter)
     z = np.concatenate([n, n * d, moment.reshape(moment.shape[:-2] + (-1,))],
                        axis=-1)
-    sets = _margins(spec)
-    sums = (model.margin_score_reps(sets, theta) * z[..., None, :]).sum(axis=-1)
-    return _weighted_total(spec, dict(zip(sets, sums)))
+    return (forms * z[..., None, :]).sum(axis=-1)
 
 
 def component_scores(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
@@ -257,14 +266,26 @@ def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     """Central-difference score: the independent numeric route used to
     validate the analytic one (and available for custom specs)."""
     rows, single = _as_rows(Y, model.dim)
-    free = theta.free_names
-    out = np.empty((rows.shape[0], len(free)))
-    for a, name in enumerate(free):
-        h = step_scale * max(1.0, abs(theta[name]))
-        up = composite_loglik(spec, model, rows, theta.with_values(**{name: theta[name] + h}))
-        dn = composite_loglik(spec, model, rows, theta.with_values(**{name: theta[name] - h}))
-        out[:, a] = (up - dn) / (2.0 * h)
+    stencil, steps = _stencil(model, theta, step_scale)
+    ll = np.array([composite_loglik(spec, model, rows, stencil.point(i))
+                   for i in range(len(stencil))])
+    out = ((ll[0::2] - ll[1::2]) / (2.0 * steps[:, None])).T
     return out[0] if single else out
+
+
+def _stencil(model: Model, theta: ParamVector, step_scale: float):
+    """The ``2q`` central-difference points about ``theta`` (``+h`` then
+    ``-h`` for each free parameter in turn) as a ParamBatch, and the ``q``
+    steps: ``step_scale * x`` for a parameter bounded to ``(0, inf)``, so
+    that it keeps its sign at any scale, else ``step_scale * max(1, |x|)``."""
+    free, bounds = theta.free_names, model.bounds()
+    steps = step_scale * np.array(
+        [theta[name] if bounds.get(name) == (0.0, np.inf)
+         else max(1.0, abs(theta[name])) for name in free])
+    cols = [theta.names.index(name) for name in free for _ in (1, -1)]
+    values = np.array([theta.values] * len(cols))
+    values[np.arange(len(cols)), cols] += (steps[:, None] * [1.0, -1.0]).ravel()
+    return ParamBatch(theta.names, values, theta.roles), steps
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +424,7 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         stats.append(model.statistic(Y[sl]))
     J_full = _pooled_cov(J_batch, means, sizes)
 
-    steps = np.array([FD_STEP_INFO * max(1.0, abs(theta[name])) for name in free])
-    stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + sign * h})
-                                for name, h in zip(free, steps)
-                                for sign in (1.0, -1.0)])
+    stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     sums = summed_score(spec, model, np.tile(np.stack(stats), (2 * q, 1)),
                         stencil.take(np.repeat(np.arange(2 * q), batches)))
     if M is not None:
@@ -517,56 +535,35 @@ def exact_sensitivity(spec: CompositeSpec, model: Model, theta):
                    _spec_forms(full_likelihood(model.dim), model, theta), theta)
 
 
-def _mean_scores(model, forms, points):
-    """The exact mean of the scores with packed forms ``forms`` at
-    ``points[1:]`` under data drawn at ``points[0]``, ``(len(points) - 1,
-    q)``.
-
-    With ``y`` of mean ``mean0`` and covariance ``S``, the mean of ``c +
-    B r + r' A r / 2`` at a point whose mean is ``mean0 - d`` is ``c + B d
-    + (tr(A S) + d' A d) / 2``, whatever the distribution.  Each of those
-    products is one stacked matmul that rounds as the product of one
-    point's vectors and matrices does: the central difference in
-    :func:`info_exact` magnifies the rounding of the means by ``1 / h``."""
-    mean = model._mean(points)
-    c, B, A = unpack_forms(forms[1:], model.dim)
-    d = (mean[0] - mean[1:])[:, None, :, None]      # (S, 1, p, 1)
-    dAd = (np.swapaxes(d, -1, -2) @ A @ d)[..., 0, 0]
-    Bd = (B[..., None, :] @ d)[..., 0, 0]
-    trAS = np.trace(A @ model._cov(points)[0], axis1=-2, axis2=-1)
-    return c + Bd + 0.5 * (trAS + dAd)
-
-
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
     """Exact information triple (no sampling).
 
     The score of every component is an affine-quadratic form in the
     observation, so J follows from the model's mean and covariance
     (:func:`_moment`): exactly for Gaussian data, and for the multinomial,
-    whose scores are linear.  H is minus the derivative of the exact mean
-    score, taken by central differences with a tiny step: the mean scores at
-    ``theta`` and at the ``2q`` stencil points come from one batch of forms.
+    whose scores are linear.  H is minus the central difference of the
+    exact mean score over the points of :func:`_stencil`: the mean under
+    ``theta`` of the score at a stencil point is that score summed
+    (:func:`_contract`) over the population statistic ``[1, mean(theta),
+    cov(theta)]``, and the forms at ``theta`` and the stencil come from one
+    batch.
     A model without a covariance (``Model._cov``) raises InvalidArgument.
     """
-    free = theta.free_names
-    q = len(free)
-    steps = np.array([FD_STEP_EXACT * max(1.0, abs(theta[name]))
-                      for name in free])
-    cols = np.repeat([theta.names.index(name) for name in free], 2)
-    values = np.array([theta.values] * (2 * q + 1))
-    values[np.arange(1, 2 * q + 1), cols] += (steps[:, None]
-                                              * [1.0, -1.0]).ravel()
-    points = ParamBatch(theta.names, values, theta.roles)
-    forms = _spec_forms(spec, model, points)
+    stencil, steps = _stencil(model, theta, FD_STEP_EXACT)
+    forms = _spec_forms(spec, model, ParamBatch(
+        theta.names, np.concatenate([[theta.values], stencil.values]),
+        theta.roles))
     J = _moment(model, forms[0], forms[0], theta)
-    means = _mean_scores(model, forms, points)
-    means = means.reshape(q, 2, q)          # (column, side, row)
-    H = -((means[:, 0] - means[:, 1]) / (2.0 * steps[:, None])).T
+    population = np.concatenate([[1.0], model._mean(theta),
+                                 model._cov(theta).ravel()])
+    means = _contract(forms[1:], np.array([population] * len(stencil)),
+                      model._mean(stencil))
+    H = -((means[0::2] - means[1::2]) / (2.0 * steps[:, None])).T
     if asymmetry(H) > H_ASYMMETRY_TOL:
         raise InvalidArgument(f"exact sensitivity asymmetric beyond "
                               f"tolerance: {asymmetry(H):g}")
     H, J = symmetrize(H), symmetrize(J)
-    return InfoTriple(free, H, J, _godambe(H, J), "analytic")
+    return InfoTriple(theta.free_names, H, J, _godambe(H, J), "analytic")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,24 @@ def _nonsingular_sym(m) -> np.ndarray:
     return a
 
 
+def _lapack(solve, a, *rhs):
+    """``solve(a, *rhs)``, or SingularMatrix naming in ``rows`` the matrices
+    of ``a`` on which LAPACK's LU meets an exactly zero pivot although
+    :func:`is_singular` calls them regular (an off-diagonal entry whose
+    square underflows, say)."""
+    try:
+        return solve(a, *rhs)
+    except np.linalg.LinAlgError:
+        rows = []
+        for i, mat in enumerate(a.reshape((-1,) + a.shape[-2:])):
+            try:
+                np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                rows.append(i)
+        raise SingularMatrix("matrix not solvable in double precision",
+                             rows=np.array(rows)) from None
+
+
 def sym_invert(m) -> np.ndarray:
     """Invert a small symmetric matrix, or each matrix of a stack.
 
@@ -106,9 +124,10 @@ def sym_invert(m) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        If :func:`is_singular` says so.
+        If :func:`is_singular` says so, or the LU factorization meets a
+        zero pivot.
     """
-    return symmetrize(np.linalg.inv(_nonsingular_sym(m)))
+    return symmetrize(_lapack(np.linalg.inv, _nonsingular_sym(m)))
 
 
 def is_psd(m, tol: float) -> bool:
@@ -169,6 +188,7 @@ def solve_sym(m, rhs) -> np.ndarray:
     """Solve ``m @ x = rhs`` for symmetric nonsingular ``m``.
 
     Equivalent to ``sym_invert(m) @ rhs`` but via a direct solve; raises
-    SingularMatrix when :func:`is_singular` says so.
+    SingularMatrix as :func:`sym_invert` does.
     """
-    return np.linalg.solve(_nonsingular_sym(m), np.asarray(rhs, dtype=float))
+    return _lapack(np.linalg.solve, _nonsingular_sym(m),
+                   np.asarray(rhs, dtype=float))

@@ -29,16 +29,24 @@ def numeric_hessian(f, x, h=None) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def fd_step(theta, name, scale):
+    """The library's central-difference step for parameter ``name``:
+    ``scale * x`` for sigma2, the one parameter bounded to ``(0, inf)``
+    (EMVN and TriNormal), and ``scale * max(1, |x|)`` for every other."""
+    x = theta[name]
+    return scale * (x if name == "sigma2" else max(1.0, abs(x)))
+
+
 def stencil_info(score_fn, theta, n, batches):
     """Monte Carlo ``(H, H_batch, J)`` of a per-row score function over a
     fixed sample of ``n`` draws, as the library computed them before the
     stencil means came from per-batch statistics.
 
     ``score_fn(point)`` returns the ``(n, q)`` scores at a parameter point.
-    H is minus the central difference (step ``1e-4 * max(1, |x|)``) of the
-    sample-mean score, over the whole sample and over each of ``batches``
-    contiguous batches, symmetrized; J is the sample covariance of the
-    scores at ``theta``.
+    H is minus the central difference (step ``fd_step(theta, name,
+    1e-4)``) of the sample-mean score, over the whole sample and over each
+    of ``batches`` contiguous batches, symmetrized; J is the sample
+    covariance of the scores at ``theta``.
     """
     free = theta.free_names
     q = len(free)
@@ -47,7 +55,7 @@ def stencil_info(score_fn, theta, n, batches):
     H = np.empty((q, q))
     H_batch = np.empty((batches, q, q))
     for b, name in enumerate(free):
-        h = 1e-4 * max(1.0, abs(theta[name]))
+        h = fd_step(theta, name, 1e-4)
         up = score_fn(theta.with_values(**{name: theta[name] + h}))
         dn = score_fn(theta.with_values(**{name: theta[name] - h}))
         H[:, b] = -(up.mean(axis=0) - dn.mean(axis=0)) / (2.0 * h)
@@ -230,11 +238,12 @@ def parent_info_exact(spec, model, theta):
     """``(H, J, G)`` of ``info_exact`` along the parent's loops: one
     :func:`parent_packed_rep` per margin, a Python loop over the ``q**2``
     entries of J and over the ``2q`` stencil points, and H as the central
-    difference (step ``1e-6 * max(1, |x|)``) of the exact mean scores."""
+    difference (step ``fd_step(theta, name, 1e-6)``) of the exact mean
+    scores."""
     from clik.models import GaussianModel, ParamBatch
     free, p = theta.free_names, model.dim
     q = len(free)
-    steps = [1e-6 * max(1.0, abs(theta[name])) for name in free]
+    steps = [fd_step(theta, name, 1e-6) for name in free]
     stencil = [theta.with_values(**{name: theta[name] + sign * h})
                for name, h in zip(free, steps) for sign in (1.0, -1.0)]
     points = ParamBatch.stack([theta, *stencil])
@@ -278,6 +287,25 @@ def parent_info_exact(spec, model, theta):
     H = 0.5 * (H + H.T)
     G = H @ np.linalg.solve(J, H)
     return H, J, 0.5 * (G + G.T)
+
+
+def parent_mean_scores(model, forms, points):
+    """The exact mean of the scores with packed forms ``forms`` at
+    ``points[1:]`` under data drawn at ``points[0]``, ``(len(points) - 1,
+    q)``, in the closed form ``info_exact`` took them from before the
+    population statistic: with ``y`` of mean ``mean0`` and covariance
+    ``S``, the mean of ``c + B r + r' A r / 2`` at a point whose mean is
+    ``mean0 - d`` is ``c + B d + (tr(A S) + d' A d) / 2``."""
+    p = model.dim
+    mean = model._mean(points)
+    c = forms[1:, ..., 0]
+    B = forms[1:, ..., 1:p + 1]
+    A = forms[1:, ..., p + 1:].reshape(forms[1:].shape[:-1] + (p, p))
+    d = (mean[0] - mean[1:])[:, None, :, None]      # (S, 1, p, 1)
+    dAd = (np.swapaxes(d, -1, -2) @ A @ d)[..., 0, 0]
+    Bd = (B[..., None, :] @ d)[..., 0, 0]
+    trAS = np.trace(A @ model._cov(points)[0], axis1=-2, axis2=-1)
+    return c + Bd + 0.5 * (trAS + dAd)
 
 
 def parent_affine_quadratic(c, B, A, resid):
@@ -342,7 +370,7 @@ def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
     means = np.add.reduceat(U0, starts, axis=0) / sizes[:, None]
     J = comp._pooled_cov(J_batch, means, sizes)
 
-    steps = np.array([comp.FD_STEP_INFO * max(1.0, abs(theta[name]))
+    steps = np.array([fd_step(theta, name, comp.FD_STEP_INFO)
                       for name in free])
     stencil = ParamBatch.stack([theta.with_values(**{name: theta[name] + s * h})
                                 for name, h in zip(free, steps)

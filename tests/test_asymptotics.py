@@ -134,6 +134,17 @@ def test_full_conditional_ratio_curve_basics():
     np.testing.assert_array_equal(curve.rows, again.rows)
 
 
+@pytest.mark.parametrize("sigma2", [1e-5, 1e-3, 0.3, 7.0, 1e3, 1e100])
+def test_full_conditional_ratio_curve_is_free_of_scale(sigma2):
+    # the draws at sigma2 are sqrt(sigma2) times those at 1, and the sigma2
+    # step is relative, so the ratio does not depend on sigma2
+    grid = np.array([-0.3, 0.0, 0.5])
+    want = asy.full_conditional_ratio_curve(3, grid, draws=2000, seed=3)
+    got = asy.full_conditional_ratio_curve(3, grid, draws=2000, seed=3,
+                                           sigma2=sigma2)
+    np.testing.assert_allclose(got.rows, want.rows, rtol=1e-9, atol=0)
+
+
 # -- two-block model ---------------------------------------------------------------
 
 

@@ -171,6 +171,23 @@ def test_overflowing_k_exits_2_naming_k(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma2,code", [
+    ("1e-8", 2), ("1e200", 2), ("1e250", 2), ("1e300", 2),
+    ("1e-5", 0), ("1e-3", 0), ("1e150", 0)])
+def test_figure2_extreme_sigma2_runs_or_names_the_value(sigma2, code,
+                                                        tmp_path, capsys):
+    argv = ["figure2", "--grid", "5", "--draws", "2000", "--sigma2", sigma2,
+            "--out", str(tmp_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"sigma2={float(sigma2):g}" in lines[0]
+    else:
+        assert err == ""
+
+
 def test_simulate_smoke(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
@@ -240,7 +257,7 @@ def test_simulate_unsupported_spec_exits_2(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(clik.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "clik.cli", "simulate", str(cfg), "--out",
+        [sys.executable, "-m", "clik", "simulate", str(cfg), "--out",
          str(out)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -17,7 +17,7 @@ import clik.composite as comp
 from clik import estimators, models
 from clik.errors import SingularMatrix
 from clik.models import EMVN, Multinomial4, ParamBatch, TriNormal
-from oracles import parent_info_exact, parent_packed_rep
+from oracles import parent_info_exact, parent_mean_scores, parent_packed_rep
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -221,3 +221,22 @@ def test_info_exact_matches_parent_loops(case):
     assert rel_gap(triple.variability, J) <= 1e-13
     assert rel_gap(triple.sensitivity, H) <= 1e-9
     assert rel_gap(triple.godambe, G) <= 1e-9
+
+
+@SETTINGS
+@given(case=cases(), points=st.integers(1, 6))
+def test_population_contraction_is_the_parent_mean_score(case, points):
+    # the mean under theta of a score taken at another point is its summed
+    # score over the "dataset" n = 1, ybar = mean(theta), W = cov(theta)
+    model, theta, spec = case
+    rng = np.random.default_rng(points)
+    batch = ParamBatch(theta.names, np.vstack(
+        [theta.values, random_values(model, rng, points)]), theta.roles)
+    forms = comp._spec_forms(spec, model, batch)
+    population = np.concatenate([[1.0], model._mean(theta),
+                                 model._cov(theta).ravel()])
+    got = comp._contract(forms[1:], np.array([population] * points),
+                         model._mean(batch.take(slice(1, None))))
+    want = parent_mean_scores(model, forms, batch)
+    assume(np.max(np.abs(want)) > 0)   # no free parameter enters the spec
+    assert rel_gap(got, want) <= 1e-13

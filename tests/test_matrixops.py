@@ -24,6 +24,27 @@ def test_invert_rank_deficient_raises():
         sym_invert([[1.0, 1.0], [1.0, 1.0]])
 
 
+#: A regular matrix whose LU factorization meets an exactly zero pivot: the
+#: square of the off-diagonal entry underflows (the Monte Carlo J of
+#: EMVN(3) full_conditional at sigma2 = 1e200).
+UNDERFLOWING_J = np.array([[7.30, -4.4e-230], [-4.4e-230, 0.0]])
+
+
+@pytest.mark.parametrize("solve", [sym_invert,
+                                   lambda m: solve_sym(m, np.ones(2))],
+                         ids=["sym_invert", "solve_sym"])
+def test_zero_pivot_raises_singular_matrix_naming_the_row(solve):
+    assert not is_singular(UNDERFLOWING_J)
+    with pytest.raises(SingularMatrix,
+                       match="not solvable in double precision") as exc:
+        solve(UNDERFLOWING_J)
+    assert exc.value.rows.tolist() == [0]
+    stack = np.stack([np.eye(2), UNDERFLOWING_J, 2.0 * np.eye(2)])
+    with pytest.raises(SingularMatrix) as exc:
+        solve(stack)
+    assert exc.value.rows.tolist() == [1]
+
+
 def test_invert_residual_identity():
     rng = np.random.default_rng(0)
     for dim in (1, 2, 3, 4):
