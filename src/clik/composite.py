@@ -13,20 +13,23 @@ computes profile / known-nuisance asymptotic variances from a triple.
 Every component score is an affine-quadratic form in ``r = y - mean``,
 and one ``Model.margin_score_reps`` call builds the forms of every
 distinct margin of a spec, so the composite score is one combined form
-per free parameter: :func:`composite_score` contracts it with each row,
-and :func:`_contract` with a dataset's statistic (:func:`summed_score`)
-or, for an exact mean score, the population's ``[1, mean, cov]``.  One
-moment kernel, :func:`_moment`, gives ``E[u_a u_b']`` of the forms of
-any two scores: the exact J, and the exact sensitivity ``E[u_c u']``
-that the Newton route steps with (:func:`exact_sensitivity`).  Monte
-Carlo information is one blocked pass over the draws: each batch is
-scored at ``theta``, reduced to its score mean and covariance, and
-summarised by its statistic while it is in cache.  Monte Carlo H is a
-central difference of sample-mean scores over common draws, with the
-means at the stencil points taken from the batch statistics; J is
-pooled from the batch covariances and means, and the batch Godambe
-matrices are one stacked solve, as are the partitioned variances of a
-stack of triples.  Every stencil comes from :func:`_stencil`.
+per free parameter (:func:`_spec_forms`), built once per parameter
+point: :func:`composite_score` contracts it with each row, and every
+summed score is its one contraction (:func:`_contract`) with a dataset's
+statistic (:func:`summed_score`) or, for an exact mean score, the
+population's ``[1, mean, cov]``.  One moment kernel, :func:`_moment`,
+gives ``E[u_a u_b']`` of the forms of any two scores: the exact J, and
+the exact sensitivity ``E[u_c u']`` (:func:`exact_sensitivity`), which
+the Newton route takes with its summed score from one build of the forms
+at each point.  Monte Carlo information is one blocked pass over the
+draws: each batch is scored at ``theta``, reduced to its score mean and
+covariance, and summarised by its statistic while it is in cache.  Monte
+Carlo H is a central difference of sample-mean scores over common draws:
+the forms at the ``2q`` stencil points are contracted with every batch
+statistic; J is pooled from the batch covariances and means, and the
+batch Godambe matrices are one stacked solve, as are the partitioned
+variances of a stack of triples.  Every stencil comes from
+:func:`_stencil`.
 """
 
 from __future__ import annotations
@@ -229,23 +232,19 @@ def composite_score(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
 
 def summed_score(spec: CompositeSpec, model: Model, stats, theta):
     """``composite_score(spec, model, Y, theta).sum(axis=0)`` from the
-    statistic ``model.statistic(Y)`` alone.
-
-    With ``d = ybar - mean(theta)``, the scatter about the model mean is
-    ``n d d' + W``, so each margin's summed score is one contraction of its
-    packed forms with ``[n, n d, (n d d' + W) / 2]``.  ``stats`` may be a
-    stack ``(R, K)`` with ``theta`` a ParamBatch of R points; the result is
-    then ``(R, q)``.
+    statistic ``model.statistic(Y)`` alone: the spec's combined forms
+    (:func:`_spec_forms`) contracted with it (:func:`_contract`).
+    ``stats`` may be a stack ``(R, K)`` with ``theta`` a ParamBatch of R
+    points; the result is then ``(R, q)``.
     """
-    sets = _margins(spec)
-    return _weighted_total(spec, dict(zip(sets, _contract(
-        model.margin_score_reps(sets, theta), stats, model._mean(theta)))))
+    return _contract(_spec_forms(spec, model, theta), stats, model._mean(theta))
 
 
 def _contract(forms, stats, mean):
     """Summed scores ``(..., q)`` of packed forms ``(..., q, L)`` in ``r = y
-    - mean`` over the dataset with statistic ``stats``: their contraction
-    with ``[n, n d, (n d d' + W) / 2]``, ``d = ybar - mean``."""
+    - mean`` over the dataset with statistic ``stats``: with ``d = ybar -
+    mean`` the scatter about ``mean`` is ``n d d' + W``, so the sum is the
+    contraction of the forms with ``[n, n d, (n d d' + W) / 2]``."""
     n, ybar, scatter = unpack_statistic(stats)
     n, d = n[..., None], ybar - mean
     moment = 0.5 * (n[..., None] * (d[..., :, None] * d[..., None, :]) + scatter)
@@ -393,9 +392,10 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     ``model.statistic``.  J is the sample covariance of all the scores,
     pooled (:func:`_pooled_cov`) from the batch covariances and means.  H
     is minus the central difference of the sample-mean score in each free
-    parameter (common draws across shifts); the mean at every stencil
-    point comes from the batch statistics through one :func:`summed_score`
-    call, so only the scores at ``theta`` are evaluated row by row.
+    parameter (common draws across shifts); the spec's forms are built
+    once more, at the ``2q`` stencil points, and the mean at each comes
+    from contracting them (:func:`_contract`) with every batch statistic,
+    so only the scores at ``theta`` are evaluated row by row.
     Standard errors come from the batch values; the batch Godambe matrices
     are one stacked solve.  ``Y`` is not modified.
 
@@ -425,8 +425,9 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     J_full = _pooled_cov(J_batch, means, sizes)
 
     stencil, steps = _stencil(model, theta, FD_STEP_INFO)
-    sums = summed_score(spec, model, np.tile(np.stack(stats), (2 * q, 1)),
-                        stencil.take(np.repeat(np.arange(2 * q), batches)))
+    sums = _contract(_spec_forms(spec, model, stencil)[:, None],
+                     np.tile(np.stack(stats), (2 * q, 1, 1)),
+                     model._mean(stencil)[:, None])
     if M is not None:
         sums = sums @ M
     sums = sums.reshape(q, 2, batches, q)         # (column, side, batch, row)
@@ -512,16 +513,15 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
 # ---------------------------------------------------------------------------
 
 
-def _moment(model, forms_a, forms_b, theta):
+def _moment(forms_a, forms_b, cov):
     """``E[u_a u_b']`` of two scores, given as packed forms at ``theta``,
-    under data drawn at ``theta``: their covariance, since both have mean
-    zero there, ``B_a S B_b' + tr(A_a S A_b S) / 2`` with ``S`` the
-    model's covariance.  Exact for Gaussian data, and for any data when
-    ``A`` is zero, as it is for every multinomial score.  Shape ``(...,
-    q_a, q_b)`` over a ParamBatch."""
-    p = model.dim
+    under data drawn at ``theta`` with covariance ``cov`` (``model._cov``):
+    their covariance, since both have mean zero there, ``B_a S B_b' +
+    tr(A_a S A_b S) / 2`` with ``S = cov``.  Exact for Gaussian data, and
+    for any data when ``A`` is zero, as it is for every multinomial score.
+    Shape ``(..., q_a, q_b)`` over a ParamBatch."""
+    p = cov.shape[-1]
     (_, Ba, Aa), (_, Bb, Ab) = (unpack_forms(f, p) for f in (forms_a, forms_b))
-    cov = model._cov(theta)
     ASa, ASb = Aa @ cov[..., None, :, :], Ab @ cov[..., None, :, :]
     return (Ba @ cov @ np.swapaxes(Bb, -1, -2)
             + 0.5 * np.einsum("...aij,...bji->...ab", ASa, ASb))
@@ -531,8 +531,9 @@ def exact_sensitivity(spec: CompositeSpec, model: Model, theta):
     """Exact H of a spec at a point or ParamBatch: ``E[u_c u']`` with ``u``
     the full score (differentiate ``E[u_c] = 0``).  Not symmetrized, so a
     parameter the spec carries no information on keeps a zero row."""
-    return _moment(model, _spec_forms(spec, model, theta),
-                   _spec_forms(full_likelihood(model.dim), model, theta), theta)
+    return _moment(_spec_forms(spec, model, theta),
+                   _spec_forms(full_likelihood(model.dim), model, theta),
+                   model._cov(theta))
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -553,9 +554,9 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     forms = _spec_forms(spec, model, ParamBatch(
         theta.names, np.concatenate([[theta.values], stencil.values]),
         theta.roles))
-    J = _moment(model, forms[0], forms[0], theta)
-    population = np.concatenate([[1.0], model._mean(theta),
-                                 model._cov(theta).ravel()])
+    cov = model._cov(theta)
+    J = _moment(forms[0], forms[0], cov)
+    population = np.concatenate([[1.0], model._mean(theta), cov.ravel()])
     means = _contract(forms[1:], np.array([population] * len(stencil)),
                       model._mean(stencil))
     H = -((means[0::2] - means[1::2]) / (2.0 * steps[:, None])).T

@@ -26,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .composite import CompositeSpec, exact_sensitivity, summed_score
+from .composite import (CompositeSpec, _contract, _moment, _spec_forms,
+                        exact_sensitivity, full_likelihood)
 from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
@@ -95,30 +96,31 @@ class Fits:
 # ---------------------------------------------------------------------------
 
 
-def _guarded(model, points, evaluate, shape):
-    """``(values, outside, singular)``: ``evaluate(keep)`` on the rows
-    ``keep`` of ``points``, NaN on the rows whose point is not interior
-    (flagged in ``outside``) or whose margin covariances ``sym_invert``
-    finds singular (flagged in ``singular``)."""
+def _evaluate(spec, model, stats, points):
+    """``(score, H, outside, singular)``: the summed score of each row of
+    ``stats`` at the matching point of ``points`` and the exact sensitivity
+    there (:func:`clik.composite.exact_sensitivity`), from one build of the
+    spec's forms; NaN on the rows whose point is not interior (flagged in
+    ``outside``) or whose margin covariances ``sym_invert`` finds singular
+    (flagged in ``singular``)."""
+    q = len(points.free_names)
     outside = ~model.interior(points)
     singular = np.zeros(len(points), dtype=bool)
-    out = np.full((len(points),) + shape, np.nan)
+    score = np.full((len(points), q), np.nan)
+    H = np.full((len(points), q, q), np.nan)
     while not np.all(outside | singular):
         keep = np.flatnonzero(~(outside | singular))
+        at = points.take(keep)
         try:
-            out[keep] = evaluate(keep)
-            break
+            forms = _spec_forms(spec, model, at)
+            full = _spec_forms(full_likelihood(model.dim), model, at)
         except SingularMatrix as exc:
             singular[keep[exc.rows]] = True
-    return out, outside, singular
-
-
-def _scores(spec, model, stats, points):
-    """The summed score of each row of ``stats`` at the matching point of
-    ``points``, as :func:`_guarded` returns it."""
-    return _guarded(model, points, lambda keep: summed_score(
-        spec, model, stats[keep], points.take(keep)),
-        (len(points.free_names),))
+        else:
+            score[keep] = _contract(forms, stats[keep], model._mean(at))
+            H[keep] = _moment(forms, full, model._cov(at))
+            break
+    return score, H, outside, singular
 
 
 def newton_solve(spec: CompositeSpec, model: Model, stats,
@@ -130,14 +132,17 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
     fitted from ``start.point(i)``; the free parameters of ``start`` (any
     number, at least one) are iterated, the known ones held.  All rows
     iterate in lockstep, each exactly as it would alone: a step
-    ``(n H)^-1 sum(u_c)`` with ``H`` the exact sensitivity at the iterate
-    (:func:`clik.composite.exact_sensitivity`), a SingularMatrix failure
-    when ``matrixops.is_singular`` calls ``H`` singular, step halving until
-    the iterate is interior with a finite score, and the best iterate kept.
-    A fit converges when the sup norm of its summed score is below ``1e-8
-    * n``.  ``H`` at every returned estimate must be nonsingular as well,
-    so a spec carrying no information on a free parameter fails even when
-    the start already zeroes the score.  A fit whose start leaves the
+    ``(n H)^-1 sum(u_c)``, the score and the exact sensitivity ``H`` from
+    one evaluation (:func:`_evaluate`) at the start and at each trial
+    point; a SingularMatrix failure when ``matrixops.is_singular`` calls
+    ``H`` singular; step halving until the iterate is interior with a
+    finite score; and the best iterate kept with its ``H``.  A fit
+    converges when the sup norm of its summed score is below ``1e-8 * n``.
+    A fit whose step is halved on two consecutive iterations is pressed
+    against the domain boundary and stops there, not converged and without
+    an error.  ``H`` at every returned estimate must be nonsingular as
+    well, so a spec carrying no information on a free parameter fails even
+    when the start already zeroes the score.  A fit whose start leaves the
     domain fails with DomainError.
     """
     stats = np.asarray(stats, dtype=float)
@@ -159,36 +164,22 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
             point = dict(zip(start.names, values[i].tolist()))
             errors[i] = error(f"{what} at {point}")
 
-    def alive():
-        return np.flatnonzero([e is None for e in errors])
-
-    def sensitivities(rows, what):
-        """``H`` at the current points of ``rows``; the rows whose ``H`` or
-        covariance is singular are failed and dropped."""
-        points = batch(values[rows])
-        H, _, bad = _guarded(model, points, lambda keep: exact_sensitivity(
-            spec, model, points.take(keep)), (len(free), len(free)))
-        fail(rows[bad], SingularMatrix, "singular covariance")
-        ok = np.flatnonzero(~bad)
-        singular = is_singular(H[ok])
-        fail(rows[ok[singular]], SingularMatrix, f"singular {what}")
-        ok = ok[~singular]
-        return rows[ok], H[ok]
-
-    score, outside, singular = _scores(spec, model, stats, start)
+    score, H, outside, singular = _evaluate(spec, model, stats, start)
     fail(np.flatnonzero(outside), DomainError,
          f"start outside the domain of {model!r}")
     fail(np.flatnonzero(singular), SingularMatrix, "singular covariance")
     norm = np.max(np.abs(score), axis=1)
-    best_norm, best = norm.copy(), values.copy()
+    best_norm, best, best_H = norm.copy(), values.copy(), H.copy()
+    cut = np.zeros(len(start), dtype=bool)      # step halved last iteration
 
-    active = alive()
-    active = active[~(norm[active] < tol[active])]
+    active = np.flatnonzero(~(outside | singular | (norm < tol)))
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        rows, H = sensitivities(active, "sensitivity")
-        delta = np.linalg.solve(stats[rows, 0][:, None, None] * H,
+        flat = is_singular(H[active])
+        fail(active[flat], SingularMatrix, "singular sensitivity")
+        rows = active[~flat]
+        delta = np.linalg.solve(stats[rows, 0][:, None, None] * H[rows],
                                 score[rows][..., None])[..., 0]
 
         step = np.ones(rows.size)
@@ -197,13 +188,14 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
         for _ in range(NEWTON_MAX_HALVINGS):
             cand = values[rows[pending]]
             cand[:, cols] = cand[:, cols] + step[pending, None] * delta[pending]
-            trial, outside, singular = _scores(spec, model, stats[rows[pending]],
-                                               batch(cand))
+            trial, trial_H, outside, singular = _evaluate(
+                spec, model, stats[rows[pending]], batch(cand))
             fail(rows[pending[singular]], SingularMatrix, "singular covariance")
             good = ~(outside | singular) & np.all(np.isfinite(trial), axis=1)
             accepted = rows[pending[good]]
             values[accepted] = cand[good]
             score[accepted] = trial[good]
+            H[accepted] = trial_H[good]
             moved.append(accepted)
             pending = pending[~(good | singular)]
             if pending.size == 0:
@@ -217,10 +209,16 @@ def newton_solve(spec: CompositeSpec, model: Model, stats,
         better = moved[norm[moved] < best_norm[moved]]
         best_norm[better] = norm[better]
         best[better] = values[better]
-        active = moved[~(norm[moved] < tol[moved])]
+        best_H[better] = H[better]
+        halved = np.zeros(len(start), dtype=bool)
+        halved[rows] = step < 1.0
+        active = moved[~(norm[moved] < tol[moved]) & ~(halved & cut)[moved]]
+        cut = halved
 
     values = best
-    sensitivities(alive(), "sensitivity at the estimate")
+    ok = np.flatnonzero([e is None for e in errors])
+    fail(ok[is_singular(best_H[ok])], SingularMatrix,
+         "singular sensitivity at the estimate")
     failed = np.array([e is not None for e in errors])
     return Fits(batch(best), iterations, (best_norm < tol) & ~failed,
                 best_norm, errors, "newton")

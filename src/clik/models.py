@@ -555,7 +555,7 @@ class Model:
         held as ``[n, ybar, W.ravel()]`` with ``W`` the scatter about the
         sample mean ``ybar`` (read back by :func:`unpack_statistic`): every
         composite score is affine-quadratic in ``y``, so its sum over the
-        rows follows from these alone
+        rows is one contraction of the spec's combined forms with these
         (:func:`clik.composite.summed_score`).  A stack of datasets
         ``(..., n, dim)`` gives one statistic per dataset, each with the
         bits of that dataset alone.  ``Y`` is not modified."""

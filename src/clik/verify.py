@@ -64,7 +64,7 @@ def _level_params(level: str):
 # ---------------------------------------------------------------------------
 
 
-def check_pairwise_variance_formulas(level="full", seed=101, threads=None):
+def check_pairwise_variance_formulas(level="full", seed=101):
     """Simulated n-scaled variances of the pairwise correlation estimator
     (variance free, then variance known) against the two closed forms."""
     p = _level_params(level)
@@ -77,7 +77,7 @@ def check_pairwise_variance_formulas(level="full", seed=101, threads=None):
             model, theta,
             (mc.SpecRun(spec, (), "free"), mc.SpecRun(spec, {"sigma2": 1.0}, "known")),
             n=500, replicates=max(200, 2000 // p["scale"]), seed=seed + i)
-        result = mc.run(config, threads=threads)
+        result = mc.run(config)
         for label, target in (("free", asy.avar_rho_free_sigma(3, rho)),
                               ("known", asy.avar_rho_known_sigma(3, rho))):
             ridx = result.param_names(label).index("rho")
@@ -122,7 +122,7 @@ def _exact_pairwise_ratio(rho):
     return float(known[0, 0] / profile[0, 0])
 
 
-def check_pairwise_ratio_curve(level="full", seed=None, threads=None):
+def check_pairwise_ratio_curve(level="full", seed=None):
     """Sign structure of the known-over-free variance ratio at p=3: below 1
     on the positive side, a single crossing rho* of 1 on the negative side
     (located by the closed forms and again by exact moments), above 1 below
@@ -176,7 +176,7 @@ def check_pairwise_ratio_curve(level="full", seed=None, threads=None):
     ]
 
 
-def check_full_conditional_ratio(level="full", seed=301, threads=None):
+def check_full_conditional_ratio(level="full", seed=301):
     """The full-conditional known-variance estimator never loses to the
     free-variance one: ratio + sigma * se stays below 1 off independence."""
     p = _level_params(level)
@@ -192,7 +192,7 @@ def check_full_conditional_ratio(level="full", seed=301, threads=None):
     return out
 
 
-def check_two_block(level="full", seed=401, threads=None):
+def check_two_block(level="full", seed=401):
     """Threshold correlation of the two-block model, exactly and in the
     large-variance limit, plus the simulated variance of the three-margin
     mean estimator."""
@@ -214,7 +214,7 @@ def check_two_block(level="full", seed=401, threads=None):
         (mc.SpecRun(comp.singleton_margins([0, 1, 2]),
                     {"rho": 0.0, "sigma2": 2.0}, "mu123"),),
         n=500, replicates=max(200, 2000 // p["scale"]), seed=seed)
-    result = mc.run(config, threads=threads)
+    result = mc.run(config)
     nvar = result.ncov("mu123")[0, 0]
     se = result.ncov_se("mu123")[0, 0]
     z = abs(nvar - v123) / se
@@ -224,7 +224,7 @@ def check_two_block(level="full", seed=401, threads=None):
     return out
 
 
-def check_multinomial(level="full", seed=501, threads=None):
+def check_multinomial(level="full", seed=501):
     """Exact full efficiency at k=1, the variance ordering at k=5, and the
     Monte Carlo information against the exact scalars."""
     p = _level_params(level)
@@ -273,7 +273,7 @@ def check_multinomial(level="full", seed=501, threads=None):
     return out
 
 
-def check_score_recovery(level="full", seed=601, threads=None):
+def check_score_recovery(level="full", seed=601):
     """The full score of the equicorrelated normal is a fixed linear
     transform of the pairwise score: residuals and the constant offset are
     zero to Monte Carlo precision."""
@@ -297,7 +297,7 @@ def check_score_recovery(level="full", seed=601, threads=None):
     ]
 
 
-def check_chain_unbiasedness(level="full", seed=701, threads=None):
+def check_chain_unbiasedness(level="full", seed=701):
     """Conditional-chain specs are information-unbiased on every model, and
     their component scores are mutually uncorrelated."""
     p = _level_params(level)
@@ -338,7 +338,7 @@ def check_chain_unbiasedness(level="full", seed=701, threads=None):
     return out
 
 
-def check_projection(level="full", seed=801, threads=None):
+def check_projection(level="full", seed=801):
     """Projecting the pairwise score recovers the full score pointwise, and
     the projected score satisfies the second Bartlett identity."""
     p = _level_params(level)
@@ -362,7 +362,7 @@ def check_projection(level="full", seed=801, threads=None):
     ]
 
 
-def check_estimator_covariance(level="full", seed=901, threads=None):
+def check_estimator_covariance(level="full", seed=901):
     """Simulated covariance between the pairwise correlation and variance
     estimators against its closed form; it nearly vanishes close to the
     lower correlation boundary."""
@@ -375,7 +375,7 @@ def check_estimator_covariance(level="full", seed=901, threads=None):
         rep = mc.paradox_covariance_diagnostics(
             spec, model, theta, n=500,
             replicates=max(200, 2000 // p["scale"]),
-            seed=seed + i, sigma=p["sigma"], threads=threads)
+            seed=seed + i, sigma=p["sigma"])
         target = asy.pairwise_rho_sigma_acov(3, rho, 1.0)
         z = abs(rep.ncov_joint - target) / rep.ncov_joint_se
         out.append(CheckResult(
@@ -420,7 +420,7 @@ def _dominance_design():
     return _DOMINANCE_DESIGN
 
 
-def check_sandwich_dominance(level="full", seed=1001, threads=None):
+def check_sandwich_dominance(level="full", seed=1001):
     """The full likelihood dominates every composite spec: the smallest
     eigenvalue of I - G stays above minus sigma standard errors.
 
@@ -471,8 +471,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(level: str = "full", seed: int = 20260810, threads=None,
-            progress=None):
+def run_all(level: str = "full", seed: int = 20260810, progress=None):
     """Run every check; returns the list of CheckResults, each stamped with
     the wall time and seed of the check function that produced it."""
     _level_params(level)
@@ -480,7 +479,7 @@ def run_all(level: str = "full", seed: int = 20260810, threads=None,
     for i, fn in enumerate(ALL_CHECKS):
         check_seed = seed + 100 * i
         started = time.perf_counter()
-        found = list(fn(level=level, seed=check_seed, threads=threads))
+        found = list(fn(level=level, seed=check_seed))
         wall_s = time.perf_counter() - started
         for res in found:
             res = replace(res, wall_s=wall_s, seed=check_seed)

@@ -289,6 +289,16 @@ def parent_info_exact(spec, model, theta):
     return H, J, 0.5 * (G + G.T)
 
 
+def parent_summed_score(spec, model, stats, theta):
+    """``composite.summed_score`` as it was taken margin by margin: each
+    distinct margin's packed forms contracted with the statistic, then the
+    weighted total over the components."""
+    import clik.composite as comp
+    sets = comp._margins(spec)
+    return comp._weighted_total(spec, dict(zip(sets, comp._contract(
+        model.margin_score_reps(sets, theta), stats, model._mean(theta)))))
+
+
 def parent_mean_scores(model, forms, points):
     """The exact mean of the scores with packed forms ``forms`` at
     ``points[1:]`` under data drawn at ``points[0]``, ``(len(points) - 1,
@@ -354,7 +364,7 @@ def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
     along the parent's whole-sample route: one ``composite_score`` call
     over all the draws, then one ``sample_cov`` per batch and the batch
     means by ``np.add.reduceat``; H from the batch statistics through one
-    ``summed_score`` call, as the library takes it."""
+    ``summed_score`` call, the contraction the library takes."""
     import clik.composite as comp
     from clik.matrixops import symmetrize
     from clik.models import ParamBatch

@@ -361,12 +361,12 @@ def test_verify_quick_reports_known_failure(tmp_path, capsys, monkeypatch):
 def test_verify_report_records_wall_time_and_seed(tmp_path, monkeypatch):
     # each check function is called by keyword, timed once, and every
     # result it returns carries that time and its seed
-    def slow(*, level, seed, threads):
+    def slow(*, level, seed):
         time.sleep(0.05)
         return [verify_mod.CheckResult("slow/a", 1.0, 2.0, True),
                 verify_mod.CheckResult("slow/b", 3.0, 2.0, False, "over")]
 
-    def fast(*, level, seed, threads):
+    def fast(*, level, seed):
         return [verify_mod.CheckResult("fast", 0.5, 1.0, True)]
 
     monkeypatch.setattr(verify_mod, "ALL_CHECKS", [slow, fast])

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import clik.composite as comp
 from clik.errors import (DimensionMismatch, NoRootInDomain, SingularMatrix,
                          UnsupportedSpec)
-from clik.estimators import (ESTIMATORS, NEWTON_MAX_ITER, check_identified,
-                             fit, moment_starts, newton_solve,
-                             registered_closed_form)
-from clik.models import EMVN, Multinomial4, ParamBatch, TriNormal
+from clik.estimators import (ESTIMATORS, NEWTON_MAX_ITER, batch_route,
+                             check_identified, fit, moment_starts,
+                             newton_solve, registered_closed_form)
+from clik.models import EMVN, Multinomial4, ParamBatch, TriNormal, substreams
 
 
 def newton_from(spec, model, Y, start, max_iter=NEWTON_MAX_ITER):
@@ -231,6 +231,50 @@ def test_newton_reports_nonconvergence():
                       theta.with_values(rho=-0.45), max_iter=1).result()
     assert not res.converged
     assert res.score_norm > 0
+
+
+def test_newton_stops_at_the_domain_boundary():
+    # a Multinomial4 dataset with no observation in cells 1-3, or none in
+    # cell 4, has its MLE on the boundary of the domain: each full step
+    # leaves the domain and is halved back, and after two such steps in a
+    # row the fit stops, not converged and without an error
+    model = Multinomial4(5.0)
+    theta = model.params(0.03)
+    stats = model.statistic(model.sampler(theta)(
+        10, list(substreams(4, range(300)))))
+    fits = batch_route(model, comp.full_likelihood(3), theta)(stats)
+    stopped = np.flatnonzero(~fits.converged)
+    assert len(stopped) == 144
+    assert all(fits.errors[i] is None for i in stopped)
+    assert np.all(fits.iterations[stopped] <= 3)
+
+
+def test_newton_builds_the_spec_forms_once_per_point(monkeypatch):
+    # the summed score and H at a point come from one build of the spec's
+    # forms (and one of the full likelihood's), made at the start and at
+    # each trial point, never again at the same point
+    model = EMVN(3)
+    spec = comp.full_conditional(3)
+    theta = model.params(rho=0.5)
+    stats = model.statistic(model.sampler(theta)(
+        200, list(substreams(3, range(20)))))
+    start = moment_starts(model, stats, theta, {"sigma2": 1.0})
+    built = []
+    real = model.margin_score_reps
+
+    def counted(sets, points):
+        built.append((tuple(sets), np.array(points.values, ndmin=2)))
+        return real(sets, points)
+    monkeypatch.setattr(model, "margin_score_reps", counted)
+    assert newton_solve(spec, model, stats, start).converged.all()
+    at = [points for sets, points in built if sets == comp._margins(spec)]
+    full = [points for sets, points in built if sets != comp._margins(spec)]
+    assert len(at) == len(full) > 1
+    for a, b in zip(at, full):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(at[0], start.values)
+    rows = np.concatenate(at)
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_newton_fits_three_free_and_rejects_none():

@@ -157,6 +157,24 @@ def test_info_monte_carlo_solves_once_for_the_sample_and_once_for_the_batches(
     assert calls == [(2, 2), (20, 2, 2)]
 
 
+def test_info_monte_carlo_builds_forms_at_theta_and_the_2q_stencil_points(
+        monkeypatch):
+    model = EMVN(3)
+    theta = model.params(rho=0.3)
+    built = []
+    real = model.margin_score_reps
+
+    def counted(sets, points):
+        built.append(np.array(points.values, ndmin=2))
+        return real(sets, points)
+    monkeypatch.setattr(model, "margin_score_reps", counted)
+    comp.info_monte_carlo(comp.full_conditional(3), model, theta, 2000, 7)
+    stencil, _ = comp._stencil(model, theta, comp.FD_STEP_INFO)
+    assert len(built) == 2 and len(stencil) == 4
+    np.testing.assert_array_equal(built[0], [theta.values])
+    np.testing.assert_array_equal(built[1], stencil.values)
+
+
 def test_ratio_curve_reads_the_batch_godambe_matrices(monkeypatch):
     # per grid point: the triple's two Godambe solves (sample, batch
     # stack), then one Schur solve each for the point and the batch stack
