@@ -21,13 +21,15 @@ population's ``[1, mean, cov]``.  One moment kernel, :func:`_moment`,
 gives ``E[u_a u_b']`` of the forms of any two scores: the exact J, and
 the exact sensitivity ``E[u_c u']`` (:func:`exact_sensitivity`), which
 the Newton route takes with its summed score from one build of the forms
-at each point.  Monte Carlo information is one blocked pass over the
-draws: each batch is scored at ``theta``, reduced to its score mean and
-covariance, and summarised by its statistic while it is in cache.  Monte
-Carlo H is a central difference of sample-mean scores over common draws:
-the forms at the ``2q`` stencil points are contracted with every batch
-statistic; J is pooled from the batch covariances and means, and the
-batch Godambe matrices are one stacked solve, as are the partitioned
+of the spec's margins and the full one (:func:`_sensitivity_forms`) at
+each point.  Monte Carlo information is one blocked pass over the draws
+that holds one batch at a time, so its memory is O(draws / batches): each
+batch is drawn, scored at ``theta``, reduced to its score mean and
+covariance, and summarised by its statistic before the next is drawn.
+Monte Carlo H is a central difference of sample-mean scores over common
+draws: the forms at the ``2q`` stencil points are contracted with every
+batch statistic; J is pooled from the batch covariances and means, and
+the batch Godambe matrices are one stacked solve, as are the partitioned
 variances of a stack of triples.  Every stencil comes from
 :func:`_stencil`.
 """
@@ -42,7 +44,8 @@ from .errors import InvalidArgument
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows,
-                     affine_quadratic, unpack_forms, unpack_statistic)
+                     affine_quadratic, substream, unpack_forms,
+                     unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -206,6 +209,17 @@ def _spec_forms(spec, model, theta):
     sets = _margins(spec)
     return _weighted_total(spec, dict(zip(
         sets, model.margin_score_reps(sets, theta))))
+
+
+def _sensitivity_forms(spec, model, theta):
+    """``(forms, full)``: :func:`_spec_forms` of ``spec`` and of the full
+    likelihood, both from one ``margin_score_reps`` call over the spec's
+    margins and the full one; the pair whose moment is the exact
+    sensitivity (:func:`exact_sensitivity`)."""
+    whole = full_likelihood(model.dim)
+    sets = tuple(dict.fromkeys(_margins(spec) + _margins(whole)))
+    values = dict(zip(sets, model.margin_score_reps(sets, theta)))
+    return _weighted_total(spec, values), _weighted_total(whole, values)
 
 
 def composite_loglik(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
@@ -377,27 +391,26 @@ def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
     return symmetrize(H @ solve_sym(J, H))
 
 
-def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
-                      batches: int, M=None):
+def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
+                      theta: ParamVector, M=None) -> InfoTriple:
     """Monte Carlo InfoTriple of the composite score (right-multiplied by
-    ``M`` when given) over the draws ``Y``.  Returns ``(triple,
-    scores_at_theta)``, the scores ``(n, q)`` the transpose of one
-    feature-major ``(q, n)`` buffer.
+    ``M`` when given) over the draws given as ``blocks``: the batches of
+    :func:`batch_slices`, an iterable of ``(k_b, dim)`` row blocks, in
+    order.  The draws are the ``n = sum(k_b)`` rows of the blocks.
 
-    One blocked pass over the ``batches`` contiguous batches of
-    :func:`batch_slices`: the spec's forms are built once at ``theta``,
-    and each batch, while it is in cache, is scored by
-    :func:`clik.models.affine_quadratic`, written feature-major into the
-    buffer, reduced to its mean and covariance, and summarised by
-    ``model.statistic``.  J is the sample covariance of all the scores,
-    pooled (:func:`_pooled_cov`) from the batch covariances and means.  H
-    is minus the central difference of the sample-mean score in each free
-    parameter (common draws across shifts); the spec's forms are built
-    once more, at the ``2q`` stencil points, and the mean at each comes
-    from contracting them (:func:`_contract`) with every batch statistic,
-    so only the scores at ``theta`` are evaluated row by row.
-    Standard errors come from the batch values; the batch Godambe matrices
-    are one stacked solve.  ``Y`` is not modified.
+    One blocked pass over the batches that holds one batch at a time: the
+    spec's forms are built once at ``theta``, and each batch, as
+    ``blocks`` yields it, is scored by :func:`clik.models.affine_quadratic`
+    into a contiguous feature-major ``(q, k_b)`` block, reduced to its mean
+    and covariance, and summarised by ``model.statistic``.  J is the sample
+    covariance of all the scores, pooled (:func:`_pooled_cov`) from the
+    batch covariances and means.  H is minus the central difference of the
+    sample-mean score in each free parameter (common draws across shifts);
+    the spec's forms are built once more, at the ``2q`` stencil points,
+    and the mean at each comes from contracting them (:func:`_contract`)
+    with every batch statistic, so only the scores at ``theta`` are
+    evaluated row by row.  Standard errors come from the batch values; the
+    batch Godambe matrices are one stacked solve.  No block is modified.
 
     A genuine composite score is a gradient field, so its per-draw
     Jacobian is symmetric and the estimated H must be symmetric to
@@ -405,23 +418,20 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     expectation, and the check is relaxed to the batch noise level.
     """
     free = theta.free_names
-    q, n = len(free), Y.shape[0]
-    slices = batch_slices(n, batches)
+    q = len(free)
     c, B, A = unpack_forms(_spec_forms(spec, model, theta), model.dim)
-    sizes = np.array([sl.stop - sl.start for sl in slices])
     mean = model._mean(theta)
-    scores = np.empty((q, n))
-    means = np.empty((batches, q))
-    J_batch = np.empty((batches, q, q))
-    stats = []
-    for b, sl in enumerate(slices):
-        U = affine_quadratic(c, B, A, Y[sl] - mean).T
-        block = scores[:, sl]
-        block[...] = U if M is None else M.T @ U
+    sizes, means, J_batch, stats = [], [], [], []
+    for rows in blocks:
+        U = affine_quadratic(c, B, A, rows - mean).T
+        block = np.ascontiguousarray(U) if M is None else M.T @ U
         # block.T is column-major, so both reduce along contiguous rows
-        means[b] = block.mean(axis=1)
-        J_batch[b] = sample_cov(block.T)
-        stats.append(model.statistic(Y[sl]))
+        means.append(block.mean(axis=1))
+        J_batch.append(sample_cov(block.T))
+        stats.append(model.statistic(rows))
+        sizes.append(rows.shape[0])
+    sizes, means, J_batch = np.array(sizes), np.stack(means), np.stack(J_batch)
+    batches, n = len(sizes), int(sizes.sum())
     J_full = _pooled_cov(J_batch, means, sizes)
 
     stencil, steps = _stencil(model, theta, FD_STEP_INFO)
@@ -446,7 +456,7 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     H_full, H_batch = symmetrize(Hcols_full), symmetrize(Hcols_batch)
     G_full, G_batch = _godambe(H_full, J_full), _godambe(H_batch, J_batch)
 
-    triple = InfoTriple(
+    return InfoTriple(
         param_names=free,
         sensitivity=H_full,
         variability=J_full,
@@ -460,7 +470,20 @@ def _info_from_sample(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
         batch_variability=J_batch,
         batch_godambe=G_batch,
     )
-    return triple, scores.T
+
+
+def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
+                   batches: int):
+    """The batches of :func:`batch_slices` over ``draws`` rows drawn at
+    ``theta``, as an iterator that draws each batch from one
+    ``substream(seed)`` Generator when it reaches it.  Taken in order, the
+    batches are ``model.sample(theta, draws, seed)``, bit for bit."""
+    if draws < MIN_DRAWS:
+        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
+    draw = model.sampler(theta)
+    rng = substream(seed)
+    return (draw(sl.stop - sl.start, [rng])[0]
+            for sl in batch_slices(int(draws), batches))
 
 
 def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
@@ -471,13 +494,11 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
     the central difference of the sample-mean score over these common
     draws (the stencil means evaluated from per-batch statistics), J the
     score covariance, and per-entry standard errors come from ``batches``
-    batch means.
+    batch means.  The draws are sampled, scored and reduced one batch at a
+    time (:func:`_info_from_sample`), so memory is O(draws / batches).
     """
-    if draws < MIN_DRAWS:
-        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
-    Y = model.sample(theta, draws, seed)
-    triple, _ = _info_from_sample(spec, model, Y, theta, batches)
-    return triple
+    return _info_from_sample(spec, model, _drawn_batches(
+        model, theta, draws, seed, batches), theta)
 
 
 def projection_matrix(triple: InfoTriple) -> np.ndarray:
@@ -500,12 +521,9 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
                                base: InfoTriple, batches: int = 20) -> InfoTriple:
     """Monte Carlo triple of the projected score ``H J^-1 u_c`` with the
     projection frozen from ``base`` (fresh draws, fresh randomness)."""
-    if draws < MIN_DRAWS:
-        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
-    M = projection_matrix(base)
-    Y = model.sample(theta, draws, seed)
-    triple, _ = _info_from_sample(spec, model, Y, theta, batches, M)
-    return triple
+    blocks = _drawn_batches(model, theta, draws, seed, batches)
+    return _info_from_sample(spec, model, blocks, theta,
+                             projection_matrix(base))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +549,7 @@ def exact_sensitivity(spec: CompositeSpec, model: Model, theta):
     """Exact H of a spec at a point or ParamBatch: ``E[u_c u']`` with ``u``
     the full score (differentiate ``E[u_c] = 0``).  Not symmetrized, so a
     parameter the spec carries no information on keeps a zero row."""
-    return _moment(_spec_forms(spec, model, theta),
-                   _spec_forms(full_likelihood(model.dim), model, theta),
-                   model._cov(theta))
+    return _moment(*_sensitivity_forms(spec, model, theta), model._cov(theta))
 
 
 def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTriple:
@@ -637,14 +653,15 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     if draws < MIN_DRAWS:
         raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
-    triple, Uc = _info_from_sample(spec, model, Y, theta, batches)
+    slices = batch_slices(len(Y), batches)
+    triple = _info_from_sample(spec, model, (Y[sl] for sl in slices), theta)
+    Uc = composite_score(spec, model, Y, theta)
     U = model.full_score(Y, theta)
 
     M = projection_matrix(triple)                      # J^-1 H
     M_batch = solve_sym(triple.batch_variability, triple.batch_sensitivity)
 
     resid = U - Uc @ M
-    slices = batch_slices(draws, batches)
 
     b_est = resid.mean(axis=0)
     b_se = batch_se([resid[sl].mean(axis=0) for sl in slices])

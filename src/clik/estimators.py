@@ -26,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .composite import (CompositeSpec, _contract, _moment, _spec_forms,
-                        exact_sensitivity, full_likelihood)
+from .composite import (CompositeSpec, _contract, _moment,
+                        _sensitivity_forms, exact_sensitivity)
 from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import (DomainError, NoRootInDomain, SingularMatrix,
                      UnsupportedSpec)
@@ -100,9 +100,9 @@ def _evaluate(spec, model, stats, points):
     """``(score, H, outside, singular)``: the summed score of each row of
     ``stats`` at the matching point of ``points`` and the exact sensitivity
     there (:func:`clik.composite.exact_sensitivity`), from one build of the
-    spec's forms; NaN on the rows whose point is not interior (flagged in
-    ``outside``) or whose margin covariances ``sym_invert`` finds singular
-    (flagged in ``singular``)."""
+    forms of the spec's margins and the full one; NaN on the rows whose
+    point is not interior (flagged in ``outside``) or whose margin
+    covariances ``sym_invert`` finds singular (flagged in ``singular``)."""
     q = len(points.free_names)
     outside = ~model.interior(points)
     singular = np.zeros(len(points), dtype=bool)
@@ -112,8 +112,7 @@ def _evaluate(spec, model, stats, points):
         keep = np.flatnonzero(~(outside | singular))
         at = points.take(keep)
         try:
-            forms = _spec_forms(spec, model, at)
-            full = _spec_forms(full_likelihood(model.dim), model, at)
+            forms, full = _sensitivity_forms(spec, model, at)
         except SingularMatrix as exc:
             singular[keep[exc.rows]] = True
         else:

@@ -667,7 +667,11 @@ class GaussianModel(Model):
             for rng, block in zip(rngs, noise):
                 rng.standard_normal(out=block)
             out = noise @ factor
-            out += mean
+            # each dataset's rows flattened and the mean tiled along them:
+            # the sums of ``out += mean`` in one long loop, not a loop of
+            # length dim per row
+            flat = out.reshape(len(rngs), int(n) * self.dim)
+            flat += np.tile(mean, int(n))
             return out
         return draw
 

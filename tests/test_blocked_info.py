@@ -1,23 +1,30 @@
 """Monte Carlo information in one blocked pass over the draws, against the
 whole-sample route it replaced.
 
-``composite._info_from_sample`` scores each batch of draws with
-``models.affine_quadratic``, writes the scores feature-major into one
-buffer and reduces the batch to its mean and covariance while it is in
-cache.  The oracle (``oracles.parent_info_from_sample``) scores all the
-draws in one ``composite_score`` call, then takes ``sample_cov`` of each
-batch.  The two round differently, so J, its batch values, the batch
-means and the scores agree to rounding; H comes from the same batch
-statistics on both routes and is bit for bit the same.  A linear score
-column (TriNormal ``mu``, every multinomial column) is bit for bit the
-same on both routes; the batch means of even a linear score still sum in
-different orders (``block.mean`` against ``np.add.reduceat``), so the
-multinomial's J and G, like every other model's J, agree to rounding.
-Neither route writes to the caller's draws, the blocked pass holds no
-whole-sample temporary beyond the score buffer, and the kernel's scratch
-does not grow with the number of rows.
+``composite._info_from_sample`` takes the draws as the batches of
+``batch_slices``, scores each batch with ``models.affine_quadratic`` into
+a contiguous feature-major block and reduces the block to its mean and
+covariance while it is in cache.  The oracle
+(``oracles.parent_info_from_sample``) scores all the draws in one
+``composite_score`` call, then takes ``sample_cov`` of each batch.  The
+two round differently, so J, its batch values, the batch means and the
+scores agree to rounding; H comes from the same batch statistics on both
+routes and is bit for bit the same.  A linear score column (TriNormal
+``mu``, every multinomial column) is bit for bit the same on both routes;
+the batch means of even a linear score still sum in different orders
+(``block.mean`` against ``np.add.reduceat``), so the multinomial's J and
+G, like every other model's J, agree to rounding.  Neither route writes
+to the caller's draws, and the kernel's scratch does not grow with the
+number of rows.
+
+``info_monte_carlo`` and ``projected_info_monte_carlo`` draw each batch
+from one generator when the pass reaches it, so they hold one batch at a
+time: their triples are those of the pass over ``model.sample``'s draws,
+bit for bit, and their memory does not grow with the draws at a fixed
+batch size.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -33,7 +40,8 @@ from clik.errors import ClikError, InvalidArgument, SingularMatrix
 from clik.models import (EMVN, Multinomial4, ParamBatch, TriNormal,
                          affine_quadratic, unpack_forms)
 from oracles import parent_info_from_sample
-from test_sensitivity_identity import SETTINGS, cases
+from test_sensitivity_identity import (SETTINGS, cases, interior_points,
+                                       weighted_specs)
 
 
 def rounding_case():
@@ -46,13 +54,23 @@ def rounding_case():
     return model, model.params(0.06929951082467593), spec
 
 
+def batches_of(Y, batches):
+    """The batches of ``batch_slices`` over the rows of ``Y``."""
+    return (Y[sl] for sl in comp.batch_slices(len(Y), batches))
+
+
 def blocked(spec, model, Y, theta, batches, M=None):
-    """``(triple, scores, batch_means)`` of the blocked pass; the batch
-    means are those it hands to ``_pooled_cov``."""
+    """``(triple, scores, batch_means)`` of the blocked pass over the
+    batches of ``Y``: the scores are the batch blocks it hands to
+    ``sample_cov``, stacked, and the batch means those it hands to
+    ``_pooled_cov``."""
     with mock.patch.object(comp, "_pooled_cov",
-                           wraps=comp._pooled_cov) as pooled:
-        triple, scores = comp._info_from_sample(spec, model, Y, theta,
-                                                batches, M)
+                           wraps=comp._pooled_cov) as pooled, \
+            mock.patch.object(comp, "sample_cov",
+                              wraps=comp.sample_cov) as cov:
+        triple = comp._info_from_sample(spec, model, batches_of(Y, batches),
+                                        theta, M)
+    scores = np.concatenate([call.args[0] for call in cov.call_args_list])
     return triple, scores, pooled.call_args.args[1]
 
 
@@ -100,6 +118,57 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
                             ("godambe_se", gtol), ("batch_godambe", gtol)):
             assert np.max(np.abs(getattr(got, name)
                                  - getattr(want, name))) <= bound
+
+
+@st.composite
+def stream_cases(draw):
+    """A model (EMVN(3) to EMVN(6), TriNormal or Multinomial4), an interior
+    point with some parameters known, and a random weighted spec."""
+    model = draw(st.sampled_from([EMVN(3), EMVN(4), EMVN(5), EMVN(6),
+                                  TriNormal(), Multinomial4(5.0)]))
+    names = model.param_names
+    known = draw(st.lists(st.sampled_from(names), unique=True,
+                          max_size=len(names) - 1))
+    theta = draw(interior_points(model)).with_roles(
+        **{name: "known" for name in known})
+    return model, theta, draw(weighted_specs(model.dim))
+
+
+def assert_same_bits(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b and type(a) is type(b), field.name
+
+
+@SETTINGS
+@given(case=stream_cases(), batches=st.integers(10, 25),
+       per=st.integers(100, 160), extra=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_triples_are_the_whole_sample_pass(case, batches, per,
+                                                    extra, seed):
+    model, theta, spec = case
+    draws = per * batches + extra        # never a multiple of batches
+    try:
+        base = comp.info_exact(spec, model, theta)
+        got = comp.info_monte_carlo(spec, model, theta, draws, seed, batches)
+        got_p = comp.projected_info_monte_carlo(spec, model, theta, draws,
+                                                seed + 1, base, batches)
+    except (SingularMatrix, InvalidArgument):
+        assume(False)       # the spec carries no information on a parameter
+    want = comp._info_from_sample(
+        spec, model, batches_of(model.sample(theta, draws, seed), batches),
+        theta)
+    want_p = comp._info_from_sample(
+        spec, model, batches_of(model.sample(theta, draws, seed + 1),
+                                batches),
+        theta, comp.projection_matrix(base))
+    assert got.draws == draws
+    assert_same_bits(got, want)
+    assert_same_bits(got_p, want_p)
 
 
 def test_linear_forms_keep_their_bits_in_any_layout():
@@ -158,7 +227,7 @@ def test_blocked_pass_leaves_the_draws_unchanged(spec, model, theta, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            comp._info_from_sample(spec, model, Y, theta, 10)
+            comp._info_from_sample(spec, model, batches_of(Y, 10), theta)
         except ClikError:
             assert n < 20       # a batch of one row has no covariance
     assert Y.tobytes() == before
@@ -167,21 +236,38 @@ def test_blocked_pass_leaves_the_draws_unchanged(spec, model, theta, n):
 # -- memory ------------------------------------------------------------------
 
 
+def _traced_peak(spec, model, theta, draws, batches):
+    """Peak traced bytes of one ``info_monte_carlo`` triple."""
+    tracemalloc.start()
+    try:
+        comp.info_monte_carlo(spec, model, theta, draws, 5, batches)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_blocked_pass_holds_no_whole_sample_temporary():
     model = EMVN(3)
     theta = model.params(rho=0.4, sigma2=1.3)
-    Y = model.sample(theta, 200_000, 5)
-    tracemalloc.start()
-    try:
-        _, scores = comp._info_from_sample(comp.full_conditional(3), model, Y,
-                                           theta, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the score buffer itself is 3.2 MB; each whole-sample temporary of
-    # the scores or the residual rows would add at least as much again
+    spec = comp.full_conditional(3)
+    peak = _traced_peak(spec, model, theta, 200_000, 20)
+    # one whole-sample score array is 3.2 MB and the draws 4.8 MB; the
+    # streamed pass, draws included, holds less than the scores alone
+    scores = comp.composite_score(spec, model,
+                                  model.sample(theta, 200_000, 5), theta)
     assert scores.shape == (200_000, 2)
-    assert peak < 2 * scores.nbytes
+    assert peak < scores.nbytes
+
+
+@pytest.mark.parametrize("spec, model, theta", list(write_cases()),
+                         ids=WRITE_IDS)
+def test_streamed_pass_memory_does_not_grow_with_the_draws(spec, model,
+                                                           theta):
+    # twice the draws in twice the batches: the same 20,000-row batches,
+    # where a whole-sample array of the draws alone would add 9.6 MB
+    small = _traced_peak(spec, model, theta, 400_000, 20)
+    large = _traced_peak(spec, model, theta, 800_000, 40)
+    assert large < small + 0.5e6
 
 
 def _scratch(model, Y, theta):

@@ -250,31 +250,31 @@ def test_newton_stops_at_the_domain_boundary():
 
 
 def test_newton_builds_the_spec_forms_once_per_point(monkeypatch):
-    # the summed score and H at a point come from one build of the spec's
-    # forms (and one of the full likelihood's), made at the start and at
-    # each trial point, never again at the same point
+    # the summed score and H at a point come from one build of the forms
+    # of the spec's margins and the full one, made at the start and at
+    # each trial point, never again at the same point; full_conditional
+    # already reads the full margin, pairwise does not
     model = EMVN(3)
-    spec = comp.full_conditional(3)
     theta = model.params(rho=0.5)
     stats = model.statistic(model.sampler(theta)(
         200, list(substreams(3, range(20)))))
     start = moment_starts(model, stats, theta, {"sigma2": 1.0})
-    built = []
     real = model.margin_score_reps
+    for spec in (comp.full_conditional(3), comp.pairwise(3)):
+        built = []
 
-    def counted(sets, points):
-        built.append((tuple(sets), np.array(points.values, ndmin=2)))
-        return real(sets, points)
-    monkeypatch.setattr(model, "margin_score_reps", counted)
-    assert newton_solve(spec, model, stats, start).converged.all()
-    at = [points for sets, points in built if sets == comp._margins(spec)]
-    full = [points for sets, points in built if sets != comp._margins(spec)]
-    assert len(at) == len(full) > 1
-    for a, b in zip(at, full):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(at[0], start.values)
-    rows = np.concatenate(at)
-    assert len(np.unique(rows, axis=0)) == len(rows)
+        def counted(sets, points):
+            built.append((tuple(sets), np.array(points.values, ndmin=2)))
+            return real(sets, points)
+        monkeypatch.setattr(model, "margin_score_reps", counted)
+        assert newton_solve(spec, model, stats, start).converged.all()
+        want = set(comp._margins(spec)) | {(0, 1, 2)}
+        assert len(built) > 1
+        for sets, _ in built:
+            assert len(sets) == len(want) and set(sets) == want
+        np.testing.assert_array_equal(built[0][1], start.values)
+        rows = np.concatenate([points for _, points in built])
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_newton_fits_three_free_and_rejects_none():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clik.composite import (Component, CompositeSpec, _spec_forms, chain,
                             composite_loglik, full_likelihood, info_exact)
 from clik.errors import DimensionMismatch, DomainError
+from clik.matrixops import cholesky_lower
 from clik.models import (EMVN, Multinomial4, ParamBatch, ParamVector,
                          TriNormal, affine_quadratic, substream, substreams,
                          unpack_forms)
@@ -181,6 +182,38 @@ def test_sampler_draws_are_sample_bits(model, theta):
     for k, r in enumerate(range(3, 8)):
         b = model.sample(theta, 17, substream(41, r))
         assert block[k].tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(2, 400), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("model, theta", all_models() + [
+    (EMVN(6), EMVN(6).params(rho=-0.1, sigma2=0.5))])
+def test_consecutive_draws_from_one_generator_are_one_sample(model, theta,
+                                                             sizes, seed):
+    # the Monte Carlo pass draws its batches one at a time from one
+    # generator; in order they are the rows of one sample.  A batch has at
+    # least two rows (``batch_slices``): one Gaussian row is a
+    # vector-matrix product, which rounds differently from the same row
+    # inside a matrix product
+    draw, rng = model.sampler(theta), substream(seed)
+    chunks = [draw(k, [rng])[0] for k in sizes]
+    assert np.concatenate(chunks).tobytes() == \
+        model.sample(theta, sum(sizes), seed).tobytes()
+
+
+def test_gaussian_sampler_adds_the_mean_bit_for_bit():
+    # TriNormal's mean is nonzero: each dataset is its standard normal
+    # noise times the covariance factor, plus the mean
+    model = TriNormal()
+    theta = model.params(mu=0.7, rho=-0.3, sigma2=2.0)
+    assert np.all(model._mean(theta) != 0)
+    factor = cholesky_lower(model._cov(theta)).T
+    block = model.sampler(theta)(17, list(substreams(41, range(5))))
+    noise = np.stack([rng.standard_normal((17, 3))
+                      for rng in substreams(41, range(5))])
+    want = noise @ factor + model._mean(theta)
+    assert block.tobytes() == want.tobytes()
 
 
 def _numpy_stream(seed, index=None):
