@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import (_partitioned_from_mats, batch_se, full_conditional,
-                        info_monte_carlo)
+from .composite import (batch_se, full_conditional, info_monte_carlo,
+                        partitioned_variance)
 from .errors import ClikError, DomainError, InvalidArgument
 from .fileio import atomic_csv, fmt
 from .models import EMVN, Multinomial4, substream
@@ -181,14 +181,8 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
             theta = model.params(rho=float(rho), sigma2=sigma2)
             triple = info_monte_carlo(spec, model, theta, draws,
                                       substream(seed, i))
-            i_idx = [triple.param_names.index("rho")]
-            n_idx = [triple.param_names.index("sigma2")]
-            prof, known = _partitioned_from_mats(
-                triple.sensitivity, triple.variability, triple.godambe,
-                i_idx, n_idx)
-            pb, kb = _partitioned_from_mats(
-                triple.batch_sensitivity, triple.batch_variability,
-                triple.batch_godambe, i_idx, n_idx)
+            prof, known = partitioned_variance(triple, ["rho"])
+            pb, kb = partitioned_variance(triple.batches, ["rho"])
         except ClikError as exc:
             raise type(exc)(f"rho={rho:g}, sigma2={sigma2:g}: {exc}") from exc
         rows.append([rho, float(known[0, 0] / prof[0, 0]),

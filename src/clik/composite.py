@@ -28,10 +28,10 @@ batch is drawn, scored at ``theta``, reduced to its score mean and
 covariance, and summarised by its statistic before the next is drawn.
 Monte Carlo H is a central difference of sample-mean scores over common
 draws: the forms at the ``2q`` stencil points are contracted with every
-batch statistic; J is pooled from the batch covariances and means, and
-the batch Godambe matrices are one stacked solve, as are the partitioned
-variances of a stack of triples.  Every stencil comes from
-:func:`_stencil`.
+batch statistic; J is pooled from the batch covariances and means.  The
+batch triples are one stacked triple (one stacked Godambe solve), which
+:func:`partitioned_variance` and :func:`projection_matrix` take as they
+take a point.  Every stencil comes from :func:`_stencil`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import DimensionMismatch, InvalidArgument, UnknownParameter
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows,
@@ -107,6 +107,9 @@ class CompositeSpec:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise InvalidArgument("spec needs at least one component")
+        for comp in self.components:
+            if not isinstance(comp, Component):
+                raise InvalidArgument(f"spec entry {comp!r} is not a Component")
 
     def __repr__(self):
         return f"CompositeSpec({self.name!r}, {len(self.components)} components)"
@@ -306,11 +309,19 @@ def _stencil(model: Model, theta: ParamVector, step_scale: float):
 # ---------------------------------------------------------------------------
 
 
+def _batch_spread(field: str) -> property:
+    """The read-only batch-means standard error (:func:`batch_se`) of one
+    matrix of a triple over its ``batches``, or None without them."""
+    return property(lambda triple: None if triple.batches is None
+                    else batch_se(getattr(triple.batches, field)))
+
+
 @dataclass(frozen=True)
 class InfoTriple:
     """Sensitivity H, variability J and Godambe information G = H J^-1 H
-    at a fixed parameter point, with provenance and (for Monte Carlo)
-    batch-means standard errors and the batch matrices behind them."""
+    at a parameter point, or a stack of them (``(B, q, q)``), with
+    provenance; a Monte Carlo triple holds its batch triples as one stack,
+    ``batches``, whose batch-means spread gives its standard errors."""
 
     param_names: tuple
     sensitivity: np.ndarray
@@ -318,16 +329,15 @@ class InfoTriple:
     godambe: np.ndarray
     provenance: str                      # "analytic" | "monte-carlo"
     draws: int | None = None
-    sensitivity_se: np.ndarray | None = None
-    variability_se: np.ndarray | None = None
-    godambe_se: np.ndarray | None = None
-    batch_sensitivity: np.ndarray | None = None     # (B, q, q)
-    batch_variability: np.ndarray | None = None
-    batch_godambe: np.ndarray | None = None
+    batches: InfoTriple | None = None
 
     @property
     def dim(self) -> int:
-        return self.sensitivity.shape[0]
+        return self.sensitivity.shape[-1]
+
+    sensitivity_se = _batch_spread("sensitivity")
+    variability_se = _batch_spread("variability")
+    godambe_se = _batch_spread("godambe")
 
     def to_csv(self, path) -> None:
         """Write ``matrix,row,col,value,std_err`` rows for H, J and G."""
@@ -347,11 +357,11 @@ def batch_slices(n: int, batches: int) -> list:
     """``batches`` contiguous slices partitioning ``range(n)``: the batches
     behind every batch-means standard error.  Raises InvalidArgument for
     fewer than ``MIN_BATCHES``, too few for the spread of the batch values
-    to estimate their standard error, and when a batch would hold fewer
-    than 2 rows, too few for a batch covariance."""
-    if batches < MIN_BATCHES:
+    to estimate their standard error, or not an integer, and when a batch
+    would hold fewer than 2 rows, too few for a batch covariance."""
+    if not (isinstance(batches, (int, np.integer)) and batches >= MIN_BATCHES):
         raise InvalidArgument(
-            f"batches must be >= {MIN_BATCHES}, got {batches}")
+            f"batches must be an integer >= {MIN_BATCHES}, got {batches!r}")
     edges = np.linspace(0, n, batches + 1).astype(int)
     if np.min(np.diff(edges)) < 2:
         raise InvalidArgument(f"{batches} batches of {n} rows leave a batch "
@@ -456,20 +466,9 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     H_full, H_batch = symmetrize(Hcols_full), symmetrize(Hcols_batch)
     G_full, G_batch = _godambe(H_full, J_full), _godambe(H_batch, J_batch)
 
-    return InfoTriple(
-        param_names=free,
-        sensitivity=H_full,
-        variability=J_full,
-        godambe=G_full,
-        provenance="monte-carlo",
-        draws=n,
-        sensitivity_se=batch_se(H_batch),
-        variability_se=batch_se(J_batch),
-        godambe_se=batch_se(G_batch),
-        batch_sensitivity=H_batch,
-        batch_variability=J_batch,
-        batch_godambe=G_batch,
-    )
+    return InfoTriple(free, H_full, J_full, G_full, "monte-carlo", n,
+                      InfoTriple(free, H_batch, J_batch, G_batch,
+                                 "monte-carlo"))
 
 
 def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
@@ -478,8 +477,8 @@ def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
     ``theta``, as an iterator that draws each batch from one
     ``substream(seed)`` Generator when it reaches it.  Taken in order, the
     batches are ``model.sample(theta, draws, seed)``, bit for bit."""
-    if draws < MIN_DRAWS:
-        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
+    if not MIN_DRAWS <= draws < np.inf:
+        raise InvalidArgument(f"draws must be finite and >= {MIN_DRAWS}")
     draw = model.sampler(theta)
     rng = substream(seed)
     return (draw(sl.stop - sl.start, [rng])[0]
@@ -502,15 +501,21 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
 
 
 def projection_matrix(triple: InfoTriple) -> np.ndarray:
-    """The matrix ``J^-1 H``; rows of scores are projected by ``U @ M``."""
+    """The matrix ``J^-1 H`` (of each triple of a stack); rows of scores
+    are projected by ``U @ M``."""
     return solve_sym(triple.variability, triple.sensitivity)
 
 
 def project_score(triple: InfoTriple, scores):
     """Project composite scores onto ``H J^-1 u``: the information-unbiased
-    estimating function with the same roots and Godambe information."""
-    M = projection_matrix(triple)
+    estimating function with the same roots and Godambe information.
+    Raises DimensionMismatch for a stacked triple, and unless the last axis
+    of ``scores`` has ``triple.dim`` entries."""
     arr = np.asarray(scores, dtype=float)
+    if triple.sensitivity.ndim != 2 or arr.shape[-1:] != (triple.dim,):
+        raise DimensionMismatch(f"scores of shape {arr.shape} for a triple "
+                                f"of shape {triple.sensitivity.shape}")
+    M = projection_matrix(triple)
     if arr.ndim == 1:
         return M.T @ arr
     return arr @ M
@@ -600,10 +605,10 @@ def info_bias_zscore(triple: InfoTriple) -> float:
 
     Values below ~3 are consistent with an information-unbiased spec.
     """
-    if triple.batch_sensitivity is None:
+    if triple.batches is None:
         raise InvalidArgument(
             "z-score needs a Monte Carlo triple with batch data")
-    se = batch_se(triple.batch_sensitivity - triple.batch_variability)
+    se = batch_se(triple.batches.sensitivity - triple.batches.variability)
     return float(np.linalg.norm(triple.sensitivity - triple.variability)
                  / np.linalg.norm(se))
 
@@ -650,8 +655,8 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     z-scores propagated from the uncertainty of ``H J^-1``, and the two
     internal identities residual_cov = I - G and H = Cov(u_c, u).
     """
-    if draws < MIN_DRAWS:
-        raise InvalidArgument(f"draws must be >= {MIN_DRAWS}")
+    if not MIN_DRAWS <= draws < np.inf:
+        raise InvalidArgument(f"draws must be finite and >= {MIN_DRAWS}")
     Y = model.sample(theta, draws, seed)
     slices = batch_slices(len(Y), batches)
     triple = _info_from_sample(spec, model, (Y[sl] for sl in slices), theta)
@@ -659,7 +664,7 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     U = model.full_score(Y, theta)
 
     M = projection_matrix(triple)                      # J^-1 H
-    M_batch = solve_sym(triple.batch_variability, triple.batch_sensitivity)
+    M_batch = projection_matrix(triple.batches)
 
     resid = U - Uc @ M
 
@@ -671,14 +676,12 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     gap_full = residual_cov - (fisher - triple.godambe)
 
     # batch versions (each batch uses its own projection)
-    gap_b, cross_b, lam_b = [], [], []
-    for sl, Mb, Gb in zip(slices, M_batch, triple.batch_godambe):
-        rb = U[sl] - Uc[sl] @ Mb
-        rcov = sample_cov(rb)
-        Ib = sample_cov(U[sl])
-        cross_b.append(sample_cov(Uc[sl], U[sl]))
-        gap_b.append(rcov - (Ib - Gb))
-        lam_b.append(float(np.max(np.linalg.eigvalsh(rcov))))
+    rcov_b = np.stack([sample_cov(U[sl] - Uc[sl] @ Mb)
+                       for sl, Mb in zip(slices, M_batch)])
+    fisher_b = np.stack([sample_cov(U[sl]) for sl in slices])
+    gap_b = rcov_b - (fisher_b - triple.batches.godambe)
+    cross_b = [sample_cov(Uc[sl], U[sl]) for sl in slices]
+    lam_b = np.linalg.eigvalsh(rcov_b).max(-1)
     se_floor = 1e-12 * max(1.0, float(np.max(np.abs(fisher))))
     gap_se = batch_se(gap_b)
     residual_identity_z = float(np.max(np.abs(gap_full)
@@ -718,42 +721,42 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
 # ---------------------------------------------------------------------------
 
 
-def _partitioned_from_mats(H, J, G, i_idx, n_idx):
-    """:func:`partitioned_variance` from the matrices of a triple, or from
-    stacks ``(..., q, q)`` of them, matrix by matrix."""
-    i_idx, n_idx = np.asarray(i_idx), np.asarray(n_idx)
-    ii = (Ellipsis, i_idx[:, None], i_idx[None, :])
-    nn = (Ellipsis, n_idx[:, None], n_idx[None, :])
-    in_ = (Ellipsis, i_idx[:, None], n_idx[None, :])
-    ni = (Ellipsis, n_idx[:, None], i_idx[None, :])
-    schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
-    avar_profile = sym_invert(schur)
-    h_ii_inv = sym_invert(H[ii])
-    avar_known = symmetrize(h_ii_inv @ J[ii] @ h_ii_inv)
-    return avar_profile, avar_known
-
-
 def partitioned_variance(triple: InfoTriple, interest):
     """Asymptotic variances of the interest block, nuisance unknown vs known.
 
-    ``interest`` may be a ParamVector (its interest-tagged names are used)
-    or an iterable of parameter names.  Returns ``(avar_profile,
+    ``interest`` may be a ParamVector (its interest-tagged names are used),
+    one parameter name, or an iterable of them.  Returns ``(avar_profile,
     avar_known)``: the inverse Schur complement of G on the interest block
     (nuisance estimated), and ``H_ii^-1 J_ii H_ii^-1`` from the interest
     sub-blocks of H and J (nuisance fixed at the truth).  For an
     information-unbiased triple the latter reduces to ``G_ii^-1``, which can
-    never exceed the profile variance; under information bias it can.
-    Raises SingularMatrix (scale-aware, as ``sym_invert``) when a block that
-    must be inverted is singular.
+    never exceed the profile variance; under information bias it can.  Of
+    a stacked triple, both are stacks.  Raises UnknownParameter for a name
+    the triple lacks, InvalidArgument for a repeated name or an empty
+    block, and SingularMatrix (scale-aware, as ``sym_invert``) when a block
+    that must be inverted is singular.
     """
     if isinstance(interest, ParamVector):
         names = interest.interest_names
+    elif isinstance(interest, str):
+        names = (interest,)
     else:
         names = tuple(interest)
+    unknown = [name for name in names if name not in triple.param_names]
+    if unknown:
+        raise UnknownParameter(f"{unknown} not in {triple.param_names}")
+    if len(set(names)) != len(names):
+        raise InvalidArgument(f"repeated interest names in {names}")
     i_idx = [triple.param_names.index(n) for n in names]
     n_idx = [k for k in range(triple.dim) if k not in i_idx]
     if not i_idx or not n_idx:
         raise InvalidArgument(
             "both the interest and nuisance blocks must be nonempty")
-    return _partitioned_from_mats(triple.sensitivity, triple.variability,
-                                  triple.godambe, i_idx, n_idx)
+    i, n = np.array(i_idx)[:, None], np.array(n_idx)[:, None]
+    ii, in_, ni, nn = [(Ellipsis, a, b.T) for a in (i, n) for b in (i, n)]
+    H, J, G = triple.sensitivity, triple.variability, triple.godambe
+    schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
+    avar_profile = sym_invert(schur)
+    h_ii_inv = sym_invert(H[ii])
+    avar_known = symmetrize(h_ii_inv @ J[ii] @ h_ii_inv)
+    return avar_profile, avar_known

@@ -454,8 +454,11 @@ class Model:
         return inside
 
     def validate(self, theta) -> None:
-        """Raise :class:`DomainError` unless every point of ``theta`` is
-        interior."""
+        """Raise :class:`InvalidArgument` unless ``theta`` names this model's
+        parameters, :class:`DomainError` unless all its points are interior."""
+        if tuple(theta.names) != self.param_names:
+            raise InvalidArgument(f"{self!r} takes {self.param_names}, not "
+                                  f"{tuple(theta.names)}")
         for name, (lo, hi) in self.bounds().items():
             inside = _within(theta[name], lo, hi)
             if not (inside is True or np.all(inside)):

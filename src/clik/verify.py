@@ -436,16 +436,14 @@ def check_sandwich_dominance(level="full", seed=1001):
         fisher = comp.info_exact(comp.full_likelihood(model.dim), model,
                                  theta).variability
         triple = comp.info_monte_carlo(spec, model, theta, draws, seed + i)
-        eye = np.eye(triple.dim)
 
-        def lam_min(H, J):
-            G = comp._godambe(H + offset * eye, J)
-            return float(np.min(np.linalg.eigvalsh(fisher - G)))
+        def lam_min(tri):
+            G = comp._godambe(tri.sensitivity + offset * np.eye(tri.dim),
+                              tri.variability)
+            return np.linalg.eigvalsh(fisher - G).min(-1)
 
-        lam = lam_min(triple.sensitivity, triple.variability)
-        bats = [lam_min(hb, jb) for hb, jb in
-                zip(triple.batch_sensitivity, triple.batch_variability)]
-        se = float(comp.batch_se(bats))
+        lam = float(lam_min(triple))
+        se = float(comp.batch_se(lam_min(triple.batches)))
         thresh = -p["sigma"] * se
         out.append(CheckResult(f"sandwich-dominance/{label}", lam, thresh,
                                bool(lam >= thresh),

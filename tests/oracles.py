@@ -396,7 +396,6 @@ def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
     H_batch = symmetrize(-np.transpose(diff / sizes[:, None], (1, 2, 0)))
     G, G_batch = comp._godambe(H, J), comp._godambe(H_batch, J_batch)
     triple = comp.InfoTriple(
-        free, H, J, G, "monte-carlo", n, comp.batch_se(H_batch),
-        comp.batch_se(J_batch), comp.batch_se(G_batch), H_batch, J_batch,
-        G_batch)
+        free, H, J, G, "monte-carlo", n,
+        comp.InfoTriple(free, H_batch, J_batch, G_batch, "monte-carlo"))
     return triple, U0, means

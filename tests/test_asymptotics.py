@@ -221,9 +221,7 @@ def test_two_block_monte_carlo_sandwich():
     t123 = comp.info_monte_carlo(comp.singleton_margins([0, 1, 2]), tri, theta,
                                  50_000, 47)
     for triple, target in ((t12, v12), (t123, v123)):
-        batch_av = [1 / comp._godambe(h, j)[0, 0] for h, j in
-                    zip(triple.batch_sensitivity, triple.batch_variability)]
-        se = np.std(batch_av, ddof=1) / np.sqrt(len(batch_av))
+        se = comp.batch_se(1 / triple.batches.godambe[:, 0, 0])
         assert abs(1 / triple.godambe[0, 0] - target) < 3 * se
 
 

@@ -97,14 +97,16 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
 
     tol = 1e-12 * np.max(np.abs(want.variability))
     assert np.max(np.abs(got.variability - want.variability)) <= tol
-    assert np.max(np.abs(got.batch_variability
-                         - want.batch_variability)) <= tol
+    assert np.max(np.abs(got.batches.variability
+                         - want.batches.variability)) <= tol
     assert np.max(np.abs(means - want_means)) <= tol
     assert scores.shape == U0.shape
     assert np.max(np.abs(scores - U0)) <= tol
 
-    for name in ("sensitivity", "batch_sensitivity", "sensitivity_se"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for a, b in ((got.sensitivity, want.sensitivity),
+                 (got.batches.sensitivity, want.batches.sensitivity),
+                 (got.sensitivity_se, want.sensitivity_se)):
+        assert a.tobytes() == b.tobytes()
     if M is None:
         # a linear column (TriNormal mu, every multinomial column) keeps
         # its bits beside quadratic ones
@@ -114,10 +116,12 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
             assert scores[:, a].tobytes() == U0[:, a].tobytes()
     if isinstance(model, Multinomial4):
         gtol = 1e-12 * np.max(np.abs(want.godambe))
-        for name, bound in (("variability_se", tol), ("godambe", gtol),
-                            ("godambe_se", gtol), ("batch_godambe", gtol)):
-            assert np.max(np.abs(getattr(got, name)
-                                 - getattr(want, name))) <= bound
+        for a, b, bound in (
+                (got.variability_se, want.variability_se, tol),
+                (got.godambe, want.godambe, gtol),
+                (got.godambe_se, want.godambe_se, gtol),
+                (got.batches.godambe, want.batches.godambe, gtol)):
+            assert np.max(np.abs(a - b)) <= bound
 
 
 @st.composite
@@ -135,9 +139,12 @@ def stream_cases(draw):
 
 
 def assert_same_bits(got, want):
+    """Every field of two triples, and of their batch stacks, bit for bit."""
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
+        if isinstance(b, comp.InfoTriple):
+            assert_same_bits(a, b)
+        elif isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), field.name
         else:

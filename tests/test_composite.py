@@ -377,6 +377,10 @@ def test_partitioned_variance_reversal_for_biased_spec():
     exact = comp.info_exact(comp.pairwise(3), model, theta)
     prof, known = comp.partitioned_variance(exact, ["rho"])
     assert known[0, 0] > prof[0, 0]
+    # a bare name is one name, not the letters of one
+    one = comp.partitioned_variance(exact, "rho")
+    assert one[0].tobytes() == prof.tobytes()
+    assert one[1].tobytes() == known.tobytes()
 
 
 def test_partitioned_variance_rank_deficient_godambe_raises():

@@ -31,7 +31,7 @@ def assert_matches_stencil(triple, score_fn, theta, draws, batches):
     H, H_batch, J = stencil_info(score_fn, theta, draws, batches)
     tol = 1e-8 * np.max(np.abs(H))
     assert np.max(np.abs(triple.sensitivity - H)) <= tol
-    assert np.max(np.abs(triple.batch_sensitivity - H_batch)) <= tol
+    assert np.max(np.abs(triple.batches.sensitivity - H_batch)) <= tol
     se = H_batch.std(axis=0, ddof=1) / np.sqrt(batches)
     assert np.max(np.abs(triple.sensitivity_se - se)) <= tol
     assert np.max(np.abs(triple.variability - J)) <= 1e-12 * np.max(np.abs(J))

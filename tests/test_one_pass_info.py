@@ -122,16 +122,16 @@ def test_monte_carlo_triple_matches_per_batch_loops(spec, model, theta,
     J = comp.sample_cov(U)
     assert np.max(np.abs(triple.variability - J)) <= 1e-13 * np.max(np.abs(J))
 
-    Hb, Jb = triple.batch_sensitivity, triple.batch_variability
+    Hb, Jb = triple.batches.sensitivity, triple.batches.variability
     Gb = comp._godambe(Hb, Jb)
     loop = np.stack([comp._godambe(h, j) for h, j in zip(Hb, Jb)])
     assert Gb.tobytes() == loop.tobytes()
-    assert triple.batch_godambe.tobytes() == Gb.tobytes()
+    assert triple.batches.godambe.tobytes() == Gb.tobytes()
     assert triple.godambe_se.tobytes() == comp.batch_se(loop).tobytes()
 
     i_idx = [triple.param_names.index(name) for name in interest]
     n_idx = [k for k in range(triple.dim) if k not in i_idx]
-    prof, known = comp._partitioned_from_mats(Hb, Jb, Gb, i_idx, n_idx)
+    prof, known = comp.partitioned_variance(triple.batches, interest)
     for b in range(batches):
         want = parent_partitioned(Hb[b], Jb[b], Gb[b], i_idx, n_idx)
         assert prof[b].tobytes() == want[0].tobytes()
