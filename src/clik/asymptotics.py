@@ -78,8 +78,9 @@ class EfficiencyCurve:
 def default_grid(lo: float, hi: float, size: int = 201,
                  margin: float = 0.01) -> np.ndarray:
     """Equispaced grid clipped ``margin`` inside an open interval."""
-    if size < 2:
-        raise InvalidArgument("grid needs at least 2 points")
+    if not (isinstance(size, (int, np.integer)) and size >= 2):
+        raise InvalidArgument(f"grid needs an integer number of points, at "
+                              f"least 2, got {size!r}")
     return np.linspace(lo + margin, hi - margin, size)
 
 

@@ -24,28 +24,36 @@ the Newton route takes with its summed score from one build of the forms
 of the spec's margins and the full one (:func:`_sensitivity_forms`) at
 each point.  Monte Carlo information is one blocked pass over the draws
 that holds one batch at a time, so its memory is O(draws / batches): each
-batch is drawn, scored at ``theta``, reduced to its score mean and
-covariance, and summarised by its statistic before the next is drawn.
-Monte Carlo H is a central difference of sample-mean scores over common
-draws: the forms at the ``2q`` stencil points are contracted with every
-batch statistic; J is pooled from the batch covariances and means.  The
-batch triples are one stacked triple (one stacked Godambe solve), which
+batch is drawn and read once, into feature rows (the residuals and their
+distinct products) whose contraction gives its scores at ``theta``,
+reduced to their mean and covariance, and whose row sums give its
+statistic, before the next is drawn.  Monte Carlo H is a central
+difference of sample-mean scores over common draws: the forms at the
+``2q`` stencil points are contracted with every batch statistic; J is
+pooled from the batch covariances and means.  The batch triples are one
+stacked triple (one stacked Godambe solve), which
 :func:`partitioned_variance` and :func:`projection_matrix` take as they
-take a point.  Every stencil comes from :func:`_stencil`.
+take a point.  Every stencil comes from :func:`_stencil`, the first step
+of every information route: a point with nothing free raises
+UnsupportedSpec there, before any draw.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, UnknownParameter
+from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
+                     UnsupportedSpec)
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows,
-                     affine_quadratic, substream, unpack_forms,
-                     unpack_statistic)
+                     affine_quadratic, feature_coefs, feature_scratch,
+                     feature_statistic, residual_features, substream,
+                     unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -78,10 +86,15 @@ class Component:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("margin", "conditional"):
+        if not (isinstance(self.kind, str)
+                and self.kind in ("margin", "conditional")):
             raise InvalidArgument(f"unknown component kind {self.kind!r}")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "given", tuple(int(i) for i in self.given))
+        object.__setattr__(self, "indices", _index_tuple(self.indices))
+        object.__setattr__(self, "given", _index_tuple(self.given))
+        if not (isinstance(self.weight, numbers.Real)
+                and 0 <= self.weight < np.inf):
+            raise InvalidArgument(f"component weights must be finite and "
+                                  f"nonnegative, got {self.weight!r}")
         if not self.indices:
             raise InvalidArgument("component needs at least one index")
         if self.kind == "margin" and self.given:
@@ -92,8 +105,22 @@ class Component:
                     "conditional components have a single target")
             if self.indices[0] in self.given:
                 raise InvalidArgument("target appears in its own given set")
-        if not self.weight >= 0:
-            raise InvalidArgument("component weights must be nonnegative")
+
+
+def _index_tuple(indices) -> tuple:
+    """``indices`` as a tuple of ints; InvalidArgument unless it is a
+    sequence of integral numbers."""
+    try:
+        raw = tuple(indices)
+        out = tuple(int(i) for i in raw)
+        integral = all(isinstance(i, numbers.Real) and i == j
+                       for i, j in zip(raw, out))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidArgument(f"component indices {indices!r} are not a "
+                              f"sequence of integers")
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,7 +131,13 @@ class CompositeSpec:
     components: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        if not isinstance(self.name, str):
+            raise InvalidArgument(f"spec name {self.name!r} is not a string")
+        try:
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise InvalidArgument(f"spec components {self.components!r} are "
+                                  f"not a sequence") from None
         if not self.components:
             raise InvalidArgument("spec needs at least one component")
         for comp in self.components:
@@ -289,12 +322,28 @@ def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
     return out[0] if single else out
 
 
+def _free_names(theta: ParamVector) -> tuple:
+    """``theta.free_names``; UnsupportedSpec when every parameter is known,
+    as a point with nothing free has no information matrix."""
+    free = theta.free_names
+    if not free:
+        raise UnsupportedSpec(f"every parameter of {theta.names} is known: "
+                              f"there is no information to compute")
+    return free
+
+
 def _stencil(model: Model, theta: ParamVector, step_scale: float):
     """The ``2q`` central-difference points about ``theta`` (``+h`` then
     ``-h`` for each free parameter in turn) as a ParamBatch, and the ``q``
     steps: ``step_scale * x`` for a parameter bounded to ``(0, inf)``, so
-    that it keeps its sign at any scale, else ``step_scale * max(1, |x|)``."""
-    free, bounds = theta.free_names, model.bounds()
+    that it keeps its sign at any scale, else ``step_scale * max(1, |x|)``.
+    The first step of every information route: raises UnsupportedSpec
+    (:func:`_free_names`) when nothing is free, and DomainError
+    (:meth:`clik.models.Model.validate`) for a value that is not finite,
+    before stepping from it."""
+    free, bounds = _free_names(theta), model.bounds()
+    if not all(map(math.isfinite, theta.values)):
+        model.validate(theta)
     steps = step_scale * np.array(
         [theta[name] if bounds.get(name) == (0.0, np.inf)
          else max(1.0, abs(theta[name])) for name in free])
@@ -408,45 +457,67 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     :func:`batch_slices`, an iterable of ``(k_b, dim)`` row blocks, in
     order.  The draws are the ``n = sum(k_b)`` rows of the blocks.
 
-    One blocked pass over the batches that holds one batch at a time: the
-    spec's forms are built once at ``theta``, and each batch, as
-    ``blocks`` yields it, is scored by :func:`clik.models.affine_quadratic`
-    into a contiguous feature-major ``(q, k_b)`` block, reduced to its mean
-    and covariance, and summarised by ``model.statistic``.  J is the sample
-    covariance of all the scores, pooled (:func:`_pooled_cov`) from the
-    batch covariances and means.  H is minus the central difference of the
-    sample-mean score in each free parameter (common draws across shifts);
-    the spec's forms are built once more, at the ``2q`` stencil points,
-    and the mean at each comes from contracting them (:func:`_contract`)
-    with every batch statistic, so only the scores at ``theta`` are
-    evaluated row by row.  Standard errors come from the batch values; the
-    batch Godambe matrices are one stacked solve.  No block is modified.
+    One blocked pass over the batches that holds one batch at a time and
+    reads each once: the spec's forms are built once at ``theta``, and each
+    batch, as ``blocks`` yields it, is turned into feature rows ``[r; r_a
+    r_b]`` with ``r = y - mean(theta)``
+    (:func:`clik.models.residual_features`, ``_KERNEL_ROWS`` rows at a time
+    into one scratch buffer that every batch reuses).  The features give
+    the batch's scores, a contiguous feature-major ``(q, k_b)`` block, as
+    :func:`clik.models.affine_quadratic` gives them, bit for bit: quadratic
+    columns as one matmul with :func:`clik.models.feature_coefs`, linear
+    ones as ``c + r B'``.  The block is reduced to its mean and covariance.
+    The row sums of the same features, ``sum r`` and ``sum r_a r_b``, give
+    the batch statistic ``[n, ybar, W]``
+    (:func:`clik.models.feature_statistic`).  J is the sample covariance of
+    all the scores, pooled (:func:`_pooled_cov`) from the batch covariances
+    and means.  H is minus the central difference of the sample-mean score
+    in each free parameter (common draws across shifts); the spec's forms
+    are built once more, at the ``2q`` stencil points, and the mean at each
+    comes from contracting them (:func:`_contract`) with every batch
+    statistic, so only the scores at ``theta`` are evaluated row by row.
+    Standard errors come from the batch values; the batch Godambe matrices
+    are one stacked solve.  No block is modified, and the stencil is built,
+    so a point with nothing free is refused, before the first block is
+    read.
 
     A genuine composite score is a gradient field, so its per-draw
     Jacobian is symmetric and the estimated H must be symmetric to
     round-off; for a projected score (``M`` given) H is symmetric only in
     expectation, and the check is relaxed to the batch noise level.
     """
+    stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     free = theta.free_names
-    q = len(free)
-    c, B, A = unpack_forms(_spec_forms(spec, model, theta), model.dim)
-    mean = model._mean(theta)
-    sizes, means, J_batch, stats = [], [], [], []
+    q, m = len(free), model.dim
+    c, B, A = unpack_forms(_spec_forms(spec, model, theta), m)
+    coef, linear = feature_coefs(B, A), ~np.any(A, axis=(-2, -1))
+    mean, scratch = model._mean(theta), feature_scratch(m)
+    sizes, means, J_batch, totals = [], [], [], []
     for rows in blocks:
-        U = affine_quadratic(c, B, A, rows - mean).T
-        block = np.ascontiguousarray(U) if M is None else M.T @ U
+        block, total = np.empty((q, rows.shape[0])), 0.0
+        for cols, feats in residual_features(rows, mean, scratch):
+            if not linear.all():
+                np.matmul(coef, feats, out=block[:, cols])
+                block[:, cols] += c[:, None]
+            if linear.any():
+                # c + r B' on the residual rows, as affine_quadratic takes it
+                resid = feats[:m].T.copy()
+                block[linear, cols] = (c + resid @ B.T)[:, linear].T
+            total = total + feats.sum(axis=1)
+        if M is not None:
+            block = M.T @ block
         # block.T is column-major, so both reduce along contiguous rows
         means.append(block.mean(axis=1))
         J_batch.append(sample_cov(block.T))
-        stats.append(model.statistic(rows))
+        totals.append(total)
         sizes.append(rows.shape[0])
     sizes, means, J_batch = np.array(sizes), np.stack(means), np.stack(J_batch)
     batches, n = len(sizes), int(sizes.sum())
     J_full = _pooled_cov(J_batch, means, sizes)
+    stats = feature_statistic(sizes, np.stack(totals), mean)
 
-    stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     sums = _contract(_spec_forms(spec, model, stencil)[:, None],
-                     np.tile(np.stack(stats), (2 * q, 1, 1)),
+                     np.tile(stats, (2 * q, 1, 1)),
                      model._mean(stencil)[:, None])
     if M is not None:
         sums = sums @ M
@@ -471,14 +542,27 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
                                  "monte-carlo"))
 
 
+def _check_draws(theta: ParamVector, draws, seed) -> None:
+    """The checks a Monte Carlo route makes before it draws: something is
+    free (:func:`_free_names`), ``draws`` is a finite number of at least
+    ``MIN_DRAWS`` (a fraction counts as its integer part) and ``seed`` an
+    integer or a Generator (:func:`clik.models.substream`)."""
+    _free_names(theta)
+    if not (isinstance(draws, numbers.Real) and MIN_DRAWS <= draws < np.inf):
+        raise InvalidArgument(f"draws must be finite and >= {MIN_DRAWS}, "
+                              f"got {draws!r}")
+    if not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise InvalidArgument(f"seed must be an integer or a Generator, "
+                              f"got {seed!r}")
+
+
 def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
                    batches: int):
     """The batches of :func:`batch_slices` over ``draws`` rows drawn at
     ``theta``, as an iterator that draws each batch from one
     ``substream(seed)`` Generator when it reaches it.  Taken in order, the
     batches are ``model.sample(theta, draws, seed)``, bit for bit."""
-    if not MIN_DRAWS <= draws < np.inf:
-        raise InvalidArgument(f"draws must be finite and >= {MIN_DRAWS}")
+    _check_draws(theta, draws, seed)
     draw = model.sampler(theta)
     rng = substream(seed)
     return (draw(sl.stop - sl.start, [rng])[0]
@@ -655,8 +739,7 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     z-scores propagated from the uncertainty of ``H J^-1``, and the two
     internal identities residual_cov = I - G and H = Cov(u_c, u).
     """
-    if not MIN_DRAWS <= draws < np.inf:
-        raise InvalidArgument(f"draws must be finite and >= {MIN_DRAWS}")
+    _check_draws(theta, draws, seed)
     Y = model.sample(theta, draws, seed)
     slices = batch_slices(len(Y), batches)
     triple = _info_from_sample(spec, model, (Y[sl] for sl in slices), theta)
@@ -741,7 +824,11 @@ def partitioned_variance(triple: InfoTriple, interest):
     elif isinstance(interest, str):
         names = (interest,)
     else:
-        names = tuple(interest)
+        try:
+            names = tuple(interest)
+        except TypeError:
+            raise InvalidArgument(f"interest {interest!r} is not a name or "
+                                  f"names") from None
     unknown = [name for name in names if name not in triple.param_names]
     if unknown:
         raise UnknownParameter(f"{unknown} not in {triple.param_names}")

@@ -21,7 +21,9 @@ every point of a batched solve.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,9 +41,10 @@ BOUNDARY_MARGIN = 1e-8
 
 _ROLES = ("interest", "nuisance", "known")
 
-#: Rows per feature buffer of :func:`affine_quadratic`: bounds its
-#: temporary to ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however
-#: many rows are scored.
+#: Rows per feature buffer of :func:`residual_features`: bounds the
+#: feature scratch of :func:`affine_quadratic` and of a Monte Carlo pass to
+#: ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however many rows are
+#: scored.
 _KERNEL_ROWS = 1 << 14
 
 
@@ -78,16 +81,25 @@ class ParamVector:
     shape = ()
 
     def __post_init__(self):
-        if not (len(self.names) == len(self.values) == len(self.roles)):
+        try:
+            names, roles = tuple(self.names), tuple(self.roles)
+            values = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"names, values and roles must be sequences, "
+                                  f"the values numbers: got {self.names!r}, "
+                                  f"{self.values!r}, {self.roles!r}") from None
+        if not (len(names) == len(values) == len(roles)):
             raise InvalidArgument("names, values and roles must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise InvalidArgument(f"duplicate parameter names in {self.names}")
-        for r in self.roles:
-            if r not in _ROLES:
+        if not all(isinstance(name, str) for name in names):
+            raise InvalidArgument(f"parameter names {names} are not all strings")
+        if len(set(names)) != len(names):
+            raise InvalidArgument(f"duplicate parameter names in {names}")
+        for r in roles:
+            if not (isinstance(r, str) and r in _ROLES):
                 raise InvalidArgument(f"unknown role {r!r}; expected one of {_ROLES}")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "roles", tuple(self.roles))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "roles", roles)
 
     def __getitem__(self, name: str) -> float:
         return self.values[self.names.index(name)]
@@ -118,7 +130,7 @@ class ParamVector:
         for n in updates:
             if n not in self.names:
                 raise UnknownParameter(f"unknown parameter {n!r}")
-        vals = tuple(float(updates.get(n, v)) for n, v in zip(self.names, self.values))
+        vals = tuple(updates.get(n, v) for n, v in zip(self.names, self.values))
         return replace(self, values=vals)
 
     def with_roles(self, **updates) -> "ParamVector":
@@ -130,7 +142,11 @@ class ParamVector:
 
     def replace_free(self, vector) -> "ParamVector":
         """Return a copy with the free coordinates set from ``vector`` (in order)."""
-        vec = np.asarray(vector, dtype=float).ravel()
+        try:
+            vec = np.asarray(vector, dtype=float).ravel()
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"free values {vector!r} are not "
+                                  f"numbers") from None
         free = self.free_names
         if vec.size != len(free):
             raise DimensionMismatch(f"{vec.size} values for {len(free)} free parameters")
@@ -340,6 +356,81 @@ def _as_rows(y, dim: int):
     return arr, False
 
 
+def _feature_width(m: int) -> int:
+    """Feature rows of an ``m``-coordinate residual: ``r`` and its
+    ``m (m + 1) / 2`` distinct products."""
+    return m + m * (m + 1) // 2
+
+
+def feature_scratch(dim: int) -> np.ndarray:
+    """A flat buffer that holds the feature rows (:func:`residual_features`)
+    of ``_KERNEL_ROWS`` residuals of length ``dim``: reused, it bounds the
+    feature scratch of a pass over any number of rows."""
+    return np.empty(_feature_width(dim) * _KERNEL_ROWS)
+
+
+def feature_coefs(B, A):
+    """The coefficients ``(..., q, m + m (m + 1) / 2)`` that meet the
+    feature rows of :func:`residual_features`: ``B``, then the packed
+    entries of ``A`` (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2``
+    on it), so that ``coef @ feats`` is ``B r + r' A r / 2``."""
+    m = B.shape[-1]
+    coef = np.empty(A.shape[:-2] + (_feature_width(m),))
+    coef[..., :m] = B
+    k = m
+    for a in range(m):
+        coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
+        coef[..., k] *= 0.5
+        k += m - a
+    return coef
+
+
+def residual_features(rows, mean=None, scratch=None):
+    """Yield ``(cols, feats)`` over the rows ``rows`` ``(..., n, m)``,
+    ``_KERNEL_ROWS`` of them at a time: ``cols`` the slice of rows taken
+    and ``feats`` ``(..., m + m (m + 1) / 2, w)`` their feature rows, the
+    residuals ``r = y - mean`` (``y`` itself when ``mean`` is None)
+    transposed as they are subtracted, then their distinct products
+    ``r_a r_b`` (``a <= b``, ``a`` major).  Each ``feats`` is a
+    C-contiguous view of one flat buffer, ``scratch`` (see
+    :func:`feature_scratch`) or a fresh one, and the next overwrites it.
+    ``rows`` is not modified."""
+    m, n = rows.shape[-1], rows.shape[-2]
+    width, lead = _feature_width(m), rows.shape[:-2]
+    per_row = width * math.prod(lead)
+    if scratch is None:
+        scratch = np.empty(per_row * min(n, _KERNEL_ROWS))
+    for start in range(0, n, _KERNEL_ROWS):
+        chunk = np.swapaxes(rows[..., start:start + _KERNEL_ROWS, :], -1, -2)
+        w = chunk.shape[-1]
+        feats = scratch[:per_row * w].reshape(lead + (width, w))
+        if mean is None:
+            feats[..., :m, :] = chunk
+        else:
+            np.subtract(chunk, mean[..., :, None], out=feats[..., :m, :])
+        k = m
+        for a in range(m):
+            np.multiply(feats[..., a:m, :], feats[..., a:a + 1, :],
+                        out=feats[..., k:k + m - a, :])
+            k += m - a
+        yield slice(start, start + w), feats
+
+
+def feature_statistic(sizes, sums, mean):
+    """The statistics ``[n, ybar, W]`` (see :meth:`Model.statistic`) of
+    datasets of ``sizes`` rows from the sums ``(..., m + m (m + 1) / 2)``
+    of their feature rows about ``mean`` (:func:`residual_features`):
+    ``ybar = mean + sum r / n`` and ``W = sum r r' - (sum r)(sum r)' / n``."""
+    m = mean.shape[-1]
+    n = np.asarray(sizes, dtype=float)[..., None]
+    lin, upper = sums[..., :m], np.triu_indices(m)
+    prods = np.empty(sums.shape[:-1] + (m, m))
+    prods[..., upper[0], upper[1]] = prods[..., upper[1], upper[0]] = sums[..., m:]
+    W = prods - lin[..., :, None] * lin[..., None, :] / n[..., None]
+    return np.concatenate([n, mean + lin / n, W.reshape(W.shape[:-2] + (-1,))],
+                          axis=-1)
+
+
 def affine_quadratic(c, B, A, resid):
     """Rows ``c + B r + r' A r / 2`` of affine-quadratic score forms with
     shapes ``(..., q)``, ``(..., q, m)`` and ``(..., q, m, m)`` at the
@@ -347,48 +438,28 @@ def affine_quadratic(c, B, A, resid):
     ``resid`` is not modified.
 
     A column whose ``A`` is zero is ``c + r @ B'``, bit for bit as a
-    linear form always was.  The other columns are taken feature-major,
-    ``_KERNEL_ROWS`` rows at a time: the rows ``r'`` of a copy of
-    ``resid`` transposed, and their ``m (m + 1) / 2`` distinct products
-    ``r_i r_j`` (``i <= j``), meet ``B`` and the packed entries of ``A``
-    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it) in one
-    matmul.  When every column is quadratic the result is the transpose of
-    the ``(..., q, n)`` product."""
-    m, n = resid.shape[-1], resid.shape[-2]
+    linear form always was.  The other columns are the contraction of
+    :func:`feature_coefs` with the feature rows of :func:`residual_features`
+    (one matmul per ``_KERNEL_ROWS`` rows).  When every column is quadratic
+    the result is the transpose of the ``(..., q, n)`` product."""
+    n = resid.shape[-2]
     quad = np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1)) \
         if A.any() else None
     if quad is None or not quad.all():
         linear = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
         if quad is None:
             return linear
-    coef = np.empty(A.shape[:-2] + (m + m * (m + 1) // 2,))  # (..., q, m + K)
-    coef[..., :m] = B
-    k = m
-    for a in range(m):
-        coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
-        coef[..., k] *= 0.5
-        k += m - a
     # every column's row of coef takes part, so a column's bits do not
     # depend on which other columns are quadratic
+    coef = feature_coefs(B, A)
     if quad.all():
         out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
                        + (c.shape[-1], n))                    # (..., q, n)
     else:
         out = np.swapaxes(linear, -1, -2)
-    for start in range(0, n, _KERNEL_ROWS):
-        rows = resid[..., start:start + _KERNEL_ROWS, :]
-        # feature rows: r' copied into a fresh buffer (so nothing below can
-        # write to the caller's rows, even one row), then r_a r_b, b >= a
-        feats = np.empty(rows.shape[:-2] + (coef.shape[-1], rows.shape[-2]))
-        feats[..., :m, :] = np.swapaxes(rows, -1, -2)
-        k = m
-        for a in range(m):
-            np.multiply(feats[..., a:m, :], feats[..., a:a + 1, :],
-                        out=feats[..., k:k + m - a, :])
-            k += m - a
+    for cols, feats in residual_features(resid):
         vals = coef @ feats
         vals += c[..., None]
-        cols = slice(start, start + rows.shape[-2])
         if quad.all():
             out[..., cols] = vals
         else:
@@ -441,30 +512,56 @@ class Model:
     def params(self, **kwargs) -> ParamVector:
         raise NotImplementedError
 
+    def _point(self, values, roles, defaults) -> ParamVector:
+        """The validated point of ``values`` (in ``param_names`` order), each
+        parameter's role taken from the mapping ``roles`` (None for none)
+        or else from ``defaults``."""
+        if roles is None:
+            roles = {}
+        if not isinstance(roles, Mapping):
+            raise InvalidArgument(f"roles must be a mapping of parameter "
+                                  f"names to roles, got {roles!r}")
+        theta = ParamVector(self.param_names, values, tuple(
+            roles.get(name, role)
+            for name, role in zip(self.param_names, defaults)))
+        self.validate(theta)
+        return theta
+
     def bounds(self) -> dict:
         """Open interval ``(lo, hi)`` of each bounded parameter."""
         raise NotImplementedError
 
     def interior(self, theta):
-        """Whether ``theta`` lies at least BOUNDARY_MARGIN inside every
-        bound: a bool, or one per point of a ParamBatch."""
-        inside = True
+        """Whether every value of ``theta`` is finite and lies at least
+        BOUNDARY_MARGIN inside its bounds: a bool, or one per point of a
+        ParamBatch."""
+        if isinstance(theta, ParamBatch):
+            inside = np.isfinite(theta.values).all(axis=-1)
+        else:
+            inside = all(map(math.isfinite, theta.values))
         for name, (lo, hi) in self.bounds().items():
             inside = inside & _within(theta[name], lo, hi)
         return inside
 
     def validate(self, theta) -> None:
         """Raise :class:`InvalidArgument` unless ``theta`` names this model's
-        parameters, :class:`DomainError` unless all its points are interior."""
+        parameters, :class:`DomainError` unless all its points are interior
+        (:meth:`interior`)."""
         if tuple(theta.names) != self.param_names:
             raise InvalidArgument(f"{self!r} takes {self.param_names}, not "
                                   f"{tuple(theta.names)}")
-        for name, (lo, hi) in self.bounds().items():
-            inside = _within(theta[name], lo, hi)
-            if not (inside is True or np.all(inside)):
-                bad = np.asarray(theta[name])[~np.asarray(inside)]
-                raise DomainError(f"{name}={bad.flat[0]} outside "
-                                  f"({lo}, {hi}) (margin {BOUNDARY_MARGIN})")
+        inside = self.interior(theta)
+        if inside is True or np.all(inside):
+            return
+        point = theta if isinstance(theta, ParamVector) \
+            else theta.point(int(np.argmin(inside)))
+        bounds = self.bounds()
+        for name, value in zip(point.names, point.values):
+            lo, hi = bounds.get(name, (-np.inf, np.inf))
+            if not (math.isfinite(value) and _within(value, lo, hi)):
+                raise DomainError(f"{name}={value} is not a finite value "
+                                  f"inside ({lo}, {hi}) (margin "
+                                  f"{BOUNDARY_MARGIN})")
 
     def _check_indices(self, indices):
         idx = _canon(indices)
@@ -690,8 +787,9 @@ class EMVN(GaussianModel):
     param_names = ("rho", "sigma2")
 
     def __init__(self, p: int):
-        if int(p) != p or p < 2:
-            raise InvalidArgument("p must be an integer >= 2")
+        if not (isinstance(p, numbers.Real) and 2 <= p < np.inf
+                and int(p) == p):
+            raise InvalidArgument(f"p must be an integer >= 2, got {p!r}")
         self.p = int(p)
         self.dim = self.p
 
@@ -699,14 +797,7 @@ class EMVN(GaussianModel):
         return f"EMVN(p={self.p})"
 
     def params(self, rho, sigma2=1.0, roles=None) -> ParamVector:
-        roles = roles or {}
-        theta = ParamVector(
-            self.param_names,
-            (rho, sigma2),
-            (roles.get("rho", "interest"), roles.get("sigma2", "nuisance")),
-        )
-        self.validate(theta)
-        return theta
+        return self._point((rho, sigma2), roles, ("interest", "nuisance"))
 
     def bounds(self):
         return {"rho": (-1.0 / (self.p - 1), 1.0), "sigma2": (0.0, np.inf)}
@@ -740,16 +831,8 @@ class TriNormal(GaussianModel):
         return "TriNormal()"
 
     def params(self, mu=0.0, rho=0.0, sigma2=1.0, roles=None) -> ParamVector:
-        roles = roles or {}
-        theta = ParamVector(
-            self.param_names,
-            (mu, rho, sigma2),
-            (roles.get("mu", "interest"),
-             roles.get("rho", "nuisance"),
-             roles.get("sigma2", "nuisance")),
-        )
-        self.validate(theta)
-        return theta
+        return self._point((mu, rho, sigma2), roles,
+                           ("interest", "nuisance", "nuisance"))
 
     def bounds(self):
         return {"rho": (-1.0, 1.0), "sigma2": (0.0, np.inf)}
@@ -784,8 +867,8 @@ class Multinomial4(Model):
     dim = 3
 
     def __init__(self, k: float):
-        if not k > 0:
-            raise InvalidArgument("k must be positive")
+        if not (isinstance(k, numbers.Real) and k > 0):
+            raise InvalidArgument(f"k must be a positive number, got {k!r}")
         if not math.isfinite(2.0 * k + 1.0):
             raise DomainError(f"k={k:g} is too large: 2k + 1 overflows, so "
                               f"theta has no admissible range")
@@ -799,10 +882,7 @@ class Multinomial4(Model):
         return self.k / (2.0 * self.k + 1.0)
 
     def params(self, theta, roles=None) -> ParamVector:
-        roles = roles or {}
-        pv = ParamVector(("theta",), (theta,), (roles.get("theta", "interest"),))
-        self.validate(pv)
-        return pv
+        return self._point((theta,), roles, ("interest",))
 
     def bounds(self):
         return {"theta": (0.0, self.theta_max)}

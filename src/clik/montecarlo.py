@@ -55,10 +55,19 @@ class SpecRun:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.spec, CompositeSpec):
+            raise InvalidArgument(f"{self.spec!r} is not a CompositeSpec")
         fixed = self.fixed
         if isinstance(fixed, dict):
             fixed = tuple(sorted(fixed.items()))
-        object.__setattr__(self, "fixed", tuple(fixed))
+        try:
+            fixed = tuple((name, float(value)) for name, value in fixed)
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"fixed values {self.fixed!r} are not "
+                                  f"(name, number) pairs") from None
+        object.__setattr__(self, "fixed", fixed)
+        if not isinstance(self.label, str):
+            raise InvalidArgument(f"run label {self.label!r} is not a string")
         if not self.label:
             suffix = "".join(f"!{name}" for name, _ in self.fixed)
             object.__setattr__(self, "label", self.spec.name + suffix)
@@ -78,13 +87,25 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        if self.n < MIN_N:
-            raise InvalidArgument(f"n must be >= {MIN_N}")
-        if self.replicates < MIN_REPLICATES:
-            raise InvalidArgument(f"replicates must be >= {MIN_REPLICATES}")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be >= 0")
+        if not (isinstance(self.model, Model)
+                and isinstance(self.theta_true, ParamVector)):
+            raise InvalidArgument(f"{self.model!r} and {self.theta_true!r} "
+                                  f"are not a Model and a ParamVector")
+        try:
+            object.__setattr__(self, "runs", tuple(self.runs))
+        except TypeError:
+            raise InvalidArgument(f"runs {self.runs!r} are not a sequence") \
+                from None
+        if not all(isinstance(run, SpecRun) for run in self.runs):
+            raise InvalidArgument(f"runs {self.runs!r} are not all SpecRuns")
+        for name, low in (("n", MIN_N), ("replicates", MIN_REPLICATES),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidArgument(f"{name} must be an integer, "
+                                      f"got {value!r}")
+            if value < low:
+                raise InvalidArgument(f"{name} must be >= {low}")
         labels = [r.label for r in self.runs]
         if len(set(labels)) != len(labels):
             raise InvalidArgument(f"duplicate run labels: {labels}")

@@ -1,8 +1,11 @@
 """Argument checks raise InvalidArgument, a ClikError that is still a
 ValueError, an unknown parameter name raises UnknownParameter, a
 ClikError that is still a KeyError, and scores of the wrong length raise
-DimensionMismatch.  The information layer lets no other error escape an
-odd argument.  (More of ``composite``'s checks are in
+DimensionMismatch.  A point with every parameter known raises
+UnsupportedSpec on every information route, before any draw, and a
+parameter value that is not finite raises DomainError.  The model, spec,
+simulation and information layers let no other error escape an odd
+argument, a wrong type included.  (More of ``composite``'s checks are in
 ``test_composite.py``.)"""
 
 import math
@@ -20,10 +23,11 @@ import clik.matrixops as mo
 import clik.montecarlo as mc
 import clik.verify as verify
 from clik import models
-from clik.errors import (ClikError, DimensionMismatch, InvalidArgument,
-                         UnknownParameter)
-from clik.models import (EMVN, Model, Multinomial4, ParamVector, TriNormal,
-                         substream)
+import clik.estimators as est
+from clik.errors import (ClikError, DimensionMismatch, DomainError,
+                         InvalidArgument, UnknownParameter, UnsupportedSpec)
+from clik.models import (EMVN, Model, Multinomial4, ParamBatch, ParamVector,
+                         TriNormal, substream)
 
 
 class NoCovariance(Multinomial4):
@@ -119,8 +123,60 @@ def composite_invalid_arguments():
     yield "spec-entry", lambda: comp.CompositeSpec("odd", ["margin"])
 
 
+def wrong_types():
+    """``(id, call)`` for arguments of the wrong type to the model, spec,
+    simulation, information and curve layers."""
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    spec = comp.pairwise(3)
+
+    def config(**changes):
+        args = dict(n=500, replicates=150, seed=1,
+                    runs=(mc.SpecRun(spec),)) | changes
+        return lambda: mc.SimConfig(model, theta, **args)
+
+    yield "params-string", lambda: model.params("a")
+    yield "params-none", lambda: model.params(0.3, None)
+    yield "params-roles", lambda: model.params(0.3, roles=["rho"])
+    yield "point-names", lambda: ParamVector((1, 2), (0.1, 0.2),
+                                             ("interest", "known"))
+    yield "point-values", lambda: ParamVector(("a",), 0.1, ("interest",))
+    yield "replace-free", lambda: theta.replace_free(["a", "b"])
+    yield "with-values-string", lambda: theta.with_values(rho="x")
+    yield "emvn-p-inf", lambda: EMVN(math.inf)
+    yield "multinomial-k-string", lambda: Multinomial4("5")
+    yield "component-index-string", lambda: comp.Component("margin", ("a",))
+    yield "component-index-fraction", lambda: comp.Component("margin",
+                                                             (0.5,))
+    yield "component-indices-int", lambda: comp.Component("margin", 3)
+    yield "component-weight-string", lambda: comp.Component(
+        "margin", (0,), weight="a")
+    yield "component-weight-inf", lambda: comp.Component(
+        "margin", (0,), weight=math.inf)
+    yield "spec-none", lambda: comp.CompositeSpec("x", None)
+    yield "spec-name", lambda: comp.CompositeSpec(None, spec.components)
+    yield "run-spec", lambda: mc.SpecRun("pairwise")
+    yield "run-fixed", lambda: mc.SpecRun(spec, {"sigma2": "one"})
+    yield "sim-n-fraction", config(n=500.5)
+    yield "sim-replicates-fraction", config(replicates=150.5)
+    yield "sim-seed-nan", config(seed=math.nan)
+    yield "sim-runs", config(runs=(spec,))
+    yield "sim-model", lambda: mc.SimConfig("EMVN", theta, (), 500, 150, 1)
+    yield "mc-seed-nan", lambda: comp.info_monte_carlo(
+        spec, model, theta, 2000, math.nan)
+    yield "mc-seed-string", lambda: comp.info_monte_carlo(
+        spec, model, theta, 2000, "1")
+    yield "mc-draws-string", lambda: comp.info_monte_carlo(
+        spec, model, theta, "2000", 1)
+    yield "efficiency-seed-float", lambda: comp.full_efficiency_check(
+        spec, model, theta, 2000, 1.5)
+    yield "grid-size-fraction", lambda: asy.default_grid(0.0, 1.0, 2.5)
+    yield "interest-number", lambda: comp.partitioned_variance(
+        comp.info_exact(spec, model, theta), 3)
+
+
 ARGUMENT_CASES = (invalid_arguments, model_invalid_arguments,
-                  composite_invalid_arguments)
+                  composite_invalid_arguments, wrong_types)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +225,87 @@ def test_scores_of_another_length_are_a_dimension_mismatch(shape):
         comp.project_score(triple, np.zeros(shape))
 
 
-# -- odd arguments to the information layer -----------------------------------
+# -- a point with nothing free; values that are not finite --------------------
+
+
+def all_known_routes():
+    """``(id, route)``: each information route as a call of a model and a
+    point."""
+    spec = comp.pairwise(3)
+
+    def project(model, theta):
+        base = comp.info_exact(spec, model, theta.with_roles(
+            **{theta.names[0]: "interest"}))
+        return comp.projected_info_monte_carlo(spec, model, theta, 2000, 1,
+                                               base)
+
+    yield "exact", lambda model, theta: comp.info_exact(spec, model, theta)
+    yield "score-fd", lambda model, theta: comp.composite_score_fd(
+        spec, model, np.zeros(3), theta)
+    yield "monte-carlo", lambda model, theta: comp.info_monte_carlo(
+        spec, model, theta, 2000, 1)
+    yield "projected", project
+    yield "efficiency", lambda model, theta: comp.full_efficiency_check(
+        spec, model, theta, 2000, 1)
+
+
+@pytest.mark.parametrize("model", [EMVN(3), TriNormal(), Multinomial4(5.0)],
+                         ids=["emvn", "trinormal", "multinomial"])
+@pytest.mark.parametrize("route", [r for _, r in all_known_routes()],
+                         ids=[name for name, _ in all_known_routes()])
+def test_a_point_with_nothing_free_is_unsupported_before_any_draw(
+        model, route, monkeypatch):
+    values = {"rho": 0.3, "sigma2": 1.5, "mu": 0.2, "theta": 0.2}
+    theta = model.params(*[values[name] for name in model.param_names],
+                         roles={name: "known" for name in model.param_names})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before the check")
+    monkeypatch.setattr(model, "sampler", refuse)
+    monkeypatch.setattr(model, "sample", refuse)
+    with pytest.raises(UnsupportedSpec):
+        route(model, theta)
+
+
+def non_finite_points():
+    """``(id, model, values)``: one parameter of each model infinite, and
+    the unbounded TriNormal ``mu`` NaN (a bounded NaN never passed)."""
+    yield "trinormal-mu-nan", TriNormal(), (math.nan, 0.2, 1.5)
+    for value in (math.inf, -math.inf):
+        yield f"emvn-rho-{value}", EMVN(3), (value, 1.0)
+        yield f"emvn-sigma2-{value}", EMVN(3), (0.3, value)
+        yield f"trinormal-mu-{value}", TriNormal(), (value, 0.2, 1.5)
+        yield f"multinomial-theta-{value}", Multinomial4(5.0), (value,)
+
+
+@pytest.mark.parametrize("model, values",
+                         [case[1:] for case in non_finite_points()],
+                         ids=[case[0] for case in non_finite_points()])
+def test_a_value_that_is_not_finite_is_a_domain_error(model, values):
+    with pytest.raises(DomainError):
+        model.params(*values)
+    theta = ParamVector(model.param_names, values,
+                        ("nuisance",) * len(values))
+    assert not model.interior(theta)
+    with pytest.raises(DomainError):
+        comp.info_exact(comp.pairwise(3), model, theta)
+    # validate and interior agree point by point, so Newton flags such a
+    # trial row as outside and evaluates the others
+    good = ParamVector(model.param_names,
+                       model.params(*[0.2] * len(values)).values,
+                       theta.roles)
+    batch = ParamBatch.stack([good, theta, good])
+    np.testing.assert_array_equal(model.interior(batch), [True, False, True])
+    with pytest.raises(DomainError):
+        model.validate(batch)
+    stats = np.stack([Model.statistic(np.eye(3))] * 3)
+    score, H, outside, _ = est._evaluate(comp.pairwise(3), model, stats,
+                                         batch)
+    np.testing.assert_array_equal(outside, [False, True, False])
+    assert np.all(np.isnan(score[1])) and np.all(np.isfinite(score[[0, 2]]))
+
+
+# -- odd arguments to the model, spec, simulation and information layers -------
 
 
 #: Specs within and beyond the coordinates of a three-coordinate model.
@@ -178,15 +314,19 @@ SPECS = [comp.pairwise(3), comp.pairwise(4), comp.full_conditional(3),
 
 
 @st.composite
-def odd_points(draw):
-    """A point of EMVN(3), TriNormal or Multinomial4(5), some of its values
-    possibly NaN and some parameters known (one stays free)."""
-    model = draw(st.sampled_from([EMVN(3), TriNormal(), Multinomial4(5.0)]))
+def odd_points(draw, model=None):
+    """A point of ``model`` (mostly) or of EMVN(3), TriNormal or
+    Multinomial4(5), some of its values possibly NaN or infinite and some
+    or all of its parameters known."""
+    choices = [EMVN(3), TriNormal(), Multinomial4(5.0)]
+    if model is not None:
+        choices = [model] * 3 + choices
+    model = draw(st.sampled_from(choices))
     base = {"rho": 0.3, "sigma2": 1.5, "mu": 0.2, "theta": 0.2}
-    values = [draw(st.sampled_from([base[name], math.nan]))
+    values = [draw(st.sampled_from([base[name]] * 3
+                                   + [math.nan, math.inf, -math.inf]))
               for name in model.param_names]
-    known = draw(st.lists(st.sampled_from(model.param_names), unique=True,
-                          max_size=len(model.param_names) - 1))
+    known = draw(st.lists(st.sampled_from(model.param_names), unique=True))
     roles = ["known" if name in known else "nuisance"
              for name in model.param_names]
     return ParamVector(model.param_names, values, roles)
@@ -197,32 +337,77 @@ COUNTS = st.one_of(st.integers(-5, 30), st.integers(990, 2500),
                    st.floats(990, 2500), st.floats(5, 30),
                    st.sampled_from([math.nan, math.inf, -math.inf]))
 NAMES = st.sampled_from(["rho", "sigma2", "mu", "tau", ""])
+#: Arguments of the wrong type, or of the right type and an odd value.
+ODD = st.one_of(st.floats(), st.integers(-3, 6), st.text(max_size=2),
+                st.none(), st.lists(st.integers(-1, 3), max_size=2))
+SEEDS = st.one_of(st.integers(0, 9), ODD)
+MODELS = st.sampled_from([EMVN(3), EMVN(4), TriNormal(), Multinomial4(5.0)])
+
+
+def point_of(family, arg, values, roles):
+    """``family(arg).params(*values, roles=roles)``."""
+    return family(arg).params(*values, roles=roles)
 
 
 @st.composite
 def odd_calls(draw):
-    """One call, as a ``functools.partial``, of ``info_exact``,
-    ``info_monte_carlo``, ``partitioned_variance``, ``project_score`` or
-    ``CompositeSpec`` with arguments that may not fit: a spec reading
-    coordinates the model lacks or entries that are not Components, a
-    point of another model or with NaN values, counts that are not counts,
-    unknown, repeated or no interest names, scores of any shape."""
-    kind = draw(st.sampled_from(["exact", "monte-carlo", "interest",
-                                 "project", "spec"]))
+    """One call, as a ``functools.partial``, of a model's ``params``,
+    ``Component``, ``CompositeSpec``, ``SimConfig``, ``info_exact``,
+    ``composite_score_fd``, ``info_monte_carlo``,
+    ``full_efficiency_check``, ``partitioned_variance`` or
+    ``project_score`` with arguments that may not fit: model arguments,
+    parameter values, roles, indices, weights, counts and seeds of the
+    wrong type or an odd value, a spec reading coordinates the model lacks
+    or entries that are not Components, a point of another model, with
+    values that are not finite or with nothing free, unknown, repeated or
+    no interest names, scores of any shape."""
+    kind = draw(st.sampled_from(["model", "component", "spec", "simulation",
+                                 "exact", "score-fd", "monte-carlo",
+                                 "efficiency", "interest", "project"]))
+    if kind == "model":
+        family, size = draw(st.sampled_from([(EMVN, 2), (TriNormal, 3),
+                                             (Multinomial4, 1)]))
+        values = draw(st.lists(st.one_of(st.floats(0.05, 0.5), ODD),
+                               min_size=size, max_size=size))
+        roles = draw(st.one_of(st.none(), ODD, st.dictionaries(
+            NAMES, st.one_of(st.sampled_from(["known", "nuisance"]), ODD))))
+        if family is TriNormal:
+            return partial(TriNormal().params, *values, roles=roles)
+        arg = draw(st.one_of(st.just(3 if family is EMVN else 5.0), ODD))
+        return partial(point_of, family, arg, values, roles)
+    if kind == "component":
+        return partial(comp.Component,
+                       draw(st.sampled_from(["margin", "conditional", "x"])),
+                       draw(st.one_of(ODD, st.lists(ODD, max_size=2))),
+                       draw(st.one_of(st.just(()), st.lists(ODD, max_size=2))),
+                       draw(st.one_of(st.just(1.0), ODD)))
     if kind == "spec":
         entries = draw(st.lists(st.one_of(
             st.sampled_from(SPECS[-1].components), st.text(max_size=2),
             st.none(), st.integers()), max_size=3))
-        return partial(comp.CompositeSpec, "odd", entries)
-    if kind in ("exact", "monte-carlo"):
-        args = (draw(st.sampled_from(SPECS)),
-                draw(st.sampled_from([EMVN(3), EMVN(4), TriNormal(),
-                                      Multinomial4(5.0)])),
-                draw(odd_points()))
+        return partial(comp.CompositeSpec,
+                       draw(st.one_of(st.just("odd"), ODD)),
+                       draw(st.one_of(st.just(entries), ODD)))
+    if kind == "simulation":
+        runs = draw(st.one_of(
+            st.just((mc.SpecRun(SPECS[0]),)), st.just(()), ODD,
+            st.lists(st.sampled_from([SPECS[0], "pairwise"]), max_size=2)))
+        model = draw(MODELS)
+        return partial(mc.SimConfig, model, draw(odd_points(model)), runs,
+                       draw(st.one_of(st.just(500), COUNTS, ODD)),
+                       draw(st.one_of(st.just(150), COUNTS, ODD)),
+                       draw(SEEDS))
+    if kind in ("exact", "score-fd", "monte-carlo", "efficiency"):
+        model = draw(MODELS)
+        args = (draw(st.sampled_from(SPECS)), model, draw(odd_points(model)))
         if kind == "exact":
             return partial(comp.info_exact, *args)
-        return partial(comp.info_monte_carlo, *args, draw(COUNTS), 3,
-                       draw(COUNTS))
+        if kind == "score-fd":
+            return partial(comp.composite_score_fd, args[0], args[1],
+                           np.zeros(3), args[2])
+        route = (comp.info_monte_carlo if kind == "monte-carlo"
+                 else comp.full_efficiency_check)
+        return partial(route, *args, draw(COUNTS), draw(SEEDS), draw(COUNTS))
     triple = draw(st.sampled_from(triples()))
     if kind == "interest":
         return partial(comp.partitioned_variance, triple,
@@ -245,7 +430,7 @@ def triples():
                             tri.params(mu=0.2, rho=0.4, sigma2=2.0)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(call=odd_calls())
 def test_odd_arguments_raise_only_clik_errors(call):
     try:
