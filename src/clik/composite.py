@@ -51,9 +51,9 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows,
-                     affine_quadratic, feature_coefs, feature_scratch,
-                     feature_statistic, residual_features, substream,
-                     unpack_forms, unpack_statistic)
+                     affine_quadratic, contract_features, feature_coefs,
+                     feature_scratch, feature_statistic, residual_features,
+                     substream, unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -463,10 +463,10 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     r_b]`` with ``r = y - mean(theta)``
     (:func:`clik.models.residual_features`, ``_KERNEL_ROWS`` rows at a time
     into one scratch buffer that every batch reuses).  The features give
-    the batch's scores, a contiguous feature-major ``(q, k_b)`` block, as
-    :func:`clik.models.affine_quadratic` gives them, bit for bit: quadratic
-    columns as one matmul with :func:`clik.models.feature_coefs`, linear
-    ones as ``c + r B'``.  The block is reduced to its mean and covariance.
+    the batch's scores, a contiguous feature-major ``(q, k_b)`` block,
+    filled by :func:`clik.models.contract_features` as
+    :func:`clik.models.affine_quadratic` fills its own.  The block is
+    reduced to its mean and covariance.
     The row sums of the same features, ``sum r`` and ``sum r_a r_b``, give
     the batch statistic ``[n, ybar, W]``
     (:func:`clik.models.feature_statistic`).  J is the sample covariance of
@@ -490,19 +490,13 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     free = theta.free_names
     q, m = len(free), model.dim
     c, B, A = unpack_forms(_spec_forms(spec, model, theta), m)
-    coef, linear = feature_coefs(B, A), ~np.any(A, axis=(-2, -1))
+    coef, linear = feature_coefs(B, A)
     mean, scratch = model._mean(theta), feature_scratch(m)
     sizes, means, J_batch, totals = [], [], [], []
     for rows in blocks:
         block, total = np.empty((q, rows.shape[0])), 0.0
         for cols, feats in residual_features(rows, mean, scratch):
-            if not linear.all():
-                np.matmul(coef, feats, out=block[:, cols])
-                block[:, cols] += c[:, None]
-            if linear.any():
-                # c + r B' on the residual rows, as affine_quadratic takes it
-                resid = feats[:m].T.copy()
-                block[linear, cols] = (c + resid @ B.T)[:, linear].T
+            contract_features(c, B, coef, linear, feats, block[:, cols])
             total = total + feats.sum(axis=1)
         if M is not None:
             block = M.T @ block

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,9 @@ BOUNDARY_MARGIN = 1e-8
 
 _ROLES = ("interest", "nuisance", "known")
 
+_UNBOUNDED = (-math.inf, math.inf)
+_FLOAT_MAX = sys.float_info.max
+
 #: Rows per feature buffer of :func:`residual_features`: bounds the
 #: feature scratch of :func:`affine_quadratic` and of a Monte Carlo pass to
 #: ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however many rows are
@@ -53,9 +57,12 @@ def _free(names, roles) -> tuple:
 
 
 def _within(x, lo, hi):
-    """Whether ``x`` lies at least BOUNDARY_MARGIN inside ``(lo, hi)``:
-    a bool for a number, elementwise for an array."""
-    return (lo + BOUNDARY_MARGIN <= x) & (x <= hi - BOUNDARY_MARGIN)
+    """Whether ``x`` is finite and lies at least BOUNDARY_MARGIN inside
+    ``(lo, hi)``: a bool for a number, elementwise for an array.  The
+    limits are clipped to the finite floats, so NaN and infinities fail
+    whatever the bounds."""
+    return ((max(lo + BOUNDARY_MARGIN, -_FLOAT_MAX) <= x)
+            & (x <= min(hi - BOUNDARY_MARGIN, _FLOAT_MAX)))
 
 
 def _lift(x, ndim: int):
@@ -83,11 +90,14 @@ class ParamVector:
     def __post_init__(self):
         try:
             names, roles = tuple(self.names), tuple(self.roles)
-            values = tuple(float(v) for v in self.values)
-        except (TypeError, ValueError):
+            values = tuple(self.values)
+            if not all(isinstance(v, numbers.Real) for v in values):
+                raise TypeError
+        except TypeError:
             raise InvalidArgument(f"names, values and roles must be sequences, "
                                   f"the values numbers: got {self.names!r}, "
                                   f"{self.values!r}, {self.roles!r}") from None
+        values = tuple(map(float, values))
         if not (len(names) == len(values) == len(roles)):
             raise InvalidArgument("names, values and roles must have equal length")
         if not all(isinstance(name, str) for name in names):
@@ -370,10 +380,14 @@ def feature_scratch(dim: int) -> np.ndarray:
 
 
 def feature_coefs(B, A):
-    """The coefficients ``(..., q, m + m (m + 1) / 2)`` that meet the
-    feature rows of :func:`residual_features`: ``B``, then the packed
-    entries of ``A`` (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2``
-    on it), so that ``coef @ feats`` is ``B r + r' A r / 2``."""
+    """``(coef, linear)`` of score forms ``B``, ``A``: the coefficients
+    ``coef`` ``(..., q, m + m (m + 1) / 2)`` that meet the feature rows of
+    :func:`residual_features`, ``B`` then the packed entries of ``A``
+    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it), so that
+    ``coef @ feats`` is ``B r + r' A r / 2``; and the ``(q,)`` mask of the
+    columns whose ``A`` is zero at every leading index.  Every column's row
+    of ``coef`` is there, so a column's bits do not depend on which other
+    columns are quadratic."""
     m = B.shape[-1]
     coef = np.empty(A.shape[:-2] + (_feature_width(m),))
     coef[..., :m] = B
@@ -382,7 +396,7 @@ def feature_coefs(B, A):
         coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
         coef[..., k] *= 0.5
         k += m - a
-    return coef
+    return coef, ~np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1))
 
 
 def residual_features(rows, mean=None, scratch=None):
@@ -394,14 +408,19 @@ def residual_features(rows, mean=None, scratch=None):
     ``r_a r_b`` (``a <= b``, ``a`` major).  Each ``feats`` is a
     C-contiguous view of one flat buffer, ``scratch`` (see
     :func:`feature_scratch`) or a fresh one, and the next overwrites it.
-    ``rows`` is not modified."""
+    No chunk holds a lone row unless ``rows`` does: numpy multiplies one
+    row as a vector, which rounds differently, so a row's scores would
+    depend on where the chunks fall.  ``rows`` is not modified."""
     m, n = rows.shape[-1], rows.shape[-2]
     width, lead = _feature_width(m), rows.shape[:-2]
     per_row = width * math.prod(lead)
     if scratch is None:
         scratch = np.empty(per_row * min(n, _KERNEL_ROWS))
-    for start in range(0, n, _KERNEL_ROWS):
-        chunk = np.swapaxes(rows[..., start:start + _KERNEL_ROWS, :], -1, -2)
+    stops = list(range(_KERNEL_ROWS, n, _KERNEL_ROWS)) + [n]
+    if len(stops) > 1 and n - stops[-2] == 1:
+        stops[-2] -= 1
+    for start, stop in zip([0] + stops[:-1], stops):
+        chunk = np.swapaxes(rows[..., start:stop, :], -1, -2)
         w = chunk.shape[-1]
         feats = scratch[:per_row * w].reshape(lead + (width, w))
         if mean is None:
@@ -431,39 +450,42 @@ def feature_statistic(sizes, sums, mean):
                           axis=-1)
 
 
+def contract_features(c, B, coef, linear, feats, out):
+    """Write the scores ``c + B r + r' A r / 2`` of one chunk of feature
+    rows ``feats`` ``(..., m + m (m + 1) / 2, w)`` (:func:`residual_features`)
+    into ``out`` ``(..., q, w)``, a view with contiguous rows.  ``coef`` and
+    ``linear`` are :func:`feature_coefs` of ``B``, ``A``.  The quadratic
+    columns are one matmul, ``coef @ feats + c``; a ``linear`` column is
+    ``c + r @ B'`` on a row-major copy of the residuals ``r``, bit for bit
+    as a linear form always was."""
+    if not linear.all():
+        np.matmul(coef, feats, out=out)
+        out += c[..., None]
+    if linear.any():
+        resid = np.swapaxes(feats[..., :B.shape[-1], :], -1, -2).copy()
+        vals = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+        out[..., linear, :] = np.swapaxes(vals, -1, -2)[..., linear, :]
+
+
 def affine_quadratic(c, B, A, resid):
     """Rows ``c + B r + r' A r / 2`` of affine-quadratic score forms with
     shapes ``(..., q)``, ``(..., q, m)`` and ``(..., q, m, m)`` at the
     residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``.
     ``resid`` is not modified.
 
-    A column whose ``A`` is zero is ``c + r @ B'``, bit for bit as a
-    linear form always was.  The other columns are the contraction of
-    :func:`feature_coefs` with the feature rows of :func:`residual_features`
-    (one matmul per ``_KERNEL_ROWS`` rows).  When every column is quadratic
-    the result is the transpose of the ``(..., q, n)`` product."""
-    n = resid.shape[-2]
-    quad = np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1)) \
-        if A.any() else None
-    if quad is None or not quad.all():
-        linear = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
-        if quad is None:
-            return linear
-    # every column's row of coef takes part, so a column's bits do not
-    # depend on which other columns are quadratic
-    coef = feature_coefs(B, A)
-    if quad.all():
-        out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
-                       + (c.shape[-1], n))                    # (..., q, n)
-    else:
-        out = np.swapaxes(linear, -1, -2)
+    Forms with no quadratic column are ``c + r @ B'`` on the rows as given.
+    Otherwise the result is the transpose of a ``(..., q, n)`` block that
+    :func:`contract_features` fills from the feature rows of
+    :func:`residual_features`, ``_KERNEL_ROWS`` rows at a time; a Monte
+    Carlo pass (``composite._info_from_sample``) fills its batch blocks
+    with the same two functions."""
+    if not A.any():
+        return c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+    coef, linear = feature_coefs(B, A)
+    out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
+                   + (c.shape[-1], resid.shape[-2]))              # (..., q, n)
     for cols, feats in residual_features(resid):
-        vals = coef @ feats
-        vals += c[..., None]
-        if quad.all():
-            out[..., cols] = vals
-        else:
-            out[..., quad, cols] = vals[..., quad, :]
+        contract_features(c, B, coef, linear, feats, out[..., cols])
     return np.swapaxes(out, -1, -2)
 
 
@@ -533,14 +555,13 @@ class Model:
 
     def interior(self, theta):
         """Whether every value of ``theta`` is finite and lies at least
-        BOUNDARY_MARGIN inside its bounds: a bool, or one per point of a
-        ParamBatch."""
-        if isinstance(theta, ParamBatch):
-            inside = np.isfinite(theta.values).all(axis=-1)
-        else:
-            inside = all(map(math.isfinite, theta.values))
-        for name, (lo, hi) in self.bounds().items():
-            inside = inside & _within(theta[name], lo, hi)
+        BOUNDARY_MARGIN inside its bounds (:func:`_within`; a parameter
+        without bounds lies in ``(-inf, inf)``): a bool, or one per point
+        of a ParamBatch."""
+        bounds, inside = self.bounds(), True
+        for name in self.param_names:
+            inside = inside & _within(theta[name],
+                                      *bounds.get(name, _UNBOUNDED))
         return inside
 
     def validate(self, theta) -> None:
@@ -557,8 +578,8 @@ class Model:
             else theta.point(int(np.argmin(inside)))
         bounds = self.bounds()
         for name, value in zip(point.names, point.values):
-            lo, hi = bounds.get(name, (-np.inf, np.inf))
-            if not (math.isfinite(value) and _within(value, lo, hi)):
+            lo, hi = bounds.get(name, _UNBOUNDED)
+            if not _within(value, lo, hi):
                 raise DomainError(f"{name}={value} is not a finite value "
                                   f"inside ({lo}, {hi}) (margin "
                                   f"{BOUNDARY_MARGIN})")

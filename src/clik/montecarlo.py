@@ -19,6 +19,7 @@ seed ``s`` is still drawn from its own stream, the one
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -61,10 +62,13 @@ class SpecRun:
         if isinstance(fixed, dict):
             fixed = tuple(sorted(fixed.items()))
         try:
-            fixed = tuple((name, float(value)) for name, value in fixed)
+            fixed = tuple((name, value) for name, value in fixed)
+            if not all(isinstance(value, numbers.Real) for _, value in fixed):
+                raise TypeError
         except (TypeError, ValueError):
             raise InvalidArgument(f"fixed values {self.fixed!r} are not "
                                   f"(name, number) pairs") from None
+        fixed = tuple((name, float(value)) for name, value in fixed)
         object.__setattr__(self, "fixed", fixed)
         if not isinstance(self.label, str):
             raise InvalidArgument(f"run label {self.label!r} is not a string")

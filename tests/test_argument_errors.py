@@ -136,6 +136,7 @@ def wrong_types():
         return lambda: mc.SimConfig(model, theta, **args)
 
     yield "params-string", lambda: model.params("a")
+    yield "params-numeric-string", lambda: model.params("0.3")
     yield "params-none", lambda: model.params(0.3, None)
     yield "params-roles", lambda: model.params(0.3, roles=["rho"])
     yield "point-names", lambda: ParamVector((1, 2), (0.1, 0.2),
@@ -157,6 +158,8 @@ def wrong_types():
     yield "spec-name", lambda: comp.CompositeSpec(None, spec.components)
     yield "run-spec", lambda: mc.SpecRun("pairwise")
     yield "run-fixed", lambda: mc.SpecRun(spec, {"sigma2": "one"})
+    yield "run-fixed-numeric-string", lambda: mc.SpecRun(spec,
+                                                         {"sigma2": "1"})
     yield "sim-n-fraction", config(n=500.5)
     yield "sim-replicates-fraction", config(replicates=150.5)
     yield "sim-seed-nan", config(seed=math.nan)
