@@ -24,14 +24,14 @@ the Newton route takes with its summed score from one build of the forms
 of the spec's margins and the full one (:func:`_sensitivity_forms`) at
 each point.  Monte Carlo information is one blocked pass over the draws
 that holds one batch at a time, so its memory is O(draws / batches): each
-batch is drawn and read once, into feature rows (the residuals and their
-distinct products) whose contraction gives its scores at ``theta``,
-reduced to their mean and covariance, and whose row sums give its
-statistic, before the next is drawn.  Monte Carlo H is a central
-difference of sample-mean scores over common draws: the forms at the
-``2q`` stencil points are contracted with every batch statistic; J is
-pooled from the batch covariances and means.  The batch triples are one
-stacked triple (one stacked Godambe solve), which
+batch is drawn and read once by :func:`clik.models.score_kernel`, which
+fills its scores at ``theta``, reduced to their mean and covariance, and
+returns the feature sums that give its statistic, before the next is
+drawn; only :mod:`clik.models` knows the feature layout.  Monte Carlo H
+is a central difference of sample-mean scores over common draws: the
+forms at the ``2q`` stencil points are contracted with every batch
+statistic; J is pooled from the batch covariances and means.  The batch
+triples are one stacked triple (one stacked Godambe solve), which
 :func:`partitioned_variance` and :func:`projection_matrix` take as they
 take a point.  Every stencil comes from :func:`_stencil`, the first step
 of every information route: a point with nothing free raises
@@ -51,9 +51,8 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows,
-                     affine_quadratic, contract_features, feature_coefs,
-                     feature_scratch, feature_statistic, residual_features,
-                     substream, unpack_forms, unpack_statistic)
+                     affine_quadratic, feature_scratch, feature_statistic,
+                     score_kernel, substream, unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -66,6 +65,8 @@ FD_STEP_EXACT = 1e-6
 H_ASYMMETRY_TOL = 1e-6
 #: Fewest batches a batch-means standard error is computed from.
 MIN_BATCHES = 10
+#: Batches of a Monte Carlo route or a simulation summary, by default.
+DEFAULT_BATCHES = 20
 #: Fewest draws a Monte Carlo information estimate accepts.
 MIN_DRAWS = 1000
 
@@ -310,12 +311,12 @@ def component_scores(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
         spec, lambda idx: model.margin_score(idx, rows, theta)))]
 
 
-def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector,
-                       step_scale: float = FD_STEP_SCORE):
-    """Central-difference score: the independent numeric route used to
-    validate the analytic one (and available for custom specs)."""
+def composite_score_fd(spec: CompositeSpec, model: Model, Y, theta: ParamVector):
+    """Central-difference score, step scale ``FD_STEP_SCORE``: the
+    independent numeric route used to validate the analytic one (and
+    available for custom specs)."""
     rows, single = _as_rows(Y, model.dim)
-    stencil, steps = _stencil(model, theta, step_scale)
+    stencil, steps = _stencil(model, theta, FD_STEP_SCORE)
     ll = np.array([composite_loglik(spec, model, rows, stencil.point(i))
                    for i in range(len(stencil))])
     out = ((ll[0::2] - ll[1::2]) / (2.0 * steps[:, None])).T
@@ -458,24 +459,22 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     order.  The draws are the ``n = sum(k_b)`` rows of the blocks.
 
     One blocked pass over the batches that holds one batch at a time and
-    reads each once: the spec's forms are built once at ``theta``, and each
-    batch, as ``blocks`` yields it, is turned into feature rows ``[r; r_a
-    r_b]`` with ``r = y - mean(theta)``
-    (:func:`clik.models.residual_features`, ``_KERNEL_ROWS`` rows at a time
-    into one scratch buffer that every batch reuses).  The features give
-    the batch's scores, a contiguous feature-major ``(q, k_b)`` block,
-    filled by :func:`clik.models.contract_features` as
-    :func:`clik.models.affine_quadratic` fills its own.  The block is
-    reduced to its mean and covariance.
-    The row sums of the same features, ``sum r`` and ``sum r_a r_b``, give
-    the batch statistic ``[n, ybar, W]``
-    (:func:`clik.models.feature_statistic`).  J is the sample covariance of
-    all the scores, pooled (:func:`_pooled_cov`) from the batch covariances
-    and means.  H is minus the central difference of the sample-mean score
-    in each free parameter (common draws across shifts); the spec's forms
-    are built once more, at the ``2q`` stencil points, and the mean at each
-    comes from contracting them (:func:`_contract`) with every batch
-    statistic, so only the scores at ``theta`` are evaluated row by row.
+    reads each once: the spec's forms are built once at ``theta`` into one
+    :func:`clik.models.score_kernel`, the kernel of
+    :func:`clik.models.affine_quadratic`.  One call of it per batch, as
+    ``blocks`` yields it, fills the batch's scores at ``r = y -
+    mean(theta)``, a contiguous feature-major ``(q, k_b)`` block, through
+    one scratch buffer that every batch reuses, and returns the row sums of
+    its feature rows, ``sum r`` and ``sum r_a r_b``.  The block is reduced
+    to its mean and covariance, and the sums give the batch statistic
+    ``[n, ybar, W]`` (:func:`clik.models.feature_statistic`).  J is the
+    sample covariance of all the scores, pooled (:func:`_pooled_cov`) from
+    the batch covariances and means.  H is minus the central difference of
+    the sample-mean score in each free parameter (common draws across
+    shifts); the spec's forms are built once more, at the ``2q`` stencil
+    points, and the mean at each comes from contracting them
+    (:func:`_contract`) with every batch statistic, so only the scores at
+    ``theta`` are evaluated row by row.
     Standard errors come from the batch values; the batch Godambe matrices
     are one stacked solve.  No block is modified, and the stencil is built,
     so a point with nothing free is refused, before the first block is
@@ -489,15 +488,12 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     free = theta.free_names
     q, m = len(free), model.dim
-    c, B, A = unpack_forms(_spec_forms(spec, model, theta), m)
-    coef, linear = feature_coefs(B, A)
+    fill = score_kernel(*unpack_forms(_spec_forms(spec, model, theta), m))
     mean, scratch = model._mean(theta), feature_scratch(m)
     sizes, means, J_batch, totals = [], [], [], []
     for rows in blocks:
-        block, total = np.empty((q, rows.shape[0])), 0.0
-        for cols, feats in residual_features(rows, mean, scratch):
-            contract_features(c, B, coef, linear, feats, block[:, cols])
-            total = total + feats.sum(axis=1)
+        block = np.empty((q, rows.shape[0]))
+        total = fill(rows, mean, block, scratch)
         if M is not None:
             block = M.T @ block
         # block.T is column-major, so both reduce along contiguous rows
@@ -564,7 +560,8 @@ def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
 
 
 def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
-                     draws: int, seed, batches: int = 20) -> InfoTriple:
+                     draws: int, seed,
+                     batches: int = DEFAULT_BATCHES) -> InfoTriple:
     """Monte Carlo information triple of a composite spec.
 
     ``draws`` independent observations are sampled at ``theta``; H is minus
@@ -601,7 +598,8 @@ def project_score(triple: InfoTriple, scores):
 
 def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
                                theta: ParamVector, draws: int, seed,
-                               base: InfoTriple, batches: int = 20) -> InfoTriple:
+                               base: InfoTriple,
+                               batches: int = DEFAULT_BATCHES) -> InfoTriple:
     """Monte Carlo triple of the projected score ``H J^-1 u_c`` with the
     projection frozen from ``base`` (fresh draws, fresh randomness)."""
     blocks = _drawn_batches(model, theta, draws, seed, batches)
@@ -722,7 +720,7 @@ class FullEfficiencyReport:
 
 
 def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
-                          draws: int, seed, batches: int = 20,
+                          draws: int, seed, batches: int = DEFAULT_BATCHES,
                           sigma: float = 3.0) -> FullEfficiencyReport:
     """Monte Carlo check of the linear score-recovery condition.
 

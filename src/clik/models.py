@@ -10,6 +10,10 @@ formed by :mod:`clik.composite` through the identity
 path serves independence, pairwise, full-conditional and chain composite
 likelihoods alike.
 
+Rows are scored by one kernel, :func:`score_kernel`, the only code that
+knows the feature layout ``[r; r_a r_b]`` of a residual; a Monte Carlo
+pass takes its batch statistic from the feature sums it returns.
+
 Evaluation is vectorized over observations: ``Y`` may be a single vector
 or an ``(n, dim)`` array, and log densities / scores come back with a
 matching leading shape.  The parameter-only pieces (means, covariances,
@@ -46,9 +50,9 @@ _UNBOUNDED = (-math.inf, math.inf)
 _FLOAT_MAX = sys.float_info.max
 
 #: Rows per feature buffer of :func:`residual_features`: bounds the
-#: feature scratch of :func:`affine_quadratic` and of a Monte Carlo pass to
-#: ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however many rows are
-#: scored.
+#: scratch of a :func:`score_kernel` fill (any rows, or a Monte Carlo
+#: batch) to ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however many
+#: rows are scored.
 _KERNEL_ROWS = 1 << 14
 
 
@@ -379,26 +383,6 @@ def feature_scratch(dim: int) -> np.ndarray:
     return np.empty(_feature_width(dim) * _KERNEL_ROWS)
 
 
-def feature_coefs(B, A):
-    """``(coef, linear)`` of score forms ``B``, ``A``: the coefficients
-    ``coef`` ``(..., q, m + m (m + 1) / 2)`` that meet the feature rows of
-    :func:`residual_features`, ``B`` then the packed entries of ``A``
-    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it), so that
-    ``coef @ feats`` is ``B r + r' A r / 2``; and the ``(q,)`` mask of the
-    columns whose ``A`` is zero at every leading index.  Every column's row
-    of ``coef`` is there, so a column's bits do not depend on which other
-    columns are quadratic."""
-    m = B.shape[-1]
-    coef = np.empty(A.shape[:-2] + (_feature_width(m),))
-    coef[..., :m] = B
-    k = m
-    for a in range(m):
-        coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
-        coef[..., k] *= 0.5
-        k += m - a
-    return coef, ~np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1))
-
-
 def residual_features(rows, mean=None, scratch=None):
     """Yield ``(cols, feats)`` over the rows ``rows`` ``(..., n, m)``,
     ``_KERNEL_ROWS`` of them at a time: ``cols`` the slice of rows taken
@@ -450,21 +434,44 @@ def feature_statistic(sizes, sums, mean):
                           axis=-1)
 
 
-def contract_features(c, B, coef, linear, feats, out):
-    """Write the scores ``c + B r + r' A r / 2`` of one chunk of feature
-    rows ``feats`` ``(..., m + m (m + 1) / 2, w)`` (:func:`residual_features`)
-    into ``out`` ``(..., q, w)``, a view with contiguous rows.  ``coef`` and
-    ``linear`` are :func:`feature_coefs` of ``B``, ``A``.  The quadratic
-    columns are one matmul, ``coef @ feats + c``; a ``linear`` column is
-    ``c + r @ B'`` on a row-major copy of the residuals ``r``, bit for bit
-    as a linear form always was."""
-    if not linear.all():
-        np.matmul(coef, feats, out=out)
-        out += c[..., None]
-    if linear.any():
-        resid = np.swapaxes(feats[..., :B.shape[-1], :], -1, -2).copy()
-        vals = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
-        out[..., linear, :] = np.swapaxes(vals, -1, -2)[..., linear, :]
+def score_kernel(c, B, A):
+    """``fill(rows, mean, out, scratch=None)`` for score forms ``c + B r +
+    r' A r / 2`` of shapes ``(..., q)``, ``(..., q, m)``, ``(..., q, m, m)``:
+    it writes the scores at ``r = y - mean`` (``y`` when ``mean`` is None)
+    of ``rows`` ``(..., n, m)`` into ``out`` ``(..., q, n)`` and returns the
+    sums ``(..., m + m (m + 1) / 2)`` of their feature rows
+    (:func:`residual_features`, in ``scratch`` when given).  The
+    coefficients that meet the features, ``B`` then the packed ``A``
+    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it), are built
+    once, every column's row among them, so a column's bits do not depend
+    on which others are quadratic: those are one matmul, and a column whose
+    ``A`` is zero at every leading index is ``c + r @ B'`` on a row-major
+    copy of ``r``, bit for bit as a linear form always was."""
+    m = B.shape[-1]
+    coef = np.empty(A.shape[:-2] + (_feature_width(m),))
+    coef[..., :m] = B
+    k = m
+    for a in range(m):
+        coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
+        coef[..., k] *= 0.5
+        k += m - a
+    linear = ~np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1))
+    quadratic, some_linear = not linear.all(), linear.any()
+
+    def fill(rows, mean, out, scratch=None):
+        total = 0.0
+        for cols, feats in residual_features(rows, mean, scratch):
+            block = out[..., cols]
+            if quadratic:
+                np.matmul(coef, feats, out=block)
+                block += c[..., None]
+            if some_linear:
+                resid = np.swapaxes(feats[..., :m, :], -1, -2).copy()
+                vals = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+                block[..., linear, :] = np.swapaxes(vals, -1, -2)[..., linear, :]
+            total = total + feats.sum(axis=-1)
+        return total
+    return fill
 
 
 def affine_quadratic(c, B, A, resid):
@@ -475,17 +482,13 @@ def affine_quadratic(c, B, A, resid):
 
     Forms with no quadratic column are ``c + r @ B'`` on the rows as given.
     Otherwise the result is the transpose of a ``(..., q, n)`` block that
-    :func:`contract_features` fills from the feature rows of
-    :func:`residual_features`, ``_KERNEL_ROWS`` rows at a time; a Monte
-    Carlo pass (``composite._info_from_sample``) fills its batch blocks
-    with the same two functions."""
+    one :func:`score_kernel` call fills, the kernel a Monte Carlo pass
+    (``composite._info_from_sample``) fills its batch blocks with."""
     if not A.any():
         return c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
-    coef, linear = feature_coefs(B, A)
     out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
                    + (c.shape[-1], resid.shape[-2]))              # (..., q, n)
-    for cols, feats in residual_features(resid):
-        contract_features(c, B, coef, linear, feats, out[..., cols])
+    score_kernel(c, B, A)(resid, None, out)
     return np.swapaxes(out, -1, -2)
 
 
@@ -668,6 +671,9 @@ class Model:
 
     def check_data(self, Y) -> np.ndarray:
         arr, _ = _as_rows(Y, self.dim)
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise InvalidArgument(f"data row {bad[0]} is not finite")
         return arr
 
     @staticmethod

@@ -26,7 +26,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .composite import CompositeSpec, batch_se, batch_slices, sample_cov
+from .composite import (DEFAULT_BATCHES, CompositeSpec, batch_se,
+                        batch_slices, sample_cov)
 from .errors import (ClikError, FailureBudgetExceeded, InvalidArgument,
                      UnsupportedSpec)
 from .estimators import batch_route
@@ -40,7 +41,6 @@ CSV_SUMMARY_HEADER = ["spec", "param", "mean", "n_var", "std_err", "failures"]
 MIN_N = 10
 MIN_REPLICATES = 100
 FAILURE_BUDGET = 0.01
-DEFAULT_BATCHES = 20
 #: Bytes of draws per block of replicates sampled and reduced together:
 #: enough replicates to amortise the per-call cost of sampling and of the
 #: statistic, few enough that a block's temporaries stay cache-sized.
@@ -157,14 +157,13 @@ class SimResult:
         """n-scaled empirical covariance of the estimates."""
         return self.config.n * sample_cov(self.valid_rows(label))
 
-    def ncov_se(self, label: str, batches: int = DEFAULT_BATCHES) -> np.ndarray:
+    def ncov_se(self, label: str) -> np.ndarray:
         """Batch-means standard error of :meth:`ncov`."""
         rows = self.valid_rows(label)
-        return batch_se([self.config.n * sample_cov(rows[sl])
-                         for sl in batch_slices(rows.shape[0], batches)])
+        slices = batch_slices(rows.shape[0], DEFAULT_BATCHES)
+        return batch_se([self.config.n * sample_cov(rows[sl]) for sl in slices])
 
-    def cross_ncov(self, label_a: str, col_a: int, label_b: str, col_b: int,
-                   batches: int = DEFAULT_BATCHES):
+    def cross_ncov(self, label_a: str, col_a: int, label_b: str, col_b: int):
         """n-scaled covariance between estimate columns of two runs, paired
         by replicate, with a batch-means standard error."""
         ok = self.converged[label_a] & self.converged[label_b]
@@ -172,7 +171,7 @@ class SimResult:
         y = self.estimates[label_b][ok, col_b]
         n = self.config.n
         bats = [n * sample_cov(x[sl], y[sl])
-                for sl in batch_slices(x.size, batches)]
+                for sl in batch_slices(x.size, DEFAULT_BATCHES)]
         return n * float(sample_cov(x, y)), float(batch_se(bats))
 
     # -- serialization -----------------------------------------------------
@@ -316,13 +315,13 @@ class ParadoxReport:
 def paradox_covariance_diagnostics(spec: CompositeSpec, model: Model,
                                    theta: ParamVector, n: int = 500,
                                    replicates: int = 2000, seed: int = 0,
-                                   sigma: float = 3.0,
-                                   threads=None) -> ParadoxReport:
+                                   sigma: float = 3.0) -> ParadoxReport:
     """Estimate the two estimator covariances by replicate simulation.
 
     ``theta`` must have exactly one interest and one nuisance parameter.
     Fits the spec twice per replicate (nuisance free, nuisance fixed at
     the truth) and reports the n-scaled covariances with batch errors.
+    The replicates run on :func:`worker_count` workers (``CLIK_THREADS``).
     """
     if len(theta.interest_names) != 1 or len(theta.nuisance_names) != 1:
         raise InvalidArgument("diagnostics need exactly one interest and "
@@ -332,7 +331,7 @@ def paradox_covariance_diagnostics(spec: CompositeSpec, model: Model,
         model, theta,
         (SpecRun(spec, (), "joint"), SpecRun(spec, {lam: theta[lam]}, "mixed")),
         n, replicates, seed)
-    result = run(config, threads=threads)
+    result = run(config)
 
     joint_names = result.param_names("joint")
     i_psi, i_lam = joint_names.index(psi), joint_names.index(lam)

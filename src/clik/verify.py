@@ -385,39 +385,34 @@ def check_estimator_covariance(level="full", seed=901):
     return out
 
 
-_DOMINANCE_DESIGN = None
-
-
 def _dominance_design():
-    global _DOMINANCE_DESIGN
-    if _DOMINANCE_DESIGN is None:
-        emvn = EMVN(3)
-        tri = TriNormal()
-        mult5 = Multinomial4(5.0)
-        mult1 = Multinomial4(1.0)
-        tri_theta = tri.params(mu=0.3, rho=0.4, sigma2=2.0)
-        tri_ind = tri_theta.with_roles(rho="known")
-        # the independence likelihood of the equicorrelated model carries no
-        # information about rho, so those rows treat rho as known
-        emvn_ind_a = emvn.params(0.5, 1.0).with_roles(rho="known")
-        emvn_ind_b = emvn.params(-0.3, 1.3).with_roles(rho="known")
-        _DOMINANCE_DESIGN = [
-            ("emvn-rho0.5-independence", emvn, emvn_ind_a, comp.independence(3)),
-            ("emvn-rho0.5-pairwise", emvn, emvn.params(0.5, 1.0), comp.pairwise(3)),
-            ("emvn-rho0.5-full-conditional", emvn, emvn.params(0.5, 1.0), comp.full_conditional(3)),
-            ("emvn-rho0.5-chain", emvn, emvn.params(0.5, 1.0), comp.chain(3)),
-            ("emvn-rho0.5-full", emvn, emvn.params(0.5, 1.0), comp.full_likelihood(3)),
-            ("emvn-rho-0.3-independence", emvn, emvn_ind_b, comp.independence(3)),
-            ("emvn-rho-0.3-pairwise", emvn, emvn.params(-0.3, 1.3), comp.pairwise(3)),
-            ("trinormal-independence", tri, tri_ind, comp.independence(3)),
-            ("trinormal-pairwise", tri, tri_theta, comp.pairwise(3)),
-            ("trinormal-chain", tri, tri_theta, comp.chain(3)),
-            ("multinomial4-k5-independence", mult5, mult5.params(0.2), comp.independence(3)),
-            ("multinomial4-k5-pairwise", mult5, mult5.params(0.2), comp.pairwise(3)),
-            ("multinomial4-k5-chain", mult5, mult5.params(0.2), comp.chain(3)),
-            ("multinomial4-k1-pairwise", mult1, mult1.params(0.25), comp.pairwise(3)),
-        ]
-    return _DOMINANCE_DESIGN
+    """``(label, model, theta, spec)`` rows of the sandwich-dominance check."""
+    emvn = EMVN(3)
+    tri = TriNormal()
+    mult5 = Multinomial4(5.0)
+    mult1 = Multinomial4(1.0)
+    tri_theta = tri.params(mu=0.3, rho=0.4, sigma2=2.0)
+    tri_ind = tri_theta.with_roles(rho="known")
+    # the independence likelihood of the equicorrelated model carries no
+    # information about rho, so those rows treat rho as known
+    emvn_ind_a = emvn.params(0.5, 1.0).with_roles(rho="known")
+    emvn_ind_b = emvn.params(-0.3, 1.3).with_roles(rho="known")
+    return [
+        ("emvn-rho0.5-independence", emvn, emvn_ind_a, comp.independence(3)),
+        ("emvn-rho0.5-pairwise", emvn, emvn.params(0.5, 1.0), comp.pairwise(3)),
+        ("emvn-rho0.5-full-conditional", emvn, emvn.params(0.5, 1.0), comp.full_conditional(3)),
+        ("emvn-rho0.5-chain", emvn, emvn.params(0.5, 1.0), comp.chain(3)),
+        ("emvn-rho0.5-full", emvn, emvn.params(0.5, 1.0), comp.full_likelihood(3)),
+        ("emvn-rho-0.3-independence", emvn, emvn_ind_b, comp.independence(3)),
+        ("emvn-rho-0.3-pairwise", emvn, emvn.params(-0.3, 1.3), comp.pairwise(3)),
+        ("trinormal-independence", tri, tri_ind, comp.independence(3)),
+        ("trinormal-pairwise", tri, tri_theta, comp.pairwise(3)),
+        ("trinormal-chain", tri, tri_theta, comp.chain(3)),
+        ("multinomial4-k5-independence", mult5, mult5.params(0.2), comp.independence(3)),
+        ("multinomial4-k5-pairwise", mult5, mult5.params(0.2), comp.pairwise(3)),
+        ("multinomial4-k5-chain", mult5, mult5.params(0.2), comp.chain(3)),
+        ("multinomial4-k1-pairwise", mult1, mult1.params(0.25), comp.pairwise(3)),
+    ]
 
 
 def check_sandwich_dominance(level="full", seed=1001):

@@ -308,6 +308,32 @@ def test_a_value_that_is_not_finite_is_a_domain_error(model, values):
     assert np.all(np.isnan(score[1])) and np.all(np.isfinite(score[[0, 2]]))
 
 
+def non_finite_data_fits():
+    """``(id, model, spec, theta)``: the fits that once failed the wrong
+    way on data that is not finite (NoRootInDomain, DomainError at the
+    start point, or a RuntimeWarning from the statistic)."""
+    emvn, tri = EMVN(3), TriNormal()
+    emvn_theta = emvn.params(rho=0.3, sigma2=1.0)
+    tri_theta = tri.params(mu=0.1, rho=0.2)
+    yield "emvn-pairwise", emvn, comp.pairwise(3), emvn_theta
+    yield "emvn-full-conditional", emvn, comp.full_conditional(3), emvn_theta
+    yield "trinormal-pairwise", tri, comp.pairwise(3), tri_theta
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model, spec, theta",
+                         [case[1:] for case in non_finite_data_fits()],
+                         ids=[case[0] for case in non_finite_data_fits()])
+def test_data_that_is_not_finite_is_an_invalid_argument(model, spec, theta,
+                                                        bad):
+    # one bad entry names its row; a dataset of bad rows names the first
+    Y = model.sample(theta, 50, 3)
+    Y[7, 1] = bad
+    for data, row in ((Y, 7), (np.full((50, model.dim), bad), 0)):
+        with pytest.raises(InvalidArgument, match=f"data row {row} "):
+            est.fit(spec, model, data, theta)
+
+
 # -- odd arguments to the model, spec, simulation and information layers -------
 
 

@@ -2,14 +2,15 @@
 whole-sample route it replaced.
 
 ``composite._info_from_sample`` takes the draws as the batches of
-``batch_slices`` and builds each batch's feature rows once
-(``models.residual_features``: the residuals ``r`` and their distinct
-products, ``_KERNEL_ROWS`` rows at a time, in one scratch buffer that every
-batch reuses).  The scores are their contraction
-(``models.contract_features``, which ``affine_quadratic`` runs too), a
-contiguous feature-major block reduced to its mean and covariance while it
-is in cache; the batch statistic behind H is their row sums
-(``models.feature_statistic``).  The oracle
+``batch_slices`` and makes one call per batch of the score kernel
+(``models.score_kernel``, which ``affine_quadratic`` runs too).  The
+kernel builds the batch's feature rows once (``models.residual_features``:
+the residuals ``r`` and their distinct products, ``_KERNEL_ROWS`` rows at
+a time, in one scratch buffer that every batch reuses) and fills the
+scores from them, a contiguous feature-major block reduced to its mean and
+covariance while it is in cache, so each block is that batch's
+``composite_score`` bit for bit; the batch statistic behind H is the row
+sums of the features (``models.feature_statistic``).  The oracle
 (``oracles.parent_info_from_sample``) scores all the draws in one
 ``composite_score`` call, takes ``sample_cov`` of each batch and
 ``Model.statistic`` of each batch's rows.  The two round differently, so
@@ -267,6 +268,28 @@ def test_blocked_pass_leaves_the_draws_unchanged(spec, model, theta, n):
     assert Y.tobytes() == before
 
 
+# -- the pass and composite_score share one kernel ---------------------------
+
+
+@pytest.mark.parametrize("spec, model, theta", list(write_cases()),
+                         ids=WRITE_IDS)
+@pytest.mark.parametrize("per", [234, models._KERNEL_ROWS + 5000])
+def test_pass_scores_are_composite_scores_of_each_batch(spec, model, theta,
+                                                        per):
+    # the pass and composite_score run the one score kernel on the same
+    # rows, so each batch block is that batch's composite_score, bit for
+    # bit, batches longer than the kernel's rows included
+    Y = model.sample(theta, 10 * per + 7, 17)
+    with mock.patch.object(comp, "sample_cov", wraps=comp.sample_cov) as cov:
+        comp._info_from_sample(spec, model, batches_of(Y, 10), theta)
+    blocks = [call.args[0] for call in cov.call_args_list]
+    assert len(blocks) == 10
+    for block, sl in zip(blocks, comp.batch_slices(len(Y), 10)):
+        want = comp.composite_score(spec, model, Y[sl], theta)
+        assert block.shape == want.shape
+        assert block.tobytes() == want.tobytes()
+
+
 # -- memory ------------------------------------------------------------------
 
 
@@ -381,7 +404,7 @@ def test_batches_longer_than_the_kernel_rows_match_the_oracle():
     spec = comp.full_conditional(3)
     Y = model.sample(theta, 800_000, 13)
     chunks = []
-    real = comp.residual_features
+    real = models.residual_features
 
     def recorded(rows, mean, scratch):
         chunks.append(scratch)
@@ -389,7 +412,7 @@ def test_batches_longer_than_the_kernel_rows_match_the_oracle():
             assert np.shares_memory(feats, scratch)
             chunks.append(feats.shape)
             yield cols, feats
-    with mock.patch.object(comp, "residual_features", recorded):
+    with mock.patch.object(models, "residual_features", recorded):
         got, scores, means = blocked(spec, model, Y, theta, 20)
     want, U0, want_means = parent_info_from_sample(spec, model, Y, theta, 20)
 

@@ -480,19 +480,22 @@ def _batch_means_se(per_batch):
 
 
 @pytest.mark.parametrize("batches", [10, 20, 33])
-def test_ncov_se_is_batch_means_of_batch_covariances(batches):
+def test_ncov_se_is_batch_means_of_batch_covariances(batches, monkeypatch):
+    monkeypatch.setattr(mc, "DEFAULT_BATCHES", batches)
     config = small_config(replicates=331)
     result = mc.run(config)
     rows = result.estimates["pairwise"]
     edges = np.linspace(0, rows.shape[0], batches + 1).astype(int)
     per_batch = [config.n * np.cov(rows[a:b].T, ddof=1)
                  for a, b in zip(edges[:-1], edges[1:])]
-    np.testing.assert_allclose(result.ncov_se("pairwise", batches),
+    np.testing.assert_allclose(result.ncov_se("pairwise"),
                                _batch_means_se(per_batch), rtol=1e-12)
 
 
 @pytest.mark.parametrize("batches", [10, 20, 33])
-def test_cross_ncov_se_is_batch_means_of_batch_covariances(batches):
+def test_cross_ncov_se_is_batch_means_of_batch_covariances(batches,
+                                                           monkeypatch):
+    monkeypatch.setattr(mc, "DEFAULT_BATCHES", batches)
     config = small_config(replicates=331)
     result = mc.run(config)
     x = result.estimates["pairwise!sigma2"][:, 0]
@@ -500,7 +503,7 @@ def test_cross_ncov_se_is_batch_means_of_batch_covariances(batches):
     edges = np.linspace(0, x.size, batches + 1).astype(int)
     per_batch = [config.n * np.cov(x[a:b], y[a:b], ddof=1)[0, 1]
                  for a, b in zip(edges[:-1], edges[1:])]
-    _, se = result.cross_ncov("pairwise!sigma2", 0, "pairwise", 1, batches)
+    _, se = result.cross_ncov("pairwise!sigma2", 0, "pairwise", 1)
     assert se == pytest.approx(float(_batch_means_se(per_batch)), rel=1e-12)
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo information in one pass per parameter point, against the
 per-row and per-batch arithmetic it replaced.
 
-``models.affine_quadratic`` takes each quadratic term as one ``einsum``;
-the oracle (``oracles.parent_affine_quadratic``) multiplies and sums, so
-the two agree to rounding, and bit for bit on linear forms.  J of a Monte
+``models.affine_quadratic`` runs the score kernel
+(``models.score_kernel``), whose quadratic columns are one matmul of
+packed coefficients with the residuals and their distinct products; the
+oracle (``oracles.parent_affine_quadratic``) multiplies and sums, so the
+two agree to rounding, and bit for bit on linear forms.  J of a Monte
 Carlo triple is pooled from the batch covariances and means; it must match
 the covariance of all the rows to rounding.  The batch Godambe matrices,
 the partitioned variances and the ratio curve's batch ratios are each one
