@@ -161,17 +161,34 @@ def pairwise_rho_sigma_acov(p: int, rho, sigma2):
     return float(out) if out.ndim == 0 else out
 
 
+#: How far inside the EMVN(p) domain ``(-1/(p-1), 1)`` the grid of
+#: :func:`full_conditional_grid` stays.  The Monte Carlo H is a central
+#: difference: 0.01 inside either bound of EMVN(3), its truncation error
+#: made H asymmetric beyond ``H_ASYMMETRY_TOL`` at 2e3 to 2e5 draws.
+FULL_CONDITIONAL_GRID_MARGIN = 0.05
+
+
+def full_conditional_grid(p: int, size: int) -> np.ndarray:
+    """The ``rho`` grid of :func:`full_conditional_ratio_curve` and ``clik
+    figure2``: ``size`` equispaced points FULL_CONDITIONAL_GRID_MARGIN
+    inside the EMVN(p) domain."""
+    return default_grid(-1.0 / (p - 1), 1.0, size,
+                        margin=FULL_CONDITIONAL_GRID_MARGIN)
+
+
 def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
                                  seed=0, sigma2: float = 1.0) -> EfficiencyCurve:
     """Monte Carlo ratio of known-variance to free-variance asymptotic
     variance for the full-conditional correlation estimator.
 
     Each grid point gets an independent substream; ``std_err`` is the
-    batch-means error of the ratio.  A ClikError at a grid point is raised
-    again, as the same class, with ``rho`` and ``sigma2`` named.
+    batch-means error of the ratio.  The default grid is
+    :func:`full_conditional_grid` with 21 points.  A ClikError at a grid
+    point is raised again, as the same class, with ``rho`` and ``sigma2``
+    named.
     """
     if grid is None:
-        grid = default_grid(-1.0 / (p - 1), 1.0, size=21)
+        grid = full_conditional_grid(p, 21)
     grid = np.asarray(grid, dtype=float)
     _check_emvn_domain(p, grid)
     model = EMVN(p)

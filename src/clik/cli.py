@@ -44,7 +44,8 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started):
 
 
 def _integer(low: int):
-    """argparse type: an integer of at least ``low``."""
+    """argparse type: an integer of at least ``low`` and at most
+    ``sys.maxsize``, the largest array size or index numpy takes."""
     def parse(text):
         try:
             value = int(text)
@@ -53,6 +54,9 @@ def _integer(low: int):
                 f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > sys.maxsize:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {sys.maxsize}, got {value}")
         return value
     return parse
 
@@ -112,8 +116,7 @@ def cmd_figure2(args) -> int:
     """Same ratio for the full-conditional estimator, by Monte Carlo."""
     started = time.monotonic()
     out = _ensure_out(args)
-    lo = -1.0 / (args.p - 1)
-    grid = asy.default_grid(lo, 1.0, args.grid, margin=0.05)
+    grid = asy.full_conditional_grid(args.p, args.grid)
     curve = asy.full_conditional_ratio_curve(args.p, grid, draws=args.draws,
                                              seed=args.seed, sigma2=args.sigma2)
     csv_path = os.path.join(out, "figure2.csv")
@@ -261,6 +264,12 @@ def parse_sim_config(path) -> mc.SimConfig:
         except ValueError:
             raise ConfigError(f"{path}: key {key!r} is not a number: {raw!r}")
 
+    def size(key):
+        value = int(num(key))
+        if value > sys.maxsize:
+            raise ConfigError(f"{path}: key {key!r} is above {sys.maxsize}")
+        return value
+
     family = need("model").lower()
     try:
         if family == "emvn":
@@ -294,8 +303,8 @@ def parse_sim_config(path) -> mc.SimConfig:
         if not runs:
             raise ConfigError(f"{path}: specs list is empty")
 
-        config = mc.SimConfig(model, theta, tuple(runs), n=int(num("n")),
-                              replicates=int(num("replicates")),
+        config = mc.SimConfig(model, theta, tuple(runs), n=size("n"),
+                              replicates=size("replicates"),
                               seed=int(num("seed", "0")))
         for run in runs:
             check_identified(model, run.spec, theta, run.fixed_dict)
@@ -389,4 +398,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         name = getattr(exc, "filename", None)
         print(f"error: {name or ''}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 2

@@ -50,7 +50,7 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
                      UnsupportedSpec)
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
-from .models import (Model, ParamBatch, ParamVector, _as_rows,
+from .models import (Model, ParamBatch, ParamVector, _as_rows, _index_tuple,
                      affine_quadratic, feature_scratch, feature_statistic,
                      score_kernel, substream, unpack_forms, unpack_statistic)
 
@@ -106,22 +106,6 @@ class Component:
                     "conditional components have a single target")
             if self.indices[0] in self.given:
                 raise InvalidArgument("target appears in its own given set")
-
-
-def _index_tuple(indices) -> tuple:
-    """``indices`` as a tuple of ints; InvalidArgument unless it is a
-    sequence of integral numbers."""
-    try:
-        raw = tuple(indices)
-        out = tuple(int(i) for i in raw)
-        integral = all(isinstance(i, numbers.Real) and i == j
-                       for i, j in zip(raw, out))
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise InvalidArgument(f"component indices {indices!r} are not a "
-                              f"sequence of integers")
-    return out
 
 
 @dataclass(frozen=True)
@@ -648,14 +632,14 @@ def info_exact(spec: CompositeSpec, model: Model, theta: ParamVector) -> InfoTri
     A model without a covariance (``Model._cov``) raises InvalidArgument.
     """
     stencil, steps = _stencil(model, theta, FD_STEP_EXACT)
-    forms = _spec_forms(spec, model, ParamBatch(
-        theta.names, np.concatenate([[theta.values], stencil.values]),
-        theta.roles))
-    cov = model._cov(theta)
+    points = ParamBatch(theta.names, np.concatenate(
+        [[theta.values], stencil.values]), theta.roles)
+    forms, mean, cov = (_spec_forms(spec, model, points), model._mean(points),
+                        model._cov(theta))
     J = _moment(forms[0], forms[0], cov)
-    population = np.concatenate([[1.0], model._mean(theta), cov.ravel()])
-    means = _contract(forms[1:], np.array([population] * len(stencil)),
-                      model._mean(stencil))
+    population = np.concatenate([[1.0], mean[0], cov.ravel()])
+    means = _contract(forms[1:], np.broadcast_to(
+        population, (len(stencil), population.size)), mean[1:])
     H = -((means[0::2] - means[1::2]) / (2.0 * steps[:, None])).T
     if asymmetry(H) > H_ASYMMETRY_TOL:
         raise InvalidArgument(f"exact sensitivity asymmetric beyond "
@@ -831,11 +815,13 @@ def partitioned_variance(triple: InfoTriple, interest):
     if not i_idx or not n_idx:
         raise InvalidArgument(
             "both the interest and nuisance blocks must be nonempty")
-    i, n = np.array(i_idx)[:, None], np.array(n_idx)[:, None]
-    ii, in_, ni, nn = [(Ellipsis, a, b.T) for a in (i, n) for b in (i, n)]
-    H, J, G = triple.sensitivity, triple.variability, triple.godambe
-    schur = G[ii] - G[in_] @ solve_sym(G[nn], G[ni])
+    # G with the interest block first: its four blocks are slices
+    k, order = len(i_idx), np.array(i_idx + n_idx)
+    G = triple.godambe[..., order[:, None], order]
+    schur = G[..., :k, :k] - G[..., :k, k:] @ solve_sym(G[..., k:, k:],
+                                                         G[..., k:, :k])
     avar_profile = sym_invert(schur)
-    h_ii_inv = sym_invert(H[ii])
-    avar_known = symmetrize(h_ii_inv @ J[ii] @ h_ii_inv)
+    ii = (Ellipsis, order[:k, None], order[:k])
+    h_ii_inv = sym_invert(triple.sensitivity[ii])
+    avar_known = symmetrize(h_ii_inv @ triple.variability[ii] @ h_ii_inv)
     return avar_profile, avar_known

@@ -20,7 +20,7 @@ from the moment start lands on the estimate.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,8 +29,8 @@ import numpy as np
 from .composite import (CompositeSpec, _contract, _moment,
                         _sensitivity_forms, exact_sensitivity)
 from .composite import composite_score  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .errors import (DomainError, NoRootInDomain, SingularMatrix,
-                     UnsupportedSpec)
+from .errors import (DimensionMismatch, DomainError, InvalidArgument,
+                     NoRootInDomain, SingularMatrix, UnsupportedSpec)
 from .matrixops import is_singular
 from .models import (EMVN, Model, ParamBatch, ParamVector, TriNormal,
                      unpack_statistic)
@@ -403,7 +403,7 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
     known, by ``fixed`` or by a known tag in ``theta_like``), so hand-built
     specs qualify as well as the constructors.
     """
-    theta = _hold(theta_like, fixed)
+    theta = _hold(model, theta_like, fixed)
     free = list(theta.free_names)
     margins = _unit_margins(spec)
 
@@ -417,11 +417,41 @@ def registered_closed_form(model: Model, spec: CompositeSpec, theta_like,
     return None
 
 
-def _hold(theta_like: ParamVector, fixed) -> ParamVector:
-    """``theta_like`` with the ``fixed`` values set and tagged known."""
-    fixed = dict(fixed or {})
+def _hold(model: Model, theta_like: ParamVector, fixed) -> ParamVector:
+    """``theta_like`` with the ``fixed`` values set and tagged known.
+    InvalidArgument unless ``theta_like`` is a ParamVector of ``model``'s
+    parameters and ``fixed`` is None or a mapping of names to numbers
+    (UnknownParameter for a name the model lacks)."""
+    if not (isinstance(theta_like, ParamVector)
+            and theta_like.names == model.param_names):
+        raise InvalidArgument(f"{model!r} fits a ParamVector of "
+                              f"{model.param_names}, got {theta_like!r}")
+    if fixed is None:
+        fixed = {}
+    if not (isinstance(fixed, Mapping)
+            and all(isinstance(name, str) for name in fixed)):
+        raise InvalidArgument(f"fixed must be a mapping of parameter names "
+                              f"to values, got {fixed!r}")
     return theta_like.with_values(**fixed).with_roles(
         **{name: "known" for name in fixed})
+
+
+def _stat_rows(model: Model, stats) -> np.ndarray:
+    """``stats`` as an ``(R, 1 + dim + dim**2)`` float array, one
+    ``model.statistic`` per row: InvalidArgument unless it holds real
+    numbers, DimensionMismatch unless it has that shape."""
+    try:
+        if np.iscomplexobj(stats):
+            raise TypeError
+        arr = np.asarray(stats, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"statistics of type {type(stats).__name__} "
+                              f"are not real numbers") from None
+    width = 1 + model.dim + model.dim ** 2
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise DimensionMismatch(f"statistics of shape {arr.shape} for "
+                                f"{model!r}: expected (datasets, {width})")
+    return arr
 
 
 def check_identified(model: Model, spec: CompositeSpec, theta_like,
@@ -431,7 +461,7 @@ def check_identified(model: Model, spec: CompositeSpec, theta_like,
     sensitivity, the H that Newton steps with, is singular.  Every Newton
     fit of such a spec fails on it, so a study can reject it before drawing
     any data."""
-    theta = _hold(theta_like, fixed)
+    theta = _hold(model, theta_like, fixed)
     try:
         singular = is_singular(exact_sensitivity(spec, model, theta))
     except SingularMatrix:
@@ -475,7 +505,7 @@ def moment_starts(model: Model, stats, theta_like: ParamVector,
         pad = 0.02 * model.theta_max
         updates = {"theta": np.clip(ybar.sum(axis=1) / (2.0 + 1.0 / model.k),
                                     pad, model.theta_max - pad)}
-    theta = _hold(theta_like, fixed)
+    theta = _hold(model, theta_like, fixed)
     values = np.tile(theta.values, (len(stats), 1))
     for name, column in updates.items():
         if name in theta.free_names:
@@ -490,18 +520,23 @@ def batch_route(model: Model, spec: CompositeSpec, theta_like, fixed=None):
     in ``stats``: by the registered fast path when one matches, where a
     dataset with no score root in the domain fails with NoRootInDomain,
     and by batched Newton from the moment starts otherwise.  :func:`fit`
-    is the one-dataset case.
+    is the one-dataset case.  ``stats`` that is not an ``(R, 1 + dim +
+    dim**2)`` array of numbers raises InvalidArgument or DimensionMismatch.
     """
     match = registered_closed_form(model, spec, theta_like, fixed)
     if match is None:
-        return lambda stats: newton_solve(
-            spec, model, stats, moment_starts(model, stats, theta_like, fixed))
+        def newton(stats):
+            stats = _stat_rows(model, stats)
+            return newton_solve(spec, model, stats, moment_starts(
+                model, stats, theta_like, fixed))
+        return newton
     entry, known = match
-    theta = _hold(theta_like, fixed)
+    theta = _hold(model, theta_like, fixed)
     cols = [theta.names.index(name) for name in entry.free]
 
     def solve(stats):
-        estimates, converged, score_norm = entry.solve(stats, known)
+        estimates, converged, score_norm = entry.solve(
+            _stat_rows(model, stats), known)
         values = np.tile(theta.values, (len(stats), 1))
         values[:, cols] = estimates
         errors = [None] * len(stats)

@@ -11,9 +11,16 @@ matrix, so a batched solve gets the same bits as one solve per matrix.
 
 :func:`is_singular` is the one singularity decision: every inversion and
 every Newton step meets it, and it ignores the units of the parameters.
+One matrix takes a path of its own, with the screen in Python floats and
+the same verdict as in a stack: the information routes call these
+functions on 1x1 to 3x3 matrices thousands of times, and there numpy's
+per-call cost, not the arithmetic, is the time.  :func:`sym_invert` and
+:func:`solve_sym` make one symmetrization, one screen and one LAPACK call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,6 +62,8 @@ def is_singular(m):
     boolean array of verdicts, one matrix gives a bool.
     """
     a = np.asarray(m, dtype=float)
+    if a.ndim == 2:
+        return _is_singular_one(a)
     dim = a.shape[-1]
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     # a NaN or infinite entry is never decomposed (the SVD would not
@@ -65,24 +74,51 @@ def is_singular(m):
         det = np.abs(np.linalg.det(a))
         undecided = np.asarray(np.isfinite(scale) & (
             det <= SINGULAR_TOL_FACTOR * (dim * scale) ** dim))
-    if np.any(undecided):
-        sub = a[undecided]                      # (k, dim, dim)
-        rows = np.abs(sub).max(axis=-1, keepdims=True)
-        scaled = sub / np.where(rows == 0.0, 1.0, rows)
-        cols = np.abs(scaled).max(axis=-2, keepdims=True)
-        sv = np.linalg.svd(scaled / np.where(cols == 0.0, 1.0, cols),
-                           compute_uv=False)
-        undecided[undecided] = sv[:, -1] <= SINGULAR_TOL_FACTOR * sv[:, 0]
-    return bool(undecided) if undecided.ndim == 0 else undecided
+    if undecided.any():
+        undecided[undecided] = _scaled_svd_singular(a[undecided])
+    return undecided
+
+
+def _is_singular_one(a) -> bool:
+    """:func:`is_singular` of one matrix, the screen in Python floats: the
+    same maximum, power and determinant, so the same verdict as in a
+    stack.  Where the power overflows, the stacked screen decides quietly."""
+    flat = a.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        return False
+    dim, scale = a.shape[-1], max(map(abs, flat), default=0.0)
+    try:
+        bound = SINGULAR_TOL_FACTOR * (dim * scale) ** dim
+    except OverflowError:
+        return bool(is_singular(a[None])[0])
+    if abs(float(np.linalg.det(a))) > bound:
+        return False
+    return bool(_scaled_svd_singular(a[None])[0])
+
+
+def _scaled_svd_singular(sub) -> np.ndarray:
+    """The SVD verdict of :func:`is_singular` on each matrix of a stack
+    ``(k, dim, dim)`` of finite matrices."""
+    rows = np.abs(sub).max(axis=-1, keepdims=True)
+    scaled = sub / np.where(rows == 0.0, 1.0, rows)
+    cols = np.abs(scaled).max(axis=-2, keepdims=True)
+    sv = np.linalg.svd(scaled / np.where(cols == 0.0, 1.0, cols),
+                       compute_uv=False)
+    return sv[:, -1] <= SINGULAR_TOL_FACTOR * sv[:, 0]
 
 
 def _nonsingular_sym(m) -> np.ndarray:
     """``symmetrize(m)``, or SingularMatrix if :func:`is_singular` says so
     (for a stack: of any matrix, listed in the exception's ``rows``)."""
     a = symmetrize(m)
-    singular = np.atleast_1d(is_singular(a))
-    if np.any(singular):
-        dets = np.atleast_1d(np.linalg.det(a))[singular]
+    if a.ndim == 2:
+        if _is_singular_one(a):
+            raise SingularMatrix(f"singular matrix (determinant "
+                                 f"{np.linalg.det(a):g})", rows=np.array([0]))
+        return a
+    singular = is_singular(a)
+    if singular.any():
+        dets = np.linalg.det(a)[singular]
         raise SingularMatrix(
             "singular matrix (determinant "
             + ", ".join(f"{d:g}" for d in dets) + ")",

@@ -24,12 +24,14 @@ every point of a batched solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +56,12 @@ _FLOAT_MAX = sys.float_info.max
 #: batch) to ``(m + m (m + 1) / 2) * _KERNEL_ROWS`` floats, however many
 #: rows are scored.
 _KERNEL_ROWS = 1 << 14
+
+#: Margin plans kept by :func:`_margin_plan`, least recently used first
+#: out: one per dimension and tuple of index sets in use, such as each
+#: spec's margins, the one-margin tuples of ``margin_score_rep`` and the
+#: spec-plus-full tuples of the exact sensitivity.
+MARGIN_PLAN_CACHE = 256
 
 
 def _free(names, roles) -> tuple:
@@ -359,8 +367,15 @@ def substream(seed, index=None) -> np.random.Generator:
 
 
 def _as_rows(y, dim: int):
-    """Promote a single observation to a 1-row matrix; report if it was 1-D."""
-    arr = np.asarray(y, dtype=float)
+    """Promote a single observation to a 1-row matrix; report if it was 1-D.
+    InvalidArgument unless ``y`` holds real numbers."""
+    try:
+        if np.iscomplexobj(y):
+            raise TypeError
+        arr = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"data of type {type(y).__name__} are not "
+                              f"real numbers") from None
     if arr.ndim == 1:
         if arr.size != dim:
             raise DimensionMismatch(f"observation has length {arr.size}, model dim {dim}")
@@ -519,11 +534,87 @@ def unpack_statistic(stats):
             stats[..., dim + 1:].reshape(stats.shape[:-1] + (dim, dim)))
 
 
-def _canon(indices) -> tuple:
-    idx = tuple(sorted(int(i) for i in indices))
+def _index_tuple(indices) -> tuple:
+    """``indices`` as a tuple of ints; InvalidArgument unless it is a
+    sequence of integral numbers."""
+    try:
+        raw = tuple(indices)
+        out = tuple(int(i) for i in raw)
+        integral = all(isinstance(i, numbers.Real) and i == j
+                       for i, j in zip(raw, out))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidArgument(f"indices {indices!r} are not a sequence of "
+                              f"integers")
+    return out
+
+
+def _check_indices(dim: int, indices) -> tuple:
+    """The sorted index set of ``indices``; InvalidArgument unless it is a
+    nonempty sequence of distinct integers, DimensionMismatch unless they
+    lie in ``0..dim-1``."""
+    idx = tuple(sorted(_index_tuple(indices)))
     if len(set(idx)) != len(idx):
         raise InvalidArgument(f"repeated indices in {indices}")
+    if not idx:
+        raise InvalidArgument("index set must be nonempty")
+    if idx[0] < 0 or idx[-1] >= dim:
+        raise DimensionMismatch(f"indices {idx} outside 0..{dim - 1}")
     return idx
+
+
+class _MarginGroup(NamedTuple):
+    """The margins of one size in a :class:`_MarginPlan`."""
+
+    positions: np.ndarray       # (K,) their places in the plan's sets
+    members: np.ndarray         # (K, m) their indices
+    block: tuple                # indexes the (K, m, m) blocks of a matrix
+    sel: np.ndarray             # (K, m, dim) 0/1 rows selecting them
+    sel_t: np.ndarray           # (K, dim, m) view of ``sel`` transposed
+
+
+class _MarginPlan(NamedTuple):
+    """What :meth:`Model.margin_score_reps` needs of its index sets that
+    does not depend on the parameters: the checked sets, and the margins
+    grouped by size (increasing)."""
+
+    sets: tuple
+    groups: tuple
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=MARGIN_PLAN_CACHE)
+def _cached_plan(dim: int, key: tuple) -> _MarginPlan:
+    sets = tuple(_check_indices(dim, idx) for idx in key)
+    groups = []
+    for size in sorted(set(map(len, sets))):
+        positions = [k for k, idx in enumerate(sets) if len(idx) == size]
+        members = _read_only(np.array([sets[k] for k in positions]))
+        sel = _read_only(np.eye(dim)[members])
+        groups.append(_MarginGroup(
+            _read_only(np.array(positions)), members,
+            (Ellipsis, members[:, :, None], members[:, None, :]),
+            sel, np.swapaxes(sel, -1, -2)))
+    return _MarginPlan(sets, tuple(groups))
+
+
+def _margin_plan(dim: int, index_sets) -> _MarginPlan:
+    """The :class:`_MarginPlan` of ``index_sets`` at dimension ``dim``,
+    built once per distinct tuple of index sets and then shared (its
+    arrays are read-only).  Raises as :func:`_check_indices` does, on
+    every call: a failed build is not kept."""
+    try:
+        key = tuple(map(tuple, index_sets))
+        hash(key)
+    except TypeError:
+        raise InvalidArgument(f"index sets {index_sets!r} are not "
+                              f"sequences of integers") from None
+    return _cached_plan(dim, key)
 
 
 class Model:
@@ -586,14 +677,6 @@ class Model:
                 raise DomainError(f"{name}={value} is not a finite value "
                                   f"inside ({lo}, {hi}) (margin "
                                   f"{BOUNDARY_MARGIN})")
-
-    def _check_indices(self, indices):
-        idx = _canon(indices)
-        if not idx:
-            raise InvalidArgument("index set must be nonempty")
-        if idx[0] < 0 or idx[-1] >= self.dim:
-            raise DimensionMismatch(f"indices {idx} outside 0..{self.dim - 1}")
-        return idx
 
     # -- margins (implemented by subclasses, vectorized over rows) ------
 
@@ -728,7 +811,7 @@ class GaussianModel(Model):
 
     def margin_loglik(self, indices, Y, theta):
         self.validate(theta)
-        idx = self._check_indices(indices)
+        idx = _check_indices(self.dim, indices)
         rows, single = _as_rows(Y, self.dim)
         ix = np.ix_(idx, idx)
         cov = self._cov(theta)[ix]
@@ -753,33 +836,31 @@ class GaussianModel(Model):
         margins of one size are inverted as one stack by one ``sym_invert``
         call, and their blocks are embedded into the full space by 0/1
         selection matrices ``Sel`` (``B Sel`` and ``Sel' A Sel``), which
-        copy every entry exactly.  Each margin's forms equal those of the
+        copy every entry exactly.  The index blocks and ``Sel`` depend on
+        the index sets alone: they are built once per tuple of index sets
+        (:func:`_margin_plan`).  Each margin's forms equal those of the
         margin alone, bit for bit.  A SingularMatrix lists in ``rows`` the
         points of a ParamBatch ``theta`` at which some margin is singular.
         """
         self.validate(theta)
-        sets = [self._check_indices(idx) for idx in index_sets]
+        plan = _margin_plan(self.dim, index_sets)
         p, cov = self.dim, self._cov(theta)
         dmu, dS = self._jacobians(theta)
-        out = np.empty((len(sets),) + dS.shape[:-2] + (1 + p + p * p,))
-        for size in sorted(set(map(len, sets))):
-            group = [k for k, idx in enumerate(sets) if len(idx) == size]
-            members = np.array([sets[k] for k in group])        # (K, m)
-            block = (Ellipsis, members[:, :, None], members[:, None, :])
+        out = np.empty((len(plan.sets),) + dS.shape[:-2] + (1 + p + p * p,))
+        for positions, members, block, sel, sel_t in plan.groups:
             try:
                 cinv = sym_invert(cov[block])                   # (..., K, m, m)
             except SingularMatrix as exc:
                 raise SingularMatrix(str(exc), rows=np.unique(
-                    exc.rows // len(group))) from None
+                    exc.rows // len(positions))) from None
             cinv = cinv[..., None, :, :, :]                     # (..., 1, K, m, m)
-            sel = np.eye(p)[members]                            # (K, m, p)
             cd = cinv @ dS[block]                               # (..., q, K, m, m)
             B = (cinv @ dmu[..., members, None])[..., None, :, 0] @ sel
-            A = np.swapaxes(sel, -1, -2) @ (cd @ cinv) @ sel
+            A = sel_t @ (cd @ cinv) @ sel
             forms = np.concatenate(
                 [-0.5 * np.trace(cd, axis1=-2, axis2=-1)[..., None],
                  B[..., 0, :], A.reshape(A.shape[:-2] + (-1,))], axis=-1)
-            out[group] = np.moveaxis(forms, -2, 0)
+            out[positions] = np.moveaxis(forms, -2, 0)
         return out
 
     # -- sampling -------------------------------------------------------------
@@ -929,7 +1010,7 @@ class Multinomial4(Model):
 
     def margin_loglik(self, indices, Y, theta):
         self.validate(theta)
-        idx = self._check_indices(indices)
+        idx = _check_indices(self.dim, indices)
         rows, single = _as_rows(Y, self.dim)
         probs = self.cell_probs(theta)[list(idx)]
         rest = 1.0 - probs.sum()
@@ -953,11 +1034,11 @@ class Multinomial4(Model):
         indicators, so ``A`` is zero; the cell probabilities are computed
         once for every margin."""
         self.validate(theta)
+        sets = _margin_plan(self.dim, index_sets).sets
         probs = self.cell_probs(theta)
         cell_grads = self.cell_grads()
-        out = np.zeros((len(index_sets),) + probs.shape[:-1] + (1, 1 + 3 + 3 * 3))
-        for forms, indices in zip(out, index_sets):
-            idx = list(self._check_indices(indices))
+        out = np.zeros((len(sets),) + probs.shape[:-1] + (1, 1 + 3 + 3 * 3))
+        for forms, idx in zip(out, map(list, sets)):
             grads = cell_grads[idx]
             rest = -grads.sum() / (1.0 - probs[..., idx].sum(axis=-1))
             B = forms[..., 0, 1:4]

@@ -199,9 +199,9 @@ def parent_margin_score_rep(model, indices, theta):
     for a Gaussian model one ``sym_invert`` of the margin covariance and a
     loop over the free parameters, scattering each block into zeros."""
     from clik.matrixops import sym_invert
-    from clik.models import Multinomial4
+    from clik.models import Multinomial4, _check_indices
     model.validate(theta)
-    idx = model._check_indices(indices)
+    idx = _check_indices(model.dim, indices)
     if isinstance(model, Multinomial4):
         idx = list(idx)
         probs = model.cell_probs(theta)

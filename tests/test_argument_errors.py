@@ -4,11 +4,12 @@ ClikError that is still a KeyError, and scores of the wrong length raise
 DimensionMismatch.  A point with every parameter known raises
 UnsupportedSpec on every information route, before any draw, and a
 parameter value that is not finite raises DomainError.  The model, spec,
-simulation and information layers let no other error escape an odd
-argument, a wrong type included.  (More of ``composite``'s checks are in
+simulation, information and estimator layers let no other error escape an
+odd argument, a wrong type included.  (More of ``composite``'s checks are in
 ``test_composite.py``.)"""
 
 import math
+import warnings
 from functools import cache, partial
 
 import numpy as np
@@ -464,5 +465,66 @@ def triples():
 def test_odd_arguments_raise_only_clik_errors(call):
     try:
         call()
+    except ClikError:
+        pass
+
+
+# -- odd arguments to the estimator layer ---------------------------------------
+
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+#: Data of any shape, of numbers that may not be finite, of integers,
+#: booleans or complex numbers, of objects that are not numbers, or not an
+#: array at all.
+ODD_DATA = st.one_of(
+    hnp.arrays(float, SHAPES, elements=st.one_of(
+        st.floats(-3, 3), st.sampled_from([math.nan, math.inf]))),
+    hnp.arrays(int, SHAPES, elements=st.integers(-2, 2)),
+    hnp.arrays(bool, SHAPES),
+    hnp.arrays(complex, SHAPES,
+               elements=st.complex_numbers(max_magnitude=3)),
+    hnp.arrays(object, SHAPES, elements=st.one_of(
+        st.text(max_size=1), st.none(), st.floats(-1, 1))),
+    ODD, st.lists(st.lists(st.one_of(st.floats(), st.text(max_size=1)),
+                           max_size=4), max_size=3))
+#: ``fixed`` arguments: none, empty, of the wrong type, or mappings with
+#: odd names and values.
+ODD_FIXED = st.one_of(
+    st.none(), st.just({}), ODD,
+    st.dictionaries(st.one_of(NAMES, st.integers(-1, 2), st.none()),
+                    st.one_of(st.floats(), st.text(max_size=2), st.none()),
+                    max_size=2))
+
+
+@st.composite
+def odd_fit_calls(draw):
+    """One call of ``fit`` on a dataset of the model or on odd data, or of
+    the solve that ``batch_route`` returns on statistics of any shape,
+    with a ``theta_like`` of the model, of another model or of the wrong
+    type, and an odd ``fixed``."""
+    model = draw(MODELS)
+    spec = draw(st.sampled_from(SPECS))
+    theta_like = draw(st.one_of(odd_points(model), ODD))
+    fixed = draw(ODD_FIXED)
+    if draw(st.booleans()):
+        data = draw(st.one_of(st.just(None), ODD_DATA))
+        if data is None:
+            base = {"rho": 0.3, "sigma2": 1.5, "mu": 0.2, "theta": 0.2}
+            data = model.sample(model.params(
+                *[base[name] for name in model.param_names]), 40, 1)
+        return partial(est.fit, spec, model, data, theta_like, fixed)
+    stats = draw(st.one_of(
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3,
+                                           min_side=0, max_side=14),
+                   elements=st.floats(-3, 3)), ODD_DATA))
+    return lambda: est.batch_route(model, spec, theta_like, fixed)(stats)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(call=odd_fit_calls())
+def test_odd_fit_arguments_raise_only_clik_errors(call):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
     except ClikError:
         pass

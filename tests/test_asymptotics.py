@@ -134,6 +134,16 @@ def test_full_conditional_ratio_curve_basics():
     np.testing.assert_array_equal(curve.rows, again.rows)
 
 
+@pytest.mark.parametrize("p, seed", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0)])
+def test_full_conditional_ratio_curve_runs_on_its_default_grid(p, seed):
+    # 0.01 inside the lower bound the stencil H of 2000 draws was
+    # asymmetric beyond tolerance; the default grid is figure2's
+    curve = asy.full_conditional_ratio_curve(p, draws=2000, seed=seed)
+    np.testing.assert_array_equal(curve.x, asy.full_conditional_grid(p, 21))
+    assert curve.x[0] == -1.0 / (p - 1) + asy.FULL_CONDITIONAL_GRID_MARGIN
+    assert np.all(np.isfinite(curve.rows))
+
+
 @pytest.mark.parametrize("sigma2", [1e-5, 1e-3, 0.3, 7.0, 1e3, 1e100])
 def test_full_conditional_ratio_curve_is_free_of_scale(sigma2):
     # the draws at sigma2 are sqrt(sigma2) times those at 1, and the sigma2

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -493,3 +495,111 @@ def test_fuzzed_simulate_config_exits_cleanly(data):
         with open(cfg, "wb") as fh:
             fh.write(data)
         assert main(["simulate", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# odd flag values and odd config lines
+# ---------------------------------------------------------------------------
+
+
+#: Values no flag of its kind accepts: every drawn command line carries one,
+#: so it must be refused.  Integers above sys.maxsize are refused when parsed.
+NEVER_VALID = {
+    "size": ["", "x", "nan", "inf", "1.5", "1e3", "-1", "0",
+             "99999999999999999999999", "-99999999999999999999"],
+    "seed": ["", "x", "nan", "-1", "1.5", "1e400"],
+    "positive": ["", "x", "nan", "inf", "-inf", "0", "-1", "1e400", "1e-400",
+                 ","],
+    "sigma2-list": ["", "x", "nan", "inf", "1e400", ",", "1,x", "-1", "0"],
+    "rho-list": ["x", "nan", "inf", "1e400", ",,x", "1,x", "2", "-1.5"],
+    "level": ["", "x", "Full", "slow"],
+}
+#: Other values, valid or not; valid sizes stay small, so a command that
+#: gets this far is quick.
+ANY_VALUE = st.sampled_from(["", "x", "nan", "-1", "0", "1", "2", "3",
+                             "0.5", "1e-3", "٣", " 7", "1,2", "--"])
+#: Flags of each command and their kinds; figure2 and verify run with the
+#: given cheap settings unless a drawn flag replaces them.
+COMMAND_FLAGS = {
+    "figure1": {"--p": "size", "--grid": "size"},
+    "figure2": {"--p": "size", "--grid": "size", "--draws": "size",
+                "--sigma2": "positive", "--seed": "seed"},
+    "figure3": {"--k": "positive", "--grid": "size"},
+    "example2": {"--sigma2": "sigma2-list", "--rho": "rho-list",
+                 "--grid": "size"},
+    "verify": {"--level": "level", "--seed": "seed"},
+}
+CHEAP = {"figure2": ["--grid", "2", "--draws", "2000"],
+         "verify": ["--level", "quick"]}
+
+
+@st.composite
+def odd_command_lines(draw):
+    """A command with one flag set to a value it never accepts and up to
+    two others set to any value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    names = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
+                          max_size=3, unique=True))
+    argv = [command] + CHEAP.get(command, [])
+    for name in names[1:]:
+        argv += [name, draw(ANY_VALUE)]
+    # last, so that it is the value argparse keeps
+    return argv + [names[0], draw(st.sampled_from(NEVER_VALID[flags[names[0]]]))]
+
+
+#: Config lines that make any config invalid.
+ODD_CONFIG_LINES = st.one_of(
+    st.sampled_from(["tau = 1", "model", "= 3", "n = 20", "specs = nope",
+                     "specs = pairwise!tau", "specs = ,"]),
+    st.tuples(st.sampled_from(["model", "p", "rho", "n", "replicates",
+                               "seed"]),
+              st.sampled_from(["", "x", "nan", "inf", "1e400", "-1"]))
+    .map(" = ".join),
+    st.sampled_from(["n", "replicates"]).map(
+        lambda key: f"{key} = 99999999999999999999999"))
+
+
+def assert_refused(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code == 2, (argv, err)
+    assert "error:" in err and "Traceback" not in err, (argv, err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=odd_command_lines())
+def test_odd_flag_values_exit_2_with_a_message(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_refused(argv + ["--out", os.path.join(tmp, "out")])
+        assert not os.path.exists(os.path.join(tmp, "out"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(line=ODD_CONFIG_LINES, at=st.integers(0, 6))
+def test_odd_config_lines_exit_2_with_a_message(line, at):
+    # "n = 20" repeats a key: every drawn line makes the config invalid
+    lines = ["model = emvn", "p = 3", "rho = 0.3", "n = 20",
+             "replicates = 100", "specs = pairwise"]
+    lines.insert(at, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "study.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert_refused(["simulate", cfg, "--out", os.path.join(tmp, "out")])
+
+
+def test_a_run_out_of_memory_exits_2_with_a_message(tmp_path, monkeypatch,
+                                                    capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+    monkeypatch.setattr(asy, "multinomial_variance_curves", exhausted)
+    assert main(["figure3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: not enough memory: Unable to "
+                                       "allocate 8.00 EiB\n")

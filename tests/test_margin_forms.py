@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import clik.composite as comp
 from clik import estimators, models
-from clik.errors import SingularMatrix
+from clik.errors import ClikError, SingularMatrix
 from clik.models import EMVN, Multinomial4, ParamBatch, TriNormal
 from oracles import (parent_info_exact, parent_mean_scores, parent_packed_rep,
                      parent_summed_score)
@@ -77,6 +77,56 @@ def test_one_margin_rep_is_the_batched_case():
     c, B, A = model.margin_score_rep((3, 1), theta)
     packed = model.margin_score_reps([(1, 3)], theta)[0]
     np.testing.assert_array_equal(models.pack_forms(c, B, A), packed)
+
+
+# -- the margin plan cache -------------------------------------------------------
+
+
+def test_cold_and_warm_plans_give_the_same_bits():
+    model = EMVN(4)
+    theta = parameter_points(model)[2]
+    sets = comp._margins(comp.full_conditional(4))
+    models._cached_plan.cache_clear()
+    cold = model.margin_score_reps(sets, theta)
+    assert models._cached_plan.cache_info().misses == 1
+    warm = model.margin_score_reps(list(map(list, sets)), theta)
+    assert models._cached_plan.cache_info().hits == 1
+    assert cold.tobytes() == warm.tobytes()
+    # one margin as a list, a range or a tuple, on a cold and a warm cache
+    reps = []
+    for indices in ([2, 0, 1], range(3), (0, 1, 2), range(3)):
+        if not isinstance(indices, range):
+            models._cached_plan.cache_clear()
+        reps.append(b"".join(a.tobytes() for a in
+                             model.margin_score_rep(indices, theta)))
+    assert len(set(reps)) == 1
+
+
+def test_cached_plans_are_read_only():
+    plan = models._margin_plan(4, comp._margins(comp.full_conditional(4)))
+    assert [len(group.members[0]) for group in plan.groups] == [3, 4]
+    for group in plan.groups:
+        for array in (group.positions, group.members, group.sel,
+                      group.sel_t):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            group.sel[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("index_sets", [
+    [(0, 0)], [()], [(0, 4)], [(-1, 1)], [(0.5, 1)], [("a",)], [(0, 1), 3],
+    3, [[[0], 1]], [(0, 1), (1, 1)], [(0, 1), ("0", 1)]], ids=repr)
+@pytest.mark.parametrize("model", [EMVN(3), Multinomial4(5.0)], ids=repr)
+def test_bad_index_sets_raise_the_same_error_on_every_call(model, index_sets):
+    theta = parameter_points(model)[0]
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ClikError) as exc:
+            model.margin_score_reps(index_sets, theta)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1] == raised[2]
+    # the good sets still work after the failures
+    model.margin_score_reps([(0, 1), (2,)], theta)
 
 
 def count_sym_invert(monkeypatch):

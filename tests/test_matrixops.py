@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clik.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 from clik.matrixops import (asymmetry, cholesky_lower, is_psd, is_singular,
@@ -187,3 +190,69 @@ def test_inversions_are_unit_free():
     inv = sym_invert(m)
     np.testing.assert_allclose(m @ inv, np.eye(2), atol=1e-10)
     np.testing.assert_allclose(solve_sym(m, m), np.eye(2), atol=1e-10)
+
+
+# -- one matrix against a stack ---------------------------------------------------
+
+
+@st.composite
+def screened_matrices(draw):
+    """A square matrix of dimension 1 to 5 on a scale from 1e-150 to 1e150
+    (or 1e200, where the determinant screen overflows), with its rows and
+    columns in other units: plain, rank-deficient, with a zero row or
+    column, or with a NaN or infinite entry."""
+    dim = draw(st.integers(1, 5))
+    m = draw(hnp.arrays(float, (dim, dim), elements=st.floats(-4.0, 4.0)))
+    kind = draw(st.sampled_from(["plain", "deficient", "zero row",
+                                 "zero column", "not finite"]))
+    at = draw(st.integers(0, dim - 1))
+    if kind == "deficient":
+        m[at] = draw(st.floats(-2.0, 2.0)) * m[(at + 1) % dim]
+    elif kind == "zero row":
+        m[at] = 0.0
+    elif kind == "zero column":
+        m[:, at] = 0.0
+    elif kind == "not finite":
+        m[at, draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    scale = 10.0 ** draw(st.one_of(st.integers(-150, 150), st.just(200)))
+    units = 10.0 ** draw(hnp.arrays(float, (2, dim),
+                                    elements=st.integers(-4, 4).map(float)))
+    if draw(st.booleans()):
+        m = m + m.T                     # the symmetric matrices inverted
+    with np.errstate(over="ignore", invalid="ignore"):
+        return units[0][:, None] * (scale * m) * units[1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(m=screened_matrices())
+def test_one_matrix_screen_is_the_stacked_screen(m):
+    # the single-matrix path gives the verdict each stack gives, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = is_singular(m)
+    assert type(verdict) is bool
+    with np.errstate(invalid="ignore"):     # the stack's det of a NaN entry
+        assert verdict == is_singular(m[None])[0]
+        assert verdict == is_singular(np.stack([np.eye(len(m)), m, m]))[1]
+
+
+def inversion(invert, m):
+    """The bits of ``invert(m)``, or the message and rows of its
+    SingularMatrix."""
+    try:
+        return invert(m).tobytes()
+    except SingularMatrix as exc:
+        return str(exc), exc.rows.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=screened_matrices())
+def test_one_matrix_inversion_is_the_stacked_inversion(m):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert (inversion(sym_invert, m)
+                == inversion(lambda a: sym_invert(a[None])[0], m))
+        rhs = np.arange(2.0 * len(m)).reshape(len(m), 2)
+        assert (inversion(lambda a: solve_sym(a, rhs), m)
+                == inversion(lambda a: solve_sym(a[None], rhs[None])[0], m))
