@@ -69,9 +69,13 @@ class EfficiencyCurve:
     @classmethod
     def from_csv(cls, path) -> "EfficiencyCurve":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
+            header, *body = list(csv.reader(fh)) or [[]]
+        if not header or any(len(row) != len(header) for row in body):
+            raise InvalidArgument(f"curve file {path} is empty or ragged")
+        try:
+            rows = [[float(v) for v in row] for row in body]
+        except ValueError as exc:
+            raise InvalidArgument(f"curve file {path}: {exc}") from None
         return cls(header[0], tuple(header[1:]), np.asarray(rows))
 
 

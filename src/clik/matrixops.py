@@ -67,10 +67,10 @@ def is_singular(m):
     dim = a.shape[-1]
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     # a NaN or infinite entry is never decomposed (the SVD would not
-    # converge); the solve that follows propagates it.  Where the screen
-    # overflows (entries above about 1e100) it reads inf <= inf and leaves
-    # the verdict to the SVD
-    with np.errstate(over="ignore"):
+    # converge), so its determinant, which may warn, is not read; the solve
+    # that follows propagates it.  Where the screen overflows (entries above
+    # about 1e100) it reads inf <= inf and leaves the verdict to the SVD
+    with np.errstate(all="ignore"):
         det = np.abs(np.linalg.det(a))
         undecided = np.asarray(np.isfinite(scale) & (
             det <= SINGULAR_TOL_FACTOR * (dim * scale) ** dim))
@@ -118,7 +118,7 @@ def _nonsingular_sym(m) -> np.ndarray:
         return a
     singular = is_singular(a)
     if singular.any():
-        dets = np.linalg.det(a)[singular]
+        dets = np.linalg.det(a[singular])
         raise SingularMatrix(
             "singular matrix (determinant "
             + ", ".join(f"{d:g}" for d in dets) + ")",

@@ -299,6 +299,9 @@ def _stream_words(seed, indices) -> np.ndarray:
     if indices is None:
         return _seed_state([np.array([w], dtype=np.uint32) for w in run])
     keys = np.asarray(indices)
+    if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "iu"):
+        raise InvalidArgument(f"substream indices {indices!r} are not a "
+                              f"sequence of integers")
     if np.any(keys < 0):
         raise InvalidArgument("substream indices must be non-negative")
     keys = keys.astype(np.uint64)
@@ -340,8 +343,9 @@ def substreams(seed, indices):
 
     The seed words of every index are hashed at once, here; each Generator
     is built, by PCG64's own seeding, when the iterator reaches it.  Raises
-    InvalidArgument for a negative seed or index and TypeError for a seed
-    that is not an integer.
+    InvalidArgument for a negative seed or index or for ``indices`` that
+    are not a sequence of integers, and TypeError for a seed that is not
+    an integer.
     """
     from numpy.random.bit_generator import ISeedSequence
     ISeedSequence.register(_SeedWords)     # a no-op once registered
@@ -398,14 +402,13 @@ def feature_scratch(dim: int) -> np.ndarray:
     return np.empty(_feature_width(dim) * _KERNEL_ROWS)
 
 
-def residual_features(rows, mean=None, scratch=None):
+def residual_features(rows, mean, scratch=None):
     """Yield ``(cols, feats)`` over the rows ``rows`` ``(..., n, m)``,
     ``_KERNEL_ROWS`` of them at a time: ``cols`` the slice of rows taken
     and ``feats`` ``(..., m + m (m + 1) / 2, w)`` their feature rows, the
-    residuals ``r = y - mean`` (``y`` itself when ``mean`` is None)
-    transposed as they are subtracted, then their distinct products
-    ``r_a r_b`` (``a <= b``, ``a`` major).  Each ``feats`` is a
-    C-contiguous view of one flat buffer, ``scratch`` (see
+    residuals ``r = y - mean`` transposed as they are subtracted, then
+    their distinct products ``r_a r_b`` (``a <= b``, ``a`` major).  Each
+    ``feats`` is a C-contiguous view of one flat buffer, ``scratch`` (see
     :func:`feature_scratch`) or a fresh one, and the next overwrites it.
     No chunk holds a lone row unless ``rows`` does: numpy multiplies one
     row as a vector, which rounds differently, so a row's scores would
@@ -422,10 +425,7 @@ def residual_features(rows, mean=None, scratch=None):
         chunk = np.swapaxes(rows[..., start:stop, :], -1, -2)
         w = chunk.shape[-1]
         feats = scratch[:per_row * w].reshape(lead + (width, w))
-        if mean is None:
-            feats[..., :m, :] = chunk
-        else:
-            np.subtract(chunk, mean[..., :, None], out=feats[..., :m, :])
+        np.subtract(chunk, mean[..., :, None], out=feats[..., :m, :])
         k = m
         for a in range(m):
             np.multiply(feats[..., a:m, :], feats[..., a:a + 1, :],
@@ -452,16 +452,14 @@ def feature_statistic(sizes, sums, mean):
 def score_kernel(c, B, A):
     """``fill(rows, mean, out, scratch=None)`` for score forms ``c + B r +
     r' A r / 2`` of shapes ``(..., q)``, ``(..., q, m)``, ``(..., q, m, m)``:
-    it writes the scores at ``r = y - mean`` (``y`` when ``mean`` is None)
-    of ``rows`` ``(..., n, m)`` into ``out`` ``(..., q, n)`` and returns the
-    sums ``(..., m + m (m + 1) / 2)`` of their feature rows
-    (:func:`residual_features`, in ``scratch`` when given).  The
-    coefficients that meet the features, ``B`` then the packed ``A``
-    (``(A_ij + A_ji) / 2`` off the diagonal, ``A_ii / 2`` on it), are built
-    once, every column's row among them, so a column's bits do not depend
-    on which others are quadratic: those are one matmul, and a column whose
-    ``A`` is zero at every leading index is ``c + r @ B'`` on a row-major
-    copy of ``r``, bit for bit as a linear form always was."""
+    it writes the scores at ``r = y - mean`` of ``rows`` ``(..., n, m)``
+    into ``out`` ``(..., q, n)`` and returns the sums ``(..., m + m (m +
+    1) / 2)`` of their feature rows (:func:`residual_features`, in
+    ``scratch`` when given).  The coefficients that meet the features,
+    ``B`` then the packed ``A`` (``(A_ij + A_ji) / 2`` off the diagonal,
+    ``A_ii / 2`` on it), are built once, one row per column, linear or
+    not, and every chunk of scores is one matmul of them with the
+    features."""
     m = B.shape[-1]
     coef = np.empty(A.shape[:-2] + (_feature_width(m),))
     coef[..., :m] = B
@@ -470,20 +468,13 @@ def score_kernel(c, B, A):
         coef[..., k:k + m - a] = 0.5 * (A[..., a, a:] + A[..., a:, a])
         coef[..., k] *= 0.5
         k += m - a
-    linear = ~np.any(A, axis=tuple(range(A.ndim - 3)) + (-2, -1))
-    quadratic, some_linear = not linear.all(), linear.any()
 
     def fill(rows, mean, out, scratch=None):
         total = 0.0
         for cols, feats in residual_features(rows, mean, scratch):
             block = out[..., cols]
-            if quadratic:
-                np.matmul(coef, feats, out=block)
-                block += c[..., None]
-            if some_linear:
-                resid = np.swapaxes(feats[..., :m, :], -1, -2).copy()
-                vals = c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
-                block[..., linear, :] = np.swapaxes(vals, -1, -2)[..., linear, :]
+            np.matmul(coef, feats, out=block)
+            block += c[..., None]
             total = total + feats.sum(axis=-1)
         return total
     return fill
@@ -495,15 +486,13 @@ def affine_quadratic(c, B, A, resid):
     residual rows ``resid`` ``(..., n, m)``; returns ``(..., n, q)``.
     ``resid`` is not modified.
 
-    Forms with no quadratic column are ``c + r @ B'`` on the rows as given.
-    Otherwise the result is the transpose of a ``(..., q, n)`` block that
-    one :func:`score_kernel` call fills, the kernel a Monte Carlo pass
-    (``composite._info_from_sample``) fills its batch blocks with."""
-    if not A.any():
-        return c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+    The result is the transpose of a ``(..., q, n)`` block that one
+    :func:`score_kernel` call fills about a zero mean, the kernel a Monte
+    Carlo pass (``composite._info_from_sample``) fills its batch blocks
+    with."""
     out = np.empty(np.broadcast_shapes(c.shape[:-1], resid.shape[:-2])
                    + (c.shape[-1], resid.shape[-2]))              # (..., q, n)
-    score_kernel(c, B, A)(resid, None, out)
+    score_kernel(c, B, A)(resid, np.zeros(resid.shape[-1]), out)
     return np.swapaxes(out, -1, -2)
 
 

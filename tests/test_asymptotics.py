@@ -3,7 +3,7 @@ import pytest
 
 import clik.asymptotics as asy
 import clik.composite as comp
-from clik.errors import DomainError
+from clik.errors import DomainError, InvalidArgument
 from clik.models import EMVN, Multinomial4, TriNormal
 
 
@@ -349,3 +349,13 @@ def test_curve_csv_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "again.csv"
     back.to_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["", "rho,ratio\n0.1,abc\n",
+                                  "rho,ratio\n0.1,1.0\n0.2\n"],
+                         ids=["empty", "not a number", "ragged"])
+def test_curve_csv_refuses_a_malformed_file(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidArgument, match="curve.csv"):
+        asy.EfficiencyCurve.from_csv(path)

@@ -18,10 +18,9 @@ J, its batch values, the batch means and the scores agree to rounding, and
 H, its batch values and its standard errors to the rounding of a central
 difference (within 1e-10 of the largest entry of H); a multinomial
 batch G moves with its batch H, within 1e-10 of its own largest entry.  A
-linear score column (TriNormal ``mu``, every multinomial column) is bit
-for bit the same on both routes; the batch means of even a linear score still sum in
-different orders (``block.mean`` against ``np.add.reduceat``), so the
-multinomial's J and G, like every other model's J, agree to rounding.
+linear score column (TriNormal ``mu``, every multinomial column) is a row
+of the same matmul as a quadratic one, so it too agrees to rounding, and
+the multinomial's J and G, like every other model's J, agree to rounding.
 Neither route writes to the caller's draws, the pass calls neither
 ``Model.statistic`` nor ``affine_quadratic``, and the kernel's scratch
 does not grow with the number of rows.
@@ -128,13 +127,6 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
                  (got.batches.sensitivity, want.batches.sensitivity),
                  (got.sensitivity_se, want.sensitivity_se)):
         assert np.max(np.abs(a - b)) <= htol
-    if M is None:
-        # a linear column (TriNormal mu, every multinomial column) keeps
-        # its bits beside quadratic ones
-        _, _, A = unpack_forms(comp._spec_forms(spec, model, theta),
-                               model.dim)
-        for a in np.flatnonzero(~np.any(A, axis=(-2, -1))):
-            assert scores[:, a].tobytes() == U0[:, a].tobytes()
     if isinstance(model, Multinomial4):
         gtol = 1e-12 * np.max(np.abs(want.godambe))
         for a, b, bound in (
@@ -207,16 +199,35 @@ def test_streamed_triples_are_the_whole_sample_pass(case, batches, per,
 
 
 def test_linear_forms_keep_their_bits_in_any_layout():
-    # residuals laid out as broadcasting leaves them (the outcomes less a
-    # batch of means); a linear column is c + r @ B' on them
-    model = Multinomial4(5.0)
-    points = ParamBatch.stack([model.params(t) for t in (0.2, 0.2001, 0.1999)])
-    c, B, A = unpack_forms(comp._spec_forms(comp.pairwise(3), model, points),
-                           model.dim)
-    resid = model.outcomes() - model._mean(points)[:, None, :]
-    for rows in (resid, np.asfortranarray(resid), np.ascontiguousarray(resid)):
-        want = c[..., None, :] + rows @ np.swapaxes(B, -1, -2)
-        assert affine_quadratic(c, B, A, rows).tobytes() == want.tobytes()
+    # residuals laid out as broadcasting leaves them (the rows less a batch
+    # of means), row-major, column-major and broadcast along the batch:
+    # every column, linear or quadratic, has the same bytes in each layout
+    multi, tri, emvn = Multinomial4(5.0), TriNormal(), EMVN(3)
+    cases = [
+        (multi, [multi.params(t) for t in (0.2, 0.2001, 0.1999)],
+         multi.outcomes()),
+        (tri, [tri.params(mu=0.7, rho=r, sigma2=2.0) for r in (-0.3, 0.5)],
+         tri.sample(tri.params(mu=0.7, rho=-0.3, sigma2=2.0), 37, 4)),
+        (emvn, [emvn.params(rho=r, sigma2=1.3) for r in (0.4, -0.2)],
+         emvn.sample(emvn.params(rho=0.4, sigma2=1.3), 37, 5)),
+    ]
+    for model, points, rows in cases:
+        points = ParamBatch.stack(points)
+        c, B, A = unpack_forms(comp._spec_forms(comp.pairwise(3), model,
+                                                points), model.dim)
+        resid = rows - model._mean(points)[:, None, :]
+        want = affine_quadratic(c, B, A, resid)
+        for layout in (np.asfortranarray(resid), np.ascontiguousarray(resid)):
+            assert affine_quadratic(c, B, A, layout).tobytes() \
+                == want.tobytes()
+        shared = np.broadcast_to(resid[0], resid.shape)
+        assert affine_quadratic(c, B, A, shared).tobytes() \
+            == affine_quadratic(c, B, A, shared.copy()).tobytes()
+        # and it is c + r @ B' plus the quadratic term to rounding
+        exact = (c[..., None, :] + resid @ np.swapaxes(B, -1, -2)
+                 + 0.5 * np.einsum("...na,...qab,...nb->...nq",
+                                   resid, A, resid))
+        assert np.max(np.abs(want - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 # -- the caller's draws are never written ------------------------------------

@@ -184,6 +184,20 @@ def test_overflowing_determinant_screen_is_quiet():
         assert is_singular(np.ones((3, 3)) * 1e200)
 
 
+@pytest.mark.parametrize("solve", [sym_invert,
+                                   lambda m: solve_sym(m, np.ones((2, 2)))],
+                         ids=["sym_invert", "solve_sym"])
+def test_nan_entry_in_a_stack_is_screened_quietly(solve):
+    # a NaN matrix is left to the solve; the singular one beside it is
+    # named, and neither the screen nor the message warns
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix) as exc:
+            solve(np.stack([np.ones((2, 2)), nan]))
+    assert exc.value.rows.tolist() == [0]
+
+
 def test_inversions_are_unit_free():
     # a well-posed matrix on mixed scales is inverted, not rejected
     m = np.array([[2.82, -0.80e-6], [-0.80e-6, 1.5e-12]])
@@ -227,14 +241,14 @@ def screened_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(m=screened_matrices())
 def test_one_matrix_screen_is_the_stacked_screen(m):
-    # the single-matrix path gives the verdict each stack gives, quietly
+    # the single-matrix path gives the verdict each stack gives, and both
+    # are quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict = is_singular(m)
-    assert type(verdict) is bool
-    with np.errstate(invalid="ignore"):     # the stack's det of a NaN entry
         assert verdict == is_singular(m[None])[0]
         assert verdict == is_singular(np.stack([np.eye(len(m)), m, m]))[1]
+    assert type(verdict) is bool
 
 
 def inversion(invert, m):

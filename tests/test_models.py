@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from clik.composite import (Component, CompositeSpec, _spec_forms, chain,
                             composite_loglik, full_likelihood, info_exact)
-from clik.errors import DimensionMismatch, DomainError
+from clik.errors import DimensionMismatch, DomainError, InvalidArgument
 from clik.matrixops import cholesky_lower
 from clik.models import (EMVN, Multinomial4, ParamBatch, ParamVector,
                          TriNormal, affine_quadratic, substream, substreams,
@@ -250,6 +250,21 @@ def test_substreams_reject_negative_seeds_and_indices():
         substreams(-1, [0, 1])
     with pytest.raises(TypeError):
         substream(1.5, 0)
+
+
+def test_substreams_reject_indices_that_are_not_integers():
+    # numpy's SeedSequence refuses a fractional spawn key; so do substreams,
+    # rather than truncate it to another stream
+    for index in (2.5, [1, 2], "x", np.float64(3.0)):
+        with pytest.raises(InvalidArgument):
+            substream(1, index)
+    for indices in ([1.5], 5, [[0, 1]], ["a"], [0, None]):
+        with pytest.raises(InvalidArgument):
+            substreams(1, indices)
+    assert list(substreams(1, [])) == []
+    _assert_same_stream(substream(1, np.int64(7)), _numpy_stream(1, 7))
+    _assert_same_stream(next(substreams(1, np.array([2**40], dtype=np.uint64))),
+                        _numpy_stream(1, 2**40))
 
 
 def test_sampler_validates_once_at_set_up():

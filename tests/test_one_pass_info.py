@@ -2,10 +2,10 @@
 per-row and per-batch arithmetic it replaced.
 
 ``models.affine_quadratic`` runs the score kernel
-(``models.score_kernel``), whose quadratic columns are one matmul of
+(``models.score_kernel``), whose columns are one matmul of
 packed coefficients with the residuals and their distinct products; the
 oracle (``oracles.parent_affine_quadratic``) multiplies and sums, so the
-two agree to rounding, and bit for bit on linear forms.  J of a Monte
+two agree to rounding, linear forms included.  J of a Monte
 Carlo triple is pooled from the batch covariances and means; it must match
 the covariance of all the rows to rounding.  The batch Godambe matrices,
 the partitioned variances and the ratio curve's batch ratios are each one
@@ -80,9 +80,6 @@ def test_einsum_quadratic_matches_product_and_sum(case):
     want = parent_affine_quadratic(c, B, A, resid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    for a in range(c.shape[-1]):
-        if not np.any(A[..., a, :, :]):
-            assert got[..., a].tobytes() == want[..., a].tobytes()
 
 
 @SETTINGS
