@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -20,7 +21,21 @@ from .composite import (batch_se, full_conditional, info_monte_carlo,
                         partitioned_variance)
 from .errors import ClikError, DomainError, InvalidArgument
 from .fileio import atomic_csv, fmt
-from .models import EMVN, Multinomial4, substream
+from .models import EMVN, Multinomial4, _real_array, substream
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float: InvalidArgument unless it is one real number,
+    DomainError unless it is finite."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +58,16 @@ class EfficiencyCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _real_array(self.rows, "curve rows")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "value_names", tuple(self.value_names))
+        try:
+            names = tuple(self.value_names)
+        except TypeError:
+            names = (None,)
+        if not all(isinstance(n, str) for n in (self.x_name, *names)):
+            raise InvalidArgument(f"curve names {self.x_name!r}, "
+                                  f"{self.value_names!r} are not strings")
+        object.__setattr__(self, "value_names", names)
         if rows.ndim != 2 or rows.shape[1] != 1 + len(self.value_names):
             raise InvalidArgument(f"rows shape {rows.shape} does not match "
                                   f"{len(self.value_names)} value columns")
@@ -81,11 +103,18 @@ class EfficiencyCurve:
 
 def default_grid(lo: float, hi: float, size: int = 201,
                  margin: float = 0.01) -> np.ndarray:
-    """Equispaced grid clipped ``margin`` inside an open interval."""
+    """Equispaced grid clipped ``margin`` inside an open interval.
+    DomainError unless ``lo``, ``hi`` and ``margin >= 0`` are finite and
+    leave an interval."""
     if not (isinstance(size, (int, np.integer)) and size >= 2):
         raise InvalidArgument(f"grid needs an integer number of points, at "
                               f"least 2, got {size!r}")
-    return np.linspace(lo + margin, hi - margin, size)
+    a = _finite(lo, "lo") + _finite(margin, "margin")
+    b = _finite(hi, "hi") - margin
+    if not (margin >= 0 and math.isfinite(b - a) and a < b):
+        raise DomainError(f"margin {margin!r} leaves no interval inside "
+                          f"({lo!r}, {hi!r})")
+    return np.linspace(a, b, size)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +122,33 @@ def default_grid(lo: float, hi: float, size: int = 201,
 # ---------------------------------------------------------------------------
 
 
-def _check_emvn_domain(p: int, rho) -> None:
+def _grid(values) -> np.ndarray:
+    """``values`` as a 1-D float array; InvalidArgument unless it is a
+    sequence of real numbers."""
+    grid = _real_array(values, "grid")
+    if grid.ndim != 1:
+        raise InvalidArgument(f"grid of shape {grid.shape} is not a sequence")
+    return grid
+
+
+def _check_p(p) -> None:
+    """DomainError unless ``p`` is an integer from 3 to 2**53, the
+    largest that a float holds exactly."""
+    if not (isinstance(p, numbers.Real) and 3 <= p <= 2 ** 53
+            and int(p) == p):
+        raise DomainError(f"p must be an integer from 3 to 2**53, got {p!r}")
+
+
+def _check_emvn_domain(p: int, rho) -> np.ndarray:
+    """``rho`` as a float array, checked against EMVN(p)."""
     # the closed forms extend continuously to the lower endpoint, where the
     # free-variance estimator becomes exact; the model domain itself is open
-    if int(p) != p or p < 3:
-        raise DomainError("p must be an integer >= 3")
+    _check_p(p)
     lo = -1.0 / (p - 1)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < lo) or np.any(rho >= 1.0):
+    rho = _real_array(rho, "rho")
+    if not np.all((rho >= lo) & (rho < 1.0)):
         raise DomainError(f"rho must lie in [{lo}, 1)")
+    return rho
 
 
 def avar_rho_known_sigma(p: int, rho):
@@ -112,8 +159,7 @@ def avar_rho_known_sigma(p: int, rho):
         c(p, rho) = (1-rho)^2 (3 rho^2 + p^2 rho^2 + 1)
                     + p rho (-3 rho^3 + 8 rho^2 - 3 rho + 2).
     """
-    _check_emvn_domain(p, rho)
-    rho = np.asarray(rho, dtype=float)
+    rho = _check_emvn_domain(p, rho)
     c = ((1 - rho) ** 2 * (3 * rho ** 2 + p ** 2 * rho ** 2 + 1)
          + p * rho * (-3 * rho ** 3 + 8 * rho ** 2 - 3 * rho + 2))
     out = 2 * (1 - rho) ** 2 * c / (p * (p - 1) * (1 + rho ** 2) ** 2)
@@ -128,8 +174,7 @@ def avar_rho_free_sigma(p: int, rho):
 
     Vanishes at the lower domain boundary ``rho = -1/(p-1)``.
     """
-    _check_emvn_domain(p, rho)
-    rho = np.asarray(rho, dtype=float)
+    rho = _check_emvn_domain(p, rho)
     out = 2 * (1 - rho) ** 2 * (1 + (p - 1) * rho) ** 2 / (p * (p - 1))
     return float(out) if out.ndim == 0 else out
 
@@ -141,10 +186,13 @@ def pairwise_ratio_curve(p: int, grid=None) -> EfficiencyCurve:
     Equals 1 at rho = 0, stays below 1 on the positive side, and diverges
     at the lower boundary where the free-variance estimator becomes exact.
     """
+    _check_p(p)
     if grid is None:
         grid = default_grid(-1.0 / (p - 1), 1.0)
-    grid = np.asarray(grid, dtype=float)
-    ratio = avar_rho_known_sigma(p, grid) / avar_rho_free_sigma(p, grid)
+    grid = _grid(grid)
+    # the curve refuses the ratio at the lower bound, which is infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = avar_rho_known_sigma(p, grid) / avar_rho_free_sigma(p, grid)
     return EfficiencyCurve("rho", ("ratio",), np.column_stack([grid, ratio]),
                            {"p": p})
 
@@ -157,11 +205,13 @@ def pairwise_rho_sigma_acov(p: int, rho, sigma2):
 
     Vanishes at rho = 0 and at the lower domain boundary.
     """
-    _check_emvn_domain(p, rho)
-    if np.any(np.asarray(sigma2) <= 0):
-        raise DomainError("sigma2 must be positive")
-    rho = np.asarray(rho, dtype=float)
-    out = 2 * rho * (1 - rho) * (1 + (p - 1) * rho) * sigma2 / p
+    rho, sigma2 = _check_emvn_domain(p, rho), _real_array(sigma2, "sigma2")
+    if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
+        raise DomainError("sigma2 must be positive and finite")
+    with np.errstate(over="ignore"):
+        out = 2 * rho * (1 - rho) * (1 + (p - 1) * rho) * sigma2 / p
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"the covariance overflows at sigma2={sigma2}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,6 +226,7 @@ def full_conditional_grid(p: int, size: int) -> np.ndarray:
     """The ``rho`` grid of :func:`full_conditional_ratio_curve` and ``clik
     figure2``: ``size`` equispaced points FULL_CONDITIONAL_GRID_MARGIN
     inside the EMVN(p) domain."""
+    _check_p(p)
     return default_grid(-1.0 / (p - 1), 1.0, size,
                         margin=FULL_CONDITIONAL_GRID_MARGIN)
 
@@ -191,10 +242,9 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
     point is raised again, as the same class, with ``rho`` and ``sigma2``
     named.
     """
-    if grid is None:
-        grid = full_conditional_grid(p, 21)
-    grid = np.asarray(grid, dtype=float)
-    _check_emvn_domain(p, grid)
+    grid = _check_emvn_domain(
+        p, _grid(full_conditional_grid(p, 21) if grid is None else grid))
+    sigma2 = _finite(sigma2, "sigma2")
     model = EMVN(p)
     spec = full_conditional(p)
     rows = []
@@ -229,6 +279,7 @@ def two_block_mean_variances(sigma2: float, rho: float):
     ``(2 (1+rho) + u) / (2 + u)^2``, so that no power of ``sigma2``
     overflows.
     """
+    sigma2, rho = _finite(sigma2, "sigma2"), _finite(rho, "rho")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     if not -1.0 <= rho <= 1.0:
@@ -250,6 +301,7 @@ def two_block_threshold(sigma2: float) -> float:
     ``sigma2 = 1`` it is evaluated as ``-(2 + u)/(4 + u)``, ``u =
     1/sigma2``, which stays finite where ``4 sigma2`` overflows.
     """
+    sigma2 = _finite(sigma2, "sigma2")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     if sigma2 > 1.0:
@@ -286,13 +338,15 @@ class MultinomialInfo:
         return self.j_pair / self.h_pair ** 2
 
 
-def _check_multinomial_domain(theta, k: float) -> None:
+def _check_multinomial_domain(theta, k: float) -> np.ndarray:
+    """``theta`` as a float array, checked against Multinomial4(k)."""
     if k <= 0:
         raise DomainError("k must be positive")
     tmax = Multinomial4(k).theta_max
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0) or np.any(theta >= tmax):
+    theta = _real_array(theta, "theta")
+    if not np.all((theta > 0) & (theta < tmax)):
         raise DomainError(f"theta must lie in (0, {tmax})")
+    return theta
 
 
 def multinomial_info_scalars(theta: float, k: float) -> MultinomialInfo:
@@ -302,8 +356,8 @@ def multinomial_info_scalars(theta: float, k: float) -> MultinomialInfo:
     Raises DomainError where ``k * theta`` underflows (below the smallest
     normal float) or a scalar is not finite in double precision.
     """
-    _check_multinomial_domain(theta, k)
-    t = float(theta)
+    t, k = _finite(theta, "theta"), _finite(k, "k")
+    _check_multinomial_domain(t, k)
     if not k * t >= sys.float_info.min:
         raise DomainError(f"k * theta = {k * t:g} underflows "
                           f"(k={k:g}, theta={t:g})")
@@ -334,8 +388,7 @@ def multinomial_variance_curves(k: float, grid=None) -> EfficiencyCurve:
     model = Multinomial4(k)
     if grid is None:
         grid = default_grid(0.0, model.theta_max, margin=0.01 * model.theta_max)
-    grid = np.asarray(grid, dtype=float)
-    _check_multinomial_domain(grid, k)
+    grid = _check_multinomial_domain(_grid(grid), k)
     rows = []
     for t in grid:
         info = multinomial_info_scalars(float(t), k)

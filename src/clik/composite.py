@@ -51,8 +51,9 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
 from .models import (Model, ParamBatch, ParamVector, _as_rows, _index_tuple,
-                     affine_quadratic, feature_scratch, feature_statistic,
-                     score_kernel, substream, unpack_forms, unpack_statistic)
+                     _real_array, affine_quadratic, feature_scratch,
+                     feature_statistic, score_kernel, substream, unpack_forms,
+                     unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -133,14 +134,24 @@ class CompositeSpec:
         return f"CompositeSpec({self.name!r}, {len(self.components)} components)"
 
 
+def _dimension(p) -> int:
+    """``p``, the coordinates of a spec builder; InvalidArgument unless it
+    is an integer."""
+    if not isinstance(p, (int, np.integer)):
+        raise InvalidArgument(f"p must be an integer, got {p!r}")
+    return int(p)
+
+
 def independence(p: int) -> CompositeSpec:
     """All univariate margins."""
+    p = _dimension(p)
     return CompositeSpec("independence",
                          [Component("margin", (r,)) for r in range(p)])
 
 
 def pairwise(p: int) -> CompositeSpec:
     """All p(p-1)/2 bivariate margins."""
+    p = _dimension(p)
     comps = [Component("margin", (r, s))
              for r in range(p) for s in range(r + 1, p)]
     return CompositeSpec("pairwise", comps)
@@ -148,6 +159,7 @@ def pairwise(p: int) -> CompositeSpec:
 
 def full_conditional(p: int) -> CompositeSpec:
     """Each coordinate conditioned on all the others."""
+    p = _dimension(p)
     comps = [Component("conditional", (r,),
                        tuple(j for j in range(p) if j != r))
              for r in range(p)]
@@ -158,9 +170,13 @@ def chain(p: int, subset=None) -> CompositeSpec:
     """Product of ``f(y_i | y_0..y_{i-1})`` over ``i`` in ``subset``.
 
     Such products are information-unbiased by construction: the component
-    scores are mutually uncorrelated.
+    scores are mutually uncorrelated.  InvalidArgument for a ``subset``
+    that is not integers in ``0..p-1``.
     """
-    subset = tuple(range(p)) if subset is None else tuple(sorted(set(subset)))
+    p = _dimension(p)
+    subset = range(p) if subset is None else sorted(set(_index_tuple(subset)))
+    if not all(0 <= i < p for i in subset):
+        raise InvalidArgument(f"chain subset {subset} is outside 0..{p - 1}")
     comps = []
     for i in subset:
         if i == 0:
@@ -172,13 +188,14 @@ def chain(p: int, subset=None) -> CompositeSpec:
 
 def singleton_margins(indices) -> CompositeSpec:
     """Independence-style spec over a chosen subset of coordinates."""
-    idx = tuple(sorted(set(int(i) for i in indices)))
+    idx = tuple(sorted(set(_index_tuple(indices))))
     return CompositeSpec(f"margins{list(idx)}",
                          [Component("margin", (r,)) for r in idx])
 
 
 def full_likelihood(p: int) -> CompositeSpec:
     """The joint density as a single component."""
+    p = _dimension(p)
     return CompositeSpec("full", [Component("margin", tuple(range(p)))])
 
 
@@ -436,11 +453,10 @@ def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
-                      theta: ParamVector, M=None) -> InfoTriple:
-    """Monte Carlo InfoTriple of the composite score (right-multiplied by
-    ``M`` when given) over the draws given as ``blocks``: the batches of
-    :func:`batch_slices`, an iterable of ``(k_b, dim)`` row blocks, in
-    order.  The draws are the ``n = sum(k_b)`` rows of the blocks.
+                      theta: ParamVector) -> InfoTriple:
+    """Monte Carlo InfoTriple of the composite score over the draws given
+    as ``blocks``: the batches of :func:`batch_slices`, an iterable of
+    ``(k_b, dim)`` row blocks, in order, ``n = sum(k_b)`` rows in all.
 
     One blocked pass over the batches that holds one batch at a time and
     reads each once: the spec's forms are built once at ``theta`` into one
@@ -464,10 +480,8 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     so a point with nothing free is refused, before the first block is
     read.
 
-    A genuine composite score is a gradient field, so its per-draw
-    Jacobian is symmetric and the estimated H must be symmetric to
-    round-off; for a projected score (``M`` given) H is symmetric only in
-    expectation, and the check is relaxed to the batch noise level.
+    A composite score is a gradient field, so its per-draw Jacobian is
+    symmetric and the estimated H must be symmetric to round-off.
     """
     stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     free = theta.free_names
@@ -478,8 +492,6 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     for rows in blocks:
         block = np.empty((q, rows.shape[0]))
         total = fill(rows, mean, block, scratch)
-        if M is not None:
-            block = M.T @ block
         # block.T is column-major, so both reduce along contiguous rows
         means.append(block.mean(axis=1))
         J_batch.append(sample_cov(block.T))
@@ -493,19 +505,12 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     sums = _contract(_spec_forms(spec, model, stencil)[:, None],
                      np.tile(stats, (2 * q, 1, 1)),
                      model._mean(stencil)[:, None])
-    if M is not None:
-        sums = sums @ M
     sums = sums.reshape(q, 2, batches, q)         # (column, side, batch, row)
     diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
     Hcols_full = -(diff.sum(axis=1) / n).T
     Hcols_batch = -np.transpose(diff / sizes[:, None], (1, 2, 0))
 
-    allow = H_ASYMMETRY_TOL
-    if M is not None:
-        se = batch_se(Hcols_batch - np.transpose(Hcols_batch, (0, 2, 1)))
-        scale = max(1.0, float(np.max(np.abs(Hcols_full))))
-        allow = max(allow, 6.0 * float(np.max(se)) / scale)
-    if asymmetry(Hcols_full) > allow:
+    if asymmetry(Hcols_full) > H_ASYMMETRY_TOL:
         raise InvalidArgument(f"sensitivity estimate asymmetric beyond "
                               f"tolerance: {asymmetry(Hcols_full):g}")
     H_full, H_batch = symmetrize(Hcols_full), symmetrize(Hcols_batch)
@@ -570,7 +575,7 @@ def project_score(triple: InfoTriple, scores):
     estimating function with the same roots and Godambe information.
     Raises DimensionMismatch for a stacked triple, and unless the last axis
     of ``scores`` has ``triple.dim`` entries."""
-    arr = np.asarray(scores, dtype=float)
+    arr = _real_array(scores, "scores")
     if triple.sensitivity.ndim != 2 or arr.shape[-1:] != (triple.dim,):
         raise DimensionMismatch(f"scores of shape {arr.shape} for a triple "
                                 f"of shape {triple.sensitivity.shape}")
@@ -580,15 +585,34 @@ def project_score(triple: InfoTriple, scores):
     return arr @ M
 
 
+def _projected(triple: InfoTriple, M) -> InfoTriple:
+    """The triple of the projected score ``u @ M`` of a triple or a stack,
+    its batches included: ``M' H`` and ``M' J M``, symmetrized."""
+    H = symmetrize(M.T @ triple.sensitivity)
+    J = symmetrize(M.T @ triple.variability @ M)
+    batches = (None if triple.batches is None
+               else _projected(triple.batches, M))
+    return InfoTriple(triple.param_names, H, J, _godambe(H, J),
+                      triple.provenance, triple.draws, batches)
+
+
 def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
                                theta: ParamVector, draws: int, seed,
                                base: InfoTriple,
                                batches: int = DEFAULT_BATCHES) -> InfoTriple:
     """Monte Carlo triple of the projected score ``H J^-1 u_c`` with the
-    projection frozen from ``base`` (fresh draws, fresh randomness)."""
-    blocks = _drawn_batches(model, theta, draws, seed, batches)
-    return _info_from_sample(spec, model, blocks, theta,
-                             projection_matrix(base))
+    projection frozen from ``base`` (fresh draws, fresh randomness): the
+    :func:`info_monte_carlo` triple, :func:`_projected`.  Raises
+    DimensionMismatch, before any draw, unless ``base`` is a point triple
+    of the free parameters of ``theta``."""
+    free = _free_names(theta)
+    if not (isinstance(base, InfoTriple) and base.param_names == free
+            and base.sensitivity.ndim == 2):
+        raise DimensionMismatch(f"the base of a projection must be a point "
+                                f"triple of {free}")
+    M = projection_matrix(base)
+    return _projected(info_monte_carlo(spec, model, theta, draws, seed,
+                                       batches), M)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +727,14 @@ class FullEfficiencyReport:
     sigma: float                       # the z threshold used for the verdict
 
 
+def _check_sigma(sigma) -> None:
+    """InvalidArgument unless the z threshold of a verdict is a finite
+    number above zero."""
+    if not (isinstance(sigma, numbers.Real) and 0 < sigma < np.inf):
+        raise InvalidArgument(f"sigma must be a finite number > 0, got "
+                              f"{sigma!r}")
+
+
 def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
                           draws: int, seed, batches: int = DEFAULT_BATCHES,
                           sigma: float = 3.0) -> FullEfficiencyReport:
@@ -714,7 +746,9 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     mean residual (the constant-offset estimate), the per-draw residual
     z-scores propagated from the uncertainty of ``H J^-1``, and the two
     internal identities residual_cov = I - G and H = Cov(u_c, u).
+    InvalidArgument unless ``sigma`` is a finite number above zero.
     """
+    _check_sigma(sigma)
     _check_draws(theta, draws, seed)
     Y = model.sample(theta, draws, seed)
     slices = batch_slices(len(Y), batches)

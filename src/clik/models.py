@@ -370,16 +370,22 @@ def substream(seed, index=None) -> np.random.Generator:
     return next(substreams(seed, None if index is None else [index]))
 
 
+def _real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; InvalidArgument, naming ``what``, unless
+    it holds real numbers."""
+    try:
+        if np.iscomplexobj(value):
+            raise TypeError
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"{what} of type {type(value).__name__} are "
+                              f"not real numbers") from None
+
+
 def _as_rows(y, dim: int):
     """Promote a single observation to a 1-row matrix; report if it was 1-D.
     InvalidArgument unless ``y`` holds real numbers."""
-    try:
-        if np.iscomplexobj(y):
-            raise TypeError
-        arr = np.asarray(y, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"data of type {type(y).__name__} are not "
-                              f"real numbers") from None
+    arr = _real_array(y, "data")
     if arr.ndim == 1:
         if arr.size != dim:
             raise DimensionMismatch(f"observation has length {arr.size}, model dim {dim}")
@@ -966,8 +972,8 @@ class Multinomial4(Model):
     def __init__(self, k: float):
         if not (isinstance(k, numbers.Real) and k > 0):
             raise InvalidArgument(f"k must be a positive number, got {k!r}")
-        if not math.isfinite(2.0 * k + 1.0):
-            raise DomainError(f"k={k:g} is too large: 2k + 1 overflows, so "
+        if not k <= sys.float_info.max / 2:      # 2k + 1 is finite
+            raise DomainError(f"k={k!r} is too large: 2k + 1 overflows, so "
                               f"theta has no admissible range")
         self.k = float(k)
 

@@ -26,8 +26,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .composite import (DEFAULT_BATCHES, CompositeSpec, batch_se,
-                        batch_slices, sample_cov)
+from .composite import (DEFAULT_BATCHES, CompositeSpec, _check_sigma,
+                        batch_se, batch_slices, sample_cov)
 from .errors import (ClikError, FailureBudgetExceeded, InvalidArgument,
                      UnsupportedSpec)
 from .estimators import batch_route
@@ -237,15 +237,17 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
 
 def worker_count(threads=None) -> int:
     """Resolve the worker count: explicit argument, else the CLIK_THREADS
-    environment variable (0 means all cores), else serial."""
+    environment variable (0 means all cores), else serial.  InvalidArgument
+    for an explicit count that is not an integer."""
     if threads is None:
         raw = os.environ.get("CLIK_THREADS", "1")
         try:
             threads = int(raw)
         except ValueError:
             raise ClikError(f"CLIK_THREADS={raw!r} is not an integer") from None
-    if threads < 0:
-        raise ClikError("worker count must be >= 0")
+    if not (isinstance(threads, (int, np.integer)) and threads >= 0):
+        raise InvalidArgument(f"worker count must be an integer >= 0, got "
+                              f"{threads!r}")
     if threads == 0:
         threads = os.cpu_count() or 1
     return threads
@@ -322,7 +324,9 @@ def paradox_covariance_diagnostics(spec: CompositeSpec, model: Model,
     Fits the spec twice per replicate (nuisance free, nuisance fixed at
     the truth) and reports the n-scaled covariances with batch errors.
     The replicates run on :func:`worker_count` workers (``CLIK_THREADS``).
+    InvalidArgument unless ``sigma`` is a finite number above zero.
     """
+    _check_sigma(sigma)
     if len(theta.interest_names) != 1 or len(theta.nuisance_names) != 1:
         raise InvalidArgument("diagnostics need exactly one interest and "
                               "one nuisance parameter")

@@ -359,12 +359,16 @@ def parent_estimates_csv(result, path):
                                      str(bool(conv[r]))])
 
 
-def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
+def parent_info_from_sample(spec, model, Y, theta, batches, M=None,
+                            jacobian=False):
     """``(triple, scores, batch_means)`` of ``composite._info_from_sample``
     along the parent's whole-sample route: one ``composite_score`` call
     over all the draws, then one ``sample_cov`` per batch and the batch
     means by ``np.add.reduceat``; H from the batch statistics through one
-    ``summed_score`` call, the contraction the library takes."""
+    ``summed_score`` call, the contraction the library takes.  With ``M``
+    every score is ``u @ M`` row by row.  With ``jacobian``, a fourth
+    entry: the stencil Jacobians of the whole sample and of each batch
+    before they are symmetrized."""
     import clik.composite as comp
     from clik.matrixops import symmetrize
     from clik.models import ParamBatch
@@ -392,10 +396,13 @@ def parent_info_from_sample(spec, model, Y, theta, batches, M=None):
         sums = sums @ M
     sums = sums.reshape(q, 2, batches, q)
     diff = (sums[:, 0] - sums[:, 1]) / (2.0 * steps[:, None, None])
-    H = symmetrize(-(diff.sum(axis=1) / n).T)
-    H_batch = symmetrize(-np.transpose(diff / sizes[:, None], (1, 2, 0)))
+    Hcols = -(diff.sum(axis=1) / n).T
+    Hcols_batch = -np.transpose(diff / sizes[:, None], (1, 2, 0))
+    H, H_batch = symmetrize(Hcols), symmetrize(Hcols_batch)
     G, G_batch = comp._godambe(H, J), comp._godambe(H_batch, J_batch)
     triple = comp.InfoTriple(
         free, H, J, G, "monte-carlo", n,
         comp.InfoTriple(free, H_batch, J_batch, G_batch, "monte-carlo"))
+    if jacobian:
+        return triple, U0, means, (Hcols, Hcols_batch)
     return triple, U0, means

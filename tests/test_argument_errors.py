@@ -4,10 +4,12 @@ ClikError that is still a KeyError, and scores of the wrong length raise
 DimensionMismatch.  A point with every parameter known raises
 UnsupportedSpec on every information route, before any draw, and a
 parameter value that is not finite raises DomainError.  The model, spec,
-simulation, information and estimator layers let no other error escape an
-odd argument, a wrong type included.  (More of ``composite``'s checks are in
-``test_composite.py``.)"""
+simulation, information, estimator and asymptotics layers let no other
+error escape an odd argument, a wrong type included, and every closed form
+returns finite values or raises a ClikError.  (More of ``composite``'s
+checks are in ``test_composite.py``.)"""
 
+import dataclasses
 import math
 import warnings
 from functools import cache, partial
@@ -218,6 +220,87 @@ def test_unknown_parameter_is_a_clik_key_error(call):
     assert isinstance(info.value, KeyError)
 
 
+def odd_argument_calls():
+    """``(id, call)``: odd arguments that once escaped as an error that is
+    not a ClikError, or gave a value that means nothing."""
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    spec = comp.pairwise(3)
+    nan, inf = math.nan, math.inf
+    config = mc.SimConfig(model, theta, (mc.SpecRun(spec),), 100, 100, 1)
+
+    def projected(base):
+        return lambda: comp.projected_info_monte_carlo(spec, model, theta,
+                                                       2000, 1, base)
+
+    def efficiency(sigma):
+        return lambda: comp.full_efficiency_check(spec, model, theta, 2000,
+                                                  1, sigma=sigma)
+
+    def diagnostics(sigma):
+        return lambda: mc.paradox_covariance_diagnostics(
+            spec, model, theta, 100, 100, 1, sigma=sigma)
+
+    yield "avar-known-rho-nan", lambda: asy.avar_rho_known_sigma(3, nan)
+    yield "avar-free-rho-nan", lambda: asy.avar_rho_free_sigma(3, [0.1, nan])
+    yield "acov-sigma2-nan", lambda: asy.pairwise_rho_sigma_acov(3, 0.1, nan)
+    yield "acov-sigma2-inf", lambda: asy.pairwise_rho_sigma_acov(3, 0.1, inf)
+    yield "two-block-sigma2-nan", lambda: asy.two_block_mean_variances(nan,
+                                                                       0.1)
+    yield "two-block-sigma2-inf", lambda: asy.two_block_mean_variances(inf,
+                                                                       0.1)
+    yield "threshold-nan", lambda: asy.two_block_threshold(nan)
+    yield "grid-lo-nan", lambda: asy.default_grid(nan, 1, 5)
+    yield "grid-margin-nan", lambda: asy.default_grid(0, 1, 5, margin=nan)
+    yield "grid-margin-wide", lambda: asy.default_grid(0, 1, 5, margin=2)
+    yield "avar-p-inf", lambda: asy.avar_rho_known_sigma(inf, 0.1)
+    yield "avar-p-nan", lambda: asy.avar_rho_known_sigma(nan, 0.1)
+    yield "avar-rho-string", lambda: asy.avar_rho_known_sigma(3, "a")
+    yield "avar-rho-complex", lambda: asy.avar_rho_known_sigma(3, 0.1 + 1j)
+    yield "acov-sigma2-string", lambda: asy.pairwise_rho_sigma_acov(3, 0.1,
+                                                                     "a")
+    yield "threshold-string", lambda: asy.two_block_threshold("a")
+    yield "ratio-curve-p-string", lambda: asy.pairwise_ratio_curve("3")
+    yield "fc-grid-p-string", lambda: asy.full_conditional_grid("3", 5)
+    yield "multinomial-theta-string", lambda: asy.multinomial_info_scalars(
+        "a", 5)
+    yield "multinomial-k-string", lambda: asy.multinomial_info_scalars(0.1,
+                                                                       "5")
+    yield "curve-rows-string", lambda: asy.EfficiencyCurve("x", ("y",), "ab")
+    yield "curve-names-int", lambda: asy.EfficiencyCurve("x", 5,
+                                                         [[0.0, 1.0]])
+    yield "pairwise-p-string", lambda: comp.pairwise("3")
+    yield "pairwise-p-fraction", lambda: comp.pairwise(2.5)
+    yield "chain-p-string", lambda: comp.chain("3")
+    yield "chain-subset-above", lambda: comp.chain(3, [5])
+    yield "chain-subset-negative", lambda: comp.chain(3, [-1])
+    yield "singletons-string", lambda: comp.singleton_margins("ab")
+    yield "singletons-fraction", lambda: comp.singleton_margins([1.5])
+    yield "project-string", lambda: comp.project_score(
+        comp.info_exact(spec, model, theta), "abc")
+    yield "projected-stacked-base", projected(
+        comp.info_monte_carlo(spec, model, theta, 2000, 5).batches)
+    tri = TriNormal()
+    yield "projected-trinormal-base", projected(comp.info_exact(
+        spec, tri, tri.params(mu=0.2, rho=0.4, sigma2=2.0)))
+    for sigma in ("x", nan, 0.0, -1.0):
+        yield f"efficiency-sigma-{sigma}", efficiency(sigma)
+        yield f"diagnostics-sigma-{sigma}", diagnostics(sigma)
+    yield "run-threads-string", lambda: mc.run(config, threads="2")
+    yield "run-threads-fraction", lambda: mc.run(config, threads=2.5)
+    yield "workers-nan", lambda: mc.worker_count(nan)
+
+
+@pytest.mark.parametrize("call", [call for _, call in odd_argument_calls()],
+                         ids=[name for name, _ in odd_argument_calls()])
+def test_each_odd_argument_raises_a_clik_error(call, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before the check")
+    monkeypatch.setattr(EMVN, "sampler", refuse)
+    with pytest.raises(ClikError):
+        call()
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (3,), (5, 3), (5, 1)],
                          ids=["scalar", "empty", "three", "rows-of-three",
                               "rows-of-one"])
@@ -379,21 +462,62 @@ def point_of(family, arg, values, roles):
     return family(arg).params(*values, roles=roles)
 
 
+#: Arguments of the closed forms: in and out of their domains, not finite,
+#: beyond what a float holds exactly or at all, or of the wrong type.
+DIMS = st.one_of(st.integers(2, 8), ODD, st.sampled_from(
+    [2 ** 53, 2 ** 53 + 1, 10 ** 400, 3.0, 3.5, math.nan, math.inf]))
+REALS = st.one_of(st.floats(-1.0, 1.0), st.floats(0.0, 10.0), st.floats(),
+                  ODD, st.complex_numbers(max_magnitude=1.0),
+                  st.sampled_from([10 ** 400, 5e-324, 1e308]))
+GRIDS = st.one_of(st.none(), REALS,
+                  st.lists(st.one_of(st.floats(-1.0, 1.0), REALS),
+                           max_size=4))
+#: Grid sizes stay small: a grid that is built is a small one.
+SIZES = st.one_of(st.integers(-2, 30), ODD)
+CLOSED_FORMS = {
+    asy.avar_rho_known_sigma: (DIMS, GRIDS),
+    asy.avar_rho_free_sigma: (DIMS, GRIDS),
+    asy.pairwise_rho_sigma_acov: (DIMS, GRIDS, GRIDS),
+    asy.two_block_mean_variances: (REALS, REALS),
+    asy.two_block_threshold: (REALS,),
+    asy.multinomial_info_scalars: (REALS, REALS),
+    asy.pairwise_ratio_curve: (DIMS, GRIDS),
+    asy.full_conditional_grid: (DIMS, SIZES),
+    asy.default_grid: (REALS, REALS, SIZES, REALS),
+    asy.multinomial_variance_curves: (REALS, GRIDS),
+}
+
+
+@st.composite
+def closed_form_calls(draw):
+    """One call, as a ``functools.partial``, of a closed form of
+    ``clik.asymptotics`` or one of its grids with arguments that may not
+    fit."""
+    form = draw(st.sampled_from(list(CLOSED_FORMS)))
+    return partial(form, *[draw(arg) for arg in CLOSED_FORMS[form]])
+
+
 @st.composite
 def odd_calls(draw):
     """One call, as a ``functools.partial``, of a model's ``params``,
-    ``Component``, ``CompositeSpec``, ``SimConfig``, ``info_exact``,
-    ``composite_score_fd``, ``info_monte_carlo``,
-    ``full_efficiency_check``, ``partitioned_variance`` or
-    ``project_score`` with arguments that may not fit: model arguments,
+    ``Component``, ``CompositeSpec``, a spec builder, ``SimConfig``,
+    ``worker_count``, ``info_exact``, ``composite_score_fd``,
+    ``info_monte_carlo``, ``projected_info_monte_carlo``,
+    ``full_efficiency_check``, ``paradox_covariance_diagnostics``,
+    ``partitioned_variance``, ``project_score``, a closed form or
+    ``EfficiencyCurve`` with arguments that may not fit: model arguments,
     parameter values, roles, indices, weights, counts and seeds of the
     wrong type or an odd value, a spec reading coordinates the model lacks
     or entries that are not Components, a point of another model, with
     values that are not finite or with nothing free, unknown, repeated or
-    no interest names, scores of any shape."""
-    kind = draw(st.sampled_from(["model", "component", "spec", "simulation",
-                                 "exact", "score-fd", "monte-carlo",
-                                 "efficiency", "interest", "project"]))
+    no interest names, scores of any shape or not numbers, a projection
+    base that is a stack, of another model or not a triple, a verdict
+    threshold that is not a positive number."""
+    kind = draw(st.sampled_from(["model", "component", "spec", "builder",
+                                 "simulation", "workers", "exact",
+                                 "score-fd", "monte-carlo", "projected",
+                                 "efficiency", "sigma", "interest",
+                                 "project", "asymptotics", "curve"]))
     if kind == "model":
         family, size = draw(st.sampled_from([(EMVN, 2), (TriNormal, 3),
                                              (Multinomial4, 1)]))
@@ -418,6 +542,34 @@ def odd_calls(draw):
         return partial(comp.CompositeSpec,
                        draw(st.one_of(st.just("odd"), ODD)),
                        draw(st.one_of(st.just(entries), ODD)))
+    if kind == "builder":
+        builder = draw(st.sampled_from([
+            comp.independence, comp.pairwise, comp.full_conditional,
+            comp.chain, comp.full_likelihood, comp.singleton_margins]))
+        args = [draw(st.one_of(st.integers(-2, 6), ODD))]
+        if builder is comp.chain:
+            args.append(draw(st.one_of(st.none(), ODD, st.lists(
+                st.one_of(st.integers(-2, 6), ODD), max_size=3))))
+        return partial(builder, *args)
+    if kind == "workers":
+        return partial(mc.worker_count,
+                       draw(st.one_of(st.none(), st.integers(-3, 4), ODD)))
+    if kind == "asymptotics":
+        return draw(closed_form_calls())
+    if kind == "curve":
+        return partial(asy.EfficiencyCurve, draw(st.one_of(NAMES, ODD)),
+                       draw(st.one_of(st.just(("ratio",)), ODD,
+                                      st.lists(NAMES, max_size=2))),
+                       draw(st.one_of(GRIDS, st.lists(GRIDS, max_size=3))))
+    if kind == "sigma":
+        sigma = draw(st.one_of(ODD, st.sampled_from(
+            [math.nan, math.inf, 0.0, -1.0, 2.0])))
+        if draw(st.booleans()):
+            return partial(comp.full_efficiency_check, SPECS[0], EMVN(3),
+                           EMVN(3).params(rho=0.3), 2000, 1, sigma=sigma)
+        return partial(mc.paradox_covariance_diagnostics, SPECS[0], EMVN(3),
+                       EMVN(3).params(rho=0.3), mc.MIN_N, mc.MIN_REPLICATES,
+                       1, sigma=sigma)
     if kind == "simulation":
         runs = draw(st.one_of(
             st.just((mc.SpecRun(SPECS[0]),)), st.just(()), ODD,
@@ -427,9 +579,15 @@ def odd_calls(draw):
                        draw(st.one_of(st.just(500), COUNTS, ODD)),
                        draw(st.one_of(st.just(150), COUNTS, ODD)),
                        draw(SEEDS))
-    if kind in ("exact", "score-fd", "monte-carlo", "efficiency"):
+    if kind in ("exact", "score-fd", "monte-carlo", "projected",
+                "efficiency"):
         model = draw(MODELS)
         args = (draw(st.sampled_from(SPECS)), model, draw(odd_points(model)))
+        if kind == "projected":
+            return partial(comp.projected_info_monte_carlo, *args,
+                           draw(COUNTS), draw(SEEDS),
+                           draw(st.one_of(st.sampled_from(triples()), ODD)),
+                           draw(COUNTS))
         if kind == "exact":
             return partial(comp.info_exact, *args)
         if kind == "score-fd":
@@ -442,11 +600,12 @@ def odd_calls(draw):
     if kind == "interest":
         return partial(comp.partitioned_variance, triple,
                        draw(st.one_of(NAMES, st.lists(NAMES, max_size=3))))
-    return partial(comp.project_score, triple,
-                   draw(hnp.arrays(float, hnp.array_shapes(
-                       min_dims=0, max_dims=3, min_side=0, max_side=4),
-                       elements=st.one_of(st.floats(-1e6, 1e6),
-                                          st.just(math.nan)))))
+    return partial(comp.project_score, triple, draw(st.one_of(
+        hnp.arrays(float, hnp.array_shapes(
+            min_dims=0, max_dims=3, min_side=0, max_side=4),
+            elements=st.one_of(st.floats(-1e6, 1e6), st.just(math.nan))),
+        ODD, st.complex_numbers(), st.lists(st.one_of(
+            st.floats(), st.text(max_size=1)), max_size=4))))
 
 
 @cache
@@ -467,6 +626,27 @@ def test_odd_arguments_raise_only_clik_errors(call):
         call()
     except ClikError:
         pass
+
+
+def all_finite(value) -> bool:
+    """Whether every number of a closed form's value is finite."""
+    if isinstance(value, asy.MultinomialInfo):
+        value = dataclasses.astuple(value)
+    if isinstance(value, asy.EfficiencyCurve):
+        value = value.rows
+    return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(call=closed_form_calls())
+def test_closed_forms_give_finite_values_or_clik_errors(call):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = call()
+    except ClikError:
+        return
+    assert all_finite(value), call
 
 
 # -- odd arguments to the estimator layer ---------------------------------------

@@ -25,11 +25,20 @@ Neither route writes to the caller's draws, the pass calls neither
 ``Model.statistic`` nor ``affine_quadratic``, and the kernel's scratch
 does not grow with the number of rows.
 
-``info_monte_carlo`` and ``projected_info_monte_carlo`` draw each batch
-from one generator when the pass reaches it, so they hold one batch at a
-time: their triples are those of the pass over ``model.sample``'s draws,
-bit for bit, and their memory does not grow with the draws at a fixed
-batch size.
+The projected score ``u @ M`` is a fixed linear map of the score, so its
+triple is the plain one projected after the pass (``composite._projected``:
+``M' H`` and ``M' J M``, symmetrized, batch by batch).  The oracle
+projects every score row instead: J and its batch values agree to
+rounding, and H and its batch values are the oracle's less
+``symmetrize(M' A)``, within the bound above, ``A`` the antisymmetric part
+of the plain stencil Jacobian, which the oracle projects and the pass
+symmetrizes away first.
+
+``info_monte_carlo`` draws each batch from one generator when the pass
+reaches it, so it holds one batch at a time: its triple is that of the
+pass over ``model.sample``'s draws, bit for bit, and its memory does not
+grow with the draws at a fixed batch size.  ``projected_info_monte_carlo``
+is that triple projected, bit for bit.
 """
 
 import dataclasses
@@ -45,6 +54,7 @@ from hypothesis import strategies as st
 import clik.composite as comp
 import clik.models as models
 from clik.errors import ClikError, InvalidArgument, SingularMatrix
+from clik.matrixops import symmetrize
 from clik.models import (EMVN, Model, Multinomial4, ParamBatch, TriNormal,
                          affine_quadratic, unpack_forms)
 from oracles import parent_info_from_sample
@@ -71,6 +81,15 @@ def near_singular_batch_case():
     return model, model.params(0.23076923076923078), spec
 
 
+def projection_case(p, spec):
+    """An EMVN(p) case with both parameters free whose projection ``J^-1
+    H`` is not symmetric, so ``M' H`` and ``M H`` differ: the drawn cases
+    that reach the projection have one free parameter or a symmetric
+    ``J^-1 H``."""
+    model = EMVN(p)
+    return model, model.params(rho=0.4, sigma2=1.3), spec
+
+
 def batches_of(Y, batches):
     """The batches of ``batch_slices`` over the rows of ``Y``."""
     return (Y[sl] for sl in comp.batch_slices(len(Y), batches))
@@ -78,17 +97,25 @@ def batches_of(Y, batches):
 
 def blocked(spec, model, Y, theta, batches, M=None):
     """``(triple, scores, batch_means)`` of the blocked pass over the
-    batches of ``Y``: the scores are the batch blocks it hands to
-    ``sample_cov``, stacked, and the batch means those it hands to
-    ``_pooled_cov``."""
+    batches of ``Y``, its triple projected by ``M`` after the pass
+    (``composite._projected``) when ``M`` is given: the scores are the
+    batch blocks the pass hands to ``sample_cov``, stacked, and the batch
+    means those it hands to ``_pooled_cov``."""
     with mock.patch.object(comp, "_pooled_cov",
                            wraps=comp._pooled_cov) as pooled, \
             mock.patch.object(comp, "sample_cov",
                               wraps=comp.sample_cov) as cov:
         triple = comp._info_from_sample(spec, model, batches_of(Y, batches),
-                                        theta, M)
+                                        theta)
+    if M is not None:
+        triple = comp._projected(triple, M)
     scores = np.concatenate([call.args[0] for call in cov.call_args_list])
     return triple, scores, pooled.call_args.args[1]
+
+
+def antisymmetric(H):
+    """The antisymmetric part ``(H - H') / 2`` of a matrix or a stack."""
+    return (H - np.swapaxes(H, -1, -2)) / 2.0
 
 
 @SETTINGS
@@ -99,20 +126,23 @@ def blocked(spec, model, Y, theta, batches, M=None):
          seed=0)
 @example(case=near_singular_batch_case(), batches=10, per=40, extra=1,
          project=False, seed=0)
+@example(case=projection_case(3, comp.pairwise(3)), batches=10, per=40,
+         extra=1, project=True, seed=0)
+@example(case=projection_case(4, comp.full_conditional(4)), batches=12,
+         per=60, extra=5, project=True, seed=3)
 def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
                                                  project, seed):
     model, theta, spec = case
     n = per * batches + extra            # never a multiple of batches
-    M = None
     try:
         if project:
             M = comp.projection_matrix(comp.info_exact(spec, model, theta))
         Y = model.sample(theta, n, seed)
-        got, scores, means = blocked(spec, model, Y, theta, batches, M)
+        got, scores, means = blocked(spec, model, Y, theta, batches)
     except (SingularMatrix, InvalidArgument):
         assume(False)       # the spec carries no information on a parameter
-    want, U0, want_means = parent_info_from_sample(spec, model, Y, theta,
-                                                   batches, M)
+    want, U0, want_means, jacobians = parent_info_from_sample(
+        spec, model, Y, theta, batches, jacobian=True)
 
     tol = 1e-12 * np.max(np.abs(want.variability))
     assert np.max(np.abs(got.variability - want.variability)) <= tol
@@ -142,6 +172,35 @@ def test_blocked_pass_matches_whole_sample_route(case, batches, per, extra,
                       <= 1e-10 * np.max(scale, axis=(-2, -1)))
         assert np.max(np.abs(got.godambe_se - want.godambe_se)) \
             <= 1e-10 * np.max(np.abs(want.godambe_se))
+    if project:
+        assert_projection_matches_the_row_route(
+            spec, model, Y, theta, batches, M, (scores, means), jacobians)
+
+
+def assert_projection_matches_the_row_route(spec, model, Y, theta, batches,
+                                            M, plain, jacobians):
+    """The pass projected after it ends against the oracle that projects
+    every score row: the pass hands ``sample_cov`` and ``_pooled_cov`` the
+    plain scores and means; J and its batch values agree to rounding, and
+    H and its batch values differ by ``-symmetrize(M' A)``, ``A`` the
+    antisymmetric part of the plain stencil Jacobian, which the oracle
+    projects and the projected triple never sees."""
+    got, scores, means = blocked(spec, model, Y, theta, batches, M)
+    for a, b in zip((scores, means), plain):
+        assert a.tobytes() == b.tobytes()
+    want = parent_info_from_sample(spec, model, Y, theta, batches, M)[0]
+
+    tol = 1e-12 * np.max(np.abs(want.variability))
+    for a, b in ((got.variability, want.variability),
+                 (got.batches.variability, want.batches.variability),
+                 (got.variability_se, want.variability_se)):
+        assert np.max(np.abs(a - b)) <= tol
+    htol = 1e-10 * np.max(np.abs(want.sensitivity))
+    for a, b, jac in ((got.sensitivity, want.sensitivity, jacobians[0]),
+                      (got.batches.sensitivity, want.batches.sensitivity,
+                       jacobians[1])):
+        moved = symmetrize(M.T @ antisymmetric(jac))
+        assert np.max(np.abs(a - (b - moved))) <= htol
 
 
 @st.composite
@@ -189,13 +248,40 @@ def test_streamed_triples_are_the_whole_sample_pass(case, batches, per,
     want = comp._info_from_sample(
         spec, model, batches_of(model.sample(theta, draws, seed), batches),
         theta)
-    want_p = comp._info_from_sample(
+    want_p = comp._projected(comp._info_from_sample(
         spec, model, batches_of(model.sample(theta, draws, seed + 1),
                                 batches),
-        theta, comp.projection_matrix(base))
+        theta), comp.projection_matrix(base))
     assert got.draws == draws
     assert_same_bits(got, want)
     assert_same_bits(got_p, want_p)
+
+
+@SETTINGS
+@given(case=stream_cases(), batches=st.integers(10, 25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_projected_triple_is_the_plain_triple_projected(case, batches, seed):
+    # the projected route is the plain triple of the same draws projected
+    # after the pass, and the projection of a stack is that of each of its
+    # triples, bit for bit
+    model, theta, spec = case
+    try:
+        base = comp.info_exact(spec, model, theta)
+        got = comp.projected_info_monte_carlo(spec, model, theta, 3000,
+                                              seed, base, batches)
+    except (SingularMatrix, InvalidArgument):
+        assume(False)       # the spec carries no information on a parameter
+    M = comp.projection_matrix(base)
+    plain = comp.info_monte_carlo(spec, model, theta, 3000, seed, batches)
+    assert_same_bits(got, comp._projected(plain, M))
+    stack = plain.batches
+    for b in range(batches):
+        one = comp._projected(comp.InfoTriple(
+            stack.param_names, stack.sensitivity[b], stack.variability[b],
+            stack.godambe[b], stack.provenance), M)
+        for field in ("sensitivity", "variability", "godambe"):
+            assert getattr(got.batches, field)[b].tobytes() \
+                == getattr(one, field).tobytes()
 
 
 def test_linear_forms_keep_their_bits_in_any_layout():

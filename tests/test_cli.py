@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import clik
 import clik.asymptotics as asy
+import clik.cli as cli
+import clik.composite as comp
 import clik.models
 import clik.svgfig as svgfig
 import clik.verify as verify_mod
@@ -603,3 +605,61 @@ def test_a_run_out_of_memory_exits_2_with_a_message(tmp_path, monkeypatch,
     assert main(["figure3", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == ("error: not enough memory: Unable to "
                                        "allocate 8.00 EiB\n")
+
+
+# ---------------------------------------------------------------------------
+# sizes beyond memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 4, 7])
+def test_margin_counts_are_the_spec_builders(p):
+    # the size bound counts the margins of each spec without building it
+    assert set(cli._SPEC_MARGINS) == set(cli._SPEC_BUILDERS)
+    for name, builder in cli._SPEC_BUILDERS.items():
+        assert cli._SPEC_MARGINS[name](p) == len(comp._margins(builder(p)))
+
+
+def test_p_beyond_memory_is_refused_without_building_a_spec():
+    # pure integer arithmetic: the bytes are counted, not allocated
+    with pytest.raises(ConfigError, match=r"--p = 3000000000 is too large"):
+        cli._check_size(3_000_000_000, "full_conditional", "--p")
+    cli._check_size(3, "pairwise", "--p")
+
+
+def refuse_specs(monkeypatch):
+    """Make every spec builder the CLI reaches raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a spec before the size check")
+    monkeypatch.setattr(asy, "full_conditional", refuse)
+    for name in cli._SPEC_BUILDERS:
+        monkeypatch.setitem(cli._SPEC_BUILDERS, name, refuse)
+
+
+def test_figure2_p_beyond_memory_exits_2_naming_the_flag(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # 64 MiB of memory: p = 40 needs 112 MiB of feature scratch alone;
+    # the figure at p = 3 still runs
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    cheap = ["--grid", "2", "--draws", "2000", "--out", str(tmp_path / "a")]
+    assert main(["figure2", "--p", "3"] + cheap) == 0
+    refuse_specs(monkeypatch)
+    out = tmp_path / "b"
+    assert main(["figure2", "--p", "40", "--grid", "2", "--out",
+                 str(out)]) == 2
+    assert "error: --p = 40 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("specs", ["pairwise", "independence, full"])
+def test_simulate_p_beyond_memory_exits_2_naming_the_key(specs, tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    refuse_specs(monkeypatch)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"model = emvn\np = 40\nrho = 0.3\nn = 20\n"
+                   f"replicates = 100\nspecs = {specs}\n")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "key 'p' = 40 is too large" in capsys.readouterr().err

@@ -1,14 +1,16 @@
 """Monte Carlo information from per-batch statistics against the per-row
 stencil.
 
-``info_monte_carlo`` and ``projected_info_monte_carlo`` take H as minus
-the central difference of sample-mean scores over common draws, with the
-means at the stencil points from each batch's ``model.statistic``.  The
-oracle (``oracles.stencil_info``) scores every draw at every stencil point
-through the per-margin ``component_scores`` route and averages the rows.
-The two differ by round-off only, so H, its batch values and standard
-errors must agree far below the Monte Carlo noise, and J, which both take
-from the scores at ``theta``, to round-off.
+``info_monte_carlo`` takes H as minus the central difference of
+sample-mean scores over common draws, with the means at the stencil points
+from each batch's statistic; ``projected_info_monte_carlo`` projects that
+triple by ``M`` (``M' H`` and ``M' J M``, symmetrized).  The oracle
+(``oracles.stencil_info``) scores every draw at every stencil point
+through the per-margin ``component_scores`` route, projected row by row,
+and averages the rows.  The two differ by round-off and, for the projected
+score, by the projected asymmetry of the central difference, so H, its
+batch values and standard errors must agree far below the Monte Carlo
+noise, and J, which both take from the scores at ``theta``, to round-off.
 """
 
 import numpy as np
