@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -21,21 +20,8 @@ from .composite import (batch_se, full_conditional, info_monte_carlo,
                         partitioned_variance)
 from .errors import ClikError, DomainError, InvalidArgument
 from .fileio import atomic_csv, fmt
-from .models import EMVN, Multinomial4, _real_array, substream
-
-
-def _finite(value, name: str) -> float:
-    """``value`` as a float: InvalidArgument unless it is one real number,
-    DomainError unless it is finite."""
-    if not isinstance(value, numbers.Real):
-        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return x
+from .models import (EMVN, Multinomial4, _count, _finite, _real_array,
+                     substream)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +117,17 @@ def _grid(values) -> np.ndarray:
     return grid
 
 
-def _check_p(p) -> None:
-    """DomainError unless ``p`` is an integer from 3 to 2**53, the
-    largest that a float holds exactly."""
-    if not (isinstance(p, numbers.Real) and 3 <= p <= 2 ** 53
-            and int(p) == p):
-        raise DomainError(f"p must be an integer from 3 to 2**53, got {p!r}")
-
-
-def _check_emvn_domain(p: int, rho) -> np.ndarray:
-    """``rho`` as a float array, checked against EMVN(p)."""
+def _check_emvn_domain(p: int, rho):
+    """``(p, rho)`` as an int and a float array, checked against EMVN(p):
+    ``p`` from 3 to 2**53."""
     # the closed forms extend continuously to the lower endpoint, where the
     # free-variance estimator becomes exact; the model domain itself is open
-    _check_p(p)
+    p = _count(p, "p", 3)
     lo = -1.0 / (p - 1)
     rho = _real_array(rho, "rho")
     if not np.all((rho >= lo) & (rho < 1.0)):
         raise DomainError(f"rho must lie in [{lo}, 1)")
-    return rho
+    return p, rho
 
 
 def avar_rho_known_sigma(p: int, rho):
@@ -159,7 +138,7 @@ def avar_rho_known_sigma(p: int, rho):
         c(p, rho) = (1-rho)^2 (3 rho^2 + p^2 rho^2 + 1)
                     + p rho (-3 rho^3 + 8 rho^2 - 3 rho + 2).
     """
-    rho = _check_emvn_domain(p, rho)
+    p, rho = _check_emvn_domain(p, rho)
     c = ((1 - rho) ** 2 * (3 * rho ** 2 + p ** 2 * rho ** 2 + 1)
          + p * rho * (-3 * rho ** 3 + 8 * rho ** 2 - 3 * rho + 2))
     out = 2 * (1 - rho) ** 2 * c / (p * (p - 1) * (1 + rho ** 2) ** 2)
@@ -174,7 +153,7 @@ def avar_rho_free_sigma(p: int, rho):
 
     Vanishes at the lower domain boundary ``rho = -1/(p-1)``.
     """
-    rho = _check_emvn_domain(p, rho)
+    p, rho = _check_emvn_domain(p, rho)
     out = 2 * (1 - rho) ** 2 * (1 + (p - 1) * rho) ** 2 / (p * (p - 1))
     return float(out) if out.ndim == 0 else out
 
@@ -186,7 +165,7 @@ def pairwise_ratio_curve(p: int, grid=None) -> EfficiencyCurve:
     Equals 1 at rho = 0, stays below 1 on the positive side, and diverges
     at the lower boundary where the free-variance estimator becomes exact.
     """
-    _check_p(p)
+    p = _count(p, "p", 3)
     if grid is None:
         grid = default_grid(-1.0 / (p - 1), 1.0)
     grid = _grid(grid)
@@ -205,7 +184,8 @@ def pairwise_rho_sigma_acov(p: int, rho, sigma2):
 
     Vanishes at rho = 0 and at the lower domain boundary.
     """
-    rho, sigma2 = _check_emvn_domain(p, rho), _real_array(sigma2, "sigma2")
+    (p, rho), sigma2 = _check_emvn_domain(p, rho), _real_array(sigma2,
+                                                                "sigma2")
     if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
         raise DomainError("sigma2 must be positive and finite")
     with np.errstate(over="ignore"):
@@ -226,7 +206,7 @@ def full_conditional_grid(p: int, size: int) -> np.ndarray:
     """The ``rho`` grid of :func:`full_conditional_ratio_curve` and ``clik
     figure2``: ``size`` equispaced points FULL_CONDITIONAL_GRID_MARGIN
     inside the EMVN(p) domain."""
-    _check_p(p)
+    p = _count(p, "p", 3)
     return default_grid(-1.0 / (p - 1), 1.0, size,
                         margin=FULL_CONDITIONAL_GRID_MARGIN)
 
@@ -242,7 +222,7 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
     point is raised again, as the same class, with ``rho`` and ``sigma2``
     named.
     """
-    grid = _check_emvn_domain(
+    p, grid = _check_emvn_domain(
         p, _grid(full_conditional_grid(p, 21) if grid is None else grid))
     sigma2 = _finite(sigma2, "sigma2")
     model = EMVN(p)
@@ -279,9 +259,8 @@ def two_block_mean_variances(sigma2: float, rho: float):
     ``(2 (1+rho) + u) / (2 + u)^2``, so that no power of ``sigma2``
     overflows.
     """
-    sigma2, rho = _finite(sigma2, "sigma2"), _finite(rho, "rho")
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    sigma2 = _finite(sigma2, "sigma2", positive=True)
+    rho = _finite(rho, "rho")
     if not -1.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [-1, 1]")
     v12 = (1.0 + rho) / 2.0
@@ -301,9 +280,7 @@ def two_block_threshold(sigma2: float) -> float:
     ``sigma2 = 1`` it is evaluated as ``-(2 + u)/(4 + u)``, ``u =
     1/sigma2``, which stays finite where ``4 sigma2`` overflows.
     """
-    sigma2 = _finite(sigma2, "sigma2")
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    sigma2 = _finite(sigma2, "sigma2", positive=True)
     if sigma2 > 1.0:
         u = 1.0 / sigma2
         return -(2.0 + u) / (4.0 + u)

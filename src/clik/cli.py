@@ -23,8 +23,7 @@ from . import verify as verify_mod
 from .errors import ClikError, ConfigError
 from .estimators import check_identified
 from .fileio import atomic_csv, atomic_write, fmt
-from .models import (_KERNEL_ROWS, EMVN, Multinomial4, TriNormal,
-                     _feature_width)
+from .models import EMVN, Multinomial4, TriNormal, score_bytes
 from .svgfig import Panel, write_figure
 
 
@@ -92,25 +91,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-#: The distinct margins (``composite._margins``) of each spec builder's
-#: spec over p coordinates.
-_SPEC_MARGINS = {"independence": lambda p: p,
-                 "pairwise": lambda p: p * (p - 1) // 2,
-                 "full_conditional": lambda p: p + 1,
-                 "chain": lambda p: p, "full": lambda p: 1}
-
-
-def _check_size(p: int, spec: str, name: str) -> None:
-    """ConfigError naming ``name`` unless the largest arrays of a command
-    on the ``spec`` builder's spec over p coordinates fit in physical
-    memory, checked before the spec is built: the forms of its margins at
-    the ``1 + 2q`` points of an information route (``q = 2`` parameters),
-    their 0/1 selection matrices and the score kernel's feature scratch."""
-    sets = _SPEC_MARGINS[spec](p)
-    need = 8 * (sets * 5 * 2 * (1 + p + p * p) + sets * p * p
-                + _feature_width(p) * _KERNEL_ROWS)
+def _check_figure2_p(p: int) -> None:
+    """ConfigError naming ``--p`` unless the largest arrays of ``clik
+    figure2`` at ``p`` fit in physical memory, checked before its spec is
+    built: those of a score pass (:func:`clik.models.score_bytes`) over
+    the ``p + 1`` margins of the full-conditional spec, at the ``1 + 2q``
+    points of a Monte Carlo triple of EMVN's ``q = 2`` parameters."""
+    need = score_bytes(p + 1, 5, p, 2)
     if need > _physical_memory():
-        raise ConfigError(f"{name} = {p} is too large: the {spec} spec needs "
+        raise ConfigError(f"--p = {p} is too large: the figure needs "
                           f"{need:.3g} bytes, more than the "
                           f"{_physical_memory():.3g} bytes of physical memory")
 
@@ -143,7 +132,7 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure2(args) -> int:
     """Same ratio for the full-conditional estimator, by Monte Carlo."""
-    _check_size(args.p, "full_conditional", "--p")
+    _check_figure2_p(args.p)
     started = time.monotonic()
     out = _ensure_out(args)
     grid = asy.full_conditional_grid(args.p, args.grid)
@@ -329,7 +318,6 @@ def parse_sim_config(path) -> mc.SimConfig:
                     raise ConfigError(f"{path}: spec {token!r} fixes unknown "
                                       f"parameter {fname!r}")
             fixed = {fname: theta[fname] for fname in fixed_names}
-            _check_size(model.dim, name, f"{path}: key 'p'")
             runs.append(mc.SpecRun(_SPEC_BUILDERS[name](model.dim), fixed))
         if not runs:
             raise ConfigError(f"{path}: specs list is empty")

@@ -50,10 +50,10 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
                      UnsupportedSpec)
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
-from .models import (Model, ParamBatch, ParamVector, _as_rows, _index_tuple,
-                     _real_array, affine_quadratic, feature_scratch,
-                     feature_statistic, score_kernel, substream, unpack_forms,
-                     unpack_statistic)
+from .models import (Model, ParamBatch, ParamVector, _as_rows, _count,
+                     _finite, _index_tuple, _real_array, affine_quadratic,
+                     feature_scratch, feature_statistic, score_kernel,
+                     substream, unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -134,24 +134,16 @@ class CompositeSpec:
         return f"CompositeSpec({self.name!r}, {len(self.components)} components)"
 
 
-def _dimension(p) -> int:
-    """``p``, the coordinates of a spec builder; InvalidArgument unless it
-    is an integer."""
-    if not isinstance(p, (int, np.integer)):
-        raise InvalidArgument(f"p must be an integer, got {p!r}")
-    return int(p)
-
-
 def independence(p: int) -> CompositeSpec:
     """All univariate margins."""
-    p = _dimension(p)
+    p = _count(p, "p")
     return CompositeSpec("independence",
                          [Component("margin", (r,)) for r in range(p)])
 
 
 def pairwise(p: int) -> CompositeSpec:
     """All p(p-1)/2 bivariate margins."""
-    p = _dimension(p)
+    p = _count(p, "p")
     comps = [Component("margin", (r, s))
              for r in range(p) for s in range(r + 1, p)]
     return CompositeSpec("pairwise", comps)
@@ -159,7 +151,7 @@ def pairwise(p: int) -> CompositeSpec:
 
 def full_conditional(p: int) -> CompositeSpec:
     """Each coordinate conditioned on all the others."""
-    p = _dimension(p)
+    p = _count(p, "p")
     comps = [Component("conditional", (r,),
                        tuple(j for j in range(p) if j != r))
              for r in range(p)]
@@ -173,7 +165,7 @@ def chain(p: int, subset=None) -> CompositeSpec:
     scores are mutually uncorrelated.  InvalidArgument for a ``subset``
     that is not integers in ``0..p-1``.
     """
-    p = _dimension(p)
+    p = _count(p, "p")
     subset = range(p) if subset is None else sorted(set(_index_tuple(subset)))
     if not all(0 <= i < p for i in subset):
         raise InvalidArgument(f"chain subset {subset} is outside 0..{p - 1}")
@@ -195,7 +187,7 @@ def singleton_margins(indices) -> CompositeSpec:
 
 def full_likelihood(p: int) -> CompositeSpec:
     """The joint density as a single component."""
-    p = _dimension(p)
+    p = _count(p, "p")
     return CompositeSpec("full", [Component("margin", tuple(range(p)))])
 
 
@@ -604,7 +596,9 @@ def projected_info_monte_carlo(spec: CompositeSpec, model: Model,
     projection frozen from ``base`` (fresh draws, fresh randomness): the
     :func:`info_monte_carlo` triple, :func:`_projected`.  Raises
     DimensionMismatch, before any draw, unless ``base`` is a point triple
-    of the free parameters of ``theta``."""
+    of the free parameters of ``theta``.  That ``base`` was taken at
+    ``theta`` is not checked: the antisymmetric part of ``M' H``, which a
+    base from another point leaves, is discarded by the symmetrization."""
     free = _free_names(theta)
     if not (isinstance(base, InfoTriple) and base.param_names == free
             and base.sensitivity.ndim == 2):
@@ -727,14 +721,6 @@ class FullEfficiencyReport:
     sigma: float                       # the z threshold used for the verdict
 
 
-def _check_sigma(sigma) -> None:
-    """InvalidArgument unless the z threshold of a verdict is a finite
-    number above zero."""
-    if not (isinstance(sigma, numbers.Real) and 0 < sigma < np.inf):
-        raise InvalidArgument(f"sigma must be a finite number > 0, got "
-                              f"{sigma!r}")
-
-
 def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
                           draws: int, seed, batches: int = DEFAULT_BATCHES,
                           sigma: float = 3.0) -> FullEfficiencyReport:
@@ -746,9 +732,9 @@ def full_efficiency_check(spec: CompositeSpec, model: Model, theta: ParamVector,
     mean residual (the constant-offset estimate), the per-draw residual
     z-scores propagated from the uncertainty of ``H J^-1``, and the two
     internal identities residual_cov = I - G and H = Cov(u_c, u).
-    InvalidArgument unless ``sigma`` is a finite number above zero.
+    A ClikError unless ``sigma`` is a finite number above zero.
     """
-    _check_sigma(sigma)
+    _finite(sigma, "sigma", positive=True)
     _check_draws(theta, draws, seed)
     Y = model.sample(theta, draws, seed)
     slices = batch_slices(len(Y), batches)

@@ -382,6 +382,32 @@ def _real_array(value, what: str) -> np.ndarray:
                               f"not real numbers") from None
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float: InvalidArgument unless it is one real number,
+    DomainError unless it is finite (and above zero, if ``positive``)."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        kind = "positive and finite" if positive else "finite"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return x
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int: InvalidArgument unless it is an integer,
+    DomainError unless it lies in ``least..2**53`` (the largest integer
+    that a float holds exactly)."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= 2 ** 53:
+        raise DomainError(f"{name} must lie in {least}..2**53, got {value!r}")
+    return int(value)
+
+
 def _as_rows(y, dim: int):
     """Promote a single observation to a 1-row matrix; report if it was 1-D.
     InvalidArgument unless ``y`` holds real numbers."""
@@ -406,6 +432,16 @@ def feature_scratch(dim: int) -> np.ndarray:
     of ``_KERNEL_ROWS`` residuals of length ``dim``: reused, it bounds the
     feature scratch of a pass over any number of rows."""
     return np.empty(_feature_width(dim) * _KERNEL_ROWS)
+
+
+def score_bytes(sets: int, points: int, dim: int, q: int) -> int:
+    """Bytes, counted without allocating them, of the largest arrays of a
+    score pass over ``dim`` coordinates: the packed forms of ``sets``
+    margins with ``q`` score columns at ``points`` parameter points
+    (:meth:`Model.margin_score_reps`), their 0/1 selection matrices and
+    the :func:`feature_scratch`."""
+    return 8 * (sets * points * q * (1 + dim + dim * dim) + sets * dim * dim
+                + _feature_width(dim) * _KERNEL_ROWS)
 
 
 def residual_features(rows, mean, scratch=None):

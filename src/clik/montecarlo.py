@@ -26,14 +26,14 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .composite import (DEFAULT_BATCHES, CompositeSpec, _check_sigma,
-                        batch_se, batch_slices, sample_cov)
+from .composite import (DEFAULT_BATCHES, CompositeSpec, batch_se,
+                        batch_slices, sample_cov)
 from .errors import (ClikError, FailureBudgetExceeded, InvalidArgument,
                      UnsupportedSpec)
 from .estimators import batch_route
 from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .fileio import atomic_csv, fmt
-from .models import Model, ParamVector, substreams
+from .models import Model, ParamVector, _count, _finite, substreams
 
 CSV_ESTIMATES_HEADER = ["spec", "replicate", "param", "estimate", "converged"]
 CSV_SUMMARY_HEADER = ["spec", "param", "mean", "n_var", "std_err", "failures"]
@@ -237,17 +237,15 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
 
 def worker_count(threads=None) -> int:
     """Resolve the worker count: explicit argument, else the CLIK_THREADS
-    environment variable (0 means all cores), else serial.  InvalidArgument
-    for an explicit count that is not an integer."""
+    environment variable (0 means all cores), else serial.  A ClikError
+    for a count that is not an integer >= 0."""
     if threads is None:
         raw = os.environ.get("CLIK_THREADS", "1")
         try:
             threads = int(raw)
         except ValueError:
             raise ClikError(f"CLIK_THREADS={raw!r} is not an integer") from None
-    if not (isinstance(threads, (int, np.integer)) and threads >= 0):
-        raise InvalidArgument(f"worker count must be an integer >= 0, got "
-                              f"{threads!r}")
+    threads = _count(threads, "worker count")
     if threads == 0:
         threads = os.cpu_count() or 1
     return threads
@@ -324,9 +322,9 @@ def paradox_covariance_diagnostics(spec: CompositeSpec, model: Model,
     Fits the spec twice per replicate (nuisance free, nuisance fixed at
     the truth) and reports the n-scaled covariances with batch errors.
     The replicates run on :func:`worker_count` workers (``CLIK_THREADS``).
-    InvalidArgument unless ``sigma`` is a finite number above zero.
+    A ClikError unless ``sigma`` is a finite number above zero.
     """
-    _check_sigma(sigma)
+    _finite(sigma, "sigma", positive=True)
     if len(theta.interest_names) != 1 or len(theta.nuisance_names) != 1:
         raise InvalidArgument("diagnostics need exactly one interest and "
                               "one nuisance parameter")

@@ -261,6 +261,8 @@ def odd_argument_calls():
                                                                      "a")
     yield "threshold-string", lambda: asy.two_block_threshold("a")
     yield "ratio-curve-p-string", lambda: asy.pairwise_ratio_curve("3")
+    yield "ratio-curve-p-float", lambda: asy.pairwise_ratio_curve(3.0)
+    yield "fc-curve-p-float", lambda: asy.full_conditional_ratio_curve(3.0)
     yield "fc-grid-p-string", lambda: asy.full_conditional_grid("3", 5)
     yield "multinomial-theta-string", lambda: asy.multinomial_info_scalars(
         "a", 5)
