@@ -104,6 +104,21 @@ def _check_figure2_p(p: int) -> None:
                           f"{_physical_memory():.3g} bytes of physical memory")
 
 
+def _check_figure2_draws(p: int, draws: int) -> None:
+    """ConfigError naming ``--draws`` unless one Monte Carlo batch of
+    ``clik figure2`` fits in physical memory on top of its score pass
+    (:func:`_check_figure2_p`), counted without allocating it: the
+    ``ceil(draws / DEFAULT_BATCHES)`` rows of the batch's noise, ``p``
+    floats each, and their ``(q, k)`` score block, ``q = 2``."""
+    rows = -(-draws // comp.DEFAULT_BATCHES)
+    need = score_bytes(p + 1, 5, p, 2) + 8 * rows * (p + 2)
+    if need > _physical_memory():
+        raise ConfigError(f"--draws = {draws} is too large: a batch of "
+                          f"{rows} draws needs {need:.3g} bytes, more than "
+                          f"the {_physical_memory():.3g} bytes of physical "
+                          f"memory")
+
+
 def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -133,6 +148,7 @@ def cmd_figure1(args) -> int:
 def cmd_figure2(args) -> int:
     """Same ratio for the full-conditional estimator, by Monte Carlo."""
     _check_figure2_p(args.p)
+    _check_figure2_draws(args.p, args.draws)
     started = time.monotonic()
     out = _ensure_out(args)
     grid = asy.full_conditional_grid(args.p, args.grid)
@@ -283,16 +299,22 @@ def parse_sim_config(path) -> mc.SimConfig:
         except ValueError:
             raise ConfigError(f"{path}: key {key!r} is not a number: {raw!r}")
 
-    def size(key):
-        value = int(num(key))
+    def size(key, default=None):
+        """The value of ``key`` as an integer: ConfigError unless it is a
+        whole number (``500`` and ``5e2`` are) of at most ``sys.maxsize``;
+        ``int()`` of inf or NaN raises, caught below."""
+        value = num(key, default)
+        if int(value) != value:
+            raise ConfigError(f"{path}: key {key!r} must be an integer, got "
+                              f"{values.get(key, default)!r}")
         if value > sys.maxsize:
             raise ConfigError(f"{path}: key {key!r} is above {sys.maxsize}")
-        return value
+        return int(value)
 
     family = need("model").lower()
     try:
         if family == "emvn":
-            model = EMVN(int(num("p", "3")))
+            model = EMVN(size("p", "3"))
             theta = model.params(rho=num("rho"), sigma2=num("sigma2", "1"))
         elif family == "trinormal":
             model = TriNormal()
@@ -324,7 +346,7 @@ def parse_sim_config(path) -> mc.SimConfig:
 
         config = mc.SimConfig(model, theta, tuple(runs), n=size("n"),
                               replicates=size("replicates"),
-                              seed=int(num("seed", "0")))
+                              seed=size("seed", "0"))
         for run in runs:
             check_identified(model, run.spec, theta, run.fixed_dict)
         return config

@@ -24,9 +24,11 @@ the Newton route takes with its summed score from one build of the forms
 of the spec's margins and the full one (:func:`_sensitivity_forms`) at
 each point.  Monte Carlo information is one blocked pass over the draws
 that holds one batch at a time, so its memory is O(draws / batches): each
-batch is drawn and read once by :func:`clik.models.score_kernel`, which
-fills its scores at ``theta``, reduced to their mean and covariance, and
-returns the feature sums that give its statistic, before the next is
+batch of the sampler's noise is drawn and read once by
+:func:`clik.models.score_kernel`, built from the spec's forms mapped
+through the sampler's :class:`clik.models.NoiseMap`, which fills its
+scores at ``theta``, reduced to their mean and covariance, and returns the
+feature sums that, mapped back, give its statistic, before the next is
 drawn; only :mod:`clik.models` knows the feature layout.  Monte Carlo H
 is a central difference of sample-mean scores over common draws: the
 forms at the ``2q`` stencil points are contracted with every batch
@@ -50,10 +52,10 @@ from .errors import (DimensionMismatch, InvalidArgument, UnknownParameter,
                      UnsupportedSpec)
 from .fileio import atomic_csv, fmt
 from .matrixops import asymmetry, solve_sym, sym_invert, symmetrize
-from .models import (Model, ParamBatch, ParamVector, _as_rows, _count,
-                     _finite, _index_tuple, _real_array, affine_quadratic,
-                     feature_scratch, feature_statistic, score_kernel,
-                     substream, unpack_forms, unpack_statistic)
+from .models import (Model, NoiseMap, ParamBatch, ParamVector, _as_rows,
+                     _count, _finite, _index_tuple, _real_array,
+                     affine_quadratic, feature_scratch, feature_statistic,
+                     score_kernel, substream, unpack_forms, unpack_statistic)
 
 #: Central-difference step scale for the Monte Carlo sensitivity matrix.
 FD_STEP_INFO = 1e-4
@@ -445,25 +447,34 @@ def _godambe(H: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
-                      theta: ParamVector) -> InfoTriple:
+                      theta: ParamVector,
+                      noise_map: NoiseMap = NoiseMap()) -> InfoTriple:
     """Monte Carlo InfoTriple of the composite score over the draws given
     as ``blocks``: the batches of :func:`batch_slices`, an iterable of
-    ``(k_b, dim)`` row blocks, in order, ``n = sum(k_b)`` rows in all.
+    ``(k_b, dim)`` noise blocks, in order, ``n = sum(k_b)`` rows in all,
+    that ``noise_map`` takes to the draws (:class:`clik.models.NoiseMap`;
+    by default the identity, so that ``blocks`` are the draws themselves).
 
     One blocked pass over the batches that holds one batch at a time and
-    reads each once: the spec's forms are built once at ``theta`` into one
-    :func:`clik.models.score_kernel`, the kernel of
+    reads each once: the spec's forms are built once at ``theta``, mapped
+    once to forms in the noise about the noise point of ``mean(theta)``
+    (:class:`~clik.models.NoiseMap`: ``(c, B F', F A F')``), and made into
+    one :func:`clik.models.score_kernel`, the kernel of
     :func:`clik.models.affine_quadratic`.  One call of it per batch, as
     ``blocks`` yields it, fills the batch's scores at ``r = y -
     mean(theta)``, a contiguous feature-major ``(q, k_b)`` block, through
     one scratch buffer that every batch reuses, and returns the row sums of
-    its feature rows, ``sum r`` and ``sum r_a r_b``.  The block is reduced
-    to its mean and covariance, and the sums give the batch statistic
-    ``[n, ybar, W]`` (:func:`clik.models.feature_statistic`).  J is the
-    sample covariance of all the scores, pooled (:func:`_pooled_cov`) from
-    the batch covariances and means.  H is minus the central difference of
-    the sample-mean score in each free parameter (common draws across
-    shifts); the spec's forms are built once more, at the ``2q`` stencil
+    its feature rows, mapped back to ``sum r`` and ``sum r_a r_b``: no row
+    of the draws is built.  The block is reduced to its mean and
+    covariance, and the sums give the batch statistic ``[n, ybar, W]``
+    (:func:`clik.models.feature_statistic`).  Under the identity map each
+    block is its batch's :func:`composite_score`, bit for bit; through a
+    Gaussian factor the scores and J agree with that to rounding (1e-12 of
+    their largest entry), and H to the rounding of its central difference
+    (1e-10 of max|H|).  J is the sample covariance of all the scores,
+    pooled (:func:`_pooled_cov`) from the batch covariances and means.  H
+    is minus the central difference of the sample-mean score in each free
+    parameter (common draws across shifts); the spec's forms are built once more, at the ``2q`` stencil
     points, and the mean at each comes from contracting them
     (:func:`_contract`) with every batch statistic, so only the scores at
     ``theta`` are evaluated row by row.
@@ -478,21 +489,23 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     stencil, steps = _stencil(model, theta, FD_STEP_INFO)
     free = theta.free_names
     q, m = len(free), model.dim
-    fill = score_kernel(*unpack_forms(_spec_forms(spec, model, theta), m))
-    mean, scratch = model._mean(theta), feature_scratch(m)
+    mean = model._mean(theta)
+    fill = score_kernel(*noise_map.forms(
+        *unpack_forms(_spec_forms(spec, model, theta), m)))
+    center, scratch = noise_map.point(mean), feature_scratch(m)
     sizes, means, J_batch, totals = [], [], [], []
-    for rows in blocks:
-        block = np.empty((q, rows.shape[0]))
-        total = fill(rows, mean, block, scratch)
+    for noise in blocks:
+        block = np.empty((q, noise.shape[0]))
+        total = fill(noise, center, block, scratch)
         # block.T is column-major, so both reduce along contiguous rows
         means.append(block.mean(axis=1))
         J_batch.append(sample_cov(block.T))
         totals.append(total)
-        sizes.append(rows.shape[0])
+        sizes.append(noise.shape[0])
     sizes, means, J_batch = np.array(sizes), np.stack(means), np.stack(J_batch)
     batches, n = len(sizes), int(sizes.sum())
     J_full = _pooled_cov(J_batch, means, sizes)
-    stats = feature_statistic(sizes, np.stack(totals), mean)
+    stats = feature_statistic(sizes, noise_map.sums(np.stack(totals)), mean)
 
     sums = _contract(_spec_forms(spec, model, stencil)[:, None],
                      np.tile(stats, (2 * q, 1, 1)),
@@ -529,15 +542,17 @@ def _check_draws(theta: ParamVector, draws, seed) -> None:
 
 def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
                    batches: int):
-    """The batches of :func:`batch_slices` over ``draws`` rows drawn at
-    ``theta``, as an iterator that draws each batch from one
-    ``substream(seed)`` Generator when it reaches it.  Taken in order, the
-    batches are ``model.sample(theta, draws, seed)``, bit for bit."""
+    """``(noise_map, noise)``: the batches of :func:`batch_slices` over
+    ``draws`` rows of the noise of ``model.sampler(theta)``, as an iterator
+    that draws each batch from one ``substream(seed)`` Generator when it
+    reaches it, and the :class:`clik.models.NoiseMap` that takes them to
+    rows.  Taken in order and mapped, the batches are ``model.sample(theta,
+    draws, seed)``, bit for bit; the noise is never mapped here."""
     _check_draws(theta, draws, seed)
     draw = model.sampler(theta)
     rng = substream(seed)
-    return (draw(sl.stop - sl.start, [rng])[0]
-            for sl in batch_slices(int(draws), batches))
+    return draw.noise_map, (draw.noise(sl.stop - sl.start, [rng])[0]
+                            for sl in batch_slices(int(draws), batches))
 
 
 def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
@@ -550,10 +565,13 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
     draws (the stencil means evaluated from per-batch statistics), J the
     score covariance, and per-entry standard errors come from ``batches``
     batch means.  The draws are sampled, scored and reduced one batch at a
-    time (:func:`_info_from_sample`), so memory is O(draws / batches).
+    time (:func:`_info_from_sample`), so memory is O(draws / batches).  The
+    batches are scored as the sampler's noise (:func:`_drawn_batches`),
+    through the score forms mapped once by its noise map: the rows of the
+    draws are never built.
     """
-    return _info_from_sample(spec, model, _drawn_batches(
-        model, theta, draws, seed, batches), theta)
+    noise_map, noise = _drawn_batches(model, theta, draws, seed, batches)
+    return _info_from_sample(spec, model, noise, theta, noise_map)
 
 
 def projection_matrix(triple: InfoTriple) -> np.ndarray:

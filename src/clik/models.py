@@ -3,16 +3,19 @@
 Each model exposes, for arbitrary index subsets of its observation vector:
 margin log densities, analytic margin scores in the free parameters, the
 same scores as affine-quadratic forms in the observation, and an exact
-sampler.  (Fisher information is the variability matrix of the full
-likelihood; see :func:`clik.composite.info_exact`.)  Conditionals are
-formed by :mod:`clik.composite` through the identity
+sampler, whose draws are noise taken to rows by an affine map
+(:class:`NoiseMap`).  (Fisher information is the variability matrix of
+the full likelihood; see :func:`clik.composite.info_exact`.)
+Conditionals are formed by :mod:`clik.composite` through the identity
 ``log f(y_t | y_G) = log f(y_{t,G}) - log f(y_G)``, so one margin code
 path serves independence, pairwise, full-conditional and chain composite
 likelihoods alike.
 
 Rows are scored by one kernel, :func:`score_kernel`, the only code that
 knows the feature layout ``[r; r_a r_b]`` of a residual; a Monte Carlo
-pass takes its batch statistic from the feature sums it returns.
+pass fills it on the noise with the score forms mapped through the
+noise map, and takes its batch statistic from the feature sums it
+returns, mapped back.
 
 Evaluation is vectorized over observations: ``Y`` may be a single vector
 or an ``(n, dim)`` array, and log densities / scores come back with a
@@ -29,7 +32,7 @@ import math
 import numbers
 import operator
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -483,12 +486,86 @@ def feature_statistic(sizes, sums, mean):
     ``ybar = mean + sum r / n`` and ``W = sum r r' - (sum r)(sum r)' / n``."""
     m = mean.shape[-1]
     n = np.asarray(sizes, dtype=float)[..., None]
-    lin, upper = sums[..., :m], np.triu_indices(m)
-    prods = np.empty(sums.shape[:-1] + (m, m))
-    prods[..., upper[0], upper[1]] = prods[..., upper[1], upper[0]] = sums[..., m:]
+    lin, prods = _feature_sums(sums, m)
     W = prods - lin[..., :, None] * lin[..., None, :] / n[..., None]
     return np.concatenate([n, mean + lin / n, W.reshape(W.shape[:-2] + (-1,))],
                           axis=-1)
+
+
+def _feature_sums(sums, m: int):
+    """``(sum r, sum r r')`` of feature sums ``(..., m + m (m + 1) / 2)``
+    (:func:`residual_features`), the products unpacked into symmetric
+    ``(..., m, m)`` matrices."""
+    upper = np.triu_indices(m)
+    prods = np.empty(sums.shape[:-1] + (m, m))
+    prods[..., upper[0], upper[1]] = prods[..., upper[1], upper[0]] = sums[..., m:]
+    return sums[..., :m], prods
+
+
+class NoiseMap(NamedTuple):
+    """The affine map ``y = shift + z @ factor`` from a family's noise rows
+    ``z`` to its draws ``y``; with ``factor`` None, the identity, which is
+    applied as a no-op.  Every score is affine-quadratic in ``r = y -
+    mean``, and ``r = (z - z0) @ factor`` with ``z0`` the noise point of
+    ``mean`` (:meth:`point`), so a score pass can read the noise instead
+    of the rows: the score forms are mapped once (:meth:`forms`) and the
+    feature sums of each batch mapped back (:meth:`sums`)."""
+
+    shift: np.ndarray | None = None
+    factor: np.ndarray | None = None
+
+    def apply(self, noise):
+        """The datasets ``shift + noise @ factor`` of a noise stack ``(k, n,
+        dim)``: the product, then each dataset's rows flattened and the
+        shift tiled along them (the sums of ``out += shift`` in one long
+        loop, not a loop of length dim per row)."""
+        if self.factor is None:
+            return noise
+        out = noise @ self.factor
+        k, n, dim = out.shape
+        flat = out.reshape(k, n * dim)
+        flat += np.tile(self.shift, n)
+        return out
+
+    def point(self, mean):
+        """The noise point ``z0`` of ``mean``, ``shift + z0 @ factor =
+        mean``: zero for a Gaussian at its own mean."""
+        if self.factor is None:
+            return mean
+        return np.linalg.solve(self.factor.T, mean - self.shift)
+
+    def forms(self, c, B, A):
+        """Score forms ``c + B r + r' A r / 2`` (see :func:`score_kernel`) as
+        forms in ``u = z - z0``, with ``r = u F``: ``(c, B F', F A F')``."""
+        if self.factor is None:
+            return c, B, A
+        F = self.factor
+        return c, B @ F.T, F @ A @ F.T
+
+    def sums(self, sums):
+        """Feature sums (:func:`residual_features`) of ``u = z - z0`` as
+        those of ``r = u F``: ``sum r = (sum u) F`` and ``sum r r' = F'
+        (sum u u') F``."""
+        if self.factor is None:
+            return sums
+        F = self.factor
+        lin, prods = _feature_sums(sums, F.shape[0])
+        upper = np.triu_indices(F.shape[0])
+        return np.concatenate([lin @ F, (F.T @ prods @ F)[..., upper[0],
+                                                          upper[1]]], axis=-1)
+
+
+class Sampler(NamedTuple):
+    """``draw(n, rngs)``: one dataset of ``n`` exact draws from each
+    Generator of the sequence ``rngs``, stacked as ``(len(rngs), n,
+    dim)``: the noise ``noise(n, rngs)``, of the same shape, taken to
+    rows by ``noise_map`` (:meth:`NoiseMap.apply`)."""
+
+    noise: Callable
+    noise_map: NoiseMap
+
+    def __call__(self, n, rngs):
+        return self.noise_map.apply(self.noise(n, rngs))
 
 
 def score_kernel(c, B, A):
@@ -764,15 +841,14 @@ class Model:
 
     # -- sampling -------------------------------------------------------------
 
-    def sampler(self, theta: ParamVector):
-        """``draw(n, rngs)``: one dataset of ``n`` exact draws at ``theta``
-        from each Generator of the sequence ``rngs``, stacked as an
-        ``(len(rngs), n, dim)`` array.  ``theta`` is validated and
-        everything that does not depend on ``n`` or ``rngs`` (a covariance
-        factor, cell probabilities) is computed once, here.  The noise of
-        the whole block is drawn into one array, a generator at a time, and
-        transformed in one call; dataset ``k`` equals a draw of ``rngs[k]``
-        alone."""
+    def sampler(self, theta: ParamVector) -> Sampler:
+        """The :class:`Sampler` of exact draws at ``theta``: its noise and
+        the :class:`NoiseMap` that takes the noise to rows.  ``theta`` is
+        validated and everything that does not depend on ``n`` or ``rngs``
+        (the mean and covariance factor of the map, cell probabilities) is
+        computed once, here.  The noise of the whole block is drawn into
+        one array, a generator at a time, and mapped in one call; dataset
+        ``k`` equals a draw of ``rngs[k]`` alone."""
         raise NotImplementedError
 
     def sample(self, theta: ParamVector, n: int, seed) -> np.ndarray:
@@ -897,22 +973,17 @@ class GaussianModel(Model):
     # -- sampling -------------------------------------------------------------
 
     def sampler(self, theta):
+        """See :meth:`Model.sampler`: standard normal noise, mapped by the
+        mean and the factor ``cholesky_lower(cov).T``."""
         self.validate(theta)
         factor = cholesky_lower(self._cov(theta)).T
-        mean = self._mean(theta)
 
-        def draw(n, rngs):
-            noise = np.empty((len(rngs), int(n), self.dim))
-            for rng, block in zip(rngs, noise):
+        def noise(n, rngs):
+            out = np.empty((len(rngs), int(n), self.dim))
+            for rng, block in zip(rngs, out):
                 rng.standard_normal(out=block)
-            out = noise @ factor
-            # each dataset's rows flattened and the mean tiled along them:
-            # the sums of ``out += mean`` in one long loop, not a loop of
-            # length dim per row
-            flat = out.reshape(len(rngs), int(n) * self.dim)
-            flat += np.tile(mean, int(n))
             return out
-        return draw
+        return Sampler(noise, NoiseMap(self._mean(theta), factor))
 
     sample = Model.sample   # perfbench/tracing.py wraps it per class
 
@@ -1078,17 +1149,19 @@ class Multinomial4(Model):
         return out
 
     def sampler(self, theta):
+        """See :meth:`Model.sampler`: the noise is the outcome rows, and
+        the map the identity."""
         self.validate(theta)
         cum = np.cumsum(self.cell_probs(theta))
         outcomes = self.outcomes()
 
-        def draw(n, rngs):
+        def noise(n, rngs):
             uniform = np.empty((len(rngs), int(n)))
             for rng, block in zip(rngs, uniform):
                 rng.random(out=block)
             cells = np.searchsorted(cum, uniform, side="right")
             return outcomes[np.minimum(cells, 3)]
-        return draw
+        return Sampler(noise, NoiseMap())
 
     sample = Model.sample   # perfbench/tracing.py wraps it per class
 

@@ -34,11 +34,18 @@ rounding, and H and its batch values are the oracle's less
 of the plain stencil Jacobian, which the oracle projects and the pass
 symmetrizes away first.
 
-``info_monte_carlo`` draws each batch from one generator when the pass
-reaches it, so it holds one batch at a time: its triple is that of the
-pass over ``model.sample``'s draws, bit for bit, and its memory does not
-grow with the draws at a fixed batch size.  ``projected_info_monte_carlo``
-is that triple projected, bit for bit.
+``info_monte_carlo`` draws each batch of the sampler's noise from one
+generator when the pass reaches it, so it holds one batch at a time: its
+triple is that of the pass over the whole sample's noise under the
+sampler's noise map, bit for bit, and its memory does not grow with the
+draws at a fixed batch size.  The multinomial's map is the identity, so
+there the triple is also that of the pass over ``model.sample``'s rows,
+bit for bit.  A Gaussian pass scores the noise through forms mapped by
+the covariance factor, so against the pass over the rows J and its batch
+values agree to rounding (within 1e-12 of their largest entry), and H and
+its batch values to the rounding of a central difference (within 1e-10
+of max|H|).  ``projected_info_monte_carlo`` is the plain triple
+projected, bit for bit.
 """
 
 import dataclasses
@@ -230,6 +237,22 @@ def assert_same_bits(got, want):
             assert a == b and type(a) is type(b), field.name
 
 
+def noise_pass(spec, model, theta, draws, seed, batches):
+    """The pass over the batches of the whole sample's noise, one sampler
+    call of ``draws`` rows, under the sampler's noise map."""
+    draw = model.sampler(theta)
+    noise = draw.noise(draws, [models.substream(seed)])[0]
+    return comp._info_from_sample(spec, model, batches_of(noise, batches),
+                                  theta, draw.noise_map)
+
+
+def row_pass(spec, model, theta, draws, seed, batches):
+    """The pass over the batches of ``model.sample``'s rows."""
+    return comp._info_from_sample(
+        spec, model, batches_of(model.sample(theta, draws, seed), batches),
+        theta)
+
+
 @SETTINGS
 @given(case=stream_cases(), batches=st.integers(10, 25),
        per=st.integers(100, 160), extra=st.integers(1, 9),
@@ -245,16 +268,38 @@ def test_streamed_triples_are_the_whole_sample_pass(case, batches, per,
                                                 seed + 1, base, batches)
     except (SingularMatrix, InvalidArgument):
         assume(False)       # the spec carries no information on a parameter
-    want = comp._info_from_sample(
-        spec, model, batches_of(model.sample(theta, draws, seed), batches),
-        theta)
-    want_p = comp._projected(comp._info_from_sample(
-        spec, model, batches_of(model.sample(theta, draws, seed + 1),
-                                batches),
-        theta), comp.projection_matrix(base))
+    want = noise_pass(spec, model, theta, draws, seed, batches)
+    want_p = comp._projected(
+        noise_pass(spec, model, theta, draws, seed + 1, batches),
+        comp.projection_matrix(base))
     assert got.draws == draws
     assert_same_bits(got, want)
     assert_same_bits(got_p, want_p)
+    if isinstance(model, Multinomial4):     # the identity map: the rows
+        assert_same_bits(got, row_pass(spec, model, theta, draws, seed,
+                                       batches))
+
+
+@SETTINGS
+@given(case=stream_cases(), batches=st.integers(10, 25),
+       per=st.integers(100, 160), extra=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_noise_pass_is_the_row_pass_to_rounding(case, batches, per, extra,
+                                                seed):
+    model, theta, spec = case
+    draws = per * batches + extra
+    try:
+        got = comp.info_monte_carlo(spec, model, theta, draws, seed, batches)
+    except (SingularMatrix, InvalidArgument):
+        assume(False)       # the spec carries no information on a parameter
+    want = row_pass(spec, model, theta, draws, seed, batches)
+    htol = 1e-10 * np.max(np.abs(want.sensitivity))
+    for a, b in ((got.sensitivity, want.sensitivity),
+                 (got.batches.sensitivity, want.batches.sensitivity)):
+        assert np.max(np.abs(a - b)) <= htol
+    for a, b in ((got.variability, want.variability),
+                 (got.batches.variability, want.batches.variability)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @SETTINGS

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clik
@@ -244,12 +245,29 @@ def test_simulate_config_errors(tmp_path):
     for name, text, match in (
             ("seed.cfg", valid + "seed = -1\n", "seed must be >= 0"),
             ("inf.cfg", valid.replace("n = 100", "n = inf"), "infinity"),
-            ("bytes.cfg", valid.replace("rho", "rho\xff"), "not UTF-8")):
+            ("bytes.cfg", valid.replace("rho", "rho\xff"), "not UTF-8"),
+            # a fractional size is refused, never truncated
+            ("p.cfg", valid + "p = 3.7\n", "'p' must be an integer, got '3.7'"),
+            ("n.cfg", valid.replace("n = 100", "n = 20.9"), "'n' must be an"),
+            ("reps.cfg", valid.replace("replicates = 200", "replicates = 10.5"),
+             "'replicates' must be an integer"),
+            ("seed-frac.cfg", valid + "seed = 1.5\n",
+             "'seed' must be an integer")):
         cfg = tmp_path / name
         cfg.write_bytes(text.encode("latin-1"))
         with pytest.raises(ConfigError, match=match):
             parse_sim_config(cfg)
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+
+    # integral floats are integers
+    whole = tmp_path / "whole.cfg"
+    whole.write_text(valid.replace("n = 100", "n = 5e2").replace(
+        "replicates = 200", "replicates = 200.0") + "p = 4.0\nseed = 7e0\n")
+    config = parse_sim_config(whole)
+    assert (config.model.p, config.n, config.replicates, config.seed) \
+        == (4, 500, 200, 7)
+    assert all(type(v) is int for v in (config.model.p, config.n,
+                                        config.replicates, config.seed))
 
 
 def test_simulate_unsupported_spec_exits_2(tmp_path):
@@ -487,16 +505,44 @@ def config_files(draw):
     return data
 
 
+def sets_a_fractional_size(cfg) -> bool:
+    """Whether a line of the config file ``cfg``, read as the parser reads
+    it, sets a size the parser reads (``n``, ``replicates``, ``seed``, and
+    ``p`` of an EMVN model) to a finite number with a fractional part,
+    such as a drawn ``3.5``."""
+    try:
+        with open(cfg, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        return False
+    pairs = [(key.strip(), val.strip()) for key, eq, val in
+             (raw.split("#", 1)[0].partition("=") for raw in lines) if eq]
+    emvn = any(key == "model" and val.lower() == "emvn" for key, val in pairs)
+    for key, val in pairs:
+        if key in ("n", "replicates", "seed") or (key == "p" and emvn):
+            try:
+                x = float(val)
+            except ValueError:
+                continue
+            if math.isfinite(x) and not x.is_integer():
+                return True
+    return False
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=config_files())
+@example(data=b"model = emvn\np = 3\nrho = 0.3\nn = 20\nreplicates = 100\n"
+              b"seed = 3.5\nspecs = pairwise\n")
 def test_fuzzed_simulate_config_exits_cleanly(data):
     # any config either runs (0) or is refused with a message (2); an
-    # uncaught exception here is a traceback for the user
+    # uncaught exception here is a traceback for the user.  A fractional
+    # size is refused, never truncated into a run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "study.cfg")
         with open(cfg, "wb") as fh:
             fh.write(data)
-        assert main(["simulate", cfg, "--out", os.path.join(tmp, "out")]) in (0, 2)
+        code = main(["simulate", cfg, "--out", os.path.join(tmp, "out")])
+        assert code == 2 if sets_a_fractional_size(cfg) else code in (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +681,31 @@ def test_figure2_p_beyond_memory_exits_2_naming_the_flag(tmp_path,
     assert main(["figure2", "--p", "40", "--grid", "2", "--out",
                  str(out)]) == 2
     assert "error: --p = 40 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_draws_beyond_memory_are_refused_without_drawing():
+    # pure integer arithmetic: one batch is sys.maxsize / 20 rows here
+    with pytest.raises(ConfigError, match=r"--draws = \d+ is too large"):
+        cli._check_figure2_draws(3, sys.maxsize)
+    cli._check_figure2_draws(3, 200_000)
+
+
+def test_figure2_draws_beyond_memory_exit_2_naming_the_flag(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # 64 MiB of memory: a batch of 4e7 / 20 draws at p = 3 holds 2e6 rows
+    # of noise and scores, 80 MB; 2e7 draws, 40 MB, pass the check
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+    cli._check_figure2_draws(3, 20_000_000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a spec before the size check")
+    monkeypatch.setattr(asy, "full_conditional", refuse)
+    out = tmp_path / "out"
+    assert main(["figure2", "--draws", "40000000", "--grid", "2", "--out",
+                 str(out)]) == 2
+    assert "error: --draws = 40000000 is too large" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,12 +14,13 @@ noise, and J, which both take from the scores at ``theta``, to round-off.
 """
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import clik.composite as comp
 from clik.errors import SingularMatrix
 from oracles import stencil_info
+from test_blocked_info import projection_case
 from test_sensitivity_identity import SETTINGS, cases
 
 
@@ -59,6 +60,12 @@ def test_monte_carlo_info_matches_per_row_stencil(case, draws, batches, seed):
 
 @SETTINGS
 @given(case=cases(), **DRAWS)
+# both parameters free and ``J^-1 H`` not symmetric, so that ``M' H`` and
+# ``M H`` differ: most drawn cases have one free parameter
+@example(case=projection_case(3, comp.pairwise(3)), draws=1000, batches=10,
+         seed=0)
+@example(case=projection_case(4, comp.full_conditional(4)), draws=1205,
+         batches=12, seed=3)
 def test_projected_info_matches_per_row_stencil(case, draws, batches, seed):
     model, theta, spec = case
     try:

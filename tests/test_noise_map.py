@@ -1,0 +1,90 @@
+"""The sampler's noise map: draws as noise plus an affine map, and scores
+read from the noise.
+
+Every family draws noise ``z`` and maps it to rows ``y = shift + z @
+factor`` (``models.NoiseMap``): a Gaussian's standard normal noise by its
+mean and ``cholesky_lower(cov).T``, the multinomial's outcome rows by the
+identity.  ``Model.sample`` is that map applied, bit for bit.  A score
+``c + B r + r' A r / 2`` in ``r = y - mean`` is, with ``r = (z - z0) F``,
+the form ``(c, B F', F A F')`` in the noise about the noise point ``z0``
+of the mean, so a kernel built from the mapped forms and filled on the
+noise gives the scores of the rows to rounding, and the feature sums it
+returns, mapped back (``sum r = (sum u) F``, ``sum r r' = F' (sum u u')
+F``), give the rows' statistic.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import clik.composite as comp
+from clik.matrixops import cholesky_lower
+from clik.models import (EMVN, Model, Multinomial4, TriNormal,
+                         affine_quadratic, feature_scratch,
+                         feature_statistic, residual_features, score_kernel,
+                         substream, unpack_forms)
+from test_sensitivity_identity import (SETTINGS, interior_points,
+                                       weighted_specs)
+
+GAUSSIANS = [EMVN(p) for p in range(2, 7)] + [TriNormal()]
+
+
+@st.composite
+def noise_cases(draw, models):
+    """A model of ``models``, an interior point, a sample size of at least
+    two rows (one Gaussian row is a vector product, which rounds
+    differently) and a seed."""
+    model = draw(st.sampled_from(models))
+    return (model, draw(interior_points(model)), draw(st.integers(2, 3000)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def noise_and_rows(model, theta, n, seed):
+    """``(noise_map, noise, rows)`` of one draw of ``n`` rows at ``theta``:
+    the noise as the sampler draws it and the rows of ``model.sample``."""
+    draw = model.sampler(theta)
+    noise = draw.noise(n, [substream(seed)])[0]
+    return draw.noise_map, noise, model.sample(theta, n, seed)
+
+
+@SETTINGS
+@given(case=noise_cases(GAUSSIANS))
+def test_sample_is_the_shift_plus_the_noise_times_the_factor(case):
+    model, theta, n, seed = case
+    noise_map, noise, rows = noise_and_rows(model, theta, n, seed)
+    assert noise_map.shift.tobytes() == model._mean(theta).tobytes()
+    assert noise_map.factor.tobytes() == \
+        cholesky_lower(model._cov(theta)).T.tobytes()
+    want = noise_map.shift + noise @ noise_map.factor
+    assert rows.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(case=noise_cases(GAUSSIANS + [Multinomial4(5.0)]), data=st.data())
+def test_mapped_forms_on_the_noise_score_the_rows(case, data):
+    model, theta, n, seed = case
+    spec = data.draw(weighted_specs(model.dim))
+    noise_map, noise, rows = noise_and_rows(model, theta, n, seed)
+    forms = unpack_forms(comp._spec_forms(spec, model, theta), model.dim)
+    want = affine_quadratic(*forms, rows - model._mean(theta))
+    got = np.empty(want.shape[::-1])
+    score_kernel(*noise_map.forms(*forms))(
+        noise, noise_map.point(model._mean(theta)), got,
+        feature_scratch(model.dim))
+    assert np.max(np.abs(got.T - want)) <= 1e-12 * np.max(np.abs(want))
+    if isinstance(model, Multinomial4):        # the identity keeps its bits
+        assert got.T.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(case=noise_cases(GAUSSIANS + [Multinomial4(5.0)]))
+def test_mapped_back_feature_sums_give_the_statistic_of_the_rows(case):
+    model, theta, n, seed = case
+    noise_map, noise, rows = noise_and_rows(model, theta, n, seed)
+    mean = model._mean(theta)
+    sums = sum(feats.sum(axis=-1) for _, feats in
+               residual_features(noise, noise_map.point(mean)))
+    got = feature_statistic(n, noise_map.sums(sums), mean)
+    want = Model.statistic(rows)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
