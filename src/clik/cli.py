@@ -21,7 +21,7 @@ from . import composite as comp
 from . import montecarlo as mc
 from . import verify as verify_mod
 from .errors import ClikError, ConfigError
-from .estimators import check_identified
+from .estimators import check_identified, registered_closed_form
 from .fileio import atomic_csv, atomic_write, fmt
 from .models import EMVN, Multinomial4, TriNormal, score_bytes
 from .svgfig import Panel, write_figure
@@ -252,6 +252,8 @@ def cmd_verify(args) -> int:
 _CONFIG_KEYS = {"model", "p", "k", "rho", "sigma2", "mu", "theta", "n",
                 "replicates", "seed", "specs"}
 
+_MODELS = {"emvn": EMVN, "trinormal": TriNormal, "multinomial4": Multinomial4}
+
 _SPEC_BUILDERS = {
     "independence": comp.independence,
     "pairwise": comp.pairwise,
@@ -259,6 +261,53 @@ _SPEC_BUILDERS = {
     "chain": comp.chain,
     "full": comp.full_likelihood,
 }
+
+#: Distinct margins whose score forms a fit of each spec of ``p``
+#: coordinates builds, the full one included (the spec's and the full
+#: likelihood's margins), counted without building the spec.
+_SPEC_MARGINS = {
+    "independence": lambda p: p + 1,
+    "pairwise": lambda p: p * (p - 1) // 2 + 1,
+    "full_conditional": lambda p: p + 1,
+    "chain": lambda p: p,
+    "full": lambda p: 1,
+}
+
+#: Bytes a study holds per estimate, at most: the float, its flag and its
+#: score norm, per chunk and joined, and its line of the estimates file,
+#: as a str and in the joined text.
+_ESTIMATE_BYTES = 192
+
+
+def _check_sim_sizes(path, p: int, n: int, replicates: int, runs) -> None:
+    """ConfigError naming the first of the sizes ``p``, ``n`` and
+    ``replicates`` at which the arrays of ``clik simulate``, added up in
+    that order, exceed physical memory; counted without allocating them.
+    ``runs`` holds ``(margins, q, points)`` per run: the margins whose
+    forms a fit builds (see ``_SPEC_MARGINS``), its free parameters, and
+    the parameter points it builds them at in one batch.
+
+    - ``p``: the largest forms of a run, ``margins * points * q * (1 + p
+      + p**2)`` floats (one point for the identifiability check, a chunk
+      of replicates for Newton's evaluations);
+    - ``n``: one block of noise, ``montecarlo.BLOCK_BYTES`` or one
+      replicate's ``n * p`` floats, and the statistic's copy of it;
+    - ``replicates``: the statistics of every replicate, per block and
+      stacked, and ``_ESTIMATE_BYTES`` per free parameter of each run."""
+    stat = 1 + p + p * p
+    counts = (("p", p, 8 * max(m * points * q * stat
+                               for m, q, points in runs)),
+              ("n", n, 2 * max(mc.BLOCK_BYTES, 8 * n * p)),
+              ("replicates", replicates, replicates * (
+                  16 * stat + _ESTIMATE_BYTES * sum(q for _, q, _ in runs))))
+    need = 0
+    for key, value, count in counts:
+        need += count
+        if need > _physical_memory():
+            raise ConfigError(f"{path}: key {key!r} = {value} is too large: "
+                              f"the study needs {need:.3g} bytes, more than "
+                              f"the {_physical_memory():.3g} bytes of "
+                              f"physical memory")
 
 
 def parse_sim_config(path) -> mc.SimConfig:
@@ -312,41 +361,57 @@ def parse_sim_config(path) -> mc.SimConfig:
         return int(value)
 
     family = need("model").lower()
+    if family not in _MODELS:
+        raise ConfigError(f"{path}: unknown model {family!r}")
+    tokens = []
+    for token in need("specs").split(","):
+        token = token.strip()
+        if not token:
+            continue
+        name, *fixed_names = token.split("!")
+        if name not in _SPEC_BUILDERS:
+            raise ConfigError(f"{path}: unknown spec {name!r} (choices: "
+                              f"{sorted(_SPEC_BUILDERS)})")
+        tokens.append((token, name, fixed_names))
+    if not tokens:
+        raise ConfigError(f"{path}: specs list is empty")
     try:
+        p = size("p", "3") if family == "emvn" else 3
+        n, replicates = size("n"), size("replicates")
+        # before any model, spec or form is built: the identifiability
+        # check's forms, at one point with every parameter free
+        free = len(_MODELS[family].param_names)
+        _check_sim_sizes(path, p, n, replicates,
+                         [(_SPEC_MARGINS[name](p), free, 1)
+                          for _, name, _ in tokens])
         if family == "emvn":
-            model = EMVN(size("p", "3"))
+            model = EMVN(p)
             theta = model.params(rho=num("rho"), sigma2=num("sigma2", "1"))
         elif family == "trinormal":
             model = TriNormal()
             theta = model.params(mu=num("mu", "0"), rho=num("rho", "0"),
                                  sigma2=num("sigma2", "1"))
-        elif family == "multinomial4":
+        else:
             model = Multinomial4(num("k"))
             theta = model.params(num("theta"))
-        else:
-            raise ConfigError(f"{path}: unknown model {family!r}")
 
         runs = []
-        for token in need("specs").split(","):
-            token = token.strip()
-            if not token:
-                continue
-            name, *fixed_names = token.split("!")
-            if name not in _SPEC_BUILDERS:
-                raise ConfigError(f"{path}: unknown spec {name!r} (choices: "
-                                  f"{sorted(_SPEC_BUILDERS)})")
+        for token, name, fixed_names in tokens:
             for fname in fixed_names:
                 if fname not in theta.names:
                     raise ConfigError(f"{path}: spec {token!r} fixes unknown "
                                       f"parameter {fname!r}")
             fixed = {fname: theta[fname] for fname in fixed_names}
             runs.append(mc.SpecRun(_SPEC_BUILDERS[name](model.dim), fixed))
-        if not runs:
-            raise ConfigError(f"{path}: specs list is empty")
 
-        config = mc.SimConfig(model, theta, tuple(runs), n=size("n"),
-                              replicates=size("replicates"),
-                              seed=size("seed", "0"))
+        config = mc.SimConfig(model, theta, tuple(runs), n=n,
+                              replicates=replicates, seed=size("seed", "0"))
+        # Newton evaluates the forms of every replicate of a chunk at once
+        _check_sim_sizes(path, p, n, replicates, [
+            (_SPEC_MARGINS[name](p), len(config.free_names(run)),
+             1 if registered_closed_form(model, run.spec, theta,
+                                         run.fixed_dict) else replicates)
+            for (_, name, _), run in zip(tokens, runs)])
         for run in runs:
             check_identified(model, run.spec, theta, run.fixed_dict)
         return config
@@ -362,10 +427,10 @@ def cmd_simulate(args) -> int:
     est_path = os.path.join(out, "simulate_estimates.csv")
     sum_path = os.path.join(out, "simulate_summary.csv")
     result.write_estimates_csv(est_path)
-    result.write_summary_csv(sum_path)
+    summary = result.write_summary_csv(sum_path)
     _write_manifest(out, "simulate", {"config": os.path.abspath(args.config)},
                     config.seed, [est_path, sum_path], started)
-    for row in result.summary_rows():
+    for row in summary:
         print(",".join(str(v) for v in row))
     return 0
 

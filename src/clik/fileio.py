@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 import tempfile
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field of a row (the csv
+    module's own quoting rules), for rows built as text."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]          # the empty field's "," and "\r\n"
 
 
 def fmt(value: float) -> str:

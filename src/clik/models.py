@@ -509,10 +509,25 @@ class NoiseMap(NamedTuple):
     mean``, and ``r = (z - z0) @ factor`` with ``z0`` the noise point of
     ``mean`` (:meth:`point`), so a score pass can read the noise instead
     of the rows: the score forms are mapped once (:meth:`forms`) and the
-    feature sums of each batch mapped back (:meth:`sums`)."""
+    feature sums of each batch mapped back (:meth:`sums`).  A statistic
+    is read from the noise the same way (:meth:`statistic`)."""
 
     shift: np.ndarray | None = None
     factor: np.ndarray | None = None
+
+    def _moments(self, lin, prods):
+        """``(lin F, F' prods F)`` of first moments ``(..., dim)`` and second
+        moments ``(..., dim, dim)`` of ``u`` (sums or means), those of ``r =
+        u F``.  The first are always one matrix product of at least two
+        rows: numpy multiplies a lone row as a vector, which rounds
+        differently, so a lone row is mapped beside a copy of itself and
+        each row keeps its bits whatever the number of rows mapped with
+        it."""
+        F = self.factor
+        rows = lin.reshape(-1, F.shape[0])
+        pair = rows if len(rows) > 1 else np.concatenate([rows, rows])
+        return ((pair @ F)[:len(rows)].reshape(lin.shape),
+                F.T @ prods @ F)
 
     def apply(self, noise):
         """The datasets ``shift + noise @ factor`` of a noise stack ``(k, n,
@@ -548,11 +563,24 @@ class NoiseMap(NamedTuple):
         (sum u u') F``."""
         if self.factor is None:
             return sums
-        F = self.factor
-        lin, prods = _feature_sums(sums, F.shape[0])
-        upper = np.triu_indices(F.shape[0])
-        return np.concatenate([lin @ F, (F.T @ prods @ F)[..., upper[0],
-                                                          upper[1]]], axis=-1)
+        m = self.factor.shape[0]
+        lin, prods = self._moments(*_feature_sums(sums, m))
+        upper = np.triu_indices(m)
+        return np.concatenate([lin, prods[..., upper[0], upper[1]]], axis=-1)
+
+    def statistic(self, stats):
+        """The statistics (:meth:`Model.statistic`) of the datasets ``shift
+        + z @ factor`` from those ``[n, zbar, W_z]`` of their noise stacks
+        ``z``: ``[n, shift + zbar F, F' W_z F]``, the scatter being
+        invariant to the shift.  Equal to the statistics of the mapped rows
+        to rounding (the identity returns ``stats`` itself), and each
+        dataset's row has the same bits in a stack of any length."""
+        if self.factor is None:
+            return stats
+        n, zbar, W = unpack_statistic(stats)
+        lin, prods = self._moments(zbar, W)
+        return np.concatenate([n[..., None], self.shift + lin,
+                               prods.reshape(W.shape[:-2] + (-1,))], axis=-1)
 
 
 class Sampler(NamedTuple):

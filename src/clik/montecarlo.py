@@ -11,10 +11,12 @@ with a hard 1% failure budget.
 
 Replicates are drawn and reduced in blocks of about ``BLOCK_BYTES`` of
 draws: the substreams of a chunk are seeded in one vectorised pass, and
-each block is sampled into one array, transformed in one call and reduced
-by one ``Model.statistic`` call that every run reads.  Replicate ``r`` of
-seed ``s`` is still drawn from its own stream, the one
-``default_rng(SeedSequence(s, spawn_key=(r,)))`` gives.
+each block's noise is drawn into one array, reduced by one
+``Model.statistic`` call and mapped to the statistic of its draws by one
+``NoiseMap.statistic`` call, which every run reads; the rows of the draws
+are never built.  Replicate ``r`` of seed ``s`` is still drawn from its
+own stream, the one ``default_rng(SeedSequence(s, spawn_key=(r,)))``
+gives, and its statistic has the same bits in a block of any length.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numbers
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (ClikError, FailureBudgetExceeded, InvalidArgument,
                      UnsupportedSpec)
 from .estimators import batch_route
 from .estimators import fit  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .fileio import atomic_csv, fmt
+from .fileio import atomic_csv, atomic_write, csv_field, fmt
 from .models import Model, ParamVector, _count, _finite, substreams
 
 CSV_ESTIMATES_HEADER = ["spec", "replicate", "param", "estimate", "converged"]
@@ -177,20 +179,25 @@ class SimResult:
     # -- serialization -----------------------------------------------------
 
     def write_estimates_csv(self, path) -> None:
-        """One row per replicate and free parameter, replicates in order;
-        the columns are built whole (``repr`` of a float is :func:`fmt`)."""
-        tables = []
+        """One row per replicate and free parameter, replicates in order,
+        written as one text: the bytes ``csv.writer`` writes, each label
+        and parameter name quoted once (:func:`csv_field`), each estimate
+        its ``repr`` (:func:`fmt`) and each flag ``True`` or ``False``."""
+        parts = [",".join(CSV_ESTIMATES_HEADER), "\r\n"]
         for label in self.labels():
-            names = self.param_names(label)
+            spec = csv_field(label)
+            names = [csv_field(name) for name in self.param_names(label)]
             est = np.asarray(self.estimates[label], dtype=float)
             conv = np.asarray(self.converged[label], dtype=bool)
-            reps, d = est.shape[0], len(names)
-            tables.append(zip(repeat(label),
-                              np.repeat(np.arange(reps), d).tolist(),
-                              list(names) * reps,
-                              map(repr, est.ravel().tolist()),
-                              np.repeat(conv, d).astype(str).tolist()))
-        atomic_csv(path, CSV_ESTIMATES_HEADER, chain.from_iterable(tables))
+            heads = [f"{spec},{r},{name}," for r in range(est.shape[0])
+                     for name in names]
+            flags = map((",False\r\n", ",True\r\n").__getitem__,
+                        np.repeat(conv, len(names)).tolist())
+            # joined run by run: one run's pieces are held at a time
+            parts.append("".join(chain.from_iterable(zip(
+                heads, map(repr, est.ravel().tolist()), flags))))
+        with atomic_write(path, newline="") as fh:
+            fh.write("".join(parts))
 
     def summary_rows(self) -> list:
         rows = []
@@ -205,8 +212,11 @@ class SimResult:
                              fmt(se[j, j]), str(fails)])
         return rows
 
-    def write_summary_csv(self, path) -> None:
-        atomic_csv(path, CSV_SUMMARY_HEADER, self.summary_rows())
+    def write_summary_csv(self, path) -> list:
+        """Write the :meth:`summary_rows` and return them."""
+        rows = self.summary_rows()
+        atomic_csv(path, CSV_SUMMARY_HEADER, rows)
+        return rows
 
 
 def _block_size(config: SimConfig) -> int:
@@ -219,9 +229,10 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     replicates ``lo..hi-1``; deterministic in (seed, replicate).
 
     The sampler is set up and the substreams seeded once per chunk.  Each
-    block of replicates is drawn in one sampler call and reduced by one
-    ``Model.statistic`` call; each run is then solved in one batched call
-    over the stacked statistics.
+    block of replicates is drawn as noise in one call, reduced by one
+    ``Model.statistic`` call and mapped by the sampler's noise map
+    (:meth:`NoiseMap.statistic`); each run is then solved in one batched
+    call over the stacked statistics.
     """
     solves = {run.label: batch_route(config.model, run.spec,
                                      config.theta_true, run.fixed_dict)
@@ -230,7 +241,8 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     streams = substreams(config.seed, range(lo, hi))
     size = _block_size(config)
     stats = np.concatenate([
-        config.model.statistic(draw(config.n, list(islice(streams, size))))
+        draw.noise_map.statistic(config.model.statistic(
+            draw.noise(config.n, list(islice(streams, size)))))
         for _ in range(lo, hi, size)])
     return {label: solve(stats).columns() for label, solve in solves.items()}
 

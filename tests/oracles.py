@@ -193,6 +193,55 @@ def parent_run(config):
             for run in config.runs}
 
 
+#: Gap allowed between a study's estimates along the noise route (the
+#: engine) and the row route (:func:`parent_run`, ``clik.fit`` on the
+#: rows of each replicate), as a fraction of the largest estimate of each
+#: column, or of 1 where every estimate is smaller (a correlation near
+#: zero keeps the rounding of its unit scale): the two routes map the
+#: draws' mean and scatter in a different order.
+ROW_ROUTE_RTOL = 1e-13
+
+
+def noise_statistic(config, index):
+    """The statistic of replicate ``index`` of a study along the noise
+    route, drawn alone: its noise from ``substream(seed, index)``,
+    ``Model.statistic`` of the noise, then ``NoiseMap.statistic``."""
+    from clik.models import Model, substream
+    draw = config.model.sampler(config.theta_true)
+    noise = draw.noise(config.n, [substream(config.seed, index)])
+    return draw.noise_map.statistic(Model.statistic(noise))
+
+
+def noise_run(config):
+    """``label -> (estimates, converged, score_norm)`` of a simulation
+    study along the per-replicate noise route: :func:`noise_statistic` of
+    every replicate alone, then each run's batched solve over the stacked
+    statistics."""
+    from clik.estimators import batch_route
+    stats = np.concatenate([noise_statistic(config, r)
+                            for r in range(config.replicates)])
+    return {run.label: batch_route(config.model, run.spec, config.theta_true,
+                                   run.fixed_dict)(stats).columns()
+            for run in config.runs}
+
+
+def assert_near_row_route(got, want, exact=False):
+    """Estimates and flags ``(estimates, converged)`` of the noise route
+    against those of the row route: the flags identical and the estimates
+    within :data:`ROW_ROUTE_RTOL` of each column's scale; bit for bit
+    when ``exact`` (an identity noise map, Multinomial4)."""
+    (est, ok), (want_est, want_ok) = got, want
+    assert est.shape == want_est.shape
+    assert ok.tobytes() == want_ok.tobytes()
+    if exact:
+        assert est.tobytes() == want_est.tobytes()
+        return
+    est, want_est = est[ok], want_est[ok]
+    if want_est.size:
+        scale = np.maximum(np.abs(want_est).max(axis=0), 1.0)
+        assert np.all(np.abs(est - want_est) <= ROW_ROUTE_RTOL * scale)
+
+
 def parent_margin_score_rep(model, indices, theta):
     """``(c, B, A)`` of one margin as ``margin_score_rep`` built them one
     margin per call, before every margin of a spec was built in one pass:
@@ -341,8 +390,9 @@ def parent_partitioned(H, J, G, i_idx, n_idx):
 
 
 def parent_estimates_csv(result, path):
-    """``SimResult.write_estimates_csv`` as it was: one list per row, each
-    estimate through ``fileio.fmt``, each flag through ``str(bool(...))``."""
+    """``SimResult.write_estimates_csv`` as ``csv.writer`` wrote it: one
+    list per row, each estimate through ``fileio.fmt``, each flag through
+    ``str(bool(...))``."""
     import csv
 
     from clik.fileio import fmt

@@ -1,10 +1,15 @@
-"""The batched replicate engine against one ``fit`` per replicate.
+"""The batched replicate engine against one solve and one ``fit`` per
+replicate.
 
 Every run is solved once per chunk from stacked per-dataset statistics,
-by a registered fast path or by lockstep Newton; the estimates and
-convergence flags must equal, bit for bit, what ``fit`` gives on each
-replicate's dataset alone.  The Newton statistic must give the summed
-composite score exactly as the rows do.
+by a registered fast path or by lockstep Newton.  The engine reads each
+replicate's statistic from its noise (``NoiseMap.statistic``), so its
+estimates, convergence flags and score norms must equal, bit for bit,
+the run's solve of that replicate's noise statistic alone; against
+``fit`` on each replicate's rows the flags must be identical and the
+estimates equal to rounding (``oracles.ROW_ROUTE_RTOL``), and bit for
+bit for Multinomial4, whose noise is its rows.  The Newton statistic
+must give the summed composite score exactly as the rows do.
 """
 
 import csv
@@ -16,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import clik.composite as comp
 import clik.estimators as est
@@ -23,6 +29,8 @@ import clik.montecarlo as mc
 from clik.errors import (DomainError, FailureBudgetExceeded, NoRootInDomain,
                          SingularMatrix)
 from clik.models import EMVN, Multinomial4, TriNormal, substream
+from oracles import (assert_near_row_route, noise_statistic,
+                     parent_estimates_csv)
 from test_sensitivity_identity import cases
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -50,21 +58,34 @@ def per_replicate(config, run, lo, hi):
             np.array(norms))
 
 
+def per_replicate_noise(config, run, lo, hi):
+    """(estimates, converged, score_norm) from the run's solve of each
+    replicate's noise statistic (``oracles.noise_statistic``) alone."""
+    solve = est.batch_route(config.model, run.spec, config.theta_true,
+                            run.fixed_dict)
+    return tuple(np.concatenate(parts) for parts in zip(*(
+        solve(noise_statistic(config, r)).columns() for r in range(lo, hi))))
+
+
 def assert_engine_matches_fits(config, lo, hi, fast=True):
     chunk = mc._run_chunk(config, lo, hi)
+    exact = isinstance(config.model, Multinomial4)
     for run in config.runs:
         match = est.registered_closed_form(config.model, run.spec,
                                            config.theta_true, run.fixed_dict)
         assert (match is not None) == fast
         got, ok, norm = chunk[run.label]
-        want, want_ok, want_norm = per_replicate(config, run, lo, hi)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert ok.tobytes() == want_ok.tobytes()
-        # the score norm each solve reports is the one fit reports
-        returned = ~np.isnan(want_norm)
         assert norm.shape == (hi - lo,)
-        assert norm[returned].tobytes() == want_norm[returned].tobytes()
+        for g, w in zip(chunk[run.label],
+                        per_replicate_noise(config, run, lo, hi)):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        want, want_ok, want_norm = per_replicate(config, run, lo, hi)
+        assert_near_row_route((got, ok), (want, want_ok), exact)
+        if exact:
+            # the score norm each solve reports is the one fit reports
+            returned = ~np.isnan(want_norm)
+            assert norm[returned].tobytes() == want_norm[returned].tobytes()
 
 
 def span(draw_lo, size, replicates=100):
@@ -380,3 +401,50 @@ def test_simulate_csvs_round_trip_bit_exactly(config):
                                     np.diag(result.ncov_se(label))])
             assert same_bits(got, want)
             assert {int(r["failures"]) for r in rows} == {result.failures(label)}
+
+
+#: Label text: plain letters, the characters the csv module quotes or
+#: escapes (comma, quote, CR, LF), a space, non-ASCII text and any other
+#: character but a lone surrogate, which no UTF-8 file holds.
+LABEL_TEXT = st.text(st.sampled_from(list('ab,"\r\n é☃ß'))
+                     | st.characters(blacklist_categories=("Cs",)),
+                     min_size=1, max_size=8)
+
+
+@st.composite
+def written_results(draw):
+    """A SimResult of EMVN(3) pairwise runs under drawn labels, holding
+    drawn estimates (NaN, infinities, -0.0 and subnormals among them) and
+    drawn convergence flags, as no study gives them."""
+    model = EMVN(3)
+    theta = model.params(rho=0.3, sigma2=1.0)
+    labels = draw(st.lists(LABEL_TEXT, min_size=1, max_size=3, unique=True))
+    runs = [mc.SpecRun(comp.pairwise(3), draw(st.sampled_from(
+        [{}, {"sigma2": 1.0}])), label) for label in labels]
+    config = mc.SimConfig(model, theta, runs, n=50, replicates=100, seed=0)
+    result = mc.SimResult(config)
+    values = st.one_of(st.floats(width=64),
+                       st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                                        0.1, 1e300]))
+    for run in config.runs:
+        d = len(config.free_names(run))
+        result.estimates[run.label] = draw(arrays(np.float64, (100, d),
+                                                  elements=values))
+        result.converged[run.label] = draw(arrays(np.bool_, 100))
+    return result
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(result=written_results())
+def test_estimates_csv_is_the_csv_writer_file_and_reads_back(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        result.write_estimates_csv(got)
+        parent_estimates_csv(result, want)
+        with open(got, "rb") as fh, open(want, "rb") as oracle:
+            assert fh.read() == oracle.read()
+        back = read_estimates(got, result)
+    for label in result.labels():
+        estimates, converged = back[label]
+        assert same_bits(estimates, result.estimates[label])
+        assert converged.tobytes() == result.converged[label].tobytes()

@@ -717,3 +717,80 @@ def test_simulate_p_is_not_held_to_the_figure2_bound(tmp_path, monkeypatch):
     cfg.write_text("model = emvn\np = 40\nrho = 0.3\nn = 50\n"
                    "replicates = 100\nspecs = pairwise\n")
     assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def refuse_to_build(monkeypatch, *names):
+    """Make building an EMVN, any spec or the identifiability check (each
+    of ``names``) fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+    for name in names:
+        if name == "specs":
+            for spec in cli._SPEC_BUILDERS:
+                monkeypatch.setitem(cli._SPEC_BUILDERS, spec, refuse)
+        else:
+            monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("key, sizes, memory", [
+    # the identifiability check's forms: 19901 margins x 2 x 40201 floats
+    # at p = 200, 12.8 GB
+    ("p", {"p": 200}, 8 << 30),
+    # a block of 5e6 rows of noise and the statistic's copy: 240 MB
+    ("n", {"n": 5_000_000}, 64 << 20),
+    # 1e6 statistics twice and two estimates each, their flags, norms and
+    # text: 592 MB
+    ("replicates", {"replicates": 1_000_000}, 64 << 20),
+])
+def test_simulate_sizes_beyond_memory_exit_2_naming_the_key(
+        tmp_path, monkeypatch, capsys, key, sizes, memory):
+    # integer arithmetic before any model, spec or form is built
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+    values = {"p": 3, "n": 50, "replicates": 100, **sizes}
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("model = emvn\nrho = 0.3\nspecs = pairwise\n" + "".join(
+        f"{name} = {value}\n" for name, value in values.items()))
+    refuse_to_build(monkeypatch, "EMVN", "specs", "check_identified")
+    with pytest.raises(ConfigError, match=f"key '{key}' = {values[key]} is "
+                                          f"too large"):
+        parse_sim_config(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+    assert f"key '{key}' = {values[key]} is too large" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_newton_forms_of_a_chunk_are_counted_before_the_check(tmp_path,
+                                                              monkeypatch):
+    # full_conditional at p = 30 has no fast path: Newton builds the forms
+    # of 31 margins at 2000 points, 923 MB; pairwise, on a fast path,
+    # builds those of 436 margins once, 6.5 MB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 256 << 20)
+    cfg = tmp_path / "study.cfg"
+    body = "model = emvn\np = 30\nrho = 0.3\nn = 50\nreplicates = 2000\n"
+    cfg.write_text(body + "specs = pairwise, pairwise!sigma2\n")
+    assert parse_sim_config(cfg).replicates == 2000
+    cfg.write_text(body + "specs = pairwise, full_conditional\n")
+    refuse_to_build(monkeypatch, "check_identified")
+    with pytest.raises(ConfigError, match="key 'p' = 30 is too large"):
+        parse_sim_config(cfg)
+
+
+def test_simulate_summary_rows_are_computed_once(tmp_path, monkeypatch,
+                                                 capsys):
+    calls = []
+    summary_rows = clik.montecarlo.SimResult.summary_rows
+
+    def counted(self):
+        calls.append(self)
+        return summary_rows(self)
+    monkeypatch.setattr(clik.montecarlo.SimResult, "summary_rows", counted)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("model = emvn\nrho = 0.3\nn = 50\nreplicates = 100\n"
+                   "specs = pairwise\n")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out
+    written = (tmp_path / "simulate_summary.csv").read_text().splitlines()
+    assert printed.splitlines() == written[1:]

@@ -11,9 +11,11 @@ import clik.estimators as est
 import clik.montecarlo as mc
 from clik.errors import (ClikError, DomainError, FailureBudgetExceeded,
                          SingularMatrix, UnsupportedSpec)
-from clik.models import EMVN, Model, Multinomial4, TriNormal
-from oracles import (numeric_hessian, parent_column_means, parent_draw,
-                     parent_pair_stats, parent_run, parent_statistic)
+from clik.models import (EMVN, Model, Multinomial4, NoiseMap, Sampler,
+                         TriNormal)
+from oracles import (assert_near_row_route, noise_run, numeric_hessian,
+                     parent_column_means, parent_draw, parent_pair_stats,
+                     parent_run, parent_statistic)
 
 
 def small_config(replicates=200, seed=3):
@@ -120,8 +122,8 @@ PARENT_ROUTE_STUDIES = {
 }
 
 
-def assert_matches_parent_route(config, result):
-    for label, want in parent_run(config).items():
+def assert_matches_noise_route(config, result):
+    for label, want in noise_run(config).items():
         got = (result.estimates[label], result.converged[label],
                result.score_norm[label])
         for g, w in zip(got, want):
@@ -129,15 +131,39 @@ def assert_matches_parent_route(config, result):
             assert g.tobytes() == w.tobytes()
 
 
+def assert_near_parent_route(config, result):
+    exact = isinstance(config.model, Multinomial4)
+    for label, (est_, ok, _) in parent_run(config).items():
+        assert_near_row_route((result.estimates[label],
+                               result.converged[label]), (est_, ok), exact)
+
+
+def one_replicate_tail(case):
+    """The study of ``case`` with its last block holding one replicate."""
+    config = study(*PARENT_ROUTE_STUDIES[case])
+    size = mc._block_size(config)
+    replicates = size * -(-mc.MIN_REPLICATES // size) + 1
+    return dataclasses.replace(config, replicates=replicates)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("case", list(PARENT_ROUTE_STUDIES))
-def test_run_matches_parent_route_bit_for_bit(case, threads):
-    # block sampling, block statistics and the vectorised seeding give the
-    # bits of one numpy-seeded draw and one statistic per replicate
-    config = study(*PARENT_ROUTE_STUDIES[case])
-    assert config.replicates % mc._block_size(config) != 0
+def test_run_matches_noise_route_bit_for_bit(case, threads):
+    # block sampling, block statistics, the block's noise map and the
+    # vectorised seeding give the bits of one numpy-seeded draw, one
+    # statistic and one map per replicate, a last block of one included
+    config = one_replicate_tail(case)
+    assert config.replicates % mc._block_size(config) == 1
     assert mc._block_size(config) < config.replicates
-    assert_matches_parent_route(config, mc.run(config, threads=threads))
+    assert_matches_noise_route(config, mc.run(config, threads=threads))
+
+
+@pytest.mark.parametrize("case", list(PARENT_ROUTE_STUDIES))
+def test_run_matches_parent_route_to_rounding(case):
+    # the rows built and reduced one replicate at a time: the same flags,
+    # estimates within ROW_ROUTE_RTOL; Multinomial4 bit for bit
+    config = one_replicate_tail(case)
+    assert_near_parent_route(config, mc.run(config, threads=1))
 
 
 @pytest.mark.parametrize("model, values, tokens", [
@@ -146,10 +172,14 @@ def test_run_matches_parent_route_bit_for_bit(case, threads):
      ("independence!rho!sigma2",)),
 ])
 def test_run_matches_parent_route_at_large_n(model, values, tokens):
-    # rows longer than numpy's default 8192-element ufunc buffer
+    # rows longer than numpy's default 8192-element ufunc buffer, every
+    # block one replicate: bit for bit along the noise route, to rounding
+    # along the row route
     config = study(model, values, tokens, n=9000, replicates=100, seed=4)
     assert mc._block_size(config) == 1
-    assert_matches_parent_route(config, mc.run(config, threads=1))
+    result = mc.run(config, threads=1)
+    assert_matches_noise_route(config, result)
+    assert_near_parent_route(config, result)
 
 
 _EMVN5, _EMVN9, _TRI, _MULT = EMVN(5), EMVN(9), TriNormal(), Multinomial4(2.0)
@@ -221,15 +251,16 @@ def test_pair_sums_from_statistic_match_the_rows(p, u, sigma2, n, seed):
 
 def test_each_block_is_reduced_once_by_model_statistic(monkeypatch):
     # one fast-path run and one Newton run read the same statistic: the
-    # draws are touched by one ``Model.statistic`` call per block, and by
-    # no other numpy call
+    # noise is touched by one ``Model.statistic`` call per block, and by no
+    # other numpy call; one ``NoiseMap.statistic`` call maps each block's
+    # statistic, and no row of the draws is built
     config = study(EMVN(3), {"rho": 0.3, "sigma2": 1.0},
                    ("pairwise", "full_conditional"), n=500, replicates=200)
     size = mc._block_size(config)
     assert -(-config.replicates // size) == 10
     plain = mc.run(config, threads=1)
 
-    touched, calls = [], []
+    touched, calls, mapped = [], [], []
 
     class Draws(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -243,19 +274,31 @@ def test_each_block_is_reduced_once_by_model_statistic(monkeypatch):
             return super().__array_function__(func, types, args, kwargs)
 
     statistic, sampler = Model.statistic, EMVN.sampler
+    map_statistic = NoiseMap.statistic
 
     def counted(Y):
         calls.append(len(Y))
         return statistic(np.asarray(Y))
 
+    def counted_map(self, stats):
+        mapped.append(len(stats))
+        return map_statistic(self, stats)
+
     def watched(self, theta):
         draw = sampler(self, theta)
-        return lambda n, rngs: draw(n, rngs).view(Draws)
+        return Sampler(lambda n, rngs: draw.noise(n, rngs).view(Draws),
+                       draw.noise_map)
+
+    def no_rows(self, noise):
+        raise AssertionError("the engine built the rows of a block")
 
     monkeypatch.setattr(Model, "statistic", staticmethod(counted))
+    monkeypatch.setattr(NoiseMap, "statistic", counted_map)
+    monkeypatch.setattr(NoiseMap, "apply", no_rows)
     monkeypatch.setattr(EMVN, "sampler", watched)
     result = mc.run(config, threads=1)
     assert calls == [size] * 9 + [config.replicates - 9 * size]
+    assert mapped == calls
     assert touched == []
     for label in result.labels():
         assert (result.estimates[label].tobytes()
