@@ -119,6 +119,30 @@ def _check_figure2_draws(p: int, draws: int) -> None:
                           f"memory")
 
 
+#: Bytes a command holds per ``--grid`` point, at most: its grid and
+#: curve arrays, the rows it builds before writing them and the SVG text
+#: of each curve.  The growth of the tracemalloc peak between 2e4 and 8e4
+#: points, rounded up: figure1 104 to 143, figure2 222, figure3 305,
+#: example2 241 and about 420 more per ``--sigma2`` value.
+_GRID_BYTES = {"figure1": 192, "figure2": 320, "figure3": 384,
+               "example2": 256}
+#: ``example2``'s bytes per grid point and ``--sigma2`` value: its CSV
+#: row of five strings, and a curve for each of the first three values.
+_GRID_SIGMA2_BYTES = 512
+
+
+def _check_grid(args, extra: int = 0) -> None:
+    """ConfigError naming ``--grid`` unless its points fit in physical
+    memory at ``_GRID_BYTES`` of ``args.command`` and ``extra`` bytes
+    each, counted before anything is built."""
+    need = args.grid * (_GRID_BYTES[args.command] + extra)
+    if need > _physical_memory():
+        raise ConfigError(f"--grid = {args.grid} is too large: the "
+                          f"{args.command} curve needs {need:.3g} bytes, "
+                          f"more than the {_physical_memory():.3g} bytes of "
+                          f"physical memory")
+
+
 def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -126,6 +150,7 @@ def _ensure_out(args):
 
 def cmd_figure1(args) -> int:
     """Known-over-free variance ratio of the pairwise correlation estimator."""
+    _check_grid(args)
     started = time.monotonic()
     out = _ensure_out(args)
     lo = -1.0 / (args.p - 1)
@@ -149,6 +174,7 @@ def cmd_figure2(args) -> int:
     """Same ratio for the full-conditional estimator, by Monte Carlo."""
     _check_figure2_p(args.p)
     _check_figure2_draws(args.p, args.draws)
+    _check_grid(args)
     started = time.monotonic()
     out = _ensure_out(args)
     grid = asy.full_conditional_grid(args.p, args.grid)
@@ -171,6 +197,7 @@ def cmd_figure2(args) -> int:
 
 def cmd_figure3(args) -> int:
     """Per-observation variances of the three multinomial estimators."""
+    _check_grid(args)
     started = time.monotonic()
     model = Multinomial4(args.k)
     grid = asy.default_grid(0.0, model.theta_max, args.grid,
@@ -200,6 +227,7 @@ def cmd_example2(args) -> int:
     if args.rho:
         rho_grid = np.array(sorted(_numbers(args.rho, "--rho")))
     else:
+        _check_grid(args, _GRID_SIGMA2_BYTES * len(sigma2s))
         rho_grid = np.linspace(-1.0, 1.0, args.grid)
     out = _ensure_out(args)
     rows = []

@@ -28,8 +28,10 @@ batch of the sampler's noise is drawn and read once by
 :func:`clik.models.score_kernel`, built from the spec's forms mapped
 through the sampler's :class:`clik.models.NoiseMap`, which fills its
 scores at ``theta``, reduced to their mean and covariance, and returns the
-feature sums that, mapped back, give its statistic, before the next is
-drawn; only :mod:`clik.models` knows the feature layout.  Monte Carlo H
+feature sums that give the statistic of the batch's noise, which the noise
+map takes to that of its draws as the simulation engine maps its blocks,
+before the next is drawn; only :mod:`clik.models` knows the feature
+layout.  Monte Carlo H
 is a central difference of sample-mean scores over common draws: the
 forms at the ``2q`` stencil points are contracted with every batch
 statistic; J is pooled from the batch covariances and means.  The batch
@@ -464,10 +466,12 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     ``blocks`` yields it, fills the batch's scores at ``r = y -
     mean(theta)``, a contiguous feature-major ``(q, k_b)`` block, through
     one scratch buffer that every batch reuses, and returns the row sums of
-    its feature rows, mapped back to ``sum r`` and ``sum r_a r_b``: no row
-    of the draws is built.  The block is reduced to its mean and
-    covariance, and the sums give the batch statistic ``[n, ybar, W]``
-    (:func:`clik.models.feature_statistic`).  Under the identity map each
+    its feature rows: no row of the draws is built.  The block is reduced
+    to its mean and covariance, and the sums give the statistic ``[n,
+    zbar, W_z]`` of the batch's noise
+    (:func:`clik.models.feature_statistic` about the noise point), which
+    the noise map takes to the batch statistic ``[n, ybar, W]``
+    (:meth:`clik.models.NoiseMap.statistic`).  Under the identity map each
     block is its batch's :func:`composite_score`, bit for bit; through a
     Gaussian factor the scores and J agree with that to rounding (1e-12 of
     their largest entry), and H to the rounding of its central difference
@@ -505,7 +509,8 @@ def _info_from_sample(spec: CompositeSpec, model: Model, blocks,
     sizes, means, J_batch = np.array(sizes), np.stack(means), np.stack(J_batch)
     batches, n = len(sizes), int(sizes.sum())
     J_full = _pooled_cov(J_batch, means, sizes)
-    stats = feature_statistic(sizes, noise_map.sums(np.stack(totals)), mean)
+    stats = noise_map.statistic(feature_statistic(sizes, np.stack(totals),
+                                                  center))
 
     sums = _contract(_spec_forms(spec, model, stencil)[:, None],
                      np.tile(stats, (2 * q, 1, 1)),
@@ -540,21 +545,6 @@ def _check_draws(theta: ParamVector, draws, seed) -> None:
                               f"got {seed!r}")
 
 
-def _drawn_batches(model: Model, theta: ParamVector, draws: int, seed,
-                   batches: int):
-    """``(noise_map, noise)``: the batches of :func:`batch_slices` over
-    ``draws`` rows of the noise of ``model.sampler(theta)``, as an iterator
-    that draws each batch from one ``substream(seed)`` Generator when it
-    reaches it, and the :class:`clik.models.NoiseMap` that takes them to
-    rows.  Taken in order and mapped, the batches are ``model.sample(theta,
-    draws, seed)``, bit for bit; the noise is never mapped here."""
-    _check_draws(theta, draws, seed)
-    draw = model.sampler(theta)
-    rng = substream(seed)
-    return draw.noise_map, (draw.noise(sl.stop - sl.start, [rng])[0]
-                            for sl in batch_slices(int(draws), batches))
-
-
 def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
                      draws: int, seed,
                      batches: int = DEFAULT_BATCHES) -> InfoTriple:
@@ -566,12 +556,19 @@ def info_monte_carlo(spec: CompositeSpec, model: Model, theta: ParamVector,
     score covariance, and per-entry standard errors come from ``batches``
     batch means.  The draws are sampled, scored and reduced one batch at a
     time (:func:`_info_from_sample`), so memory is O(draws / batches).  The
-    batches are scored as the sampler's noise (:func:`_drawn_batches`),
-    through the score forms mapped once by its noise map: the rows of the
-    draws are never built.
+    batches are scored as the sampler's noise, each drawn from one
+    ``substream(seed)`` Generator when the pass reaches it, through the
+    score forms mapped once by its noise map: the rows of the draws are
+    never built.
     """
-    noise_map, noise = _drawn_batches(model, theta, draws, seed, batches)
-    return _info_from_sample(spec, model, noise, theta, noise_map)
+    _check_draws(theta, draws, seed)
+    draw = model.sampler(theta)
+    rng = substream(seed)
+    # taken in order and mapped, the batches are
+    # ``model.sample(theta, draws, seed)``, bit for bit
+    noise = (draw.noise(sl.stop - sl.start, [rng])[0]
+             for sl in batch_slices(int(draws), batches))
+    return _info_from_sample(spec, model, noise, theta, draw.noise_map)
 
 
 def projection_matrix(triple: InfoTriple) -> np.ndarray:

@@ -14,8 +14,9 @@ likelihoods alike.
 Rows are scored by one kernel, :func:`score_kernel`, the only code that
 knows the feature layout ``[r; r_a r_b]`` of a residual; a Monte Carlo
 pass fills it on the noise with the score forms mapped through the
-noise map, and takes its batch statistic from the feature sums it
-returns, mapped back.
+noise map, reads the statistic of the noise off the feature sums it
+returns, and maps that to the batch statistic as the simulation engine
+maps its blocks (:meth:`NoiseMap.statistic`).
 
 Evaluation is vectorized over observations: ``Y`` may be a single vector
 or an ``(n, dim)`` array, and log densities / scores come back with a
@@ -486,20 +487,12 @@ def feature_statistic(sizes, sums, mean):
     ``ybar = mean + sum r / n`` and ``W = sum r r' - (sum r)(sum r)' / n``."""
     m = mean.shape[-1]
     n = np.asarray(sizes, dtype=float)[..., None]
-    lin, prods = _feature_sums(sums, m)
+    upper = np.triu_indices(m)
+    lin, prods = sums[..., :m], np.empty(sums.shape[:-1] + (m, m))
+    prods[..., upper[0], upper[1]] = prods[..., upper[1], upper[0]] = sums[..., m:]
     W = prods - lin[..., :, None] * lin[..., None, :] / n[..., None]
     return np.concatenate([n, mean + lin / n, W.reshape(W.shape[:-2] + (-1,))],
                           axis=-1)
-
-
-def _feature_sums(sums, m: int):
-    """``(sum r, sum r r')`` of feature sums ``(..., m + m (m + 1) / 2)``
-    (:func:`residual_features`), the products unpacked into symmetric
-    ``(..., m, m)`` matrices."""
-    upper = np.triu_indices(m)
-    prods = np.empty(sums.shape[:-1] + (m, m))
-    prods[..., upper[0], upper[1]] = prods[..., upper[1], upper[0]] = sums[..., m:]
-    return sums[..., :m], prods
 
 
 class NoiseMap(NamedTuple):
@@ -508,26 +501,12 @@ class NoiseMap(NamedTuple):
     applied as a no-op.  Every score is affine-quadratic in ``r = y -
     mean``, and ``r = (z - z0) @ factor`` with ``z0`` the noise point of
     ``mean`` (:meth:`point`), so a score pass can read the noise instead
-    of the rows: the score forms are mapped once (:meth:`forms`) and the
-    feature sums of each batch mapped back (:meth:`sums`).  A statistic
-    is read from the noise the same way (:meth:`statistic`)."""
+    of the rows: the score forms are mapped once (:meth:`forms`), and a
+    statistic of the noise is mapped to that of the rows
+    (:meth:`statistic`)."""
 
     shift: np.ndarray | None = None
     factor: np.ndarray | None = None
-
-    def _moments(self, lin, prods):
-        """``(lin F, F' prods F)`` of first moments ``(..., dim)`` and second
-        moments ``(..., dim, dim)`` of ``u`` (sums or means), those of ``r =
-        u F``.  The first are always one matrix product of at least two
-        rows: numpy multiplies a lone row as a vector, which rounds
-        differently, so a lone row is mapped beside a copy of itself and
-        each row keeps its bits whatever the number of rows mapped with
-        it."""
-        F = self.factor
-        rows = lin.reshape(-1, F.shape[0])
-        pair = rows if len(rows) > 1 else np.concatenate([rows, rows])
-        return ((pair @ F)[:len(rows)].reshape(lin.shape),
-                F.T @ prods @ F)
 
     def apply(self, noise):
         """The datasets ``shift + noise @ factor`` of a noise stack ``(k, n,
@@ -557,30 +536,26 @@ class NoiseMap(NamedTuple):
         F = self.factor
         return c, B @ F.T, F @ A @ F.T
 
-    def sums(self, sums):
-        """Feature sums (:func:`residual_features`) of ``u = z - z0`` as
-        those of ``r = u F``: ``sum r = (sum u) F`` and ``sum r r' = F'
-        (sum u u') F``."""
-        if self.factor is None:
-            return sums
-        m = self.factor.shape[0]
-        lin, prods = self._moments(*_feature_sums(sums, m))
-        upper = np.triu_indices(m)
-        return np.concatenate([lin, prods[..., upper[0], upper[1]]], axis=-1)
-
     def statistic(self, stats):
         """The statistics (:meth:`Model.statistic`) of the datasets ``shift
         + z @ factor`` from those ``[n, zbar, W_z]`` of their noise stacks
         ``z``: ``[n, shift + zbar F, F' W_z F]``, the scatter being
         invariant to the shift.  Equal to the statistics of the mapped rows
-        to rounding (the identity returns ``stats`` itself), and each
-        dataset's row has the same bits in a stack of any length."""
+        to rounding (the identity returns ``stats`` itself)."""
         if self.factor is None:
             return stats
+        F = self.factor
         n, zbar, W = unpack_statistic(stats)
-        lin, prods = self._moments(zbar, W)
-        return np.concatenate([n[..., None], self.shift + lin,
-                               prods.reshape(W.shape[:-2] + (-1,))], axis=-1)
+        # one matrix product of at least two rows: numpy multiplies a lone
+        # row as a vector, which rounds differently, so a lone row is
+        # mapped beside a copy of itself, and each dataset's statistic has
+        # the same bits in a stack of any length
+        rows = zbar.reshape(-1, F.shape[0])
+        pair = rows if len(rows) > 1 else np.concatenate([rows, rows])
+        mapped = (pair @ F)[:len(rows)].reshape(zbar.shape)
+        return np.concatenate([n[..., None], self.shift + mapped,
+                               (F.T @ W @ F).reshape(W.shape[:-2] + (-1,))],
+                              axis=-1)
 
 
 class Sampler(NamedTuple):

@@ -231,8 +231,8 @@ def _run_chunk(config: SimConfig, lo: int, hi: int) -> dict:
     The sampler is set up and the substreams seeded once per chunk.  Each
     block of replicates is drawn as noise in one call, reduced by one
     ``Model.statistic`` call and mapped by the sampler's noise map
-    (:meth:`NoiseMap.statistic`); each run is then solved in one batched
-    call over the stacked statistics.
+    (:meth:`clik.models.NoiseMap.statistic`); each run is then solved in
+    one batched call over the stacked statistics.
     """
     solves = {run.label: batch_route(config.model, run.spec,
                                      config.theta_true, run.fixed_dict)
@@ -264,17 +264,21 @@ def worker_count(threads=None) -> int:
 
 
 def run(config: SimConfig, threads=None) -> SimResult:
-    """Run the study.  The result is identical for any worker count."""
+    """Run the study.  The result is identical for any worker count.
+    ``4 * workers`` chunks of replicates, but at most one per replicate,
+    run on at most one process per worker, chunk and core."""
     workers = worker_count(threads)
     R = config.replicates
     if workers <= 1:
         chunks = [_run_chunk(config, 0, R)]
     else:
-        edges = np.linspace(0, R, workers * 4 + 1).astype(int)
+        # more edges than R + 1 would only repeat the one-replicate spans
+        edges = np.linspace(0, R, min(workers * 4, R) + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        processes = min(workers, len(spans), os.cpu_count() or 1)
         # imported here: multiprocessing adds about 15 ms to ``import clik``
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_run_chunk, [config] * len(spans),
                                    [a for a, _ in spans], [b for _, b in spans]))
 

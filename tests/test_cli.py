@@ -709,6 +709,27 @@ def test_figure2_draws_beyond_memory_exit_2_naming_the_flag(tmp_path,
     assert not out.exists()
 
 
+GRID_COMMANDS = [["figure1"], ["figure2"], ["figure3"], ["example2"],
+                 ["example2", "--sigma2", "1,2,3,4,5,6,7,8"]]
+
+
+@pytest.mark.parametrize("grid", [10 ** 6, sys.maxsize])
+@pytest.mark.parametrize("argv", GRID_COMMANDS)
+def test_grid_beyond_memory_exits_2_naming_the_flag(tmp_path, monkeypatch,
+                                                    capsys, argv, grid):
+    # 64 MiB of memory: a million points need 128 MB or more on every
+    # command; the bytes are counted, and no grid is built
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a grid before the size check")
+    monkeypatch.setattr(np, "linspace", refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--grid", str(grid), "--out", str(out)]) == 2
+    assert f"error: --grid = {grid} is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_p_is_not_held_to_the_figure2_bound(tmp_path, monkeypatch):
     # the figure2 bound, applied to the pairwise spec at p = 40, counts
     # 215 MiB, more than the 64 MiB set here: a study is not held to it

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +94,39 @@ def test_run_deterministic_across_worker_counts():
                                           parallel.converged[label])
             np.testing.assert_array_equal(serial.score_norm[label],
                                           parallel.score_norm[label])
+
+
+def test_a_huge_worker_count_is_bounded_by_the_cores_and_replicates(
+        monkeypatch):
+    # 10**12 workers passes worker_count; the partition and the pool are
+    # bounded by the replicates and the cores, and no process is started
+    import concurrent.futures
+    pools = []
+
+    class SerialPool:
+        """Records ``max_workers`` and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    config = small_config(replicates=100)
+    serial = mc.run(config, threads=1)
+    parallel = mc.run(config, threads=10 ** 12)
+    assert pools == [min(100, os.cpu_count() or 1)]
+    for label in serial.labels():
+        for field in ("estimates", "converged", "score_norm"):
+            assert getattr(parallel, field)[label].tobytes() == \
+                getattr(serial, field)[label].tobytes()
 
 
 _SPECS = {"independence": comp.independence, "pairwise": comp.pairwise,

@@ -8,12 +8,11 @@ identity.  ``Model.sample`` is that map applied, bit for bit.  A score
 ``c + B r + r' A r / 2`` in ``r = y - mean`` is, with ``r = (z - z0) F``,
 the form ``(c, B F', F A F')`` in the noise about the noise point ``z0``
 of the mean, so a kernel built from the mapped forms and filled on the
-noise gives the scores of the rows to rounding, and the feature sums it
-returns, mapped back (``sum r = (sum u) F``, ``sum r r' = F' (sum u u')
-F``), give the rows' statistic.  The statistic ``[n, zbar, W_z]`` of a
-noise stack maps the same way to that of its rows, ``[n, shift + zbar F,
-F' W_z F]`` (``NoiseMap.statistic``), each dataset with the same bits in
-a stack of any length: the simulation engine reads it per block.
+noise gives the scores of the rows to rounding.  The statistic ``[n,
+zbar, W_z]`` of the noise maps to that of its rows, ``[n, shift + zbar
+F, F' W_z F]`` (``NoiseMap.statistic``), each dataset with the same bits
+in a stack of any length: the simulation engine maps it per block, and a
+Monte Carlo pass maps the one that the kernel's feature sums give.
 """
 
 import numpy as np
@@ -83,13 +82,13 @@ def test_mapped_forms_on_the_noise_score_the_rows(case, data):
 
 @SETTINGS
 @given(case=noise_cases(GAUSSIANS + [Multinomial4(5.0)]))
-def test_mapped_back_feature_sums_give_the_statistic_of_the_rows(case):
+def test_mapped_statistic_of_the_noise_feature_sums_is_that_of_the_rows(case):
     model, theta, n, seed = case
     noise_map, noise, rows = noise_and_rows(model, theta, n, seed)
-    mean = model._mean(theta)
+    center = noise_map.point(model._mean(theta))
     sums = sum(feats.sum(axis=-1) for _, feats in
-               residual_features(noise, noise_map.point(mean)))
-    got = feature_statistic(n, noise_map.sums(sums), mean)
+               residual_features(noise, center))
+    got = noise_map.statistic(feature_statistic(n, sums, center))
     want = Model.statistic(rows)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
