@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class EfficiencyCurve:
     x_name: str
     value_names: tuple
     rows: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rows = _real_array(self.rows, "curve rows")
@@ -172,8 +171,7 @@ def pairwise_ratio_curve(p: int, grid=None) -> EfficiencyCurve:
     # the curve refuses the ratio at the lower bound, which is infinite
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = avar_rho_known_sigma(p, grid) / avar_rho_free_sigma(p, grid)
-    return EfficiencyCurve("rho", ("ratio",), np.column_stack([grid, ratio]),
-                           {"p": p})
+    return EfficiencyCurve("rho", ("ratio",), np.column_stack([grid, ratio]))
 
 
 def pairwise_rho_sigma_acov(p: int, rho, sigma2):
@@ -239,8 +237,7 @@ def full_conditional_ratio_curve(p: int, grid=None, draws: int = 200_000,
             raise type(exc)(f"rho={rho:g}, sigma2={sigma2:g}: {exc}") from exc
         rows.append([rho, float(known[0, 0] / prof[0, 0]),
                      float(batch_se(kb[:, 0, 0] / pb[:, 0, 0]))])
-    return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows),
-                           {"p": p, "draws": draws, "sigma2": sigma2})
+    return EfficiencyCurve("rho", ("ratio", "std_err"), np.asarray(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -380,4 +377,4 @@ def multinomial_variance_curves(k: float, grid=None) -> EfficiencyCurve:
         rows.append(row)
     return EfficiencyCurve(
         "theta", ("nvar_full", "nvar_ind", "nvar_pair", "ratio_pair_over_ind"),
-        np.asarray(rows), {"k": k})
+        np.asarray(rows))

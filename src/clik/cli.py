@@ -2,7 +2,9 @@
 verification suite, all emitting CSV (authoritative) plus simple SVG plots
 and a JSON run manifest.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error,
+a size beyond physical memory included: each command hands its size
+flags or config keys to :func:`_check_memory` before it builds anything.
 """
 
 from __future__ import annotations
@@ -91,56 +93,32 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_figure2_p(p: int) -> None:
-    """ConfigError naming ``--p`` unless the largest arrays of ``clik
-    figure2`` at ``p`` fit in physical memory, checked before its spec is
-    built: those of a score pass (:func:`clik.models.score_bytes`) over
-    the ``p + 1`` margins of the full-conditional spec, at the ``1 + 2q``
-    points of a Monte Carlo triple of EMVN's ``q = 2`` parameters."""
-    need = score_bytes(p + 1, 5, p, 2)
-    if need > _physical_memory():
-        raise ConfigError(f"--p = {p} is too large: the figure needs "
-                          f"{need:.3g} bytes, more than the "
-                          f"{_physical_memory():.3g} bytes of physical memory")
-
-
-def _check_figure2_draws(p: int, draws: int) -> None:
-    """ConfigError naming ``--draws`` unless one Monte Carlo batch of
-    ``clik figure2`` fits in physical memory on top of its score pass
-    (:func:`_check_figure2_p`), counted without allocating it: the
-    ``ceil(draws / DEFAULT_BATCHES)`` rows of the batch's noise, ``p``
-    floats each, and their ``(q, k)`` score block, ``q = 2``."""
-    rows = -(-draws // comp.DEFAULT_BATCHES)
-    need = score_bytes(p + 1, 5, p, 2) + 8 * rows * (p + 2)
-    if need > _physical_memory():
-        raise ConfigError(f"--draws = {draws} is too large: a batch of "
-                          f"{rows} draws needs {need:.3g} bytes, more than "
-                          f"the {_physical_memory():.3g} bytes of physical "
-                          f"memory")
+def _check_memory(sizes) -> None:
+    """ConfigError naming the first of ``sizes``, ``(name, value, bytes)``
+    triples in flag order, at which the running total of their bytes
+    exceeds physical memory; counted before anything is built, nothing
+    is allocated to count them."""
+    memory, need = _physical_memory(), 0
+    for name, value, count in sizes:
+        need += count
+        if need > memory:
+            raise ConfigError(f"{name} = {value} is too large: it needs "
+                              f"{need:.3g} bytes, more than the "
+                              f"{memory:.3g} bytes of physical memory")
 
 
 #: Bytes a command holds per ``--grid`` point, at most: its grid and
-#: curve arrays, the rows it builds before writing them and the SVG text
-#: of each curve.  The growth of the tracemalloc peak between 2e4 and 8e4
-#: points, rounded up: figure1 104 to 143, figure2 222, figure3 305,
-#: example2 241 and about 420 more per ``--sigma2`` value.
+#: curve arrays, the rows it writes and the SVG text of each curve.  The
+#: growth of the tracemalloc peak between 2e4 and 8e4 points, rounded
+#: up: figure1 104 to 143, figure2 222, figure3 305, example2 277 (it
+#: plots at most three ``--sigma2`` curves, and streams its rows).
 _GRID_BYTES = {"figure1": 192, "figure2": 320, "figure3": 384,
-               "example2": 256}
-#: ``example2``'s bytes per grid point and ``--sigma2`` value: its CSV
-#: row of five strings, and a curve for each of the first three values.
-_GRID_SIGMA2_BYTES = 512
+               "example2": 320}
 
 
-def _check_grid(args, extra: int = 0) -> None:
-    """ConfigError naming ``--grid`` unless its points fit in physical
-    memory at ``_GRID_BYTES`` of ``args.command`` and ``extra`` bytes
-    each, counted before anything is built."""
-    need = args.grid * (_GRID_BYTES[args.command] + extra)
-    if need > _physical_memory():
-        raise ConfigError(f"--grid = {args.grid} is too large: the "
-                          f"{args.command} curve needs {need:.3g} bytes, "
-                          f"more than the {_physical_memory():.3g} bytes of "
-                          f"physical memory")
+def _grid_size(args):
+    """The ``--grid`` entry of :func:`_check_memory` for ``args.command``."""
+    return "--grid", args.grid, args.grid * _GRID_BYTES[args.command]
 
 
 def _ensure_out(args):
@@ -150,7 +128,7 @@ def _ensure_out(args):
 
 def cmd_figure1(args) -> int:
     """Known-over-free variance ratio of the pairwise correlation estimator."""
-    _check_grid(args)
+    _check_memory([_grid_size(args)])
     started = time.monotonic()
     out = _ensure_out(args)
     lo = -1.0 / (args.p - 1)
@@ -172,9 +150,15 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure2(args) -> int:
     """Same ratio for the full-conditional estimator, by Monte Carlo."""
-    _check_figure2_p(args.p)
-    _check_figure2_draws(args.p, args.draws)
-    _check_grid(args)
+    # before the spec is built: a score pass (models.score_bytes) over the
+    # p + 1 margins of the full-conditional spec at the 1 + 2q points of
+    # a Monte Carlo triple of EMVN's q = 2 parameters; one batch of
+    # ceil(draws / DEFAULT_BATCHES) rows of noise, p floats each, and
+    # their (q, k) score block; the grid
+    rows = -(-args.draws // comp.DEFAULT_BATCHES)
+    _check_memory([("--p", args.p, score_bytes(args.p + 1, 5, args.p, 2)),
+                   ("--draws", args.draws, 8 * rows * (args.p + 2)),
+                   _grid_size(args)])
     started = time.monotonic()
     out = _ensure_out(args)
     grid = asy.full_conditional_grid(args.p, args.grid)
@@ -197,7 +181,7 @@ def cmd_figure2(args) -> int:
 
 def cmd_figure3(args) -> int:
     """Per-observation variances of the three multinomial estimators."""
-    _check_grid(args)
+    _check_memory([_grid_size(args)])
     started = time.monotonic()
     model = Multinomial4(args.k)
     grid = asy.default_grid(0.0, model.theta_max, args.grid,
@@ -227,20 +211,21 @@ def cmd_example2(args) -> int:
     if args.rho:
         rho_grid = np.array(sorted(_numbers(args.rho, "--rho")))
     else:
-        _check_grid(args, _GRID_SIGMA2_BYTES * len(sigma2s))
+        _check_memory([_grid_size(args)])
         rho_grid = np.linspace(-1.0, 1.0, args.grid)
     out = _ensure_out(args)
-    rows = []
-    for s2 in sigma2s:
-        rho_star = asy.two_block_threshold(s2)
-        for rho in rho_grid:
-            v12, v123 = asy.two_block_mean_variances(s2, float(rho))
-            rows.append([fmt(s2), fmt(rho), fmt(v12), fmt(v123), fmt(rho_star)])
+
+    def rows():
+        for s2 in sigma2s:
+            rho_star = fmt(asy.two_block_threshold(s2))
+            for rho in rho_grid:
+                v12, v123 = asy.two_block_mean_variances(s2, float(rho))
+                yield [fmt(s2), fmt(rho), fmt(v12), fmt(v123), rho_star]
     csv_path = os.path.join(out, "example2.csv")
-    atomic_csv(csv_path, ["sigma2", "rho", "v12", "v123", "rho_star"], rows)
+    atomic_csv(csv_path, ["sigma2", "rho", "v12", "v123", "rho_star"], rows())
     panel = Panel("rho", "n x variance", "mean estimators, pair vs pair+extra")
-    v12 = [asy.two_block_mean_variances(sigma2s[0], float(r))[0] for r in rho_grid]
-    panel.add(rho_grid, v12, "two margins")
+    # v12 = (1 + rho) / 2 of two_block_mean_variances, the same operations
+    panel.add(rho_grid, (1.0 + rho_grid) / 2.0, "two margins")
     for s2 in sigma2s[:3]:
         v123 = [asy.two_block_mean_variances(s2, float(r))[1] for r in rho_grid]
         panel.add(rho_grid, v123, f"three margins, sigma2={s2:g}", dashed=True)
@@ -308,9 +293,8 @@ _ESTIMATE_BYTES = 192
 
 
 def _check_sim_sizes(path, p: int, n: int, replicates: int, runs) -> None:
-    """ConfigError naming the first of the sizes ``p``, ``n`` and
-    ``replicates`` at which the arrays of ``clik simulate``, added up in
-    that order, exceed physical memory; counted without allocating them.
+    """:func:`_check_memory` on the sizes ``p``, ``n`` and ``replicates``
+    of ``clik simulate``, in that order, naming the key of ``path``.
     ``runs`` holds ``(margins, q, points)`` per run: the margins whose
     forms a fit builds (see ``_SPEC_MARGINS``), its free parameters, and
     the parameter points it builds them at in one batch.
@@ -323,19 +307,12 @@ def _check_sim_sizes(path, p: int, n: int, replicates: int, runs) -> None:
     - ``replicates``: the statistics of every replicate, per block and
       stacked, and ``_ESTIMATE_BYTES`` per free parameter of each run."""
     stat = 1 + p + p * p
-    counts = (("p", p, 8 * max(m * points * q * stat
-                               for m, q, points in runs)),
-              ("n", n, 2 * max(mc.BLOCK_BYTES, 8 * n * p)),
-              ("replicates", replicates, replicates * (
-                  16 * stat + _ESTIMATE_BYTES * sum(q for _, q, _ in runs))))
-    need = 0
-    for key, value, count in counts:
-        need += count
-        if need > _physical_memory():
-            raise ConfigError(f"{path}: key {key!r} = {value} is too large: "
-                              f"the study needs {need:.3g} bytes, more than "
-                              f"the {_physical_memory():.3g} bytes of "
-                              f"physical memory")
+    _check_memory([
+        (f"{path}: key 'p'", p,
+         8 * max(m * points * q * stat for m, q, points in runs)),
+        (f"{path}: key 'n'", n, 2 * max(mc.BLOCK_BYTES, 8 * n * p)),
+        (f"{path}: key 'replicates'", replicates, replicates * (
+            16 * stat + _ESTIMATE_BYTES * sum(q for _, q, _ in runs)))])
 
 
 def parse_sim_config(path) -> mc.SimConfig:

@@ -33,7 +33,7 @@ from .errors import (DimensionMismatch, DomainError, InvalidArgument,
                      NoRootInDomain, SingularMatrix, UnsupportedSpec)
 from .matrixops import is_singular
 from .models import (EMVN, Model, ParamBatch, ParamVector, TriNormal,
-                     unpack_statistic)
+                     _real_array, unpack_statistic)
 
 NEWTON_MAX_ITER = 100
 NEWTON_TOL_PER_OBS = 1e-8
@@ -440,13 +440,7 @@ def _stat_rows(model: Model, stats) -> np.ndarray:
     """``stats`` as an ``(R, 1 + dim + dim**2)`` float array, one
     ``model.statistic`` per row: InvalidArgument unless it holds real
     numbers, DimensionMismatch unless it has that shape."""
-    try:
-        if np.iscomplexobj(stats):
-            raise TypeError
-        arr = np.asarray(stats, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"statistics of type {type(stats).__name__} "
-                              f"are not real numbers") from None
+    arr = _real_array(stats, "statistics")
     width = 1 + model.dim + model.dim ** 2
     if arr.ndim != 2 or arr.shape[1] != width:
         raise DimensionMismatch(f"statistics of shape {arr.shape} for "

@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -701,8 +701,17 @@ def odd_fit_calls(draw):
     return lambda: est.batch_route(model, spec, theta_like, fixed)(stats)
 
 
+def overflowing_statistics():
+    """A solve on statistics holding an integer beyond the float range,
+    whose conversion to float overflows."""
+    model = EMVN(3)
+    solve = est.batch_route(model, comp.pairwise(3), model.params(rho=0.3))
+    return solve([[10 ** 400] + [0.0] * 12])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(call=odd_fit_calls())
+@example(call=overflowing_statistics)
 def test_odd_fit_arguments_raise_only_clik_errors(call):
     try:
         with warnings.catch_warnings():

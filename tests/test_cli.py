@@ -24,6 +24,7 @@ import clik.verify as verify_mod
 from clik.asymptotics import EfficiencyCurve
 from clik.cli import main, parse_sim_config
 from clik.errors import ConfigError
+from clik.models import score_bytes
 
 
 def rows_of(path):
@@ -128,6 +129,34 @@ def test_example2_explicit_rho_grid(tmp_path):
                  "--out", str(tmp_path)]) == 0
     rows = rows_of(tmp_path / "example2.csv")
     assert [float(r["rho"]) for r in rows] == [-1.0, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--sigma2", "2,0.5", "--rho", "0.5,-1,0"], [
+        "2.0,-1.0,0.0,0.08,-0.5555555555555556",
+        "2.0,0.0,0.5,0.4,-0.5555555555555556",
+        "2.0,0.5,0.75,0.56,-0.5555555555555556",
+        "0.5,-1.0,0.0,0.125,-0.6666666666666666",
+        "0.5,0.0,0.5,0.25,-0.6666666666666666",
+        "0.5,0.5,0.75,0.3125,-0.6666666666666666"]),
+    (["--sigma2", "1,2,3,4,5", "--grid", "7"], None),
+])
+def test_example2_rows_stream_in_sigma2_then_rho_order(tmp_path, argv,
+                                                       expected):
+    # the rows as a list built point by point, one sigma2 after another
+    if expected is None:
+        expected = []
+        for s2 in (1.0, 2.0, 3.0, 4.0, 5.0):
+            star = asy.two_block_threshold(s2)
+            for rho in np.linspace(-1.0, 1.0, 7):
+                v12, v123 = asy.two_block_mean_variances(s2, float(rho))
+                expected.append(",".join(repr(float(v)) for v in
+                                         (s2, rho, v12, v123, star)))
+    assert main(["example2", *argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "example2.csv", newline="") as fh:
+        text = fh.read()
+    assert text == "\r\n".join(["sigma2,rho,v12,v123,rho_star", *expected,
+                                 ""])
 
 
 def test_example2_rejects_bad_sigma_list(tmp_path):
@@ -658,11 +687,22 @@ def test_a_run_out_of_memory_exits_2_with_a_message(tmp_path, monkeypatch,
 # ---------------------------------------------------------------------------
 
 
-def test_p_beyond_memory_is_refused_without_building_a_spec():
+def refuse_spec(monkeypatch):
+    """Make building the full-conditional spec fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a spec before the size check")
+    monkeypatch.setattr(asy, "full_conditional", refuse)
+
+
+def test_p_beyond_memory_is_refused_without_building_a_spec(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
     # pure integer arithmetic: the bytes are counted, not allocated
-    with pytest.raises(ConfigError, match=r"--p = 3000000000 is too large"):
-        cli._check_figure2_p(3_000_000_000)
-    cli._check_figure2_p(3)
+    refuse_spec(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["figure2", "--p", "3000000000", "--out", str(out)]) == 2
+    assert "error: --p = 3000000000 is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure2_p_beyond_memory_exits_2_naming_the_flag(tmp_path,
@@ -674,9 +714,7 @@ def test_figure2_p_beyond_memory_exits_2_naming_the_flag(tmp_path,
     cheap = ["--grid", "2", "--draws", "2000", "--out", str(tmp_path / "a")]
     assert main(["figure2", "--p", "3"] + cheap) == 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a spec before the size check")
-    monkeypatch.setattr(asy, "full_conditional", refuse)
+    refuse_spec(monkeypatch)
     out = tmp_path / "b"
     assert main(["figure2", "--p", "40", "--grid", "2", "--out",
                  str(out)]) == 2
@@ -684,11 +722,17 @@ def test_figure2_p_beyond_memory_exits_2_naming_the_flag(tmp_path,
     assert not out.exists()
 
 
-def test_draws_beyond_memory_are_refused_without_drawing():
+def test_draws_beyond_memory_are_refused_without_drawing(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
     # pure integer arithmetic: one batch is sys.maxsize / 20 rows here
-    with pytest.raises(ConfigError, match=r"--draws = \d+ is too large"):
-        cli._check_figure2_draws(3, sys.maxsize)
-    cli._check_figure2_draws(3, 200_000)
+    refuse_spec(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["figure2", "--draws", str(sys.maxsize), "--out",
+                 str(out)]) == 2
+    assert f"error: --draws = {sys.maxsize} is too large" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure2_draws_beyond_memory_exit_2_naming_the_flag(tmp_path,
@@ -697,15 +741,30 @@ def test_figure2_draws_beyond_memory_exit_2_naming_the_flag(tmp_path,
     # 64 MiB of memory: a batch of 4e7 / 20 draws at p = 3 holds 2e6 rows
     # of noise and scores, 80 MB; 2e7 draws, 40 MB, pass the check
     monkeypatch.setattr(cli, "_physical_memory", lambda: 64 << 20)
-    cli._check_figure2_draws(3, 20_000_000)
+    cli._check_memory([("--p", 3, score_bytes(4, 5, 3, 2)),
+                       ("--draws", 20_000_000, 8 * 1_000_000 * 5)])
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a spec before the size check")
-    monkeypatch.setattr(asy, "full_conditional", refuse)
+    refuse_spec(monkeypatch)
     out = tmp_path / "out"
     assert main(["figure2", "--draws", "40000000", "--grid", "2", "--out",
                  str(out)]) == 2
     assert "error: --draws = 40000000 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_figure2_sizes_share_one_running_total(tmp_path, monkeypatch,
+                                               capsys):
+    # 2 MiB of memory: at p = 3 the score pass needs about 1.2 MB, a batch
+    # of 2000 / 20 draws 4 kB and 5000 grid points 1.6 MB; each fits
+    # alone, and the grid on top of the other two does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 << 20)
+    assert score_bytes(4, 5, 3, 2) < 2 << 20 < \
+        score_bytes(4, 5, 3, 2) + 5000 * cli._GRID_BYTES["figure2"]
+    refuse_spec(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["figure2", "--p", "3", "--draws", "2000", "--grid", "5000",
+                 "--out", str(out)]) == 2
+    assert "error: --grid = 5000 is too large" in capsys.readouterr().err
     assert not out.exists()
 
 

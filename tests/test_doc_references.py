@@ -102,3 +102,37 @@ def test_the_check_sees_a_stale_reference(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path))
     assert unresolved(path, importlib.import_module("refmod")) == [
         "1: gone", "2: Kept.lost", "4: sums", "8: clik.models.nothing_here"]
+
+
+#: The modules of ``clik``, by the name a README reference roots at.
+MODULES = [p.stem for p in sorted(SRC.glob("*.py"))
+           if not p.stem.startswith("_")]
+DOTTED = re.compile(r"`((?:clik|" + "|".join(MODULES)
+                    + r")(?:\.\w+)+)(?:\(\))?`")
+
+
+def unresolved_names(text):
+    """``line: name`` of each backticked dotted name in ``text``, rooted at
+    ``clik`` or a ``clik`` module, that does not resolve."""
+    clik = importlib.import_module("clik")
+    return [f"{line}: {name}"
+            for line, row in enumerate(text.splitlines(), start=1)
+            for name in DOTTED.findall(row)
+            if not resolves(clik, (), name if name.startswith("clik.")
+                            else "clik." + name)]
+
+
+def test_every_readme_name_resolves():
+    text = (ROOT / "README.md").read_text()
+    assert len(DOTTED.findall(text)) >= 10
+    assert not unresolved_names(text)
+
+
+def test_the_readme_check_sees_a_stale_name():
+    # a negative control: a deleted helper and a missing attribute are
+    # flagged; a file name and another package's names are not read
+    text = ("The gate is `cli._check_memory`, not `cli._check_grid`;\n"
+            "see `clik.fit`, `clik.nothing_here()`, `models.NoiseMap`,\n"
+            "`verify_report.csv` and `np.linalg.eigvals`.\n")
+    assert unresolved_names(text) == ["1: cli._check_grid",
+                                      "2: clik.nothing_here"]
